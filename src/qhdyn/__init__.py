@@ -11,7 +11,6 @@ of the evolving state stays constant even though H_gen differs from H.
 __version__ = "0.1.0"
 
 from .dressing import (
-    DressingMap,
     DressingTrack,
     build_dressing_track,
     build_generator,
@@ -21,7 +20,6 @@ from .dressing import (
     omega_inverse,
     quasi_hermiticity_residual,
     theta_inner,
-    theta_norm,
 )
 from .errors import (
     AmbiguousMatchError,
@@ -36,12 +34,10 @@ from .errors import (
 )
 from .evolution import (
     EvolutionState,
-    PropagatorPair,
     Trajectory,
     expectation,
     propagate_quasi,
     propagate_standard,
-    propagator_pair,
     step_generator,
     time_grid,
 )
@@ -59,7 +55,6 @@ __all__ = [
     "ComplexSpectrumError",
     "ConditioningError",
     "DEFAULT_THRESHOLDS",
-    "DressingMap",
     "DressingTrack",
     "EvolutionState",
     "ExceptionalPointError",
@@ -69,7 +64,6 @@ __all__ = [
     "MetricPositivityError",
     "NumericalDomainError",
     "ObservableSpec",
-    "PropagatorPair",
     "QhdynError",
     "RunReport",
     "ScenarioConfig",
@@ -91,7 +85,6 @@ __all__ = [
     "parse_scenario",
     "propagate_quasi",
     "propagate_standard",
-    "propagator_pair",
     "quasi_hermiticity_residual",
     "realize_observable",
     "run",
@@ -100,7 +93,6 @@ __all__ = [
     "step_generator",
     "sweep",
     "theta_inner",
-    "theta_norm",
     "time_grid",
     "track_continuity",
     "write_outputs",

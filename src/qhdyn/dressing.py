@@ -12,6 +12,12 @@ operator that actually moves kets in time is
 Two routes produce dOmega/dt: exact differentiation of the mu schedules when
 H is static (frames constant), or 4th-order finite differences applied to the
 continuity-tracked Omega(t) samples when H itself moves.
+
+The track is one set of stacked arrays over the time grid: every matrix
+quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
+with the grid index first.  The functions below take a single (N, N) matrix
+or such a stack alike, and the track is built with one batched eigensolve,
+one batched metric spectrum, and array expressions for everything else.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, ScenarioError
+from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
 from .model import HamiltonianModel, build_hamiltonian
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
 from .spectral import BiorthogonalFrame, eig_biorthogonal, track_continuity
@@ -34,34 +40,19 @@ THETA_COND_WARN = 1e8
 THETA_COND_ABORT = 1e12
 
 
-@dataclass(frozen=True)
-class DressingMap:
-    """Omega(t), its inverse and derivative, and the metric Theta(t).
-
-    theta_source records the provenance of omega_dot: 'analytic' (exact mu
-    differentiation, static frames) or 'finite-difference' (stencils over
-    tracked samples).
-    """
-
-    t: float
-    omega: np.ndarray
-    omega_inv: np.ndarray
-    omega_dot: np.ndarray
-    theta: np.ndarray
-    theta_source: str
-
-    def generator(self, hamiltonian: np.ndarray) -> np.ndarray:
-        return build_generator(hamiltonian, self.omega, self.omega_dot, self.omega_inv)
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
     """Omega = sum_n e_n mu_n <<n|: row n is mu_n times the left bra."""
     mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (frame.dimension,):
-        raise ScenarioError(f"need {frame.dimension} mu coefficients, got shape {mu.shape}")
+    if mu.shape != frame.energies.shape:
+        raise ScenarioError(f"need {frame.dimension} mu coefficients per point, got shape {mu.shape}")
     if np.any(mu == 0):
         raise ScenarioError("mu coefficients must be nonzero")
-    return mu[:, None] * frame.left_bras
+    return mu[..., :, None] * frame.left_bras
 
 
 def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
@@ -69,47 +60,27 @@ def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray
     mu = np.asarray(mu, dtype=complex)
     if np.any(mu == 0):
         raise ScenarioError("mu coefficients must be nonzero")
-    return frame.right_kets / mu[None, :]
+    return frame.right_kets / mu[..., None, :]
 
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
     """Metric Theta = Omega' Omega; Hermitian positive definite by construction."""
-    theta = omega.conj().T @ omega
-    theta = 0.5 * (theta + theta.conj().T)
-    smallest = float(np.linalg.eigvalsh(theta)[0])
-    if smallest <= 0.0:
-        raise MetricPositivityError(
-            f"metric lost positive definiteness (min eigenvalue {smallest:.3e}); "
-            "the dressing map upstream is broken"
-        )
-    return theta
-
-
-def theta_spectral(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
-    """Independent metric assembly sum_n |mu_n|^2 (<<n|)' <<n|.
-
-    Kept as a cross-check against `build_theta`; the two routes must agree to
-    rounding for any valid frame.
-    """
-    mu = np.asarray(mu, dtype=complex)
-    theta = np.zeros((frame.dimension, frame.dimension), dtype=complex)
-    for k in range(frame.dimension):
-        bra = frame.left_bras[k]
-        theta += (abs(mu[k]) ** 2) * np.outer(bra.conj(), bra)
-    return theta
+    theta = dagger(omega) @ omega
+    return 0.5 * (theta + dagger(theta))
 
 
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray | None = None) -> np.ndarray:
     """h = Omega H Omega^-1, the Hermitian partner acting in the friendly space."""
     if omega_inv is None:
         # solve X Omega = Omega H instead of forming the inverse
-        return np.linalg.solve(omega.T, (omega @ H).T).T
+        return np.swapaxes(np.linalg.solve(np.swapaxes(omega, -1, -2), np.swapaxes(omega @ H, -1, -2)), -1, -2)
     return omega @ H @ omega_inv
 
 
-def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> float:
-    """max-norm of A' Theta - Theta A; zero certifies A as a Theta-observable."""
-    return float(np.max(np.abs(A.conj().T @ theta - theta @ A)))
+def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """max-norm of A' Theta - Theta A (one value per point of a stack); zero
+    certifies A as a Theta-observable."""
+    return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
 
 
 def build_generator(
@@ -126,125 +97,131 @@ def build_generator(
     return H - 1j * correction
 
 
-def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> complex:
-    """Metric inner product <a|Theta|b>."""
-    return complex(np.vdot(a, theta @ b))
+def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
+    """Metric inner product <a|Theta|b> (one value per point of a stack)."""
+    return np.sum(np.conj(a) * (theta @ b[..., None])[..., 0], axis=-1)
 
 
-def theta_norm(a: np.ndarray, theta: np.ndarray) -> float:
-    """Real quadratic form <a|Theta|a> (positive for nonzero a)."""
-    return theta_inner(a, a, theta).real
-
-
-def metric_conditioning(theta: np.ndarray) -> tuple[float, float]:
-    """(smallest eigenvalue, condition number) of the Hermitian metric."""
-    eigs = np.linalg.eigvalsh(theta)
-    smallest = float(eigs[0])
-    largest = float(eigs[-1])
-    if smallest <= 0.0:
-        return smallest, np.inf
-    return smallest, largest / smallest
-
-
-def _guard_conditioning(theta: np.ndarray, t: float) -> tuple[float, float]:
-    smallest, cond = metric_conditioning(theta)
-    if cond > THETA_COND_ABORT:
+def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
+    """Abort at the earliest point whose metric lost positivity or whose
+    condition number passed the abort bound; warn once about the worst point
+    inside the warning band."""
+    smallest = theta_eigs[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(smallest > 0.0, theta_eigs[:, -1] / smallest, np.inf)
+    bad = np.flatnonzero((smallest <= 0.0) | (cond > THETA_COND_ABORT))
+    if bad.size:
+        k = int(bad[0])
+        if smallest[k] <= 0.0:
+            raise MetricPositivityError(
+                f"metric lost positive definiteness at t={times[k]:g} (min eigenvalue "
+                f"{smallest[k]:.3e}); the dressing map upstream is broken",
+                t=float(times[k]),
+            )
         raise ConditioningError(
-            f"cond(Theta) = {cond:.3e} > {THETA_COND_ABORT:.0e} at t={t:g}; "
-            "metric-norm checks are no longer meaningful"
+            f"cond(Theta) = {cond[k]:.3e} > {THETA_COND_ABORT:.0e} at t={times[k]:g}; "
+            "metric-norm checks are no longer meaningful",
+            t=float(times[k]),
         )
-    if cond > THETA_COND_WARN:
+    k = int(np.argmax(cond))
+    if cond[k] > THETA_COND_WARN:
         warnings.warn(
-            f"cond(Theta) = {cond:.3e} exceeds {THETA_COND_WARN:.0e}; "
+            f"cond(Theta) = {cond[k]:.3e} at t={times[k]:g} exceeds {THETA_COND_WARN:.0e}; "
             "residual checks lose accuracy",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return smallest, cond
 
 
-def mu_values(schedules: Sequence[ScheduleSpec], t: float) -> np.ndarray:
-    return np.array([eval_schedule(s, t) for s in schedules], dtype=complex)
+def mu_values(schedules: Sequence[ScheduleSpec], times: np.ndarray) -> np.ndarray:
+    """(M, N) metric coefficients mu_n(t) on the grid."""
+    return np.stack([np.broadcast_to(eval_schedule(s, times), times.shape) for s in schedules], axis=-1)
 
 
-def mu_derivatives(schedules: Sequence[ScheduleSpec], t: float) -> np.ndarray:
-    return np.array([eval_schedule_derivative(s, t) for s in schedules], dtype=complex)
+def mu_derivatives(schedules: Sequence[ScheduleSpec], times: np.ndarray) -> np.ndarray:
+    """(M, N) exact time derivatives of the metric coefficients on the grid."""
+    return np.stack(
+        [np.broadcast_to(eval_schedule_derivative(s, times), times.shape) for s in schedules], axis=-1
+    )
 
 
-# 4th-order first-derivative stencils on a uniform grid, in units of 1/(12 h).
-# Rows: offset-0 (forward), offset-1, centered, offset -1 / -0 mirrored.
+# 4th-order one-sided first-derivative stencils on a uniform grid, in units of
+# 1/(12 h), for the first and second point (mirrored at the end); interior
+# points use the centered (1, -8, 0, 8, -1).
 _FORWARD_0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _FORWARD_1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
-_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 
 
-def differentiate_samples(samples: Sequence[np.ndarray], step: float) -> list[np.ndarray]:
-    """4th-order finite-difference time derivative of a matrix-valued sample
-    sequence on a uniform grid; one-sided stencils at the two points nearest
-    each boundary."""
-    m = len(samples)
+def differentiate_samples(samples: np.ndarray, step: float) -> np.ndarray:
+    """4th-order finite-difference time derivative of (M, ...) samples on a
+    uniform grid; one-sided stencils at the two points nearest each
+    boundary."""
+    s = np.asarray(samples)
+    m = len(s)
     if m < 5:
         raise ScenarioError(f"need at least 5 samples for 4th-order differences, got {m}")
-    scale = 1.0 / (12.0 * step)
-    out = []
-    for j in range(m):
-        if j == 0:
-            window, coeff = samples[0:5], _FORWARD_0
-        elif j == 1:
-            window, coeff = samples[0:5], _FORWARD_1
-        elif j == m - 2:
-            window, coeff = samples[m - 5 : m], -_FORWARD_1[::-1]
-        elif j == m - 1:
-            window, coeff = samples[m - 5 : m], -_FORWARD_0[::-1]
-        else:
-            window, coeff = samples[j - 2 : j + 3], _CENTRAL
-        out.append(scale * sum(c * w for c, w in zip(coeff, window)))
-    return out
+    out = np.empty_like(s)
+    out[2:-2] = s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]
+    out[0] = np.tensordot(_FORWARD_0, s[:5], axes=1)
+    out[1] = np.tensordot(_FORWARD_1, s[:5], axes=1)
+    out[-2] = np.tensordot(-_FORWARD_1[::-1], s[-5:], axes=1)
+    out[-1] = np.tensordot(-_FORWARD_0[::-1], s[-5:], axes=1)
+    return out * (1.0 / (12.0 * step))
 
 
 @dataclass(frozen=True)
 class DressingTrack:
-    """Frames and dressing maps sampled on a uniform grid.
+    """Frames and dressing maps sampled on a uniform grid, as stacked arrays.
 
     The grid is the integrator's fine grid (spacing = half the reporting
     step), so every Runge-Kutta substep time is a sample.  Coarse reporting
-    points sit at the even indices.
+    points sit at the even indices.  With M grid points and dimension N:
+
+    times                          (M,)
+    hamiltonians                   (M, N, N)  H(t)
+    right_kets, left_bras          (M, N, N)  continuity-tracked frames
+                                              (columns |n>, rows <<n|)
+    omega, omega_inv, omega_dot    (M, N, N)  Omega, Omega^-1, dOmega/dt
+    theta                          (M, N, N)  metric Omega' Omega
+    energies                       (M, N)     tracked E_n(t)
+    raw_overlaps                   (M, N)     exceptional-point margins
+    mu                             (M, N)     metric coefficients
+    theta_eigs                     (M, N)     ascending eigenvalues of Theta
+    omega_dot_source               'analytic' (exact mu differentiation,
+                                   static frames) or 'finite-difference'
     """
 
     times: np.ndarray
-    hamiltonians: tuple[np.ndarray, ...]
-    frames: tuple[BiorthogonalFrame, ...]
+    hamiltonians: np.ndarray
+    right_kets: np.ndarray
+    left_bras: np.ndarray
+    omega: np.ndarray
+    omega_inv: np.ndarray
+    omega_dot: np.ndarray
+    theta: np.ndarray
+    energies: np.ndarray
+    raw_overlaps: np.ndarray
     mu: np.ndarray
-    maps: tuple[DressingMap, ...]
-
-    @property
-    def n_points(self) -> int:
-        return len(self.times)
+    theta_eigs: np.ndarray
+    omega_dot_source: str
 
     @property
     def dimension(self) -> int:
-        return self.frames[0].dimension
+        return self.energies.shape[1]
 
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def energy_series(self) -> np.ndarray:
-        """(n_points, N) eigenvalue samples, continuity-ordered."""
-        return np.array([f.energies for f in self.frames])
-
-    def coarse_indices(self) -> range:
-        return range(0, self.n_points, 2)
-
 
 def omega_dot_series(
     model: HamiltonianModel,
-    frames: Sequence[BiorthogonalFrame],
+    frames: BiorthogonalFrame,
     mu_schedules: Sequence[ScheduleSpec],
     times: np.ndarray,
     mode: str,
-) -> tuple[list[np.ndarray], str]:
-    """dOmega/dt at every grid time, by the requested route.
+) -> tuple[np.ndarray, str]:
+    """(M, N, N) dOmega/dt on the grid of a frame stack, by the requested route.
 
     'analytic-mu-only' differentiates the mu schedules exactly and reuses the
     (necessarily constant) left bras; it is rejected when H carries a genuine
@@ -261,16 +238,26 @@ def omega_dot_series(
                 "omega_dot mode 'analytic-mu-only' is inconsistent with a "
                 "time-dependent Hamiltonian schedule"
             )
-        dots = [
-            mu_derivatives(mu_schedules, t)[:, None] * frame.left_bras
-            for t, frame in zip(times, frames)
-        ]
-        return dots, "analytic"
-    omegas = [
-        build_omega(frame, mu_values(mu_schedules, t)) for t, frame in zip(times, frames)
-    ]
-    step = float(times[1] - times[0])
-    return differentiate_samples(omegas, step), "finite-difference"
+        return mu_derivatives(mu_schedules, times)[:, :, None] * frames.left_bras, "analytic"
+    omega = build_omega(frames, mu_values(mu_schedules, times))
+    return differentiate_samples(omega, float(times[1] - times[0])), "finite-difference"
+
+
+def _tracked_frames(hams: np.ndarray, times: np.ndarray, reality_policy: str) -> BiorthogonalFrame:
+    """One batched eigensolve and continuity pass over the grid.
+
+    A point-by-point sweep would match point j against j - 1 before solving
+    point j + 1, so when the solve fails at point k, a continuity failure
+    before k is the error to report.
+    """
+    try:
+        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=times)
+    except NumericalDomainError as exc:
+        k = int(np.searchsorted(times, exc.t))
+        if k > 1:
+            track_continuity(eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=times[:k]))
+        raise
+    return track_continuity(frames)
 
 
 def build_dressing_track(
@@ -282,10 +269,12 @@ def build_dressing_track(
 ) -> DressingTrack:
     """Assemble frames and dressing maps along a uniform time grid.
 
-    Frames are re-solved at every grid point and continuity-tracked
-    sequentially; the dressing then follows the tracked gauge, so the sampled
-    Omega(t) lies on one smooth curve and finite differences of it are
-    meaningful.
+    Frames are solved at every grid point in one batch and continuity-tracked
+    along the grid; the dressing then follows the tracked gauge, so the
+    sampled Omega(t) lies on one smooth curve and finite differences of it
+    are meaningful.  dOmega/dt comes from exact mu derivatives when H is
+    static and from 4th-order stencils over the Omega samples otherwise
+    (see `omega_dot_series`).
     """
     times = np.asarray(times, dtype=float)
     if len(mu_schedules) != model.dimension:
@@ -293,42 +282,28 @@ def build_dressing_track(
             f"need {model.dimension} mu schedules, got {len(mu_schedules)}"
         )
 
-    hams: list[np.ndarray] = []
-    frames: list[BiorthogonalFrame] = []
-    prev: BiorthogonalFrame | None = None
-    for t in times:
-        H = build_hamiltonian(model, float(t))
-        frame = eig_biorthogonal(H, reality_policy=reality_policy, t=float(t))
-        if prev is not None:
-            frame = track_continuity(prev, frame)
-        hams.append(H)
-        frames.append(frame)
-        prev = frame
+    hams = np.array([build_hamiltonian(model, float(t)) for t in times])
+    frames = _tracked_frames(hams, times, reality_policy)
 
-    mus = np.array([mu_values(mu_schedules, t) for t in times])
-    dots, source = omega_dot_series(model, frames, mu_schedules, times, omega_dot_mode)
-
-    maps: list[DressingMap] = []
-    for k, t in enumerate(times):
-        omega = build_omega(frames[k], mus[k])
-        inv = omega_inverse(frames[k], mus[k])
-        theta = build_theta(omega)
-        _guard_conditioning(theta, float(t))
-        maps.append(
-            DressingMap(
-                t=float(t),
-                omega=omega,
-                omega_inv=inv,
-                omega_dot=dots[k],
-                theta=theta,
-                theta_source=source,
-            )
-        )
+    mu = mu_values(mu_schedules, times)
+    omega_dot, source = omega_dot_series(model, frames, mu_schedules, times, omega_dot_mode)
+    omega = build_omega(frames, mu)
+    theta = build_theta(omega)
+    theta_eigs = np.linalg.eigvalsh(theta)
+    _guard_metric(theta_eigs, times)
 
     return DressingTrack(
         times=times,
-        hamiltonians=tuple(hams),
-        frames=tuple(frames),
-        mu=mus,
-        maps=tuple(maps),
+        hamiltonians=hams,
+        right_kets=frames.right_kets,
+        left_bras=frames.left_bras,
+        omega=omega,
+        omega_inv=omega_inverse(frames, mu),
+        omega_dot=omega_dot,
+        theta=theta,
+        energies=frames.energies,
+        raw_overlaps=frames.raw_overlaps,
+        mu=mu,
+        theta_eigs=theta_eigs,
+        omega_dot_source=source,
     )

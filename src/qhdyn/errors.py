@@ -1,5 +1,7 @@
 """Exception hierarchy and warning categories shared across the package."""
 
+from __future__ import annotations
+
 
 class QhdynError(Exception):
     """Base class for all package errors."""
@@ -15,8 +17,13 @@ class ScenarioError(QhdynError, ValueError):
 class NumericalDomainError(QhdynError, RuntimeError):
     """Computation left its numerical domain of validity.
 
-    Maps to CLI exit code 3.
+    ``t`` is the grid time at which it did, when known.  Maps to CLI exit
+    code 3.
     """
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message)
+        self.t = t
 
 
 class ExceptionalPointError(NumericalDomainError):

@@ -16,6 +16,10 @@ oracle for the genuinely numerical side: classical RK4 applied to
 one scheme driven by the same generator and its adjoint.  The left equation
 is integrated independently; |Phi>> = Theta |Phi> is checked afterwards, not
 built in.
+
+A run is kept as stacked arrays: the generator and its adjoint are formed
+once for the whole track, the kets on the reporting grid are (K, N) arrays,
+and the standard propagator is stored as its (K, N) phases.
 """
 
 from __future__ import annotations
@@ -25,11 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import DressingTrack, theta_inner
+from .dressing import DressingTrack, build_generator, dagger, theta_inner
 from .errors import ComplexSpectrumError, IntegrationError, ScenarioError
 from .spectral import REALITY_TOL
 
 PICTURES = ("right", "left", "standard")
+
+# the track holds 2 * steps + 1 samples of every N x N matrix, so the step
+# count is capped where those stacks would outgrow a desk machine
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -46,40 +54,45 @@ class EvolutionState:
 
 
 @dataclass(frozen=True)
-class PropagatorPair:
-    """u(t) with its pulled-back right/left actions at one time."""
-
-    t: float
-    u_std: np.ndarray
-    u_right: np.ndarray
-    u_left_dag: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """States on the reporting grid plus the standard-space propagators."""
+    """Kets on the reporting grid plus the standard-space propagator.
+
+    times         (K,) reporting grid
+    phi_right     (K, N) right kets |Phi(t_k)>
+    phi_left      (K, N) left kets |Phi(t_k)>>, None when not integrated
+    phi_standard  (K, N) standard kets |phi(t_k)>, None when not requested
+    phases        (K, N) u(t_k) = diag(exp(-i phases[k]))
+    """
 
     times: np.ndarray
-    states: tuple[EvolutionState, ...]
-    u_series: tuple[np.ndarray, ...]
+    phi_right: np.ndarray
+    phi_left: np.ndarray | None
+    phi_standard: np.ndarray | None
+    phases: np.ndarray
     pictures: tuple[str, ...]
 
     @property
-    def initial(self) -> EvolutionState:
-        return self.states[0]
+    def u_diagonals(self) -> np.ndarray:
+        """(K, N) diagonals of the standard-space propagators u(t_k)."""
+        return np.exp(-1j * self.phases)
 
 
 def time_grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(coarse, fine) uniform grids; fine has half the spacing.
 
-    The step count must divide the interval exactly and be at least 2 (the
-    4th-order derivative stencils need five fine samples).
+    t0, t1 and dt must be finite.  The step count must divide the interval
+    exactly, be at least 2 (the 4th-order derivative stencils need five fine
+    samples) and at most `MAX_STEPS`.
     """
+    if not np.all(np.isfinite([t0, t1, dt])):
+        raise ScenarioError(f"time grid needs finite t0, t1 and dt, got t0={t0}, t1={t1}, dt={dt}")
     if dt <= 0.0:
         raise ScenarioError(f"dt must be positive, got {dt}")
     span = t1 - t0
     if span <= 0.0:
         raise ScenarioError(f"need t1 > t0, got interval [{t0}, {t1}]")
+    if span / dt >= MAX_STEPS + 0.5:
+        raise ScenarioError(f"(t1 - t0)/dt = {span / dt:g} steps exceeds the cap of {MAX_STEPS}")
     steps = int(round(span / dt))
     if steps < 2 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ScenarioError(
@@ -96,27 +109,19 @@ def standard_phases(track: DressingTrack) -> np.ndarray:
     Raises `ComplexSpectrumError` if any sampled E_n has left the real axis --
     the phases would stop being phases.
     """
-    energies = track.energy_series()
-    worst_im = float(np.max(np.abs(energies.imag)))
-    if worst_im >= REALITY_TOL:
+    energies = track.energies
+    worst_im = np.max(np.abs(energies.imag), axis=1)
+    bad = np.flatnonzero(worst_im >= REALITY_TOL)
+    if bad.size:
+        k = int(bad[0])
         raise ComplexSpectrumError(
-            f"non-real energy |Im E| = {worst_im:.3e} encountered mid-run; "
-            "the standard-space propagator is no longer unitary"
+            f"non-real energy |Im E| = {worst_im[k]:.3e} encountered mid-run at "
+            f"t={track.times[k]:g}; the standard-space propagator is no longer unitary",
+            t=float(track.times[k]),
         )
     real = energies.real
-    h = track.step  # fine spacing = dt/2
-    n_coarse = (track.n_points - 1) // 2 + 1
-    phases = np.zeros((n_coarse, real.shape[1]))
-    for k in range(1, n_coarse):
-        j = 2 * k
-        simpson = (h / 3.0) * (real[j - 2] + 4.0 * real[j - 1] + real[j])
-        phases[k] = phases[k - 1] + simpson
-    return phases
-
-
-def standard_propagators(track: DressingTrack) -> list[np.ndarray]:
-    """u(t_k) = diag(exp(-i phase_n(t_k))) at every coarse grid point."""
-    return [np.diag(np.exp(-1j * row)) for row in standard_phases(track)]
+    simpson = (track.step / 3.0) * (real[:-2:2] + 4.0 * real[1:-1:2] + real[2::2])
+    return np.concatenate([np.zeros((1, real.shape[1])), np.cumsum(simpson, axis=0)])
 
 
 def propagate_standard(track: DressingTrack, t0: float | None = None, t1: float | None = None) -> np.ndarray:
@@ -139,6 +144,27 @@ def _locate(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def _rk4(vec: np.ndarray, a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """One classical RK4 step of i d/dt v = A v for kets v of shape (..., N),
+    with A sampled at (t, t + dt/2, t + dt) and matching leading shape."""
+
+    def rate(a, v):
+        return -1j * (a @ v[..., None])[..., 0]
+
+    k1 = rate(a0, vec)
+    k2 = rate(am, vec + 0.5 * dt * k1)
+    k3 = rate(am, vec + 0.5 * dt * k2)
+    k4 = rate(a1, vec + dt * k3)
+    new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(new)):
+        raise IntegrationError(
+            f"non-finite state components after the step at t={t:g} "
+            "(exceptional-point crossing or metric blow-up upstream)",
+            t=float(t),
+        )
+    return new
+
+
 def step_generator(
     state: EvolutionState,
     generators: Sequence[np.ndarray],
@@ -154,27 +180,12 @@ def step_generator(
     if dt <= 0.0:
         raise ScenarioError(f"dt must be positive, got {dt}")
     g0, gm, g1 = generators
-
-    def advance(vec: np.ndarray, a0: np.ndarray, am: np.ndarray, a1: np.ndarray) -> np.ndarray:
-        k1 = -1j * (a0 @ vec)
-        k2 = -1j * (am @ (vec + 0.5 * dt * k1))
-        k3 = -1j * (am @ (vec + 0.5 * dt * k2))
-        k4 = -1j * (a1 @ (vec + dt * k3))
-        new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(new)):
-            raise IntegrationError(
-                f"non-finite state components after the step at t={state.t:g} "
-                "(exceptional-point crossing or metric blow-up upstream)"
-            )
-        return new
-
     phi_right = state.phi_right
     if phi_right is not None:
-        phi_right = advance(phi_right, g0, gm, g1)
+        phi_right = _rk4(phi_right, g0, gm, g1, dt, state.t)
     phi_left = state.phi_left
     if phi_left is not None:
-        phi_left = advance(phi_left, g0.conj().T, gm.conj().T, g1.conj().T)
-
+        phi_left = _rk4(phi_left, dagger(g0), dagger(gm), dagger(g1), dt, state.t)
     return EvolutionState(
         t=state.t + dt,
         phi_right=phi_right,
@@ -194,7 +205,7 @@ def resolve_initial_state(spec, track: DressingTrack) -> np.ndarray:
         k = int(spec[1])
         if not 0 <= k < n:
             raise ScenarioError(f"eigenstate index {k} out of range for N={n}")
-        return track.frames[0].right_kets[:, k].copy()
+        return track.right_kets[0][:, k].copy()
     vec = np.asarray(spec, dtype=complex)
     if vec.shape != (n,):
         raise ScenarioError(f"initial state must have {n} components, got shape {vec.shape}")
@@ -211,12 +222,12 @@ def propagate_quasi(
 ) -> Trajectory:
     """Integrate the twin equations along the track's grid.
 
-    The right and left kets advance by RK4 with the generator sampled at the
-    step endpoints and midpoint (all fine grid points of the track); the
-    standard ket follows the diagonal closed-form propagator.  With
-    ``use_plain_hamiltonian`` the integrator is driven by H instead of H_gen
-    -- the falsification switch: for a moving metric that run must lose the
-    Theta-norm.
+    The right and left kets advance together by RK4 with the generator and
+    its adjoint sampled at the step endpoints and midpoint (all fine grid
+    points of the track); the standard ket follows the diagonal closed-form
+    propagator.  With ``use_plain_hamiltonian`` the integrator is driven by H
+    instead of H_gen -- the falsification switch: for a moving metric that
+    run must lose the Theta-norm.
     """
     pictures = tuple(pictures)
     for p in pictures:
@@ -226,63 +237,49 @@ def propagate_quasi(
         raise ScenarioError("the 'right' picture is mandatory")
 
     if use_plain_hamiltonian:
-        gens = list(track.hamiltonians)
+        gens = track.hamiltonians
     else:
-        gens = [m.generator(H) for m, H in zip(track.maps, track.hamiltonians)]
+        gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
 
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
-    want_std = "standard" in pictures
+    phases = standard_phases(track)
 
-    u_series = standard_propagators(track)
-    phi_std0 = track.maps[0].omega @ phi0 if want_std else None
-    phi_left0 = track.maps[0].theta @ phi0 if want_left else None
+    # the integrated kets as one (pictures, N) state: right, then left
+    if want_left:
+        gens = np.stack([gens, dagger(gens)], axis=1)
+        state = np.stack([phi0, track.theta[0] @ phi0])
+    else:
+        gens = gens[:, None]
+        state = phi0[None]
 
     coarse = track.times[::2]
     dt = float(coarse[1] - coarse[0])
-    state = EvolutionState(
-        t=float(coarse[0]),
-        phi_right=phi0,
-        phi_left=phi_left0,
-        phi_standard=phi_std0,
-    )
-    states = [state]
+    kets = np.empty((len(coarse),) + state.shape, dtype=complex)
+    kets[0] = state
     for k in range(len(coarse) - 1):
         j = 2 * k
-        state = step_generator(state, (gens[j], gens[j + 1], gens[j + 2]), dt)
-        if want_std:
-            state = EvolutionState(
-                t=state.t,
-                phi_right=state.phi_right,
-                phi_left=state.phi_left,
-                phi_standard=u_series[k + 1] @ phi_std0,
-            )
-        states.append(state)
+        kets[k + 1] = _rk4(kets[k], gens[j], gens[j + 1], gens[j + 2], dt, coarse[k])
 
+    phi_standard = None
+    if "standard" in pictures:
+        phi_standard = np.exp(-1j * phases) * (track.omega[0] @ phi0)
     return Trajectory(
         times=coarse,
-        states=tuple(states),
-        u_series=tuple(u_series),
+        phi_right=kets[:, 0],
+        phi_left=kets[:, 1] if want_left else None,
+        phi_standard=phi_standard,
+        phases=phases,
         pictures=pictures,
     )
 
 
-def propagator_pair(track: DressingTrack, coarse_index: int, u: np.ndarray) -> PropagatorPair:
-    """Right/left pulled-back propagators at one coarse grid point."""
-    here = track.maps[2 * coarse_index]
-    start = track.maps[0]
-    return PropagatorPair(
-        t=float(track.times[2 * coarse_index]),
-        u_std=u,
-        u_right=here.omega_inv @ u @ start.omega,
-        u_left_dag=here.omega.conj().T @ u @ start.omega_inv.conj().T,
-    )
-
-
-def expectation(state: EvolutionState, A: np.ndarray, theta: np.ndarray) -> complex:
-    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi>."""
+def expectation(state, A: np.ndarray, theta: np.ndarray):
+    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of the right ket
+    of ``state``: one value for an `EvolutionState`, one per reporting point
+    for a `Trajectory` (with A and theta stacked or broadcast to match)."""
     phi = state.phi_right
     norm = theta_inner(phi, phi, theta)
-    if abs(norm) < 1e-300:
+    if np.any(np.abs(norm) < 1e-300):
         raise ValueError("zero Theta-norm state has no expectation values")
-    return theta_inner(phi, A @ phi, theta) / norm
+    return theta_inner(phi, (A @ phi[..., None])[..., 0], theta) / norm

@@ -142,8 +142,8 @@ def build_hamiltonian(model: HamiltonianModel, t: float) -> np.ndarray:
         return np.array([[1j * gamma, s], [s, -1j * gamma]], dtype=complex)
     if model.family == "similarity-rand":
         energies = _similarity_energies(model)
-        s_mat = _similarity_matrix(n, int(model.params.get("seed", 0)))
-        return s_mat @ np.diag(energies.astype(complex)) @ np.linalg.inv(s_mat)
+        s_mat, s_inv = _similarity_matrix(n, int(model.params.get("seed", 0)))
+        return (s_mat * energies) @ s_inv
     # cubic-trunc
     g = model.real_param("g", t)
     p2, x3 = _oscillator_blocks(n)
@@ -205,13 +205,14 @@ def _similarity_energies(model: HamiltonianModel) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _similarity_matrix(n: int, seed: int) -> np.ndarray:
-    """Seeded invertible S with cond(S) < 1e3, resampled until it qualifies."""
+def _similarity_matrix(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded invertible S with cond(S) < 1e3, resampled until it qualifies,
+    and its inverse."""
     rng = np.random.default_rng(seed)
     for _ in range(128):
         s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
         if np.linalg.cond(s) < _MAX_SIMILARITY_COND:
-            return s
+            return s, np.linalg.inv(s)
     raise ScenarioError(f"could not draw a well-conditioned {n}x{n} similarity matrix")
 
 
@@ -265,19 +266,3 @@ def _validate_family(model: HamiltonianModel):
         if g <= 0.0:
             raise ScenarioError(f"family 'cubic-trunc': coupling g must be positive, got {g}")
 
-
-def spectrum_closed_form(model: HamiltonianModel, t: float) -> np.ndarray | None:
-    """Known closed-form spectrum for families that have one, else None."""
-    if model.family == "triangular2":
-        return np.array([model.real_param("e1", t), model.real_param("e2", t)])
-    if model.family == "pt2":
-        gamma = model.real_param("gamma", t)
-        s = model.real_param("s", t)
-        disc = s * s - gamma * gamma
-        if disc < 0.0:
-            return None
-        root = np.sqrt(disc)
-        return np.array([-root, root])
-    if model.family == "similarity-rand":
-        return np.sort(_similarity_energies(model))
-    return None

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dressing import DressingTrack, build_dressing_track, metric_conditioning, quasi_hermiticity_residual, theta_norm
+from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, theta_inner
 from .errors import NumericalDomainError, ScenarioError
 from .evolution import Trajectory, expectation, propagate_quasi, time_grid
 from .model import realize_observable
 from .scenario import ScenarioConfig, scenario_from_dict, set_by_path
-from .verify import InvariantReport, run_standard_checks
+from .verify import InvariantReport, equivalence_residuals, run_standard_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,7 +35,7 @@ EXIT_NUMERICAL_ERROR = 3
 class RunReport:
     scenario: ScenarioConfig
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray  # (reporting points, columns)
     reports: tuple[InvariantReport, ...]
     wall_clock_seconds: float
     version: str
@@ -73,7 +73,7 @@ def run(config: ScenarioConfig) -> RunReport:
         use_plain_hamiltonian=(config.generator == "h-only"),
     )
 
-    observable_series = _realize_observables(config, track, trajectory)
+    observable_series = _realize_observables(config, track)
     reports = run_standard_checks(
         trajectory,
         track,
@@ -92,16 +92,12 @@ def run(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _realize_observables(config: ScenarioConfig, track: DressingTrack, trajectory: Trajectory):
-    series = {}
-    for spec in config.model.a_observables:
-        mats = []
-        for k in range(len(trajectory.states)):
-            j = 2 * k
-            m = track.maps[j]
-            mats.append(realize_observable(spec, track.hamiltonians[j], m.omega, m.omega_inv))
-        series[spec.name] = mats
-    return series
+def _realize_observables(config: ScenarioConfig, track: DressingTrack):
+    """Each declared observable on the reporting grid."""
+    return {
+        spec.name: realize_observable(spec, track.hamiltonians[::2], track.omega[::2], track.omega_inv[::2])
+        for spec in config.model.a_observables
+    }
 
 
 def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_series):
@@ -120,32 +116,25 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
     for name in config.outputs:
         columns += [f"re_exp_{name}", f"im_exp_{name}"]
 
-    phi0 = trajectory.initial.phi_right
-    scale = float(np.linalg.norm(phi0))
-    seed = track.maps[0].omega @ phi0
-
-    rows = []
-    for k, state in enumerate(trajectory.states):
-        j = 2 * k
-        m = track.maps[j]
-        oracle = m.omega_inv @ (trajectory.u_series[k] @ seed)
-        min_eig, cond = metric_conditioning(m.theta)
-        row = [
-            float(trajectory.times[k]),
-            theta_norm(state.phi_right, m.theta),
-            float(np.real(np.vdot(state.phi_right, state.phi_right))),
-            float(np.linalg.norm(state.phi_right - oracle)) / scale,
-            quasi_hermiticity_residual(track.hamiltonians[j], m.theta),
-            min_eig,
-            cond,
-        ]
-        for energy in track.frames[j].energies:
-            row += [float(energy.real), float(energy.imag)]
-        for name in config.outputs:
-            value = expectation(state, observable_series[name][k], m.theta)
-            row += [value.real, value.imag]
-        rows.append(tuple(row))
-    return tuple(columns), tuple(rows)
+    phi = trajectory.phi_right
+    theta = track.theta[::2]
+    eigs = track.theta_eigs[::2]
+    energies = track.energies[::2]
+    blocks = [
+        trajectory.times,
+        theta_inner(phi, phi, theta).real,
+        np.sum(np.conj(phi) * phi, axis=-1).real,
+        equivalence_residuals(trajectory, track),
+        quasi_hermiticity_residual(track.hamiltonians[::2], theta),
+        eigs[:, 0],
+        eigs[:, -1] / eigs[:, 0],
+    ]
+    for k in range(n):
+        blocks += [energies[:, k].real, energies[:, k].imag]
+    for name in config.outputs:
+        value = expectation(trajectory, observable_series[name], theta)
+        blocks += [value.real, value.imag]
+    return tuple(columns), np.column_stack(blocks)
 
 
 def format_number(value: float) -> str:
@@ -154,7 +143,7 @@ def format_number(value: float) -> str:
 
 def write_csv(report: RunReport, path: Path):
     lines = [",".join(report.columns)]
-    for row in report.rows:
+    for row in report.rows.tolist():
         lines.append(",".join(format_number(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

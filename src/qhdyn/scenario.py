@@ -4,7 +4,8 @@ A scenario is a YAML document with these top-level keys (normative):
 
     model          family, dimension, params, h_schedule, a_observables
     mu             list of N schedule specs for the metric coefficients
-    time           t0, t1, dt  (dt must divide the interval exactly)
+    time           t0, t1, dt  (finite; dt must divide the interval exactly,
+                   at most 100 000 steps)
     initial_state  {preset: uniform} | {preset: eigenstate, index: k}
                    | {vector: [...]}            (default: uniform)
     pictures       subset of [right, left, standard]   (default: all)

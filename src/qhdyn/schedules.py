@@ -65,8 +65,8 @@ def constant(value: complex) -> ScheduleSpec:
     return ScheduleSpec(kind="constant", base=value)
 
 
-def eval_schedule(spec: ScheduleSpec, t: float) -> complex:
-    """Scheduled value at time ``t``."""
+def eval_schedule(spec: ScheduleSpec, t: float | np.ndarray) -> complex | np.ndarray:
+    """Scheduled value at time ``t`` (elementwise for an array of times)."""
     if spec.kind == "constant":
         return complex(spec.base)
     if spec.kind == "linear-ramp":
@@ -79,7 +79,7 @@ def eval_schedule(spec: ScheduleSpec, t: float) -> complex:
     )
 
 
-def eval_schedule_derivative(spec: ScheduleSpec, t: float) -> complex:
+def eval_schedule_derivative(spec: ScheduleSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """Analytic time derivative of `eval_schedule` at ``t``."""
     if spec.kind == "constant":
         return 0.0 + 0.0j

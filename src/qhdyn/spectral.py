@@ -5,16 +5,22 @@ H|n> = E_n|n> and left bras <<n|H = E_n<<n|, normalized to <<m|n> = delta_mn
 with completeness sum_n |n><<n| = I.  Near an exceptional point a left-right
 pair becomes orthogonal and the construction degenerates; that is detected via
 the raw overlap magnitude, not via Jordan-form analysis.
+
+Both entry points work on a whole time grid at once: `eig_biorthogonal` takes
+an (M, N, N) stack of matrices and returns a frame of stacked arrays, and
+`track_continuity` aligns every point of such a stack with its predecessor.
+Failures are reported for the earliest grid point that has one, so a stack
+raises the same error a point-by-point sweep of the grid would raise first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError
+from .errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, NumericalDomainError
 
 # raw left-right overlap magnitude below which H is treated as defective
 EP_OVERLAP_TOL = 1e-8
@@ -31,17 +37,18 @@ _EIGEN_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BiorthogonalFrame:
-    """Eigenvalue doublets of one matrix at one time.
+    """Eigenvalue doublets of one matrix, or of a stack of M matrices.
 
-    energies      (N,) complex eigenvalues E_n
-    right_kets    (N, N), column n is |n>
-    left_bras     (N, N), row n is <<n|
-    raw_overlaps  (N,) pre-normalization |<<n|n>| magnitudes (conditioning
-                  diagnostic; 1 for a Hermitian matrix, -> 0 at an
-                  exceptional point)
+    t             time of the matrix, or (M,) times of the stack
+    energies      (..., N) complex eigenvalues E_n
+    right_kets    (..., N, N), column n is |n>
+    left_bras     (..., N, N), row n is <<n|
+    raw_overlaps  (..., N) exceptional-point margins 1 / (||<<n|| ||n>||)
+                  (the pre-normalization left-right overlap magnitude; 1 for
+                  a Hermitian matrix, -> 0 at an exceptional point)
     """
 
-    t: float
+    t: float | np.ndarray
     energies: np.ndarray
     right_kets: np.ndarray
     left_bras: np.ndarray
@@ -49,167 +56,216 @@ class BiorthogonalFrame:
 
     @property
     def dimension(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
     @property
     def spectrum_is_real(self) -> bool:
         return bool(np.max(np.abs(self.energies.imag)) < REALITY_TOL)
 
-    def reconstruct(self) -> np.ndarray:
-        """sum_n |n> E_n <<n| -- must reproduce the source matrix."""
-        return self.right_kets @ np.diag(self.energies) @ self.left_bras
-
     def validate(self, matrix: np.ndarray | None = None):
         """Raise unless biorthonormality, completeness, and (optionally) the
-        eigen-residuals hold at their standard tolerances."""
+        eigen-residuals against ``matrix`` (one per point) hold at their
+        standard tolerances; the earliest failing point is reported."""
         n = self.dimension
-        gram = self.left_bras @ self.right_kets
-        bi_res = np.max(np.abs(gram - np.eye(n)))
-        complete_res = np.max(np.abs(self.right_kets @ self.left_bras - np.eye(n)))
-        if bi_res > _BIORTHO_TOL or complete_res > _BIORTHO_TOL:
-            raise ExceptionalPointError(
-                "biorthogonal frame validation failed "
-                f"(biorthonormality residual {bi_res:.3e}, completeness residual "
-                f"{complete_res:.3e}); eigenvector system is numerically degenerate"
-            )
+        kets = self.right_kets.reshape(-1, n, n)
+        times = np.broadcast_to(np.asarray(self.t, dtype=float), kets.shape[:1])
         if matrix is not None:
-            for k in range(n):
-                r = np.max(np.abs(matrix @ self.right_kets[:, k] - self.energies[k] * self.right_kets[:, k]))
-                l = np.max(np.abs(self.left_bras[k] @ matrix - self.energies[k] * self.left_bras[k]))
-                if r > _EIGEN_RESIDUAL_TOL or l > _EIGEN_RESIDUAL_TOL:
-                    raise ExceptionalPointError(
-                        f"eigenpair {k} residual too large (right {r:.3e}, left {l:.3e})"
-                    )
+            matrix = np.asarray(matrix).reshape(kets.shape)
+        _raise_earliest(
+            _frame_failures(
+                kets, self.left_bras.reshape(-1, n, n), self.energies.reshape(-1, n), times, matrix
+            )
+        )
+
+
+# (per-point failure flags, error for a failing point index), in priority order
+_Failure = tuple[np.ndarray, Callable[[int], NumericalDomainError]]
+
+
+def _raise_earliest(failures: list[_Failure]):
+    """Raise the error of the earliest flagged grid point; at one point the
+    first entry of ``failures`` that flags it wins."""
+    flags = np.array([f for f, _ in failures])
+    hit = np.flatnonzero(flags.any(axis=0))
+    if hit.size:
+        k = int(hit[0])
+        raise failures[int(np.argmax(flags[:, k]))][1](k)
+
+
+def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
+    n = kets.shape[-1]
+    eye = np.eye(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bi_res = np.max(np.abs(bras @ kets - eye), axis=(-2, -1))
+        complete_res = np.max(np.abs(kets @ bras - eye), axis=(-2, -1))
+    failures: list[_Failure] = [(
+        (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL),
+        lambda k: ExceptionalPointError(
+            f"biorthogonal frame validation failed at t={times[k]:g} "
+            f"(biorthonormality residual {bi_res[k]:.3e}, completeness residual "
+            f"{complete_res[k]:.3e}); eigenvector system is numerically degenerate",
+            t=float(times[k]),
+        ),
+    )]
+    if matrix is not None:
+        with np.errstate(invalid="ignore", over="ignore"):
+            right = np.max(np.abs(matrix @ kets - kets * energies[:, None, :]), axis=-2)
+            left = np.max(np.abs(bras @ matrix - energies[:, :, None] * bras), axis=-1)
+        bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
+
+        def residual_error(k):
+            j = int(np.argmax(bad[k]))
+            return ExceptionalPointError(
+                f"eigenpair {j} residual too large at t={times[k]:g} "
+                f"(right {right[k, j]:.3e}, left {left[k, j]:.3e})",
+                t=float(times[k]),
+            )
+
+        failures.append((bad.any(axis=-1), residual_error))
+    return failures
+
+
+def _inverse(kets: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(kets)
+    except np.linalg.LinAlgError:
+        # one singular point fails the whole batched call: invert point by
+        # point and leave infinite bras (EP margin 0) where R has no inverse
+        bras = np.full_like(kets, np.inf)
+        for k, r in enumerate(kets):
+            try:
+                bras[k] = np.linalg.inv(r)
+            except np.linalg.LinAlgError:
+                pass
+        return bras
 
 
 def eig_biorthogonal(
     H: np.ndarray,
     reality_policy: str = "report",
-    t: float = 0.0,
+    t: float | np.ndarray = 0.0,
 ) -> BiorthogonalFrame:
-    """Biorthogonal eigendecomposition of a complex square matrix.
+    """Biorthogonal eigendecomposition of one complex square matrix, or of an
+    (M, N, N) stack of them taken at the (M,) times ``t``.
 
-    Normalization convention: <<n|n> = 1 with the largest-magnitude component
-    of each |n> made real and positive.  Eigenpairs are ordered by
-    (Re E, Im E) ascending; continuity tracking may reorder them later.
+    One batched `np.linalg.eig` gives the right kets; the left bras are the
+    rows of inv(R), biorthonormal by construction.  Normalization
+    convention: unit-norm |n> with its largest-magnitude component real and
+    positive, and <<n|n> = 1.  Eigenpairs are ordered by (Re E, Im E)
+    ascending; continuity tracking may reorder them later.
 
-    reality_policy 'assert' raises `ComplexSpectrumError` when any
-    |Im E_n| >= 1e-10; 'report' leaves reality to the caller (the frame
-    exposes `spectrum_is_real`).
-
-    Raises `ExceptionalPointError` when any raw left-right overlap magnitude
-    falls below 1e-8 (defective or near-defective input).
+    Per point, in this order: raises `ExceptionalPointError` when an
+    exceptional-point margin 1 / (||<<n|| ||n>||) falls below 1e-8 (defective
+    or near-defective input, including a singular R); with reality_policy
+    'assert', `ComplexSpectrumError` when any |Im E_n| >= 1e-10 ('report'
+    leaves reality to the caller via `spectrum_is_real`); then
+    `ExceptionalPointError` when the frame fails validation.  The earliest
+    failing point of a stack is the one reported.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
     if reality_policy not in ("assert", "report"):
         raise ValueError(f"unknown reality_policy {reality_policy!r}")
-    n = H.shape[0]
+    n = H.shape[-1]
+    stack = H.reshape(-1, n, n)
+    times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
 
-    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    w, vr = np.linalg.eig(stack)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    vr = np.take_along_axis(vr, order[:, None, :], axis=-1)
+    pivot = np.take_along_axis(vr, np.argmax(np.abs(vr), axis=-2)[:, None, :], axis=-2)
+    kets = vr * (np.abs(pivot) / pivot)
+    bras = _inverse(kets)
+    with np.errstate(invalid="ignore"):  # infinite bras of a singular R give margin 0
+        margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
 
-    # LAPACK returns unit-norm columns; the diagonal overlaps measure how far
-    # the left and right systems are from mutual degeneracy.
-    raw = np.array([np.vdot(vl[:, k], vr[:, k]) for k in range(n)])
-    worst = np.min(np.abs(raw))
-    if worst < EP_OVERLAP_TOL:
-        raise ExceptionalPointError(
-            f"raw left-right overlap {worst:.3e} below {EP_OVERLAP_TOL:.0e}: "
-            "matrix is defective or near an exceptional point"
-        )
+    worst = margins.min(axis=-1)
+    failures: list[_Failure] = [(
+        worst < EP_OVERLAP_TOL,
+        lambda k: ExceptionalPointError(
+            f"raw left-right overlap {worst[k]:.3e} below {EP_OVERLAP_TOL:.0e} at t={times[k]:g}: "
+            "matrix is defective or near an exceptional point",
+            t=float(times[k]),
+        ),
+    )]
     if reality_policy == "assert":
-        worst_im = float(np.max(np.abs(w.imag)))
-        if worst_im >= REALITY_TOL:
-            raise ComplexSpectrumError(
-                f"spectrum has |Im E| = {worst_im:.3e} >= {REALITY_TOL:.0e} "
-                "under reality_policy='assert'"
-            )
+        worst_im = np.max(np.abs(w.imag), axis=-1)
+        failures.append((
+            worst_im >= REALITY_TOL,
+            lambda k: ComplexSpectrumError(
+                f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g} "
+                "under reality_policy='assert'",
+                t=float(times[k]),
+            ),
+        ))
+    failures += _frame_failures(kets, bras, w, times, stack)
+    _raise_earliest(failures)
 
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
-    vl = vl[:, order]
-    raw = raw[order]
-
-    kets = np.empty((n, n), dtype=complex)
-    bras = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        v = vr[:, k]
-        pivot = int(np.argmax(np.abs(v)))
-        v = v * (abs(v[pivot]) / v[pivot])
-        b = vl[:, k].conj()
-        b = b / (b @ v)
-        kets[:, k] = v
-        bras[k, :] = b
-
-    frame = BiorthogonalFrame(
-        t=float(t),
-        energies=w,
-        right_kets=kets,
-        left_bras=bras,
-        raw_overlaps=np.abs(raw),
-    )
-    frame.validate(H)
-    return frame
+    if H.ndim == 2:
+        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0], margins[0])
+    return BiorthogonalFrame(times.copy(), w, kets, bras, margins)
 
 
-def track_continuity(prev: BiorthogonalFrame, cur: BiorthogonalFrame) -> BiorthogonalFrame:
-    """Align ``cur`` with ``prev`` across one grid step.
+def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
+    """Align every point of a frame stack with its (already aligned) predecessor.
 
-    Eigenpairs of ``cur`` are re-ordered so index n maximizes
-    |<<n_prev|n_cur>|, then re-phased so that overlap is real and positive;
-    biorthonormality is re-imposed afterwards.  Matching is by eigenvector
-    overlap, not by eigenvalue sorting, so branches may cross in E without
-    losing their identity.
+    The eigenpairs at point k are re-ordered so index n maximizes
+    |<<n_{k-1}|n_k>|, then re-phased so that overlap is real and positive.
+    Matching is by eigenvector overlap, not by eigenvalue sorting, so
+    branches may cross in E without losing their identity.  All consecutive
+    overlaps of the raw frames come from one batched product; re-ordering
+    and re-phasing a point only permutes and rotates those overlaps, so the
+    per-step permutations and phases are composed along the grid afterwards.
 
-    Raises `AmbiguousMatchError` when the assignment is not a unique
-    permutation (two candidate overlaps within 1e-6 of each other, or two
-    rows claiming the same column).
+    Raises `AmbiguousMatchError` at the earliest point where the assignment
+    is not a unique permutation (two candidate overlaps within 1e-6 of each
+    other, or two rows claiming the same column).
     """
-    n = prev.dimension
-    if cur.dimension != n:
-        raise ValueError("frames have different dimensions")
+    kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
+    m, n = energies.shape
+    times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
 
-    overlaps = prev.left_bras @ cur.right_kets
+    overlaps = bras[:-1] @ kets[1:]  # [k - 1, i, j] = <<i_{k-1}|j_k>, raw indices
     mags = np.abs(overlaps)
+    best = np.argmax(mags, axis=-1)
+    ranked = np.sort(mags, axis=-1)
+    runner_up = ranked[..., -2] if n > 1 else np.zeros_like(ranked[..., 0])
+    ambiguous = ranked[..., -1] - runner_up < AMBIGUITY_TOL
+    not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
+    bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
 
-    perm = np.empty(n, dtype=int)
-    for m in range(n):
-        row = mags[m]
-        best = int(np.argmax(row))
-        if n > 1:
-            runner_up = np.max(np.delete(row, best))
-            if row[best] - runner_up < AMBIGUITY_TOL:
-                raise AmbiguousMatchError(
-                    f"continuity match for eigenpair {m} at t={cur.t:g} is ambiguous "
-                    f"(best {row[best]:.3e} vs runner-up {runner_up:.3e})"
-                )
-        perm[m] = best
-    if len(set(perm.tolist())) != n:
+    # perm[k, m] = raw index at point k of the branch that starts as m
+    stop = int(bad[0]) + 1 if bad.size else m
+    perm = np.empty((stop, n), dtype=int)
+    perm[0] = np.arange(n)
+    for k in range(1, stop):
+        perm[k] = best[k - 1, perm[k - 1]]
+    if bad.size:
+        k = stop
+        rows = perm[k - 1]
+        if ambiguous[k - 1, rows].any():
+            j = int(np.argmax(ambiguous[k - 1, rows]))
+            i = rows[j]
+            raise AmbiguousMatchError(
+                f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
+                f"(best {ranked[k - 1, i, -1]:.3e} vs runner-up {runner_up[k - 1, i]:.3e})",
+                t=float(times[k]),
+            )
         raise AmbiguousMatchError(
-            f"continuity matching at t={cur.t:g} is not a permutation: {perm.tolist()}"
+            f"continuity matching at t={times[k]:g} is not a permutation: "
+            f"{best[k - 1, rows].tolist()}",
+            t=float(times[k]),
         )
 
-    kets = cur.right_kets[:, perm].copy()
-    bras = cur.left_bras[perm, :].copy()
-    energies = cur.energies[perm].copy()
-    raw = cur.raw_overlaps[perm].copy()
-
-    for m in range(n):
-        o = overlaps[m, perm[m]]
-        if abs(o) == 0.0:
-            raise AmbiguousMatchError(f"vanishing continuity overlap for eigenpair {m}")
-        z = np.conj(o) / abs(o)
-        kets[:, m] *= z
-        bras[m, :] *= np.conj(z)
-        # re-impose <<m|m> = 1 exactly
-        bras[m, :] /= bras[m, :] @ kets[:, m]
-
+    chosen = overlaps[np.arange(m - 1)[:, None], perm[:-1], perm[1:]]
+    phases = np.cumprod(np.concatenate([np.ones((1, n)), np.conj(chosen) / np.abs(chosen)]), axis=0)
+    phases /= np.abs(phases)
     return BiorthogonalFrame(
-        t=cur.t,
-        energies=energies,
-        right_kets=kets,
-        left_bras=bras,
-        raw_overlaps=raw,
+        t=frame.t,
+        energies=np.take_along_axis(energies, perm, axis=-1),
+        right_kets=np.take_along_axis(kets, perm[:, None, :], axis=-1) * phases[:, None, :],
+        left_bras=np.take_along_axis(bras, perm[:, :, None], axis=-2) * np.conj(phases)[:, :, None],
+        raw_overlaps=np.take_along_axis(frame.raw_overlaps, perm, axis=-1),
     )

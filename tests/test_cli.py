@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qhdyn import run
 from qhdyn.cli import main
@@ -85,6 +90,25 @@ def test_exceptional_point_scenario_exit_three(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL_ERROR
     assert "exceptional point" in err
+    # the EP margin is checked before reality at the same grid point
+    assert "t=0.8" in err and "|Im E|" not in err
+
+
+@pytest.mark.parametrize("override", ["time.dt=.nan", "time.t1=.inf", "time.dt=1e-300"])
+def test_bad_time_grid_exit_two(override, capsys):
+    code = main(["run", scenario_path("exp_metric_drive"), "--override", override])
+    assert code == EXIT_CONFIG_ERROR
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qhdyn.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_config_error_exit_two(tmp_path, capsys):

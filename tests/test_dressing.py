@@ -18,8 +18,10 @@ from qhdyn import (
     time_grid,
     track_continuity,
 )
-from qhdyn.dressing import differentiate_samples, omega_dot_series, theta_spectral
+from qhdyn.dressing import differentiate_samples, omega_dot_series
 from qhdyn.schedules import ScheduleSpec
+
+from reference import stack_frames, theta_spectral
 
 EXP_MU = (
     ScheduleSpec("exponential", base=1.0, rate=0.3),
@@ -136,7 +138,7 @@ def test_generator_diagonal_closed_form():
     times = np.linspace(0.0, 1.0, 5)
     dots, source = omega_dot_series(
         HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.0}),
-        [frame] * len(times),
+        stack_frames(*[frame] * len(times)),
         EXP_MU,
         times,
         "analytic-mu-only",
@@ -167,8 +169,8 @@ def test_constant_everything_gives_zero_omega_dot():
     mu = (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=1.0))
     _, fine = time_grid(0.0, 1.0, 0.1)
     track = build_dressing_track(model, mu, fine)
-    for m in track.maps:
-        np.testing.assert_allclose(m.omega_dot, 0.0, atol=1e-15)
+    for omega_dot in track.omega_dot:
+        np.testing.assert_allclose(omega_dot, 0.0, atol=1e-15)
 
 
 def test_finite_difference_matches_analytic():
@@ -177,11 +179,11 @@ def test_finite_difference_matches_analytic():
     analytic = build_dressing_track(model, EXP_MU, fine, omega_dot_mode="analytic-mu-only")
     fd = build_dressing_track(model, EXP_MU, fine, omega_dot_mode="finite-difference")
     worst = max(
-        np.max(np.abs(a.omega_dot - b.omega_dot)) for a, b in zip(analytic.maps, fd.maps)
+        np.max(np.abs(a - b)) for a, b in zip(analytic.omega_dot, fd.omega_dot)
     )
     assert worst < 1e-10
-    assert analytic.maps[0].theta_source == "analytic"
-    assert fd.maps[0].theta_source == "finite-difference"
+    assert analytic.omega_dot_source == "analytic"
+    assert fd.omega_dot_source == "finite-difference"
 
 
 def test_finite_difference_is_fourth_order():
@@ -197,7 +199,7 @@ def test_finite_difference_is_fourth_order():
         analytic = build_dressing_track(model, mu, fine, omega_dot_mode="analytic-mu-only")
         fd = build_dressing_track(model, mu, fine, omega_dot_mode="finite-difference")
         mid = len(fine) // 2  # interior: central stencils
-        errors.append(np.max(np.abs(analytic.maps[mid].omega_dot - fd.maps[mid].omega_dot)))
+        errors.append(np.max(np.abs(analytic.omega_dot[mid] - fd.omega_dot[mid])))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
 
@@ -256,8 +258,8 @@ def test_gauge_confined_to_normalization_convention(hand_matrix):
         left_bras=frame.left_bras * np.conj(z),
         raw_overlaps=frame.raw_overlaps.copy(),
     )
-    tracked = track_continuity(frame, rotated)
-    theta_again = build_theta(build_omega(tracked, mu))
+    tracked = track_continuity(stack_frames(frame, rotated))
+    theta_again = build_theta(build_omega(tracked, np.stack([mu, mu]))[1])
     assert np.max(np.abs(theta - theta_again)) < 1e-10
 
 
@@ -280,3 +282,19 @@ def test_conditioning_warning():
         warnings.simplefilter("always")
         build_dressing_track(model, mu, fine)
     assert any("cond" in str(w.message) for w in caught)
+
+
+def test_continuity_failure_before_a_later_solve_failure_wins():
+    from qhdyn import AmbiguousMatchError, ExceptionalPointError
+    from qhdyn.dressing import _tracked_frames
+
+    ok = np.diag([1.0, 2.0]).astype(complex)
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    ep = np.array([[1j, 1.0], [1.0, -1j]])
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    # point 2 cannot be matched to point 1; point 3 is an exceptional point
+    with pytest.raises(AmbiguousMatchError, match="t=2"):
+        _tracked_frames(np.array([ok, ok, had @ ok @ had, ep]), times, "report")
+    # at one point the solve fails before continuity is tried
+    with pytest.raises(ExceptionalPointError, match="t=1"):
+        _tracked_frames(np.array([ok, ep]), times[:2], "report")

@@ -10,13 +10,13 @@ from qhdyn import (
     build_dressing_track,
     expectation,
     propagate_quasi,
+    build_generator,
     propagate_standard,
-    propagator_pair,
     step_generator,
     time_grid,
 )
 from qhdyn.schedules import ScheduleSpec
-from qhdyn.verify import check_norm_conservation
+from qhdyn.verify import check_norm_conservation, check_propagator_intertwining
 
 CONST_MU2 = (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=1.0))
 EXP_MU2 = (
@@ -102,18 +102,17 @@ def test_step_generator_blowup_guard():
 def test_static_scenario_generator_equals_hamiltonian():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=0.1)
-    for m, H in zip(track.maps, track.hamiltonians):
-        np.testing.assert_array_equal(m.generator(H), H)
+    gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
+    np.testing.assert_array_equal(gens, track.hamiltonians)
 
 
 def test_stationary_eigenstate_evolution():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, ("eigenstate", 0))
-    phi0 = track.frames[0].right_kets[:, 0]
-    for k, state in enumerate(traj.states):
-        t = traj.times[k]
-        np.testing.assert_allclose(state.phi_right, np.exp(-1j * t) * phi0, atol=1e-9)
+    phi0 = track.right_kets[0][:, 0]
+    for t, phi in zip(traj.times, traj.phi_right):
+        np.testing.assert_allclose(phi, np.exp(-1j * t) * phi0, atol=1e-9)
     drift = check_norm_conservation(traj, track)
     assert drift.max_residual < 1e-12
 
@@ -124,11 +123,11 @@ def test_degeneration_to_plain_hermitian_reference():
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, "uniform")
     H = track.hamiltonians[0]
-    phi0 = traj.initial.phi_right
+    phi0 = traj.phi_right[0]
     for k in (250, 500, 1000):
         t = traj.times[k]
         reference = scipy.linalg.expm(-1j * H * t) @ phi0
-        np.testing.assert_allclose(traj.states[k].phi_right, reference, atol=1e-10)
+        np.testing.assert_allclose(traj.phi_right[k], reference, atol=1e-10)
 
 
 def test_generic_equivalence_residual():
@@ -140,9 +139,8 @@ def test_generic_equivalence_residual():
     )
     track = _track(model, EXP_MU2)
     traj = propagate_quasi(track, "uniform")
-    final = traj.states[-1].phi_right
-    m_final = track.maps[-1]
-    oracle = m_final.omega_inv @ propagate_standard(track) @ track.maps[0].omega @ traj.initial.phi_right
+    final = traj.phi_right[-1]
+    oracle = track.omega_inv[-1] @ propagate_standard(track) @ track.omega[0] @ traj.phi_right[0]
     assert np.linalg.norm(final - oracle) < 1e-7
 
 
@@ -157,8 +155,8 @@ def test_standard_ket_maps_back_to_right_ket():
     track = _track(model, EXP_MU2)
     traj = propagate_quasi(track, "uniform")
     worst = max(
-        np.linalg.norm(s.phi_standard - track.maps[2 * k].omega @ s.phi_right)
-        for k, s in enumerate(traj.states)
+        np.linalg.norm(std - omega @ right)
+        for std, omega, right in zip(traj.phi_standard, track.omega[::2], traj.phi_right)
     )
     assert worst < 1e-9
 
@@ -187,40 +185,41 @@ def test_rk4_convergence_order():
     for dt in (4e-3, 2e-3):
         track = _track(model, mu, dt=dt)
         traj = propagate_quasi(track, "uniform")
-        final = traj.states[-1].phi_right
+        final = traj.phi_right[-1]
         oracle = (
-            track.maps[-1].omega_inv
+            track.omega_inv[-1]
             @ propagate_standard(track)
-            @ track.maps[0].omega
-            @ traj.initial.phi_right
+            @ track.omega[0]
+            @ traj.phi_right[0]
         )
         residuals.append(np.linalg.norm(final - oracle))
     ratio = residuals[0] / residuals[1]
     assert 10.0 < ratio < 22.0
 
 
-def test_propagator_pair_relations():
+def test_propagator_intertwining_relations():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.5, "s": 1.0})
     track = _track(model, EXP_MU2, dt=1e-2)
     traj = propagate_quasi(track, "uniform")
-    k = len(traj.states) - 1
-    pair = propagator_pair(track, k, traj.u_series[k])
-    m = track.maps[2 * k]
-    m0 = track.maps[0]
-    np.testing.assert_allclose(pair.u_right, m.omega_inv @ pair.u_std @ m0.omega, atol=1e-8)
-    np.testing.assert_allclose(
-        pair.u_left_dag, m.omega.conj().T @ pair.u_std @ m0.omega_inv.conj().T, atol=1e-8
+    u = propagate_standard(track)
+    u_right = track.omega_inv[-1] @ u @ track.omega[0]
+    u_left_dag = track.omega[-1].conj().T @ u @ track.omega_inv[0].conj().T
+    u_left = u_left_dag.conj().T
+    np.testing.assert_allclose(u_left @ u_right, np.eye(2), atol=1e-7)
+    # the stacked check evaluates the same product at every reporting point
+    report = check_propagator_intertwining(traj, track)
+    assert report.passed
+    assert report.per_time_series[-1][1] == pytest.approx(
+        np.max(np.abs(u_left @ u_right - np.eye(2))), abs=1e-14
     )
-    u_left = pair.u_left_dag.conj().T
-    np.testing.assert_allclose(u_left @ pair.u_right, np.eye(2), atol=1e-7)
 
 
 def test_pictures_subset():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=0.1)
     traj = propagate_quasi(track, "uniform", pictures=("right",))
-    assert traj.states[0].phi_left is None
-    assert traj.states[0].phi_standard is None
+    assert traj.phi_left is None
+    assert traj.phi_standard is None
     with pytest.raises(ScenarioError, match="mandatory"):
         propagate_quasi(track, "uniform", pictures=("left",))
 

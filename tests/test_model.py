@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qhdyn import HamiltonianModel, ObservableSpec, ScenarioError, build_hamiltonian
-from qhdyn.model import spectrum_closed_form
 from qhdyn.schedules import ScheduleSpec
+
+from reference import spectrum_closed_form
 
 
 def oscillator_cubic_bruteforce(n, g, pad=40):

@@ -13,6 +13,8 @@ from qhdyn import (
 )
 from qhdyn.schedules import ScheduleSpec
 
+from reference import reference_track, stack_frames
+
 
 def assert_frame_relations(frame, H, atol=1e-10):
     n = frame.dimension
@@ -64,7 +66,8 @@ def test_reconstruction_roundtrip_random():
     for _ in range(20):
         H = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         frame = eig_biorthogonal(H)
-        np.testing.assert_allclose(frame.reconstruct(), H, atol=1e-9)
+        reconstructed = frame.right_kets @ np.diag(frame.energies) @ frame.left_bras
+        np.testing.assert_allclose(reconstructed, H, atol=1e-9)
 
 
 def test_hermitian_left_equals_right_dagger():
@@ -91,10 +94,10 @@ def test_completeness_for_families():
 def test_track_identity():
     H = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     frame = eig_biorthogonal(H)
-    tracked = track_continuity(frame, frame)
-    np.testing.assert_array_equal(tracked.energies, frame.energies)
-    np.testing.assert_allclose(tracked.right_kets, frame.right_kets, atol=1e-15)
-    np.testing.assert_allclose(tracked.left_bras, frame.left_bras, atol=1e-15)
+    tracked = track_continuity(stack_frames(frame, frame))
+    np.testing.assert_array_equal(tracked.energies[1], frame.energies)
+    np.testing.assert_allclose(tracked.right_kets[1], frame.right_kets, atol=1e-15)
+    np.testing.assert_allclose(tracked.left_bras[1], frame.left_bras, atol=1e-15)
 
 
 def test_track_undoes_index_swap(hand_matrix):
@@ -107,9 +110,9 @@ def test_track_undoes_index_swap(hand_matrix):
         left_bras=frame.left_bras[swap, :],
         raw_overlaps=frame.raw_overlaps[swap],
     )
-    tracked = track_continuity(frame, swapped)
-    np.testing.assert_allclose(tracked.energies, frame.energies, atol=1e-14)
-    np.testing.assert_allclose(tracked.right_kets, frame.right_kets, atol=1e-14)
+    tracked = track_continuity(stack_frames(frame, swapped))
+    np.testing.assert_allclose(tracked.energies[1], frame.energies, atol=1e-14)
+    np.testing.assert_allclose(tracked.right_kets[1], frame.right_kets, atol=1e-14)
 
 
 def test_track_fixes_phases():
@@ -123,33 +126,31 @@ def test_track_fixes_phases():
         left_bras=frame.left_bras * np.conj(z),
         raw_overlaps=frame.raw_overlaps.copy(),
     )
-    tracked = track_continuity(frame, rotated)
+    tracked = track_continuity(stack_frames(frame, rotated))
     for k in range(2):
-        overlap = frame.left_bras[k] @ tracked.right_kets[:, k]
+        overlap = frame.left_bras[k] @ tracked.right_kets[1][:, k]
         assert overlap.real > 0
         assert abs(overlap.imag) < 1e-12
 
 
-def _pt2_frames(gammas, dt=None):
-    frames = []
-    prev = None
-    for k, gamma in enumerate(gammas):
-        model = HamiltonianModel(
-            2, "pt2", {"gamma": 0.0, "s": 1.0}, {"gamma": ScheduleSpec("constant", base=gamma)}
+def _pt2_frames(gammas):
+    hams = [
+        build_hamiltonian(
+            HamiltonianModel(
+                2, "pt2", {"gamma": 0.0, "s": 1.0}, {"gamma": ScheduleSpec("constant", base=gamma)}
+            ),
+            0.0,
         )
-        frame = eig_biorthogonal(build_hamiltonian(model, 0.0), t=float(k))
-        if prev is not None:
-            frame = track_continuity(prev, frame)
-        frames.append(frame)
-        prev = frame
-    return frames
+        for gamma in gammas
+    ]
+    return track_continuity(eig_biorthogonal(np.array(hams), t=np.arange(len(gammas), dtype=float)))
 
 
 def test_pt2_sweep_tracks_two_branches():
     gammas = np.linspace(0.0, 0.9, 101)
     frames = _pt2_frames(gammas)
-    lower = np.array([f.energies[0].real for f in frames])
-    upper = np.array([f.energies[1].real for f in frames])
+    lower = frames.energies[:, 0].real
+    upper = frames.energies[:, 1].real
     roots = np.sqrt(1.0 - gammas**2)
     np.testing.assert_allclose(lower, -roots, atol=1e-10)
     np.testing.assert_allclose(upper, roots, atol=1e-10)
@@ -162,8 +163,8 @@ def test_refined_sweep_keeps_branch_assignment():
     frames_fine = _pt2_frames(fine)
     # the fine sweep visits every coarse gamma at even indices; branch
     # assignments must agree there
-    for k, frame in enumerate(frames_coarse):
-        np.testing.assert_allclose(frame.energies, frames_fine[2 * k].energies, atol=1e-12)
+    for k, energies in enumerate(frames_coarse.energies):
+        np.testing.assert_allclose(energies, frames_fine.energies[2 * k], atol=1e-12)
 
 
 def test_ambiguous_match_rejected():
@@ -184,7 +185,7 @@ def test_ambiguous_match_rejected():
         raw_overlaps=np.array([1.0, 1.0]),
     )
     with pytest.raises(AmbiguousMatchError):
-        track_continuity(prev, cur)
+        track_continuity(stack_frames(prev, cur))
 
 
 def test_validate_rejects_broken_frame(hand_frame):
@@ -197,3 +198,91 @@ def test_validate_rejects_broken_frame(hand_frame):
     )
     with pytest.raises(ExceptionalPointError):
         broken.validate()
+
+
+OK2 = np.diag([1.0, 2.0]).astype(complex)
+EP2 = np.array([[1j, 1.0], [1.0, -1j]])  # pt2 at gamma = s
+COMPLEX2 = np.array([[1.2j, 1.0], [1.0, -1.2j]])  # pt2 beyond the exceptional point
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _stack_along(model, times):
+    return np.array([build_hamiltonian(model, float(t)) for t in times])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HamiltonianModel(
+            6,
+            "cubic-trunc",
+            {"g": 0.05},
+            {"g": ScheduleSpec("sinusoidal", base=0.05, amplitude=0.5, frequency=3.0)},
+        ),
+        HamiltonianModel(
+            2, "pt2", {"gamma": 0.0, "s": 1.0}, {"gamma": ScheduleSpec("linear-ramp", base=0.0, rate=0.9)}
+        ),
+    ],
+    ids=["cubic-trunc6", "pt2"],
+)
+def test_stacked_track_matches_sequential_reference(model):
+    times = np.linspace(0.0, 1.0, 201)
+    hams = _stack_along(model, times)
+    tracked = track_continuity(eig_biorthogonal(hams, t=times))
+    reference = reference_track(hams, times)
+    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+        expected = np.array([getattr(f, field) for f in reference])
+        np.testing.assert_allclose(getattr(tracked, field), expected, rtol=0.0, atol=1e-12)
+
+
+def test_branch_crossing_in_energy_keeps_identity():
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    times = np.linspace(0.0, 1.0, 20)  # E_1 = 2t crosses E_2 = 1 between grid points
+    hams = np.array([s @ np.diag([2.0 * t, 1.0, 3.0]) @ np.linalg.inv(s) for t in times])
+    raw = eig_biorthogonal(hams, t=times)
+    # the solver orders by energy, so the two branches trade places
+    np.testing.assert_allclose(raw.energies[-1].real, [1.0, 2.0, 3.0], atol=1e-10)
+    tracked = track_continuity(raw)
+    np.testing.assert_allclose(tracked.energies[:, 0].real, 2.0 * times, atol=1e-10)
+    np.testing.assert_allclose(tracked.energies[:, 1].real, 1.0, atol=1e-10)
+    # each tracked ket stays on its own eigenvector line, the column of S
+    unit = s / np.linalg.norm(s, axis=0)
+    for kets in tracked.right_kets:
+        np.testing.assert_allclose(np.abs(np.sum(unit.conj() * kets, axis=0)), 1.0, atol=1e-10)
+    expected = np.array([f.energies for f in reference_track(hams, times)])
+    np.testing.assert_allclose(tracked.energies, expected, atol=1e-12)
+
+
+def test_degenerate_match_raises_like_reference():
+    hams = np.array([OK2, HADAMARD @ OK2 @ HADAMARD])
+    times = np.array([0.0, 0.1])
+    with pytest.raises(AmbiguousMatchError, match="t=0.1"):
+        track_continuity(eig_biorthogonal(hams, t=times))
+    with pytest.raises(AmbiguousMatchError):
+        reference_track(hams, times)
+
+
+def test_stack_reports_its_earliest_failing_point():
+    times = [0.0, 1.0, 2.0]
+    with pytest.raises(ComplexSpectrumError, match="t=1"):
+        eig_biorthogonal(np.array([OK2, COMPLEX2, EP2]), reality_policy="assert", t=times)
+    with pytest.raises(ExceptionalPointError, match="t=1"):
+        eig_biorthogonal(np.array([OK2, EP2, COMPLEX2]), reality_policy="assert", t=times)
+
+
+def test_exceptional_point_outranks_complex_spectrum_at_one_point():
+    defective_complex = np.array([[1.0 + 1.0j, 1.0], [0.0, 1.0 + 1.0j]])
+    with pytest.raises(ExceptionalPointError, match="t=0.5"):
+        eig_biorthogonal(np.array([OK2, defective_complex]), reality_policy="assert", t=[0.0, 0.5])
+
+
+def test_singular_eigenvector_matrix_is_an_exceptional_point():
+    # LAPACK returns an exactly singular R for this nilpotent Jordan block
+    jordan = np.diag([1.0, 1.0], 1).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(jordan)[1])
+    with pytest.raises(ExceptionalPointError, match="overlap .* at t=0.5:"):
+        eig_biorthogonal(np.array([np.diag([1.0, 2.0, 3.0]), jordan]), t=[0.0, 0.5])
+    with pytest.raises(ExceptionalPointError, match="overlap .* at t=0:"):
+        eig_biorthogonal(jordan)

@@ -82,15 +82,15 @@ def test_equivalence_series_thresholds(generic_run):
 
 def test_standard_unitarity(generic_run):
     track, traj = generic_run
-    report = check_standard_unitarity(traj.u_series, traj.times)
+    report = check_standard_unitarity(traj)
     assert report.passed and report.max_residual < 1e-10
     assert report.per_time_series[0][1] < 1e-15  # u(t0) = I
 
 
 def test_observable_reality_identity_and_hamiltonian(generic_run):
     track, traj = generic_run
-    eye = [np.eye(2)] * len(traj.states)
-    h_series = [track.hamiltonians[2 * k] for k in range(len(traj.states))]
+    eye = [np.eye(2)] * len(traj.times)
+    h_series = track.hamiltonians[::2]
     report = check_observable_reality(traj, {"I": eye, "H": h_series}, track)
     assert report.passed
 
@@ -98,17 +98,14 @@ def test_observable_reality_identity_and_hamiltonian(generic_run):
 def test_observable_reality_conjugated_seed(generic_run):
     track, traj = generic_run
     seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    series = []
-    for k in range(len(traj.states)):
-        m = track.maps[2 * k]
-        series.append(m.omega_inv @ seed @ m.omega)
+    series = track.omega_inv[::2] @ seed @ track.omega[::2]
     report = check_observable_reality(traj, {"imbalance": series}, track)
     assert report.passed and report.max_residual < 1e-9
 
 
 def test_observable_reality_gates_illegitimate_matrices(generic_run):
     track, traj = generic_run
-    bogus = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)] * len(traj.states)
+    bogus = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)] * len(traj.times)
     report = check_observable_reality(traj, {"bogus": bogus}, track)
     assert not report.passed
     assert report.max_residual > 0.1  # the residual gate itself, not a tiny Im part
@@ -155,18 +152,18 @@ def test_checks_skip_left_picture_when_absent():
 
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
-    m = track.maps[0]
+    omega, omega_inv = track.omega[0], track.omega_inv[0]
     H = track.hamiltonians[0]
     from qhdyn import ObservableSpec
 
-    assert realize_observable(ObservableSpec("H", "hamiltonian-itself"), H, m.omega, m.omega_inv) is H
+    assert realize_observable(ObservableSpec("H", "hamiltonian-itself"), H, omega, omega_inv) is H
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     np.testing.assert_array_equal(
-        realize_observable(ObservableSpec("X", "user-matrix", fixed), H, m.omega, m.omega_inv),
+        realize_observable(ObservableSpec("X", "user-matrix", fixed), H, omega, omega_inv),
         fixed,
     )
     seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     conjugated = realize_observable(
-        ObservableSpec("Z", "function-of-frame", seed), H, m.omega, m.omega_inv
+        ObservableSpec("Z", "function-of-frame", seed), H, omega, omega_inv
     )
-    np.testing.assert_allclose(conjugated, m.omega_inv @ seed @ m.omega, atol=1e-14)
+    np.testing.assert_allclose(conjugated, omega_inv @ seed @ omega, atol=1e-14)
