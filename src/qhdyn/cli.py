@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 numerical-domain error (exceptional point / conditioning / complex
-spectrum).
+spectrum), 4 internal error (any other exception; a bug, reported as one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import NumericalDomainError, ScenarioError
 from .runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     run,
@@ -29,7 +29,7 @@ from .runner import (
     sweep_summary_text,
     write_outputs,
 )
-from .scenario import apply_overrides, scenario_from_dict
+from .scenario import apply_overrides, load_document, parse_scalar_text, scenario_from_dict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,12 +65,7 @@ def _load_raw(path: Path, overrides: list[str]) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario document must be a mapping at top level")
+    raw = load_document(text)
     raw.setdefault("name", path.stem)
     return apply_overrides(raw, overrides)
 
@@ -87,8 +82,6 @@ def _cmd_run(args) -> int:
 
 
 def _parse_values(text: str) -> list:
-    from .scenario import parse_scalar_text
-
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -125,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -104,6 +104,12 @@ class HamiltonianModel:
         for key in self.h_schedule:
             if key not in self.params:
                 raise ScenarioError(f"schedule refers to unknown parameter {key!r}")
+        n = self.dimension
+        for obs in self.a_observables:
+            if obs.source != "hamiltonian-itself" and obs.data.shape != (n, n):
+                raise ScenarioError(
+                    f"observable {obs.name!r}: matrix must be {n}x{n}, got shape {obs.data.shape}"
+                )
         _validate_family(self)
 
     @property
@@ -117,7 +123,13 @@ class HamiltonianModel:
             return eval_schedule(self.h_schedule[name], t)
         if name not in self.params:
             raise ScenarioError(f"family {self.family!r} needs parameter {name!r}")
-        return complex(self.params[name])
+        try:
+            return complex(self.params[name])
+        except TypeError:
+            raise ScenarioError(
+                f"parameter {name!r} of family {self.family!r} must be a number, "
+                f"got {self.params[name]!r}"
+            ) from None
 
     def real_param(self, name: str, t: float) -> float:
         value = self.param(name, t)
@@ -196,10 +208,13 @@ def _similarity_energies(model: HamiltonianModel) -> np.ndarray:
     raw = model.params.get("energies")
     if raw is None:
         raise ScenarioError("family 'similarity-rand' needs parameter 'energies'")
-    energies = np.asarray(raw, dtype=float)
-    if energies.shape != (model.dimension,):
+    try:
+        energies = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        energies = None
+    if energies is None or energies.shape != (model.dimension,):
         raise ScenarioError(
-            f"'energies' must list {model.dimension} real values, got shape {energies.shape}"
+            f"'energies' must list {model.dimension} real values, got {raw!r}"
         )
     return energies
 
@@ -259,8 +274,9 @@ def _validate_family(model: HamiltonianModel):
         if model.h_schedule:
             raise ScenarioError("family 'similarity-rand' does not take schedules")
         seed = model.params.get("seed", 0)
-        if int(seed) != seed:
-            raise ScenarioError(f"'seed' must be an integer, got {seed!r}")
+        integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
+        if isinstance(seed, bool) or not integral or seed < 0:
+            raise ScenarioError(f"'seed' must be a non-negative integer, got {seed!r}")
     else:  # cubic-trunc
         g = model.real_param("g", 0.0)
         if g <= 0.0:

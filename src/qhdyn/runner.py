@@ -11,7 +11,6 @@ with 17 significant digits so a reread round-trips the doubles exactly.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,8 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
         label = f"{name}__{param_path.replace('.', '_')}={value}"
         tasks.append((_copy.deepcopy(raw), param_path, value, label))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]

@@ -18,18 +18,20 @@ A scenario is a YAML document with these top-level keys (normative):
                    (default: all declared observables)
     seed           integer fed to seeded constructions  (default: 0)
 
-Metric-coefficient schedules that can vanish anywhere on [t0, t1] are
-rejected here, at parse time.
+Every number must be finite.  Metric-coefficient schedules that can vanish
+anywhere on [t0, t1] are rejected here, at parse time.  PyYAML is imported
+only by the functions that parse text, so building a config from a dict
+never loads it.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
-import yaml
 
 from .errors import ScenarioError
 from .evolution import PICTURES, time_grid
@@ -74,13 +76,20 @@ class ScenarioConfig:
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     """Parse and validate one scenario document."""
+    return scenario_from_dict(load_document(text), name=name)
+
+
+def load_document(text: str) -> dict:
+    """YAML text of one scenario document as its raw dict (not yet validated)."""
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping at top level")
-    return scenario_from_dict(raw, name=name)
+    return raw
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
@@ -115,7 +124,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
     initial_state = _parse_initial_state(raw.get("initial_state", {"preset": "uniform"}))
 
-    pictures = tuple(raw.get("pictures", list(PICTURES)))
+    pictures = raw.get("pictures", list(PICTURES))
+    if not isinstance(pictures, list):
+        raise ScenarioError(f"pictures must be a list, got {pictures!r}")
+    pictures = tuple(pictures)
     for p in pictures:
         if p not in PICTURES:
             raise ScenarioError(f"unknown picture {p!r}; expected a subset of {PICTURES}")
@@ -146,9 +158,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if out not in declared:
             raise ScenarioError(f"outputs names unknown observable {out!r} (declared: {declared})")
 
-    seed = raw.get("seed", 0)
-    if int(seed) != seed:
-        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+    seed = _integer(raw.get("seed", 0), "seed")
 
     return ScenarioConfig(
         name=name,
@@ -165,7 +175,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         omega_dot_mode=omega_dot_mode,
         reality_policy=reality_policy,
         outputs=tuple(str(o) for o in outputs),
-        seed=int(seed),
+        seed=seed,
         raw=raw,
     )
 
@@ -192,6 +202,8 @@ def parse_scalar_text(text: str):
     YAML 1.1 treats `1e-3` (no decimal point) as a string, which is never
     what a numeric flag means.
     """
+    import yaml
+
     value = yaml.safe_load(text)
     if isinstance(value, str):
         try:
@@ -259,10 +271,26 @@ def _number(doc: dict, dotted: str) -> float:
     key = dotted.split(".")[-1]
     if key not in doc:
         raise ScenarioError(f'missing required key "{dotted}"')
-    value = doc[key]
+    return _real(doc[key], f'key "{dotted}"')
+
+
+def _real(value, label: str) -> float:
+    """A finite real number."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f'key "{dotted}" must be a number, got {value!r}')
-    return float(value)
+        raise ScenarioError(f"{label} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{label} must be finite, got {number}")
+    return number
+
+
+def _integer(value, label: str) -> int:
+    if not _real(value, label).is_integer():
+        raise ScenarioError(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_model(doc: dict) -> HamiltonianModel:
@@ -273,19 +301,20 @@ def _parse_model(doc: dict) -> HamiltonianModel:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise ScenarioError("model.params must be a mapping")
-    params = {k: _scalar(v, f"model.params.{k}") for k, v in params.items()}
+    params = {k: _param(v, f"model.params.{k}") for k, v in params.items()}
 
     schedules = doc.get("h_schedule", {}) or {}
     if not isinstance(schedules, dict):
         raise ScenarioError("model.h_schedule must be a mapping")
     h_schedule = {k: _parse_schedule(v, f"model.h_schedule.{k}") for k, v in schedules.items()}
 
-    observables = []
-    for k, entry in enumerate(doc.get("a_observables", []) or []):
-        observables.append(_parse_observable(entry, k))
+    entries = doc.get("a_observables", []) or []
+    if not isinstance(entries, list):
+        raise ScenarioError("model.a_observables must be a list")
+    observables = [_parse_observable(entry, k) for k, entry in enumerate(entries)]
 
     return HamiltonianModel(
-        dimension=doc["dimension"],
+        dimension=_integer(doc["dimension"], "model.dimension"),
         family=str(doc["family"]),
         params=params,
         h_schedule=h_schedule,
@@ -309,7 +338,7 @@ def _parse_observable(entry, index: int) -> ObservableSpec:
 
 def _parse_schedule(entry, label: str) -> ScheduleSpec:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return ScheduleSpec(kind="constant", base=float(entry))
+        return ScheduleSpec(kind="constant", base=_real(entry, label))
     if not isinstance(entry, dict):
         raise ScenarioError(f"{label}: schedule must be a mapping or a number")
     unknown = set(entry) - _SCHEDULE_KEYS
@@ -322,35 +351,33 @@ def _parse_schedule(entry, label: str) -> ScheduleSpec:
         kwargs["base"] = _scalar(entry["base"], f"{label}.base")
     for key in ("rate", "amplitude", "frequency", "phase"):
         if key in entry:
-            value = entry[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ScenarioError(f"{label}.{key} must be a real number")
-            kwargs[key] = float(value)
+            kwargs[key] = _real(entry[key], f"{label}.{key}")
     return ScheduleSpec(**kwargs)
 
 
-def _scalar(value, label: str) -> complex:
-    """Accept real numbers, [re, im] pairs, or lists (passed through for
-    list-valued parameters such as similarity-rand energies)."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{label} must be a number")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, list):
-        if len(value) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            return complex(value[0], value[1])
-        return value  # e.g. energies list; validated by the family
-    raise ScenarioError(f"{label} must be a number or [re, im] pair, got {value!r}")
+def _scalar(value, label: str) -> float | complex:
+    """A finite real number, or an [re, im] pair of them as a complex number."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(value[0], label), _real(value[1], label))
+    _real(value, label)
+    return value
+
+
+def _param(value, label: str):
+    """A model parameter: a scalar, or a list of finite reals (list-valued
+    parameters such as similarity-rand energies; checked by the family)."""
+    if isinstance(value, list) and len(value) != 2:
+        return [_real(v, f"{label}[{k}]") for k, v in enumerate(value)]
+    return _scalar(value, label)
 
 
 def _complex_matrix(data, label: str) -> np.ndarray:
-    try:
-        rows = []
-        for row in data:
-            rows.append([_scalar(v, label) for v in row])
-        return np.array(rows, dtype=complex)
-    except (TypeError, ScenarioError) as exc:
-        raise ScenarioError(f"{label}: expected a nested list matrix ({exc})") from exc
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ScenarioError(f"{label}: expected a nested list matrix, got {data!r}")
+    rows = [[_scalar(v, label) for v in row] for row in data]
+    if len({len(row) for row in rows}) > 1:
+        raise ScenarioError(f"{label}: matrix rows differ in length")
+    return np.array(rows, dtype=complex)
 
 
 def _parse_initial_state(entry):
@@ -362,11 +389,16 @@ def _parse_initial_state(entry):
             if preset == "eigenstate":
                 if "index" not in entry:
                     raise ScenarioError('initial_state preset "eigenstate" needs "index"')
-                return ("eigenstate", int(entry["index"]))
+                return ("eigenstate", _integer(entry["index"], "initial_state.index"))
             raise ScenarioError(f"unknown initial_state preset {preset!r}")
         if "vector" in entry:
-            vec = [_scalar(v, "initial_state.vector") for v in entry["vector"]]
-            return np.array(vec, dtype=complex)
+            vector = entry["vector"]
+            if not isinstance(vector, list):
+                raise ScenarioError(f"initial_state.vector must be a list, got {vector!r}")
+            return np.array(
+                [_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)],
+                dtype=complex,
+            )
     raise ScenarioError(
         "initial_state must be {preset: uniform}, {preset: eigenstate, index: k}, "
         "or {vector: [...]}"
@@ -386,10 +418,10 @@ def _parse_checks(entry):
         elif isinstance(item, dict) and "name" in item:
             name = str(item["name"])
             if "threshold" in item:
-                thr = item["threshold"]
-                if not isinstance(thr, (int, float)) or isinstance(thr, bool) or thr <= 0:
+                thr = _real(item["threshold"], f"check {name!r}: threshold")
+                if thr <= 0:
                     raise ScenarioError(f"check {name!r}: threshold must be a positive number")
-                overrides[name] = float(thr)
+                overrides[name] = thr
         else:
             raise ScenarioError(f"checks entries must be names or {{name, threshold}}: {item!r}")
         if name not in DEFAULT_THRESHOLDS:

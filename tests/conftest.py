@@ -2,6 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("qhdyn", derandomize=True, database=None, max_examples=200, deadline=None)
+settings.load_profile("qhdyn")
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"

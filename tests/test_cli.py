@@ -12,6 +12,7 @@ from qhdyn.cli import main
 from qhdyn.runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     format_number,
@@ -101,14 +102,65 @@ def test_bad_time_grid_exit_two(override, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize(
+    "override",
+    [
+        "model.params.c=.nan",
+        "model.params.e1=.inf",
+        "mu.0.base=.nan",
+        "mu.0.base=.inf",
+        "mu.0.rate=.nan",
+        "mu.0.rate=-1000",  # exp(-1000 t) underflows to zero inside [0, 1]
+    ],
+)
+def test_bad_number_exit_two(override, capsys):
+    code = main(["run", scenario_path("exp_metric_drive"), "--override", override])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exit_four(monkeypatch, capsys):
+    def failing_run(config):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr("qhdyn.cli.run", failing_run)
+    code = main(["run", scenario_path("static_hermitian")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL_ERROR
+    assert err == "internal error: RuntimeError: simulated bug\n"
+    assert "Traceback" not in err
+
+
+def _fresh_interpreter(probe: str, stdin: str = "") -> str:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, qhdyn.cli; print('scipy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], input=stdin, env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _fresh_interpreter("import sys, qhdyn.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_cli_import_does_not_load_process_pool():
+    probe = "import sys, qhdyn.cli; print('concurrent.futures.process' in sys.modules)"
+    assert _fresh_interpreter(probe) == "False"
+
+
+def test_config_from_dict_loads_neither_yaml_nor_process_pool():
+    import yaml
+
+    doc = yaml.safe_load((SCENARIO_DIR / "cubic_osc_drive.yaml").read_text())
+    probe = (
+        "import json, sys, qhdyn\n"
+        "qhdyn.scenario_from_dict(json.load(sys.stdin))\n"
+        "print('yaml' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe, stdin=json.dumps(doc)) == "False False"
 
 
 def test_config_error_exit_two(tmp_path, capsys):

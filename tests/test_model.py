@@ -159,3 +159,25 @@ def test_observable_spec_validation():
         ObservableSpec("A", "function-of-frame", data=np.array([[0.0, 1.0], [0.0, 0.0]]))
     spec = ObservableSpec("A", "function-of-frame", data=np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert spec.data.dtype == complex
+    with pytest.raises(ScenarioError, match="must be 2x2"):
+        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0},
+                         a_observables=(ObservableSpec("A", "user-matrix", data=np.eye(3)),))
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"energies": [1.0, 2.0], "seed": -1}, "non-negative integer"),
+        ({"energies": [1.0, 2.0], "seed": 1.5}, "non-negative integer"),
+        ({"energies": [1.0, 2.0], "seed": 1 + 2j}, "non-negative integer"),
+        ({"energies": 1 + 2j}, "must list 2 real values"),
+    ],
+)
+def test_similarity_rand_parameter_types(params, message):
+    with pytest.raises(ScenarioError, match=message):
+        HamiltonianModel(2, "similarity-rand", params)
+
+
+def test_list_valued_scalar_parameter_rejected():
+    with pytest.raises(ScenarioError, match="'c' .* must be a number"):
+        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": [1.0, 2.0, 3.0]})

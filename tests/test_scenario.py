@@ -1,8 +1,17 @@
+import copy
+import functools
+import operator
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qhdyn import ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
+from qhdyn import ScenarioConfig, ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
 from qhdyn.scenario import set_by_path
+
+from conftest import SCENARIO_DIR
 
 MINIMAL = """
 model:
@@ -186,3 +195,59 @@ def test_nonmapping_document_rejected():
         parse_scenario("- 1\n- 2\n")
     with pytest.raises(ScenarioError, match="YAML"):
         parse_scenario("model: {family: [unbalanced\n")
+
+
+SHIPPED_DOCS = {
+    path.stem: yaml.safe_load(path.read_text(encoding="utf-8")) for path in sorted(SCENARIO_DIR.glob("*.yaml"))
+}
+
+# words the parser gives meaning to, so that mutations reach past the first type check
+_WORDS = (
+    "name", "model", "mu", "time", "initial_state", "pictures", "checks", "evolution", "outputs",
+    "seed", "t0", "t1", "dt", "family", "dimension", "params", "h_schedule", "a_observables",
+    "kind", "base", "rate", "amplitude", "frequency", "phase", "preset", "index", "vector",
+    "threshold", "matrix_source", "source", "data", "generator", "omega_dot", "reality",
+    "constant", "linear-ramp", "exponential", "sinusoidal", "uniform", "eigenstate", "right",
+    "left", "standard", "hgen", "h-only", "triangular2", "pt2", "similarity-rand", "cubic-trunc",
+    "hamiltonian-itself", "user-matrix", "function-of-frame", "equivalence", "energies", "g", "c",
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), st.sampled_from(_WORDS)
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(st.data())
+def test_scenario_from_dict_fuzz(data):
+    """A mutated shipped scenario parses to a config or raises ScenarioError, nothing else."""
+    name = data.draw(st.sampled_from(sorted(SHIPPED_DOCS)))
+    raw = copy.deepcopy(SHIPPED_DOCS[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(raw))))
+        parent = functools.reduce(operator.getitem, path[:-1], raw)
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_values)
+    try:
+        config = scenario_from_dict(raw, name=name)
+    except ScenarioError:
+        return
+    assert isinstance(config, ScenarioConfig)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qhdyn import ScenarioError, ScheduleSpec, eval_schedule, eval_schedule_derivative
-from qhdyn.schedules import validate_nonvanishing
+from qhdyn.schedules import nonvanishing_bound, validate_nonvanishing
 
 ALL_KINDS = [
     ScheduleSpec("constant", base=1.7),
@@ -51,11 +53,6 @@ def test_derivative_matches_central_difference(spec, t):
     assert abs(exact - fd) < 1e-8 * (1.0 + abs(eval_schedule(spec, t)))
 
 
-@pytest.mark.parametrize("spec", ALL_KINDS)
-def test_differentiable_flag(spec):
-    assert spec.differentiable
-
-
 def test_nonvanishing_accepts_safe_schedules():
     for spec in ALL_KINDS[:1] + ALL_KINDS[2:]:
         validate_nonvanishing(spec, 0.0, 1.0)
@@ -98,3 +95,73 @@ def test_nonzero_at_ten_thousand_samples(spec):
     ts = np.linspace(0.0, 1.0, 10_000)
     values = np.array([eval_schedule(spec, t) for t in ts])
     assert np.min(np.abs(values)) > 0.0
+
+
+def test_exponential_underflow_rejected():
+    # exp(-1000) underflows to 0.0: the coefficient vanishes in double precision
+    with pytest.raises(ScenarioError, match="underflows"):
+        validate_nonvanishing(ScheduleSpec("exponential", base=1.0, rate=-1000.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScheduleSpec("linear-ramp", base=1e-13, rate=1.0),  # root at t = -1e-13
+        ScheduleSpec("linear-ramp", base=-(1.0 + 1e-13), rate=1.0),  # root just past t = 1
+    ],
+)
+def test_ramp_root_just_outside_interval_rejected(spec):
+    with pytest.raises(ScenarioError, match="crosses zero"):
+        validate_nonvanishing(spec, 0.0, 1.0)
+
+
+def test_complex_ramp_with_real_axis_root_accepted():
+    # Re(mu) vanishes at t = 0.5, but |mu| >= |Im base| = 0.2 throughout
+    spec = ScheduleSpec("linear-ramp", base=0.5 + 0.2j, rate=-1.0)
+    validate_nonvanishing(spec, 0.0, 1.0)
+    assert nonvanishing_bound(spec, 0.0, 1.0) == pytest.approx(0.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("field", ["base", "rate", "amplitude", "frequency", "phase"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_field_rejected(field, value):
+    spec = ScheduleSpec("sinusoidal", **{"base": 1.0, "amplitude": 0.5, field: value})
+    with pytest.raises(ScenarioError, match="finite"):
+        validate_nonvanishing(spec, 0.0, 1.0)
+
+
+_reals = st.floats(-10.0, 10.0)
+_bases = st.one_of(_reals, st.builds(complex, _reals, _reals))
+_schedules = st.one_of(
+    st.builds(ScheduleSpec, st.just("constant"), base=_bases),
+    st.builds(ScheduleSpec, st.just("linear-ramp"), base=_bases, rate=st.floats(-20.0, 20.0)),
+    st.builds(ScheduleSpec, st.just("exponential"), base=_bases, rate=st.floats(-2000.0, 2000.0)),
+    st.builds(
+        ScheduleSpec,
+        st.just("sinusoidal"),
+        base=_bases,
+        amplitude=st.floats(-1.2, 1.2),
+        frequency=st.floats(-50.0, 50.0),
+        phase=st.floats(-7.0, 7.0),
+    ),
+)
+
+
+@given(spec=_schedules, t0=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0))
+@example(spec=ScheduleSpec("linear-ramp", base=0.5, rate=-1.0), t0=0.0, width=1.0)
+@example(spec=ScheduleSpec("exponential", base=1.0, rate=-1000.0), t0=0.0, width=1.0)
+@example(spec=ScheduleSpec("exponential", base=1e-300, rate=-20.0), t0=0.0, width=1.0)
+@example(spec=ScheduleSpec("sinusoidal", base=1.0, amplitude=1.0, frequency=np.pi, phase=0.0), t0=0.0, width=1.5)
+def test_validator_agrees_with_dense_scan(spec, t0, width):
+    """The closed-form test is at least as strict as a 10 001-point scan."""
+    t1 = t0 + width
+    with np.errstate(all="ignore"):
+        scan = np.abs(np.broadcast_to(eval_schedule(spec, np.linspace(t0, t1, 10_001)), (10_001,)))
+    try:
+        validate_nonvanishing(spec, t0, t1)
+    except ScenarioError:
+        return
+    bound = nonvanishing_bound(spec, t0, t1)
+    assert np.all(scan > 0.0)  # so every scan that hits an exact 0.0 was rejected
+    # the bound is exact at the minimiser for every kind; allow for rounding
+    assert np.min(scan) >= bound * (1.0 - 1e-12)
