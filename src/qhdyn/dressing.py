@@ -282,7 +282,7 @@ def build_dressing_track(
             f"need {model.dimension} mu schedules, got {len(mu_schedules)}"
         )
 
-    hams = np.array([build_hamiltonian(model, float(t)) for t in times])
+    hams = build_hamiltonian(model, times)
     frames = _tracked_frames(hams, times, reality_policy)
 
     mu = mu_values(mu_schedules, times)

@@ -17,9 +17,22 @@ one scheme driven by the same generator and its adjoint.  The left equation
 is integrated independently; |Phi>> = Theta |Phi> is checked afterwards, not
 built in.
 
-A run is kept as stacked arrays: the generator and its adjoint are formed
-once for the whole track, the kets on the reporting grid are (K, N) arrays,
-and the standard propagator is stored as its (K, N) phases.
+RK4 is linear in the state, so each step is v -> v + D_k v with an increment
+matrix D_k built from the three generator samples of step k alone
+(`rk4_increments`).  The increment matrices of a block of steps, for the
+right and the left picture together, come from a few batched matrix
+products; only the matrix-vector chain v_{k+1} = v_k + D_k v_k runs step by
+step.  The step is kept in this increment form rather than as one propagator
+P_k = I + D_k: adding the small increment D_k v to v rounds like the
+textbook k1..k4 update, while forming I + D_k first rounds every D_k against
+the unit diagonal.  That rounding is not negligible next to the RK4 error:
+for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
+1.34e-13 to 8.75e-14 and the drift ratio under step halving from 16.1 to
+25.0, off the fourth-order value of 16.
+
+A run is kept as stacked arrays: the generator is formed once for the whole
+track, the kets on the reporting grid are (K, N) arrays, and the standard
+propagator is stored as its (K, N) phases.
 """
 
 from __future__ import annotations
@@ -38,6 +51,11 @@ PICTURES = ("right", "left", "standard")
 # the track holds 2 * steps + 1 samples of every N x N matrix, so the step
 # count is capped where those stacks would outgrow a desk machine
 MAX_STEPS = 100_000
+
+# steps whose RK4 increment matrices are formed together: enough to amortise
+# the batched products, few enough that the block stays small next to the
+# track (forming every step at once raises the run's memory high-water mark)
+_STEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -144,25 +162,40 @@ def _locate(times: np.ndarray, t: float) -> int:
     return idx
 
 
-def _rk4(vec: np.ndarray, a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: float, t: float) -> np.ndarray:
-    """One classical RK4 step of i d/dt v = A v for kets v of shape (..., N),
-    with A sampled at (t, t + dt/2, t + dt) and matching leading shape."""
+def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: float) -> np.ndarray:
+    """Increment matrices of classical RK4 for i d/dt v = A v.
 
-    def rate(a, v):
-        return -1j * (a @ v[..., None])[..., 0]
+    ``begin``, ``mid`` and ``end`` hold A at (t, t + dt/2, t + dt), as single
+    matrices or stacks of matching leading shape.  One step is v -> v + D v
+    with
 
-    k1 = rate(a0, vec)
-    k2 = rate(am, vec + 0.5 * dt * k1)
-    k3 = rate(am, vec + 0.5 * dt * k2)
-    k4 = rate(a1, vec + dt * k3)
-    new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise IntegrationError(
-            f"non-finite state components after the step at t={t:g} "
-            "(exceptional-point crossing or metric blow-up upstream)",
-            t=float(t),
-        )
-    return new
+        a = -i dt A(t),  m = -i dt A(t + dt/2),  c = -i dt A(t + dt),
+        k2 = m + m a / 2,  k3 = m + m k2 / 2,  k4 = c + c k3,
+        D = (a + 2 k2 + 2 k3 + k4) / 6,
+
+    which is the k1..k4 update with each stage written as a matrix acting on
+    v (a v = dt k1, k2 v = dt k2, and so on).
+    """
+    a = (-1j * dt) * begin
+    m = (-1j * dt) * mid
+    c = (-1j * dt) * end
+    k2 = m + 0.5 * (m @ a)
+    k3 = m + 0.5 * (m @ k2)
+    k4 = c + c @ k3
+    return (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def _advance(vec: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """v + D v for kets of shape (..., N) and matching (..., N, N) D."""
+    return vec + (increments @ vec[..., None])[..., 0]
+
+
+def _blowup(t: float) -> IntegrationError:
+    return IntegrationError(
+        f"non-finite state components after the step at t={t:g} "
+        "(exceptional-point crossing or metric blow-up upstream)",
+        t=float(t),
+    )
 
 
 def step_generator(
@@ -182,10 +215,13 @@ def step_generator(
     g0, gm, g1 = generators
     phi_right = state.phi_right
     if phi_right is not None:
-        phi_right = _rk4(phi_right, g0, gm, g1, dt, state.t)
+        phi_right = _advance(phi_right, rk4_increments(g0, gm, g1, dt))
     phi_left = state.phi_left
     if phi_left is not None:
-        phi_left = _rk4(phi_left, dagger(g0), dagger(gm), dagger(g1), dt, state.t)
+        phi_left = _advance(phi_left, rk4_increments(dagger(g0), dagger(gm), dagger(g1), dt))
+    for ket in (phi_right, phi_left):
+        if ket is not None and not np.all(np.isfinite(ket)):
+            raise _blowup(state.t)
     return EvolutionState(
         t=state.t + dt,
         phi_right=phi_right,
@@ -224,10 +260,12 @@ def propagate_quasi(
 
     The right and left kets advance together by RK4 with the generator and
     its adjoint sampled at the step endpoints and midpoint (all fine grid
-    points of the track); the standard ket follows the diagonal closed-form
-    propagator.  With ``use_plain_hamiltonian`` the integrator is driven by H
-    instead of H_gen -- the falsification switch: for a moving metric that
-    run must lose the Theta-norm.
+    points of the track), one block of `rk4_increments` at a time; the
+    standard ket follows the diagonal closed-form propagator.  With
+    ``use_plain_hamiltonian`` the integrator is driven by H instead of H_gen
+    -- the falsification switch: for a moving metric that run must lose the
+    Theta-norm.  Raises `IntegrationError` naming the first step whose kets
+    are not finite.
     """
     pictures = tuple(pictures)
     for p in pictures:
@@ -246,20 +284,26 @@ def propagate_quasi(
     phases = standard_phases(track)
 
     # the integrated kets as one (pictures, N) state: right, then left
-    if want_left:
-        gens = np.stack([gens, dagger(gens)], axis=1)
-        state = np.stack([phi0, track.theta[0] @ phi0])
-    else:
-        gens = gens[:, None]
-        state = phi0[None]
+    state = np.stack([phi0, track.theta[0] @ phi0]) if want_left else phi0[None]
 
     coarse = track.times[::2]
     dt = float(coarse[1] - coarse[0])
-    kets = np.empty((len(coarse),) + state.shape, dtype=complex)
+    steps = len(coarse) - 1
+    kets = np.empty((steps + 1,) + state.shape, dtype=complex)
     kets[0] = state
-    for k in range(len(coarse) - 1):
-        j = 2 * k
-        kets[k + 1] = _rk4(kets[k], gens[j], gens[j + 1], gens[j + 2], dt, coarse[k])
+    # a blow-up is reported below, naming the step it happened in
+    with np.errstate(all="ignore"):
+        for k0 in range(0, steps, _STEP_BLOCK):
+            k1 = min(k0 + _STEP_BLOCK, steps)
+            block = gens[2 * k0 : 2 * k1 + 1, None]
+            if want_left:
+                block = np.concatenate([block, dagger(block)], axis=1)
+            increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)
+            for k in range(k0, k1):
+                kets[k + 1] = _advance(kets[k], increments[k - k0])
+    finite = np.isfinite(kets).all(axis=(1, 2))
+    if not finite.all():
+        raise _blowup(coarse[max(int(np.argmin(finite)) - 1, 0)])
 
     phi_standard = None
     if "standard" in pictures:

@@ -117,8 +117,9 @@ class HamiltonianModel:
         """True when some parameter genuinely varies in time."""
         return any(not s.is_static for s in self.h_schedule.values())
 
-    def param(self, name: str, t: float) -> complex:
-        """Parameter value at time ``t`` (schedule applied when attached)."""
+    def param(self, name: str, t: float | np.ndarray) -> complex | np.ndarray:
+        """Parameter value at time ``t`` (schedule applied when attached;
+        elementwise for an array of times, a scalar when unscheduled)."""
         if name in self.h_schedule:
             return eval_schedule(self.h_schedule[name], t)
         if name not in self.params:
@@ -131,35 +132,45 @@ class HamiltonianModel:
                 f"got {self.params[name]!r}"
             ) from None
 
-    def real_param(self, name: str, t: float) -> float:
+    def real_param(self, name: str, t: float | np.ndarray) -> float | np.ndarray:
         value = self.param(name, t)
-        if abs(value.imag) > _REAL_PARAM_TOL * (1.0 + abs(value)):
+        bad = np.abs(np.imag(value)) > _REAL_PARAM_TOL * (1.0 + np.abs(value))
+        if np.any(bad):
+            offending = np.ravel(value)[np.argmax(np.ravel(bad))]
             raise ScenarioError(
-                f"parameter {name!r} of family {self.family!r} must be real, got {value}"
+                f"parameter {name!r} of family {self.family!r} must be real, got {offending}"
             )
-        return value.real
+        return np.real(value)
 
 
-def build_hamiltonian(model: HamiltonianModel, t: float) -> np.ndarray:
-    """Complex N x N matrix H(t) for the model family."""
+def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndarray:
+    """Complex N x N matrix H(t) for the model family; for an (M,) array of
+    times, the (M, N, N) stack of H at each of them."""
     n = model.dimension
+    shape = np.shape(t) + (n, n)
     if model.family == "triangular2":
-        e1 = model.real_param("e1", t)
-        e2 = model.real_param("e2", t)
-        c = model.param("c", t)
-        return np.array([[e1, c], [0.0, e2]], dtype=complex)
+        h = np.zeros(shape, dtype=complex)
+        h[..., 0, 0] = model.real_param("e1", t)
+        h[..., 0, 1] = model.param("c", t)
+        h[..., 1, 1] = model.real_param("e2", t)
+        return h
     if model.family == "pt2":
         gamma = model.real_param("gamma", t)
         s = model.real_param("s", t)
-        return np.array([[1j * gamma, s], [s, -1j * gamma]], dtype=complex)
+        h = np.empty(shape, dtype=complex)
+        h[..., 0, 0] = 1j * gamma
+        h[..., 0, 1] = s
+        h[..., 1, 0] = s
+        h[..., 1, 1] = -1j * gamma
+        return h
     if model.family == "similarity-rand":
         energies = _similarity_energies(model)
         s_mat, s_inv = _similarity_matrix(n, int(model.params.get("seed", 0)))
-        return (s_mat * energies) @ s_inv
+        return np.broadcast_to((s_mat * energies) @ s_inv, shape).copy()
     # cubic-trunc
-    g = model.real_param("g", t)
+    g = np.broadcast_to(model.real_param("g", t), np.shape(t))
     p2, x3 = _oscillator_blocks(n)
-    return p2 + 1j * g * x3
+    return p2 + 1j * g[..., None, None] * x3
 
 
 def build_hamiltonian_derivative(model: HamiltonianModel, t: float) -> np.ndarray:

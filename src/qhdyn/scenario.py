@@ -18,10 +18,10 @@ A scenario is a YAML document with these top-level keys (normative):
                    (default: all declared observables)
     seed           integer fed to seeded constructions  (default: 0)
 
-Every number must be finite.  Metric-coefficient schedules that can vanish
-anywhere on [t0, t1] are rejected here, at parse time.  PyYAML is imported
-only by the functions that parse text, so building a config from a dict
-never loads it.
+Every number must be finite.  Schedules that can overflow anywhere on
+[t0, t1], and metric-coefficient schedules that can vanish there, are
+rejected here, at parse time.  PyYAML is imported only by the functions that
+parse text, so building a config from a dict never loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ScenarioError
 from .evolution import PICTURES, time_grid
 from .model import HamiltonianModel, ObservableSpec
-from .schedules import ScheduleSpec, validate_nonvanishing
+from .schedules import ScheduleSpec, validate_bounded, validate_nonvanishing
 from .verify import DEFAULT_THRESHOLDS
 
 _SCHEDULE_KEYS = {"kind", "base", "rate", "amplitude", "frequency", "phase"}
@@ -113,6 +113,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     time_grid(t0, t1, dt)  # validates divisibility and minimum step count
 
     model = _parse_model(model_doc)
+    for key, spec in model.h_schedule.items():
+        validate_bounded(spec, t0, t1, label=f"model.h_schedule.{key}")
 
     if len(mu_doc) != model.dimension:
         raise ScenarioError(
@@ -301,7 +303,7 @@ def _parse_model(doc: dict) -> HamiltonianModel:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise ScenarioError("model.params must be a mapping")
-    params = {k: _param(v, f"model.params.{k}") for k, v in params.items()}
+    params = {k: _param(k, v, f"model.params.{k}") for k, v in params.items()}
 
     schedules = doc.get("h_schedule", {}) or {}
     if not isinstance(schedules, dict):
@@ -363,10 +365,13 @@ def _scalar(value, label: str) -> float | complex:
     return value
 
 
-def _param(value, label: str):
+def _param(key: str, value, label: str):
     """A model parameter: a scalar, or a list of finite reals (list-valued
-    parameters such as similarity-rand energies; checked by the family)."""
-    if isinstance(value, list) and len(value) != 2:
+    parameters such as similarity-rand energies; checked by the family).
+
+    `energies` is always such a list; any other two-element list is an
+    [re, im] pair."""
+    if isinstance(value, list) and (key == "energies" or len(value) != 2):
         return [_real(v, f"{label}[{k}]") for k, v in enumerate(value)]
     return _scalar(value, label)
 

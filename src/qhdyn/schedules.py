@@ -2,10 +2,12 @@
 
 Every built-in kind is smooth with an analytic derivative, so exact-derivative
 oracles are available wherever a time derivative of a scheduled quantity is
-needed.  Metric coefficients must stay away from zero on the whole run
-interval; `validate_nonvanishing` enforces that at configuration time from a
-closed-form lower bound on |value(t)| (`nonvanishing_bound`), one formula per
-kind, with no sampling.
+needed.  Every schedule must stay finite on the run interval, and metric
+coefficients must also stay away from zero there.  `validate_bounded` and
+`validate_nonvanishing` enforce that at configuration time from closed-form
+bounds, one formula per kind, with no sampling: upper bounds on |value(t)|
+(`magnitude_bound`) and |d value/dt| (`derivative_bound`), and a lower bound
+on |value(t)| (`nonvanishing_bound`).
 """
 
 from __future__ import annotations
@@ -123,24 +125,79 @@ def nonvanishing_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
     return abs(b)
 
 
-def validate_nonvanishing(spec: ScheduleSpec, t0: float, t1: float, label: str = "mu"):
-    """Reject schedules that vanish (or can vanish) anywhere on [t0, t1].
+def magnitude_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
+    """Closed-form upper bound on |value(t)| over [t0, t1].
 
-    Every field must be finite, and the closed-form `nonvanishing_bound` must
-    be finite and at least the smallest normal double.  Raises `ScenarioError`
-    otherwise.
+    constant      |b|
+    linear-ramp   the larger end-point value max(|b + r t0|, |b + r t1|)
+    exponential   |b| exp(max(r t0, r t1))
+    sinusoidal    |b| (1 + |a|)
+
+    An infinite result means the value can overflow on the interval.
+    """
+    b = complex(spec.base)
+    with np.errstate(over="ignore"):  # np.abs: |b| itself may overflow to inf
+        if spec.kind == "linear-ramp":
+            return float(max(np.abs(b + spec.rate * t0), np.abs(b + spec.rate * t1)))
+        size = float(np.abs(b))
+        if spec.kind == "exponential":
+            return size * float(np.exp(max(spec.rate * t0, spec.rate * t1)))
+        if spec.kind == "sinusoidal":
+            return size * (1.0 + abs(spec.amplitude))
+        return size
+
+
+def derivative_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
+    """Closed-form upper bound on |d value/dt| over [t0, t1].
+
+    constant      0
+    linear-ramp   |r|
+    exponential   |r| times `magnitude_bound`
+    sinusoidal    |b| |a| |w|
+    """
+    if spec.kind == "linear-ramp":
+        return abs(spec.rate)
+    if spec.kind == "exponential":
+        return abs(spec.rate) * magnitude_bound(spec, t0, t1)
+    if spec.kind == "sinusoidal":
+        with np.errstate(over="ignore"):
+            return float(np.abs(complex(spec.base))) * abs(spec.amplitude * spec.frequency)
+    return 0.0
+
+
+def validate_bounded(spec: ScheduleSpec, t0: float, t1: float, label: str):
+    """Reject schedules whose value or time derivative can overflow on [t0, t1].
+
+    Every field must be finite, and so must `magnitude_bound` and
+    `derivative_bound`.  Raises `ScenarioError` otherwise.
     """
     fields = (spec.base, spec.rate, spec.amplitude, spec.frequency, spec.phase)
     if not np.isfinite(fields).all():
         raise ScenarioError(f"{label}: schedule fields must be finite, got {spec}")
+    value, rate = magnitude_bound(spec, t0, t1), derivative_bound(spec, t0, t1)
+    if not (value < np.inf and rate < np.inf):
+        raise ScenarioError(
+            f"{label}: {spec.kind} schedule overflows on [{t0:g}, {t1:g}] (upper bound "
+            f"on |value|: {value:.3g}, on |derivative|: {rate:.3g})"
+        )
+
+
+def validate_nonvanishing(spec: ScheduleSpec, t0: float, t1: float, label: str = "mu"):
+    """Reject schedules that overflow, vanish or can vanish anywhere on [t0, t1].
+
+    The schedule must pass `validate_bounded`, and the closed-form
+    `nonvanishing_bound` must be at least the smallest normal double.  Raises
+    `ScenarioError` otherwise.
+    """
+    validate_bounded(spec, t0, t1, label)
     if spec.kind == "sinusoidal" and abs(spec.amplitude) >= 1.0:
         raise ScenarioError(
             f"{label}: sinusoidal amplitude |a|={abs(spec.amplitude)} >= 1 "
             "allows the value to cross zero"
         )
     bound = nonvanishing_bound(spec, t0, t1)
-    if not _MIN_NORMAL <= bound < np.inf:
+    if not bound >= _MIN_NORMAL:
         raise ScenarioError(
-            f"{label}: {spec.kind} schedule crosses zero, underflows or overflows on "
+            f"{label}: {spec.kind} schedule crosses zero or underflows on "
             f"[{t0:g}, {t1:g}] (lower bound on |value|: {bound:.3g})"
         )

@@ -208,6 +208,27 @@ def eig_biorthogonal(
     return BiorthogonalFrame(times.copy(), w, kets, bras, margins)
 
 
+def branch_permutations(best: np.ndarray) -> np.ndarray:
+    """Compose per-step matches into branch labels along the grid.
+
+    ``best[k - 1, i]`` is the raw index at point k matched to raw index i at
+    point k - 1.  Returns ``perm`` of shape (len(best) + 1, N) with
+    perm[k, m] = raw index at point k of the branch that starts as m, i.e.
+    perm[0] = identity and perm[k] = best[k - 1, perm[k - 1]].  perm only
+    changes where best[k - 1] is not the identity, so only those steps are
+    composed one by one; the runs between them are filled by slices.
+    """
+    identity = np.arange(best.shape[-1])
+    perm = np.empty((len(best) + 1, len(identity)), dtype=int)
+    current, start = identity, 0
+    for k in np.flatnonzero(np.any(best != identity, axis=-1)) + 1:
+        perm[start:k] = current
+        current = best[k - 1, current]
+        start = k
+    perm[start:] = current
+    return perm
+
+
 def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     """Align every point of a frame stack with its (already aligned) predecessor.
 
@@ -236,12 +257,8 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
     bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
 
-    # perm[k, m] = raw index at point k of the branch that starts as m
     stop = int(bad[0]) + 1 if bad.size else m
-    perm = np.empty((stop, n), dtype=int)
-    perm[0] = np.arange(n)
-    for k in range(1, stop):
-        perm[k] = best[k - 1, perm[k - 1]]
+    perm = branch_permutations(best[: stop - 1])
     if bad.size:
         k = stop
         rows = perm[k - 1]

@@ -3,8 +3,12 @@
 `reference_track` is the point-by-point algorithm the stacked spectral layer
 replaced: one `scipy.linalg.eig(left=True)` per grid point, bras normalized
 column by column, and each point matched against its aligned predecessor in a
-Python loop.  `theta_spectral` and `spectrum_closed_form` are independent
-oracles for the metric and for the spectra of the families that have one.
+Python loop.  `reference_permutations` is the step-by-step composition of
+those matches into branch labels.  `reference_propagate` is the RK4 loop the
+step-matrix integrator replaced: the four stages k1..k4 applied to the kets
+one step at a time, with a finiteness check after every step.
+`theta_spectral` and `spectrum_closed_form` are independent oracles for the
+metric and for the spectra of the families that have one.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from qhdyn import BiorthogonalFrame
-from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError
+from qhdyn import BiorthogonalFrame, DressingTrack, build_generator
+from qhdyn.dressing import dagger
+from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, IntegrationError
+from qhdyn.evolution import PICTURES, resolve_initial_state, standard_phases
 from qhdyn.model import HamiltonianModel, _similarity_energies
 from qhdyn.spectral import (
     _BIORTHO_TOL,
@@ -94,6 +100,62 @@ def reference_track(hams, times, reality_policy: str = "report") -> list[Biortho
         frame = reference_eig(H, reality_policy, t)
         frames.append(frame if not frames else reference_continuity(frames[-1], frame))
     return frames
+
+
+def reference_permutations(best: np.ndarray) -> np.ndarray:
+    """perm[0] = identity, perm[k] = best[k - 1, perm[k - 1]], one step at a time."""
+    n = best.shape[-1]
+    perm = np.empty((len(best) + 1, n), dtype=int)
+    perm[0] = np.arange(n)
+    for k in range(1, len(perm)):
+        perm[k] = best[k - 1, perm[k - 1]]
+    return perm
+
+
+def _rk4(vec, a0, am, a1, dt, t):
+    """One classical RK4 step of i d/dt v = A v for kets v of shape (..., N)."""
+
+    def rate(a, v):
+        return -1j * (a @ v[..., None])[..., 0]
+
+    k1 = rate(a0, vec)
+    k2 = rate(am, vec + 0.5 * dt * k1)
+    k3 = rate(am, vec + 0.5 * dt * k2)
+    k4 = rate(a1, vec + dt * k3)
+    new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(new)):
+        raise IntegrationError(f"non-finite state components after the step at t={t:g}", t=float(t))
+    return new
+
+
+def reference_propagate(
+    track: DressingTrack,
+    initial_state,
+    pictures=PICTURES,
+    use_plain_hamiltonian: bool = False,
+):
+    """(phi_right, phi_left or None, phases) on the reporting grid, with the
+    right and left kets advanced together by `_rk4`, step after step."""
+    if use_plain_hamiltonian:
+        gens = track.hamiltonians
+    else:
+        gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
+    phi0 = resolve_initial_state(initial_state, track)
+    want_left = "left" in pictures
+    if want_left:
+        gens = np.stack([gens, dagger(gens)], axis=1)
+        state = np.stack([phi0, track.theta[0] @ phi0])
+    else:
+        gens = gens[:, None]
+        state = phi0[None]
+    coarse = track.times[::2]
+    dt = float(coarse[1] - coarse[0])
+    kets = np.empty((len(coarse),) + state.shape, dtype=complex)
+    kets[0] = state
+    for k in range(len(coarse) - 1):
+        j = 2 * k
+        kets[k + 1] = _rk4(kets[k], gens[j], gens[j + 1], gens[j + 2], dt, coarse[k])
+    return kets[:, 0], kets[:, 1] if want_left else None, standard_phases(track)
 
 
 def stack_frames(*frames: BiorthogonalFrame) -> BiorthogonalFrame:

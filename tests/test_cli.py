@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,39 @@ def test_bad_number_exit_two(override, capsys):
     assert code == EXIT_CONFIG_ERROR
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "model.h_schedule={c: {kind: exponential, base: 1.0, rate: 1000.0}}",  # H overflows
+        "mu.0.rate=1000",  # mu and dmu/dt overflow
+        "mu.0.base=[1.5e+308, 1.5e+308]",  # |base| overflows
+        "model.h_schedule={c: {kind: exponential, base: 1.0e+300, rate: -1.0e+10}}",  # only dc/dt overflows
+        "model.h_schedule={c: {kind: sinusoidal, base: 1.0e+300, amplitude: 0.5, frequency: 1.0e+10}}",
+    ],
+)
+def test_overflowing_schedule_exit_two(override, capsys, tmp_path):
+    # any RuntimeWarning would become an exception, i.e. exit 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", scenario_path("exp_metric_drive"), "--override", override, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert "configuration error" in err and "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_two_level_similarity_rand_runs(capsys, tmp_path):
+    code = main([
+        "run", scenario_path("rand4_metric_sin"),
+        "--override", "model.dimension=2",
+        "--override", "model.params.energies=[0.5, 1.0]",
+        "--override", "mu=[1.0, 1.0]",
+        "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_unexpected_exception_exit_four(monkeypatch, capsys):

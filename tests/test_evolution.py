@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,8 +17,13 @@ from qhdyn import (
     step_generator,
     time_grid,
 )
+from qhdyn.errors import IntegrationError
+from qhdyn.evolution import rk4_increments
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.verify import check_norm_conservation, check_propagator_intertwining
+
+from conftest import SHIPPED_SCENARIOS, load_scenario
+from reference import reference_propagate
 
 CONST_MU2 = (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=1.0))
 EXP_MU2 = (
@@ -247,3 +254,56 @@ def test_expectation_cases(hand_frame, hand_matrix):
     assert expectation(eig_state, hand_matrix, theta) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="zero"):
         expectation(EvolutionState(0.0, np.zeros(2), None, None), np.eye(2), theta)
+
+
+def _config_track(config):
+    _, fine = time_grid(config.t0, config.t1, config.dt)
+    return build_dressing_track(
+        config.model, config.mu, fine, omega_dot_mode=config.omega_dot_mode, reality_policy=config.reality_policy
+    )
+
+
+@pytest.mark.parametrize("generator", ["hgen", "h-only"])
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_step_matrices_match_sequential_rk4(name, generator):
+    config = load_scenario(name, **{"evolution.generator": generator})
+    track = _config_track(config)
+    plain = generator == "h-only"
+    traj = propagate_quasi(track, config.initial_state, pictures=config.pictures, use_plain_hamiltonian=plain)
+    right, left, phases = reference_propagate(track, config.initial_state, config.pictures, plain)
+    for got, expected in ((traj.phi_right, right), (traj.phi_left, left), (traj.phases, phases)):
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("index", [0, 701, 702, 2000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("pictures", [("right",), ("right", "left")])
+def test_non_finite_generator_blowup_names_the_sequential_step(index, bad, pictures):
+    # one poisoned dOmega/dt sample at fine index ``index`` (a step midpoint
+    # when odd, the end of one step and the start of the next when even)
+    model = HamiltonianModel(2, "pt2", {"gamma": 0.5, "s": 1.0})
+    track = _track(model, EXP_MU2)
+    omega_dot = track.omega_dot.copy()
+    omega_dot[index, 0, 1] = bad
+    track = dataclasses.replace(track, omega_dot=omega_dot)
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite") as expected:
+            reference_propagate(track, "uniform", pictures)
+        with pytest.raises(IntegrationError, match="non-finite") as got:
+            propagate_quasi(track, "uniform", pictures=pictures)
+    assert got.value.t == expected.value.t == track.times[max(index - 1, 0) // 2 * 2]
+    assert f"t={got.value.t:g}" in str(got.value)
+
+
+def test_increment_matrix_is_the_rk4_update():
+    rng = np.random.default_rng(11)
+    a0, am, a1 = rng.standard_normal((3, 2, 3, 3)) + 1j * rng.standard_normal((3, 2, 3, 3))
+    vec = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    dt = 0.05
+    k1 = -1j * (a0 @ vec[..., None])[..., 0]
+    k2 = -1j * (am @ (vec + 0.5 * dt * k1)[..., None])[..., 0]
+    k3 = -1j * (am @ (vec + 0.5 * dt * k2)[..., None])[..., 0]
+    k4 = -1j * (a1 @ (vec + dt * k3)[..., None])[..., 0]
+    expected = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = (rk4_increments(a0, am, a1, dt) @ vec[..., None])[..., 0]
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)

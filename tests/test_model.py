@@ -181,3 +181,41 @@ def test_similarity_rand_parameter_types(params, message):
 def test_list_valued_scalar_parameter_rejected():
     with pytest.raises(ScenarioError, match="'c' .* must be a number"):
         HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HamiltonianModel(
+            2,
+            "triangular2",
+            {"e1": 1.0, "e2": -2.0, "c": 1.0},
+            {
+                "e1": ScheduleSpec("linear-ramp", base=-0.3, rate=1.7),
+                "e2": ScheduleSpec("exponential", base=-1.1, rate=-0.7),
+                "c": ScheduleSpec("sinusoidal", base=1.0 + 0.5j, amplitude=0.7, frequency=3.1, phase=0.2),
+            },
+        ),
+        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.5 - 1.0j}),
+        HamiltonianModel(
+            2,
+            "pt2",
+            {"gamma": 0.0, "s": 1.0},
+            {
+                "gamma": ScheduleSpec("linear-ramp", base=-0.5, rate=0.6),
+                "s": ScheduleSpec("sinusoidal", base=2.0, amplitude=0.3, frequency=1.3),
+            },
+        ),
+        HamiltonianModel(2, "pt2", {"gamma": -0.4, "s": 1.0}),
+        HamiltonianModel(4, "similarity-rand", {"energies": [0.1, 0.5, 1.0, 2.0], "seed": 3}),
+        HamiltonianModel(6, "cubic-trunc", {"g": 0.1}, {"g": ScheduleSpec("exponential", base=0.1, rate=0.4)}),
+        HamiltonianModel(5, "cubic-trunc", {"g": 0.3}),
+    ],
+    ids=["triangular2", "triangular2-static", "pt2", "pt2-static", "similarity-rand", "cubic-trunc", "cubic-static"],
+)
+def test_hamiltonian_stack_equals_pointwise_calls(model):
+    times = np.linspace(-0.3, 1.7, 257)
+    stacked = build_hamiltonian(model, times)
+    pointwise = np.array([build_hamiltonian(model, float(t)) for t in times])
+    assert stacked.shape == (len(times), model.dimension, model.dimension)
+    assert stacked.tobytes() == pointwise.tobytes()  # bit for bit, signed zeros included

@@ -4,7 +4,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qhdyn import ScenarioError, ScheduleSpec, eval_schedule, eval_schedule_derivative
-from qhdyn.schedules import nonvanishing_bound, validate_nonvanishing
+from qhdyn.schedules import (
+    derivative_bound,
+    magnitude_bound,
+    nonvanishing_bound,
+    validate_bounded,
+    validate_nonvanishing,
+)
 
 ALL_KINDS = [
     ScheduleSpec("constant", base=1.7),
@@ -165,3 +171,46 @@ def test_validator_agrees_with_dense_scan(spec, t0, width):
     assert np.all(scan > 0.0)  # so every scan that hits an exact 0.0 was rejected
     # the bound is exact at the minimiser for every kind; allow for rounding
     assert np.min(scan) >= bound * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (ScheduleSpec("exponential", base=1.0, rate=1000.0), "overflows"),  # exp(1000) = inf
+        (ScheduleSpec("linear-ramp", base=1.0, rate=1e308), "overflows"),  # 1 + 1e308 * 2 = inf
+        (ScheduleSpec("sinusoidal", base=1e308, amplitude=0.9, frequency=1.0), "overflows"),
+        (ScheduleSpec("exponential", base=1e300, rate=-1e10), r"on \|derivative\|: inf"),
+        (ScheduleSpec("sinusoidal", base=1e300, amplitude=0.5, frequency=1e10), r"on \|derivative\|: inf"),
+    ],
+)
+def test_overflowing_schedule_rejected(spec, message):
+    with pytest.raises(ScenarioError, match=message):
+        validate_bounded(spec, 0.0, 2.0, "model.h_schedule.c")
+
+
+def test_upper_bounds_per_kind():
+    assert magnitude_bound(ScheduleSpec("constant", base=-3.0 + 4.0j), 0.0, 1.0) == 5.0
+    assert magnitude_bound(ScheduleSpec("linear-ramp", base=1.0, rate=-3.0), 0.0, 1.0) == 2.0
+    assert magnitude_bound(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
+    assert magnitude_bound(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5), 0.0, 1.0) == 3.0
+    assert derivative_bound(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
+    assert derivative_bound(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5, frequency=3.0), 0.0, 1.0) == 3.0
+
+
+@given(spec=_schedules, t0=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0))
+@example(spec=ScheduleSpec("exponential", base=1.0, rate=1000.0), t0=0.0, width=1.0)
+@example(spec=ScheduleSpec("exponential", base=1.0, rate=-1000.0), t0=-1.0, width=1.0)
+def test_upper_bounds_agree_with_dense_scan(spec, t0, width):
+    """Accepted schedules stay finite, and below both bounds, on a 10 001-point scan."""
+    t1 = t0 + width
+    ts = np.linspace(t0, t1, 10_001)
+    with np.errstate(all="ignore"):
+        values = np.abs(np.broadcast_to(eval_schedule(spec, ts), ts.shape))
+        rates = np.abs(np.broadcast_to(eval_schedule_derivative(spec, ts), ts.shape))
+    try:
+        validate_bounded(spec, t0, t1, "c")
+    except ScenarioError:
+        return
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(rates))
+    assert np.max(values) <= magnitude_bound(spec, t0, t1) * (1.0 + 1e-12)
+    assert np.max(rates) <= derivative_bound(spec, t0, t1) * (1.0 + 1e-12)

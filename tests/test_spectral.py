@@ -12,8 +12,9 @@ from qhdyn import (
     track_continuity,
 )
 from qhdyn.schedules import ScheduleSpec
+from qhdyn.spectral import branch_permutations
 
-from reference import reference_track, stack_frames
+from reference import reference_permutations, reference_track, stack_frames
 
 
 def assert_frame_relations(frame, H, atol=1e-10):
@@ -286,3 +287,37 @@ def test_singular_eigenvector_matrix_is_an_exceptional_point():
         eig_biorthogonal(np.array([np.diag([1.0, 2.0, 3.0]), jordan]), t=[0.0, 0.5])
     with pytest.raises(ExceptionalPointError, match="overlap .* at t=0:"):
         eig_biorthogonal(jordan)
+
+
+def _swept_energies(times, crossing):
+    """3x3 S diag(E(t)) S^-1; with ``crossing`` E_1 oscillates across both
+    other levels (eight crossings on [0, 1]), else it stays below them."""
+    e1 = 2.0 + 1.8 * np.sin(4.0 * np.pi * times) if crossing else 0.5 + 0.3 * np.sin(4.0 * np.pi * times)
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return np.array([s @ np.diag([e, 1.0, 3.0]) @ np.linalg.inv(s) for e in e1])
+
+
+@pytest.mark.parametrize("crossing", [True, False], ids=["crossings", "no-crossing"])
+def test_branch_permutations_equal_stepwise_composition(crossing):
+    times = np.linspace(0.0, 1.0, 301)
+    raw = eig_biorthogonal(_swept_energies(times, crossing), t=times)
+    best = np.argmax(np.abs(raw.left_bras[:-1] @ raw.right_kets[1:]), axis=-1)
+    perm = branch_permutations(best)
+    expected = reference_permutations(best)
+    np.testing.assert_array_equal(perm, expected)
+    changes = np.count_nonzero(np.any(expected[1:] != expected[:-1], axis=-1))
+    assert changes == (8 if crossing else 0)
+    # the tracked frame is the raw frame relabelled by exactly this perm
+    tracked = track_continuity(raw)
+    np.testing.assert_array_equal(tracked.energies, np.take_along_axis(raw.energies, expected, axis=-1))
+
+
+def test_branch_permutations_of_random_matches():
+    rng = np.random.default_rng(8)
+    n = 4
+    best = np.tile(np.arange(n), (500, 1))
+    for k in rng.choice(500, size=40, replace=False):
+        best[k] = rng.permutation(n)
+    np.testing.assert_array_equal(branch_permutations(best), reference_permutations(best))
+    np.testing.assert_array_equal(branch_permutations(best[:0]), [np.arange(n)])
