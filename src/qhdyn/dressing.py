@@ -16,8 +16,9 @@ continuity-tracked Omega(t) samples when H itself moves.
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
-or such a stack alike, and the track is built with one batched eigensolve,
-one batched metric spectrum, and array expressions for everything else.
+or such a stack alike.  The track is built with one batched eigensolve that
+solves each distinct H along the grid once (a static H once in all), one
+batched metric spectrum, and array expressions for everything else.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
     """Metric Theta = Omega' Omega; Hermitian positive definite by construction."""
-    theta = dagger(omega) @ omega
-    return 0.5 * (theta + dagger(theta))
+    # inf/nan from an overflowing Omega is reported by the track's metric guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = dagger(omega) @ omega
+        return 0.5 * (theta + dagger(theta))
 
 
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray | None = None) -> np.ndarray:
@@ -244,20 +247,27 @@ def omega_dot_series(
 
 
 def _tracked_frames(hams: np.ndarray, times: np.ndarray, reality_policy: str) -> BiorthogonalFrame:
-    """One batched eigensolve and continuity pass over the grid.
+    """Solve and continuity-track each distinct H once (a point whose H differs
+    from its predecessor's), then gather the frames back onto the grid.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
     before k is the error to report.
     """
+    distinct = np.concatenate(([True], np.any(hams[1:] != hams[:-1], axis=(-2, -1))))
+    hams, solve_times = hams[distinct], times[distinct]
     try:
-        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=times)
+        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=solve_times)
     except NumericalDomainError as exc:
-        k = int(np.searchsorted(times, exc.t))
+        k = int(np.searchsorted(solve_times, exc.t))
         if k > 1:
-            track_continuity(eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=times[:k]))
+            track_continuity(eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=solve_times[:k]))
         raise
-    return track_continuity(frames)
+    frames = track_continuity(frames)
+    at = np.cumsum(distinct) - 1
+    return BiorthogonalFrame(
+        times, frames.energies[at], frames.right_kets[at], frames.left_bras[at], frames.raw_overlaps[at]
+    )
 
 
 def build_dressing_track(
@@ -269,10 +279,10 @@ def build_dressing_track(
 ) -> DressingTrack:
     """Assemble frames and dressing maps along a uniform time grid.
 
-    Frames are solved at every grid point in one batch and continuity-tracked
-    along the grid; the dressing then follows the tracked gauge, so the
-    sampled Omega(t) lies on one smooth curve and finite differences of it
-    are meaningful.  dOmega/dt comes from exact mu derivatives when H is
+    Frames are solved once per distinct H in one batch, continuity-tracked
+    and gathered back onto the grid; the dressing then follows the tracked
+    gauge, so the sampled Omega(t) lies on one smooth curve and finite
+    differences of it are meaningful.  dOmega/dt comes from exact mu derivatives when H is
     static and from 4th-order stencils over the Omega samples otherwise
     (see `omega_dot_series`).
     """

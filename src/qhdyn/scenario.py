@@ -16,7 +16,6 @@ A scenario is a YAML document with these top-level keys (normative):
                    report                       (all optional)
     outputs        observable names to add as expectation-value CSV columns
                    (default: all declared observables)
-    seed           integer fed to seeded constructions  (default: 0)
 
 Every number must be finite.  Schedules that can overflow anywhere on
 [t0, t1], and metric-coefficient schedules that can vanish there, are
@@ -41,7 +40,7 @@ from .verify import DEFAULT_THRESHOLDS
 
 _SCHEDULE_KEYS = {"kind", "base", "rate", "amplitude", "frequency", "phase"}
 _TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks",
-             "evolution", "outputs", "seed"}
+             "evolution", "outputs"}
 _TIME_KEYS = {"t0", "t1", "dt"}
 _MODEL_KEYS = {"family", "dimension", "params", "h_schedule", "a_observables"}
 _EVOLUTION_KEYS = {"generator", "omega_dot", "reality"}
@@ -66,7 +65,6 @@ class ScenarioConfig:
     omega_dot_mode: str
     reality_policy: str
     outputs: tuple[str, ...]
-    seed: int
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -160,8 +158,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if out not in declared:
             raise ScenarioError(f"outputs names unknown observable {out!r} (declared: {declared})")
 
-    seed = _integer(raw.get("seed", 0), "seed")
-
     return ScenarioConfig(
         name=name,
         model=model,
@@ -177,7 +173,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         omega_dot_mode=omega_dot_mode,
         reality_policy=reality_policy,
         outputs=tuple(str(o) for o in outputs),
-        seed=seed,
         raw=raw,
     )
 

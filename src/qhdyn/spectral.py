@@ -178,7 +178,8 @@ def eig_biorthogonal(
     pivot = np.take_along_axis(vr, np.argmax(np.abs(vr), axis=-2)[:, None, :], axis=-2)
     kets = vr * (np.abs(pivot) / pivot)
     bras = _inverse(kets)
-    with np.errstate(invalid="ignore"):  # infinite bras of a singular R give margin 0
+    # infinite bras of a singular R, or norms that overflow, give margin 0
+    with np.errstate(over="ignore", invalid="ignore"):
         margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
 
     worst = margins.min(axis=-1)

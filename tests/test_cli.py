@@ -143,6 +143,25 @@ def test_overflowing_schedule_exit_two(override, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "mu.0.rate=400",  # |mu|^2 overflows in Theta
+        "mu.0.base=1e200",
+        "model.params.c=1e160",  # the EP-margin norms overflow
+        "model.h_schedule={c: {kind: exponential, base: 1.0, rate: 700.0}}",
+    ],
+)
+def test_huge_finite_schedule_aborts_without_warnings(override, capsys, tmp_path):
+    # any RuntimeWarning would become an exception, i.e. exit 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", scenario_path("exp_metric_drive"), "--override", override, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL_ERROR
+    assert len(err) == 1 and err[0].startswith("numerical-domain error:")
+
+
 def test_two_level_similarity_rand_runs(capsys, tmp_path):
     code = main([
         "run", scenario_path("rand4_metric_sin"),

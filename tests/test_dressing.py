@@ -21,7 +21,8 @@ from qhdyn import (
 from qhdyn.dressing import differentiate_samples, omega_dot_series
 from qhdyn.schedules import ScheduleSpec
 
-from reference import stack_frames, theta_spectral
+from conftest import SHIPPED_SCENARIOS, load_scenario
+from reference import reference_track, stack_frames, theta_spectral
 
 EXP_MU = (
     ScheduleSpec("exponential", base=1.0, rate=0.3),
@@ -298,3 +299,52 @@ def test_continuity_failure_before_a_later_solve_failure_wins():
     # at one point the solve fails before continuity is tried
     with pytest.raises(ExceptionalPointError, match="t=1"):
         _tracked_frames(np.array([ok, ep]), times[:2], "report")
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_each_distinct_hamiltonian_is_solved_once(name, monkeypatch):
+    import qhdyn.dressing
+
+    shapes = []
+
+    def spy(H, *args, **kwargs):
+        shapes.append(np.shape(H))
+        return eig_biorthogonal(H, *args, **kwargs)
+
+    monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", spy)
+    cfg = load_scenario(name)
+    _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
+    build_dressing_track(cfg.model, cfg.mu, fine, cfg.omega_dot_mode, cfg.reality_policy)
+    n = cfg.model.dimension
+    static = name in ("exp_metric_drive", "rand4_metric_sin", "static_hermitian")
+    assert shapes == [(1 if static else len(fine), n, n)]
+
+
+def test_static_track_repeats_one_frame():
+    model = HamiltonianModel(4, "similarity-rand", {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7})
+    mu = tuple(ScheduleSpec("sinusoidal", base=1.0, amplitude=0.4, frequency=k + 1.0) for k in range(4))
+    _, fine = time_grid(0.0, 1.0, 0.01)
+    track = build_dressing_track(model, mu, fine)
+    reference = reference_track(track.hamiltonians, fine)
+    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+        values = getattr(track, field)
+        assert all(v.tobytes() == values[0].tobytes() for v in values)
+        expected = np.array([getattr(f, field) for f in reference])
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+
+def test_static_exceptional_point_names_the_first_time():
+    from qhdyn import ExceptionalPointError
+    from qhdyn.dressing import _tracked_frames
+
+    # pt2 at gamma = s; the model itself rejects a static gamma(0) = s, so
+    # the stack is taken from a ramp at t = 0 and t = 1
+    ramp = HamiltonianModel(
+        2, "pt2", {"gamma": 0.0, "s": 1.0}, {"gamma": ScheduleSpec("linear-ramp", base=0.0, rate=1.0)}
+    )
+    ok, ep = build_hamiltonian(ramp, np.array([0.0, 1.0]))
+    times = np.linspace(0.3, 0.8, 6)
+    with pytest.raises(ExceptionalPointError, match="t=0.3"):
+        _tracked_frames(np.array([ep] * 6), times, "report")
+    with pytest.raises(ExceptionalPointError, match="t=0.6"):
+        _tracked_frames(np.array([ok] * 3 + [ep] * 3), times, "report")

@@ -35,8 +35,13 @@ def test_minimal_document_fills_defaults():
     assert cfg.generator == "hgen"
     assert cfg.omega_dot_mode == "auto"
     assert cfg.reality_policy == "assert"
-    assert cfg.seed == 0
     assert cfg.steps == 100
+
+
+def test_top_level_seed_rejected():
+    # similarity-rand reads its seed from model.params; a top-level one would be ignored
+    with pytest.raises(ScenarioError, match=r"unknown scenario keys: \['seed'\]"):
+        parse_scenario(MINIMAL + "seed: 0\n")
 
 
 def test_missing_dt_is_named():

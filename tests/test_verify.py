@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qhdyn.schedules import ScheduleSpec
 from qhdyn.verify import (
     InvariantReport,
     check_equivalence,
+    check_isospectrality,
     check_norm_conservation,
     check_observable_reality,
     check_standard_unitarity,
@@ -85,6 +88,20 @@ def test_standard_unitarity(generic_run):
     report = check_standard_unitarity(traj)
     assert report.passed and report.max_residual < 1e-10
     assert report.per_time_series[0][1] < 1e-15  # u(t0) = I
+
+
+@pytest.mark.parametrize("field", ["omega_inv", "energies"])
+def test_isospectrality_catches_a_corrupted_point(generic_run, field):
+    # a wrong Omega^-1 moves the spectrum of h; wrong track energies are a
+    # wrong spectrum of H, which the check reads from the track
+    track, _ = generic_run
+    k = 137
+    values = getattr(track, field).copy()
+    values[k] *= 1.001
+    report = check_isospectrality(dataclasses.replace(track, **{field: values}))
+    residuals = np.array([r for _, r in report.per_time_series])
+    assert check_isospectrality(track).passed and not report.passed
+    assert np.flatnonzero(residuals >= report.threshold).tolist() == [k]
 
 
 def test_observable_reality_identity_and_hamiltonian(generic_run):
