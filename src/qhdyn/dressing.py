@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
-from .model import HamiltonianModel, build_hamiltonian
+from .model import HamiltonianModel, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
 from .spectral import BiorthogonalFrame, eig_biorthogonal, track_continuity
 
@@ -246,9 +246,12 @@ def omega_dot_series(
     return differentiate_samples(omega, float(times[1] - times[0])), "finite-difference"
 
 
-def _tracked_frames(hams: np.ndarray, times: np.ndarray, reality_policy: str) -> BiorthogonalFrame:
+def _tracked_frames(
+    hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None
+) -> BiorthogonalFrame:
     """Solve and continuity-track each distinct H once (a point whose H differs
     from its predecessor's), then gather the frames back onto the grid.
+    ``gauge`` is the model's real gauge, passed on to `eig_biorthogonal`.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
@@ -257,11 +260,12 @@ def _tracked_frames(hams: np.ndarray, times: np.ndarray, reality_policy: str) ->
     distinct = np.concatenate(([True], np.any(hams[1:] != hams[:-1], axis=(-2, -1))))
     hams, solve_times = hams[distinct], times[distinct]
     try:
-        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=solve_times)
+        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=solve_times, gauge=gauge)
     except NumericalDomainError as exc:
         k = int(np.searchsorted(solve_times, exc.t))
         if k > 1:
-            track_continuity(eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=solve_times[:k]))
+            prefix = eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=solve_times[:k], gauge=gauge)
+            track_continuity(prefix)
         raise
     frames = track_continuity(frames)
     at = np.cumsum(distinct) - 1
@@ -293,7 +297,7 @@ def build_dressing_track(
         )
 
     hams = build_hamiltonian(model, times)
-    frames = _tracked_frames(hams, times, reality_policy)
+    frames = _tracked_frames(hams, times, reality_policy, real_gauge(model))
 
     mu = mu_values(mu_schedules, times)
     omega_dot, source = omega_dot_series(model, frames, mu_schedules, times, omega_dot_mode)

@@ -16,7 +16,12 @@ Four families are provided:
     (omega = 1 convention, x = (a + a')/sqrt(2), p = i(a' - a)/sqrt(2)).
     Matrix elements are the exact infinite-basis ones restricted to the
     first N levels; spectral reality of the truncation is reported by the
-    eigensolver at run time, never assumed.
+    eigensolver at run time, never assumed.  The matrix is real in the
+    phase gauge diag(i^n) (see `real_gauge`).
+
+The family constraints (pt2: s > 0 and |gamma| < s; cubic-trunc: g > 0) are
+checked at the start of the run, ``t0``; the eigensolver's guards take over
+from there.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class HamiltonianModel:
 
     params holds named scalars (and, for similarity-rand, the energy list and
     seed); h_schedule attaches a time dependence to any scalar parameter.
+    t0 is the start of the run, where the family constraints are checked.
     """
 
     dimension: int
@@ -91,6 +97,7 @@ class HamiltonianModel:
     params: Mapping[str, object] = field(default_factory=dict)
     h_schedule: Mapping[str, ScheduleSpec] = field(default_factory=dict)
     a_observables: tuple[ObservableSpec, ...] = ()
+    t0: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -171,6 +178,19 @@ def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndar
     g = np.broadcast_to(model.real_param("g", t), np.shape(t))
     p2, x3 = _oscillator_blocks(n)
     return p2 + 1j * g[..., None, None] * x3
+
+
+def real_gauge(model: HamiltonianModel) -> np.ndarray | None:
+    """Diagonal phases d under which every H(t) of the model is real, or None.
+
+    For cubic-trunc, d_n = i^n: conj(d_m) H_mn d_n = i^(n-m) H_mn multiplies
+    the real p^2 entries (n - m even) by +-1 and the imaginary i g x^3
+    entries (n - m odd) by +-i.  The phases are exact, so the gauged matrix
+    has an imaginary part of exactly zero.  Every other family has None.
+    """
+    if model.family != "cubic-trunc":
+        return None
+    return np.array([1, 1j, -1, -1j])[np.arange(model.dimension) % 4]
 
 
 def build_hamiltonian_derivative(model: HamiltonianModel, t: float) -> np.ndarray:
@@ -263,22 +283,22 @@ def _oscillator_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_family(model: HamiltonianModel):
-    n = model.dimension
+    n, t0 = model.dimension, model.t0
     if model.family in ("triangular2", "pt2") and n != 2:
         raise ScenarioError(f"family {model.family!r} is two-dimensional, got N={n}")
     if model.family == "triangular2":
         for name in ("e1", "e2", "c"):
-            model.param(name, 0.0)
-        model.real_param("e1", 0.0)
-        model.real_param("e2", 0.0)
+            model.param(name, t0)
+        model.real_param("e1", t0)
+        model.real_param("e2", t0)
     elif model.family == "pt2":
-        gamma = model.real_param("gamma", 0.0)
-        s = model.real_param("s", 0.0)
+        gamma = model.real_param("gamma", t0)
+        s = model.real_param("s", t0)
         if s <= 0.0:
-            raise ScenarioError(f"family 'pt2': coupling s must be positive, got {s}")
+            raise ScenarioError(f"family 'pt2': coupling s must be positive, got {s} at t={t0:g}")
         if abs(gamma) >= s:
             raise ScenarioError(
-                f"family 'pt2': |gamma(0)|={abs(gamma)} >= s={s}, spectrum not real at t=0"
+                f"family 'pt2': |gamma|={abs(gamma)} >= s={s}, spectrum not real at t={t0:g}"
             )
     elif model.family == "similarity-rand":
         _similarity_energies(model)
@@ -289,7 +309,7 @@ def _validate_family(model: HamiltonianModel):
         if isinstance(seed, bool) or not integral or seed < 0:
             raise ScenarioError(f"'seed' must be a non-negative integer, got {seed!r}")
     else:  # cubic-trunc
-        g = model.real_param("g", 0.0)
+        g = model.real_param("g", t0)
         if g <= 0.0:
-            raise ScenarioError(f"family 'cubic-trunc': coupling g must be positive, got {g}")
+            raise ScenarioError(f"family 'cubic-trunc': coupling g must be positive, got {g} at t={t0:g}")
 

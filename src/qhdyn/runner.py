@@ -137,14 +137,10 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
     return tuple(columns), np.column_stack(blocks)
 
 
-def format_number(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_csv(report: RunReport, path: Path):
+    row = ",".join(["%.17g"] * len(report.columns))
     lines = [",".join(report.columns)]
-    for row in report.rows.tolist():
-        lines.append(",".join(format_number(v) for v in row))
+    lines += [row % tuple(values) for values in report.rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -110,7 +110,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         raise ScenarioError(f"time.dt must be positive, got {dt}")
     time_grid(t0, t1, dt)  # validates divisibility and minimum step count
 
-    model = _parse_model(model_doc)
+    model = _parse_model(model_doc, t0)
     for key, spec in model.h_schedule.items():
         validate_bounded(spec, t0, t1, label=f"model.h_schedule.{key}")
 
@@ -290,7 +290,7 @@ def _integer(value, label: str) -> int:
     return int(value)
 
 
-def _parse_model(doc: dict) -> HamiltonianModel:
+def _parse_model(doc: dict, t0: float) -> HamiltonianModel:
     if "family" not in doc:
         raise ScenarioError('missing required key "model.family"')
     if "dimension" not in doc:
@@ -316,6 +316,7 @@ def _parse_model(doc: dict) -> HamiltonianModel:
         params=params,
         h_schedule=h_schedule,
         a_observables=tuple(observables),
+        t0=t0,
     )
 
 

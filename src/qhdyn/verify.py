@@ -9,7 +9,7 @@ the stacked track and trajectory, giving a residual per grid time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,11 +35,14 @@ CHECK_NAMES = tuple(DEFAULT_THRESHOLDS)
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """One check's verdict, with the (K,) residual at each of its K times."""
+
     name: str
     max_residual: float
     threshold: float
     passed: bool
-    per_time_series: tuple[tuple[float, float], ...] | None = None
+    times: np.ndarray | None = field(default=None, compare=False, repr=False)
+    residuals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_series(cls, name, times, residuals, threshold):
@@ -50,7 +53,8 @@ class InvariantReport:
             max_residual=worst,
             threshold=float(threshold),
             passed=worst < threshold,
-            per_time_series=tuple(zip(np.asarray(times, dtype=float).tolist(), residuals.tolist())),
+            times=np.asarray(times, dtype=float),
+            residuals=residuals,
         )
 
 
@@ -133,13 +137,34 @@ def check_quasi_hermiticity(track: DressingTrack, threshold=None) -> InvariantRe
 
 
 def check_isospectrality(track: DressingTrack, threshold=None) -> InvariantReport:
-    """Spectra of h = Omega H Omega^-1 (a fresh eigensolve) and H (the track's
-    energies, validated against H by their eigen-residuals) agree."""
+    """Spectra of h = Omega H Omega^-1 and H agree, certified by Gershgorin discs.
+
+    The spectrum of H is the track's energies E, validated against H by their
+    eigen-residuals.  In the canonical reference basis h must equal diag(E),
+    and the residual per point is r = max_i (|h_ii - E_i| + sum_{j!=i} |h_ij|).
+    Every eigenvalue of h lies in a Gershgorin disc about some h_ii, and that
+    disc lies inside the disc of radius r about E_i.  Where r is below half
+    the smallest distance between two E_i, these discs are disjoint and each
+    holds exactly one eigenvalue of h, so r bounds how far each eigenvalue of
+    h lies from its own E_i; no eigensolve is needed.  Only where the discs overlap (levels closer than 2r) is h
+    eigensolved, and the residual there is the largest distance between the
+    (Re, Im)-sorted spectra of h and E.
+    """
     threshold = DEFAULT_THRESHOLDS["isospectrality"] if threshold is None else threshold
+    energies = track.energies
+    levels = np.arange(track.dimension)
     h = hermitize(track.omega, track.hamiltonians, track.omega_inv)
-    spec_h = _lexsorted(np.linalg.eigvals(h))
-    spec_big = _lexsorted(track.energies)
-    residuals = np.max(np.abs(spec_h - spec_big), axis=-1)
+    diagonal = h[:, levels, levels]
+    h[:, levels, levels] -= energies
+    residuals = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
+    distances = np.abs(energies[:, :, None] - energies[:, None, :])
+    distances[:, levels, levels] = np.inf
+    overlap = ~(residuals < 0.5 * np.min(distances, axis=(-2, -1)))
+    if overlap.any():
+        h = h[overlap]
+        h[:, levels, levels] = diagonal[overlap]
+        spec_h = _lexsorted(np.linalg.eigvals(h))
+        residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(energies[overlap])), axis=-1)
     return InvariantReport.from_series("isospectrality", track.times, residuals, threshold)
 
 

@@ -16,12 +16,13 @@ from qhdyn.runner import (
     EXIT_INTERNAL_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
-    format_number,
+    RunReport,
     sweep,
+    write_csv,
     write_outputs,
 )
 
-from conftest import SCENARIO_DIR, load_scenario
+from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS, load_scenario
 
 
 def scenario_path(name):
@@ -69,22 +70,31 @@ def test_run_writes_outputs(tmp_path, capsys):
 
 
 def test_csv_is_bit_identical_across_runs(tmp_path):
-    cfg = load_scenario("tri_sin_drive")
-    report_a = run(cfg)
-    report_b = run(cfg)
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    write_outputs(report_a, dir_a)
-    write_outputs(report_b, dir_b)
-    csv_a = (dir_a / "tri_sin_drive" / "timeseries.csv").read_bytes()
-    csv_b = (dir_b / "tri_sin_drive" / "timeseries.csv").read_bytes()
-    assert csv_a == csv_b
+    # every passing shipped scenario, cubic_osc_drive on the real-gauge solve
+    for name in SHIPPED_SCENARIOS:
+        cfg = load_scenario(name)
+        dir_a = tmp_path / "a"
+        dir_b = tmp_path / "b"
+        write_outputs(run(cfg), dir_a)
+        write_outputs(run(cfg), dir_b)
+        csv_a = (dir_a / name / "timeseries.csv").read_bytes()
+        csv_b = (dir_b / name / "timeseries.csv").read_bytes()
+        assert csv_a == csv_b, name
 
 
-def test_seventeen_digit_serialization():
-    value = 0.1 + 0.2
-    assert float(format_number(value)) == value
-    assert format_number(1.0) == "1"
+def test_seventeen_digit_serialization(tmp_path):
+    values = [0.1 + 0.2, 1.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, -1.5e300]
+    columns = tuple(f"c{k}" for k in range(len(values)))
+    report = RunReport(None, columns, np.array([values, values[::-1]]), (), 0.0, "")
+    write_csv(report, tmp_path / "out.csv")
+    header, first, second = (tmp_path / "out.csv").read_text().splitlines()
+    assert header == ",".join(columns)
+    assert first.split(",") == [f"{v:.17g}" for v in values]
+    assert second.split(",") == [f"{v:.17g}" for v in values[::-1]]
+    assert first.split(",")[:3] == ["0.30000000000000004", "1", "-0"]
+    parsed = [float(text) for text in first.split(",")]
+    np.testing.assert_array_equal(parsed, values)  # doubles round-trip, nan and -0.0 too
+    assert str(parsed[2]) == "-0.0"
 
 
 def test_exceptional_point_scenario_exit_three(capsys):
@@ -120,6 +130,33 @@ def test_bad_number_exit_two(override, capsys):
     assert code == EXIT_CONFIG_ERROR
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+def test_family_constraints_checked_at_t0(capsys):
+    # gamma(t) = 1.5 - 0.5 t breaks |gamma| < s at t = 0 but lies in [0, 0.5] on [2, 3]
+    shifted = ["--override", "time.t0=2.0", "--override", "time.t1=3.0"]
+    ramp = "model.h_schedule={gamma: {kind: linear-ramp, base: 1.5, rate: -0.5}}"
+    assert main(["run", scenario_path("pt2_gamma_ramp"), *shifted, "--override", ramp]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
+    # gamma(2) = s: still rejected at the start of the run
+    ramp = "model.h_schedule={gamma: {kind: linear-ramp, base: 0.0, rate: 0.5}}"
+    assert main(["run", scenario_path("pt2_gamma_ramp"), *shifted, "--override", ramp]) == EXIT_CONFIG_ERROR
+    assert "spectrum not real at t=2" in capsys.readouterr().err
+
+
+def test_cubic_coupling_checked_at_t0(capsys):
+    # g(t) = -0.1 + 0.1 t is negative at t = 0 but in [0.1, 0.2] on [2, 3]; the
+    # 4x4 truncation leaves its real phase there, which the runtime guards report
+    shifted = ["--override", "time.t0=2.0", "--override", "time.t1=3.0"]
+    ramp = "model.h_schedule={g: {kind: linear-ramp, base: -0.1, rate: 0.1}}"
+    assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert "must be positive" not in err
+    assert "ambiguous" in err and "t=2.5985" in err
+    # g(2) = -0.1: rejected at the start of the run
+    ramp = "model.h_schedule={g: {kind: linear-ramp, base: 0.1, rate: -0.1}}"
+    assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_CONFIG_ERROR
+    assert "coupling g must be positive, got -0.1 at t=2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhdyn import (
+    ComplexSpectrumError,
     ConditioningError,
     HamiltonianModel,
     ScenarioError,
@@ -348,3 +349,22 @@ def test_static_exceptional_point_names_the_first_time():
         _tracked_frames(np.array([ep] * 6), times, "report")
     with pytest.raises(ExceptionalPointError, match="t=0.6"):
         _tracked_frames(np.array([ok] * 3 + [ep] * 3), times, "report")
+
+
+def test_cubic_ramp_leaves_the_real_phase_at_the_same_time():
+    # the N=8 truncation leaves its real phase between g(0.0485) and g(0.049);
+    # the real-gauge solve reports it at the same grid time as the complex one
+    ramp = {"g": ScheduleSpec("linear-ramp", base=0.02, rate=0.5)}
+    model = HamiltonianModel(8, "cubic-trunc", {"g": 0.02}, ramp)
+    mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.1 * (k - 4)) for k in range(8))
+    _, fine = time_grid(0.0, 0.25, 1e-3)
+    with pytest.raises(ComplexSpectrumError, match=r"at t=0\.049 ") as info:
+        build_dressing_track(model, mu, fine)
+    assert info.value.t == pytest.approx(0.049, abs=1e-12)
+
+
+def test_cubic_track_has_an_exactly_real_spectrum():
+    cfg = load_scenario("cubic_osc_drive")
+    _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
+    track = build_dressing_track(cfg.model, cfg.mu, fine, cfg.omega_dot_mode, cfg.reality_policy)
+    assert not np.any(track.energies.imag)

@@ -216,7 +216,7 @@ def test_propagator_intertwining_relations():
     # the stacked check evaluates the same product at every reporting point
     report = check_propagator_intertwining(traj, track)
     assert report.passed
-    assert report.per_time_series[-1][1] == pytest.approx(
+    assert report.residuals[-1] == pytest.approx(
         np.max(np.abs(u_left @ u_right - np.eye(2))), abs=1e-14
     )
 

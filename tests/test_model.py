@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhdyn import HamiltonianModel, ObservableSpec, ScenarioError, build_hamiltonian
+from qhdyn.model import real_gauge
 from qhdyn.schedules import ScheduleSpec
 
 from reference import spectrum_closed_form
@@ -55,6 +56,36 @@ def test_cubic_trunc_all_sizes_against_bruteforce(n, g):
     )
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cubic_real_gauge_is_exact(n):
+    rng = np.random.default_rng(n)
+    d = real_gauge(HamiltonianModel(n, "cubic-trunc", {"g": 0.1}))
+    np.testing.assert_array_equal(d, 1j ** np.arange(n))
+    # random static couplings and a scheduled stack over the whole grid
+    for g in np.exp(rng.uniform(-12.0, 5.0, 20)):
+        h = build_hamiltonian(HamiltonianModel(n, "cubic-trunc", {"g": g}), 0.0)
+        gauged = np.conj(d)[:, None] * h * d
+        assert not np.any(gauged.imag), g
+        np.testing.assert_allclose(gauged.real, np.diag(np.conj(d)) @ h @ np.diag(d), rtol=0, atol=1e-15 * g)
+    amplitude = rng.uniform(0.1, 0.9)
+    ramp = ScheduleSpec("sinusoidal", base=0.03, amplitude=amplitude, frequency=rng.uniform(1.0, 5.0))
+    model = HamiltonianModel(n, "cubic-trunc", {"g": 0.03}, {"g": ramp})
+    stack = build_hamiltonian(model, np.linspace(0.0, 1.0, 201))
+    assert not np.any((np.conj(d)[:, None] * stack * d).imag)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0}),
+        HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}),
+        HamiltonianModel(4, "similarity-rand", {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7}),
+    ],
+)
+def test_real_gauge_only_for_cubic_trunc(model):
+    assert real_gauge(model) is None
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ScenarioError, match="unknown family"):
         HamiltonianModel(2, "hexagonal", {})
@@ -65,6 +96,22 @@ def test_pt2_domain_validated_at_t0():
         HamiltonianModel(2, "pt2", {"gamma": 1.5, "s": 1.0})
     with pytest.raises(ScenarioError, match="positive"):
         HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": -1.0})
+    # gamma(t) = 1.5 - 0.5 t: out of the real phase at t = 0, inside it from t = 1
+    ramp = {"gamma": ScheduleSpec("linear-ramp", base=1.5, rate=-0.5)}
+    with pytest.raises(ScenarioError, match="spectrum not real at t=0"):
+        HamiltonianModel(2, "pt2", {"gamma": 1.5, "s": 1.0}, ramp)
+    HamiltonianModel(2, "pt2", {"gamma": 1.5, "s": 1.0}, ramp, t0=2.0)
+    with pytest.raises(ScenarioError, match="spectrum not real at t=1"):
+        HamiltonianModel(2, "pt2", {"gamma": 1.5, "s": 1.0}, ramp, t0=1.0)
+
+
+def test_cubic_coupling_validated_at_t0():
+    ramp = {"g": ScheduleSpec("linear-ramp", base=-0.1, rate=0.1)}
+    with pytest.raises(ScenarioError, match="must be positive, got -0.1 at t=0"):
+        HamiltonianModel(4, "cubic-trunc", {"g": 0.1}, ramp)
+    with pytest.raises(ScenarioError, match="must be positive, got 0.0 at t=1"):
+        HamiltonianModel(4, "cubic-trunc", {"g": 0.1}, ramp, t0=1.0)
+    HamiltonianModel(4, "cubic-trunc", {"g": 0.1}, ramp, t0=2.0)
 
 
 def test_missing_parameter_named():

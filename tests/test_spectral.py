@@ -11,6 +11,7 @@ from qhdyn import (
     eig_biorthogonal,
     track_continuity,
 )
+from qhdyn.model import real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import branch_permutations
 
@@ -321,3 +322,47 @@ def test_branch_permutations_of_random_matches():
         best[k] = rng.permutation(n)
     np.testing.assert_array_equal(branch_permutations(best), reference_permutations(best))
     np.testing.assert_array_equal(branch_permutations(best[:0]), [np.arange(n)])
+
+
+def _spy_on_eig(monkeypatch):
+    """Record the dtype of every stack `np.linalg.eig` solves."""
+    solved = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        solved.append(a.dtype)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return solved
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_real_gauge_route_matches_complex_route(n, monkeypatch):
+    model = HamiltonianModel(
+        n, "cubic-trunc", {"g": 0.02}, {"g": ScheduleSpec("sinusoidal", base=0.02, amplitude=0.4, frequency=3.0)}
+    )
+    times = np.linspace(0.0, 1.0, 201)
+    hams = build_hamiltonian(model, times)
+    solved = _spy_on_eig(monkeypatch)
+    real = track_continuity(eig_biorthogonal(hams, t=times, gauge=real_gauge(model)))
+    full = track_continuity(eig_biorthogonal(hams, t=times))
+    assert solved == [np.float64, np.complex128]
+    # a real spectrum comes out of the real solve with no imaginary rounding
+    assert not np.any(real.energies.imag)
+    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+        np.testing.assert_allclose(getattr(real, field), getattr(full, field), rtol=0.0, atol=1e-12)
+
+
+def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
+    cubic = HamiltonianModel(4, "cubic-trunc", {"g": 0.1})
+    hams = build_hamiltonian(cubic, np.zeros(3))
+    hams[1, 2, 0] += 1e-13j  # even offset: stays imaginary under the gauge
+    pt2 = build_hamiltonian(HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}), 0.0)
+    solved = _spy_on_eig(monkeypatch)
+    for stack, gauge in ((hams, real_gauge(cubic)), (pt2, 1j ** np.arange(2))):
+        gauged = eig_biorthogonal(stack, gauge=gauge)
+        plain = eig_biorthogonal(stack)
+        for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+            assert getattr(gauged, field).tobytes() == getattr(plain, field).tobytes()
+    assert solved == [np.complex128] * 4

@@ -74,7 +74,7 @@ def test_norm_conservation_generic(generic_run):
     track, traj = generic_run
     report = check_norm_conservation(traj, track)
     assert report.passed and report.max_residual < 1e-8
-    assert report.per_time_series[0][1] == 0.0
+    assert report.residuals[0] == 0.0
 
 
 def test_equivalence_series_thresholds(generic_run):
@@ -87,7 +87,7 @@ def test_standard_unitarity(generic_run):
     track, traj = generic_run
     report = check_standard_unitarity(traj)
     assert report.passed and report.max_residual < 1e-10
-    assert report.per_time_series[0][1] < 1e-15  # u(t0) = I
+    assert report.residuals[0] < 1e-15  # u(t0) = I
 
 
 @pytest.mark.parametrize("field", ["omega_inv", "energies"])
@@ -99,9 +99,61 @@ def test_isospectrality_catches_a_corrupted_point(generic_run, field):
     values = getattr(track, field).copy()
     values[k] *= 1.001
     report = check_isospectrality(dataclasses.replace(track, **{field: values}))
-    residuals = np.array([r for _, r in report.per_time_series])
     assert check_isospectrality(track).passed and not report.passed
-    assert np.flatnonzero(residuals >= report.threshold).tolist() == [k]
+    assert np.flatnonzero(report.residuals >= report.threshold).tolist() == [k]
+
+
+def test_isospectrality_residual_is_the_gershgorin_radius(generic_run):
+    # mixing the two columns of Omega^-1 at one point only fills the
+    # off-diagonal of h = Omega H Omega^-1; the radius must count it
+    track, _ = generic_run
+    k = 40
+    omega_inv = track.omega_inv.copy()
+    omega_inv[k] = omega_inv[k] @ np.array([[1.0, 1e-6], [0.0, 1.0]])
+    report = check_isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
+    h = track.omega @ track.hamiltonians @ omega_inv
+    radius = np.max(np.sum(np.abs(h - track.energies[:, :, None] * np.eye(2)), axis=-1), axis=-1)
+    np.testing.assert_allclose(report.residuals, radius, rtol=0.0, atol=1e-15)
+    assert report.residuals[k] == pytest.approx(1e-6 * abs(track.energies[k, 0]), rel=1e-6)
+    assert np.flatnonzero(report.residuals >= report.threshold).tolist() == [k]
+
+
+def test_isospectrality_falls_back_to_eigvals_where_discs_overlap(monkeypatch):
+    # levels 1e-6 apart: a relative error of 7e-7 in Omega^-1 widens the
+    # Gershgorin discs past half the gap, and only those points are eigensolved;
+    # an error of 1e-8 keeps them disjoint and is caught by the certificate
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 1.0 + 1e-6, "c": 1e-6})
+    _, fine = time_grid(0.0, 1.0, 1e-2)
+    track = build_dressing_track(model, MU2, fine)
+    overlapping, certified = [30, 71], [50]
+    omega_inv = track.omega_inv.copy()
+    omega_inv[overlapping] *= 1.0 + 7e-7
+    omega_inv[certified] *= 1.0 + 1e-8
+
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        solved.append(a.copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    assert check_isospectrality(track).max_residual < 1e-14
+    assert solved == []
+
+    report = check_isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
+    assert len(solved) == 1
+    h = track.omega[overlapping] @ track.hamiltonians[overlapping] @ omega_inv[overlapping]
+    np.testing.assert_allclose(solved[0], h, rtol=0.0, atol=1e-15)
+    spec_h = np.sort_complex(eigvals(h))
+    spec_e = np.sort_complex(track.energies[overlapping])
+    np.testing.assert_allclose(
+        report.residuals[overlapping], np.max(np.abs(spec_h - spec_e), axis=-1), rtol=1e-6
+    )
+    # the certificate bounds the spectral distance from above: |1e-8 E_i| <= r
+    assert 1e-8 <= report.residuals[certified[0]] < 1.1e-8
+    failing = np.flatnonzero(report.residuals >= report.threshold).tolist()
+    assert failing == sorted(overlapping + certified)
 
 
 def test_observable_reality_identity_and_hamiltonian(generic_run):
