@@ -10,17 +10,7 @@ of the evolving state stays constant even though H_gen differs from H.
 
 __version__ = "0.1.0"
 
-from .dressing import (
-    DressingTrack,
-    build_dressing_track,
-    build_generator,
-    build_omega,
-    build_theta,
-    hermitize,
-    omega_inverse,
-    quasi_hermiticity_residual,
-    theta_inner,
-)
+from .dressing import DressingTrack, build_dressing_track
 from .errors import (
     AmbiguousMatchError,
     ComplexSpectrumError,
@@ -32,31 +22,21 @@ from .errors import (
     QhdynError,
     ScenarioError,
 )
-from .evolution import (
-    EvolutionState,
-    Trajectory,
-    expectation,
-    propagate_quasi,
-    propagate_standard,
-    step_generator,
-    time_grid,
-)
-from .model import HamiltonianModel, ObservableSpec, build_hamiltonian, realize_observable
+from .evolution import Trajectory, propagate_quasi, time_grid
+from .model import HamiltonianModel, ObservableSpec
 from .runner import RunReport, run, sweep, write_outputs
 from .scenario import ScenarioConfig, apply_overrides, parse_scenario, scenario_from_dict
-from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
-from .spectral import BiorthogonalFrame, eig_biorthogonal, track_continuity
+from .schedules import ScheduleSpec
 from .verify import DEFAULT_THRESHOLDS, InvariantReport, run_standard_checks
 
+# the Python API example of the README, the entry points of the command line,
+# the result types and the errors; everything else lives in its submodule
 __all__ = [
-    "__version__",
     "AmbiguousMatchError",
-    "BiorthogonalFrame",
     "ComplexSpectrumError",
     "ConditioningError",
     "DEFAULT_THRESHOLDS",
     "DressingTrack",
-    "EvolutionState",
     "ExceptionalPointError",
     "HamiltonianModel",
     "IntegrationError",
@@ -72,28 +52,12 @@ __all__ = [
     "Trajectory",
     "apply_overrides",
     "build_dressing_track",
-    "build_generator",
-    "build_hamiltonian",
-    "build_omega",
-    "build_theta",
-    "eig_biorthogonal",
-    "eval_schedule",
-    "eval_schedule_derivative",
-    "expectation",
-    "hermitize",
-    "omega_inverse",
     "parse_scenario",
     "propagate_quasi",
-    "propagate_standard",
-    "quasi_hermiticity_residual",
-    "realize_observable",
     "run",
     "run_standard_checks",
     "scenario_from_dict",
-    "step_generator",
     "sweep",
-    "theta_inner",
     "time_grid",
-    "track_continuity",
     "write_outputs",
 ]

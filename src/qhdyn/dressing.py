@@ -57,11 +57,9 @@ def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
 
 
 def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
-    """Frame-exact inverse: column n is |n> / mu_n (uses <<m|n> = delta_mn)."""
-    mu = np.asarray(mu, dtype=complex)
-    if np.any(mu == 0):
-        raise ScenarioError("mu coefficients must be nonzero")
-    return frame.right_kets / mu[..., None, :]
+    """Frame-exact inverse: column n is |n> / mu_n (uses <<m|n> = delta_mn);
+    the nonzero ``mu`` that `build_omega` accepted."""
+    return frame.right_kets / np.asarray(mu, dtype=complex)[..., None, :]
 
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
@@ -72,11 +70,8 @@ def build_theta(omega: np.ndarray) -> np.ndarray:
         return 0.5 * (theta + dagger(theta))
 
 
-def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray | None = None) -> np.ndarray:
+def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
     """h = Omega H Omega^-1, the Hermitian partner acting in the friendly space."""
-    if omega_inv is None:
-        # solve X Omega = Omega H instead of forming the inverse
-        return np.swapaxes(np.linalg.solve(np.swapaxes(omega, -1, -2), np.swapaxes(omega @ H, -1, -2)), -1, -2)
     return omega @ H @ omega_inv
 
 
@@ -86,18 +81,9 @@ def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
 
 
-def build_generator(
-    H: np.ndarray,
-    omega: np.ndarray,
-    omega_dot: np.ndarray,
-    omega_inv: np.ndarray | None = None,
-) -> np.ndarray:
+def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
     """H_gen = H - i Omega^-1 dOmega/dt."""
-    if omega_inv is None:
-        correction = np.linalg.solve(omega, omega_dot)
-    else:
-        correction = omega_inv @ omega_dot
-    return H - 1j * correction
+    return H - 1j * (omega_inv @ omega_dot)
 
 
 def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
@@ -136,16 +122,10 @@ def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
         )
 
 
-def mu_values(schedules: Sequence[ScheduleSpec], times: np.ndarray) -> np.ndarray:
-    """(M, N) metric coefficients mu_n(t) on the grid."""
-    return np.stack([np.broadcast_to(eval_schedule(s, times), times.shape) for s in schedules], axis=-1)
-
-
-def mu_derivatives(schedules: Sequence[ScheduleSpec], times: np.ndarray) -> np.ndarray:
-    """(M, N) exact time derivatives of the metric coefficients on the grid."""
-    return np.stack(
-        [np.broadcast_to(eval_schedule_derivative(s, times), times.shape) for s in schedules], axis=-1
-    )
+def mu_series(schedules: Sequence[ScheduleSpec], times: np.ndarray, evaluate=eval_schedule) -> np.ndarray:
+    """(M, N) metric coefficients mu_n(t) on the grid; with ``evaluate`` =
+    `eval_schedule_derivative`, their exact time derivatives."""
+    return np.stack([np.broadcast_to(evaluate(s, times), times.shape) for s in schedules], axis=-1)
 
 
 # 4th-order one-sided first-derivative stencils on a uniform grid, in units of
@@ -188,7 +168,6 @@ class DressingTrack:
     theta                          (M, N, N)  metric Omega' Omega
     energies                       (M, N)     tracked E_n(t)
     raw_overlaps                   (M, N)     exceptional-point margins
-    mu                             (M, N)     metric coefficients
     theta_eigs                     (M, N)     ascending eigenvalues of Theta
     omega_dot_source               'analytic' (exact mu differentiation,
                                    static frames) or 'finite-difference'
@@ -204,7 +183,6 @@ class DressingTrack:
     theta: np.ndarray
     energies: np.ndarray
     raw_overlaps: np.ndarray
-    mu: np.ndarray
     theta_eigs: np.ndarray
     omega_dot_source: str
 
@@ -220,6 +198,7 @@ class DressingTrack:
 def omega_dot_series(
     model: HamiltonianModel,
     frames: BiorthogonalFrame,
+    omega: np.ndarray,
     mu_schedules: Sequence[ScheduleSpec],
     times: np.ndarray,
     mode: str,
@@ -228,8 +207,9 @@ def omega_dot_series(
 
     'analytic-mu-only' differentiates the mu schedules exactly and reuses the
     (necessarily constant) left bras; it is rejected when H carries a genuine
-    time dependence.  'finite-difference' applies 4th-order stencils to the
-    tracked Omega samples.  'auto' picks analytic when H is static.
+    time dependence.  'finite-difference' applies 4th-order stencils to
+    ``omega``, the Omega samples built from the tracked frames.  'auto' picks
+    analytic when H is static.
     """
     if mode not in OMEGA_DOT_MODES:
         raise ScenarioError(f"unknown omega_dot mode {mode!r}; expected one of {OMEGA_DOT_MODES}")
@@ -241,8 +221,7 @@ def omega_dot_series(
                 "omega_dot mode 'analytic-mu-only' is inconsistent with a "
                 "time-dependent Hamiltonian schedule"
             )
-        return mu_derivatives(mu_schedules, times)[:, :, None] * frames.left_bras, "analytic"
-    omega = build_omega(frames, mu_values(mu_schedules, times))
+        return mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras, "analytic"
     return differentiate_samples(omega, float(times[1] - times[0])), "finite-difference"
 
 
@@ -299,9 +278,9 @@ def build_dressing_track(
     hams = build_hamiltonian(model, times)
     frames = _tracked_frames(hams, times, reality_policy, real_gauge(model))
 
-    mu = mu_values(mu_schedules, times)
-    omega_dot, source = omega_dot_series(model, frames, mu_schedules, times, omega_dot_mode)
+    mu = mu_series(mu_schedules, times)
     omega = build_omega(frames, mu)
+    omega_dot, source = omega_dot_series(model, frames, omega, mu_schedules, times, omega_dot_mode)
     theta = build_theta(omega)
     theta_eigs = np.linalg.eigvalsh(theta)
     _guard_metric(theta_eigs, times)
@@ -317,7 +296,6 @@ def build_dressing_track(
         theta=theta,
         energies=frames.energies,
         raw_overlaps=frames.raw_overlaps,
-        mu=mu,
         theta_eigs=theta_eigs,
         omega_dot_source=source,
     )

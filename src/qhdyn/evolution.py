@@ -59,19 +59,6 @@ _STEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class EvolutionState:
-    """One snapshot: right ket |Phi>, left ket |Phi>>, standard ket |phi>.
-
-    Pictures that were not requested hold None.
-    """
-
-    t: float
-    phi_right: np.ndarray | None
-    phi_left: np.ndarray | None
-    phi_standard: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Kets on the reporting grid plus the standard-space propagator.
 
@@ -142,26 +129,6 @@ def standard_phases(track: DressingTrack) -> np.ndarray:
     return np.concatenate([np.zeros((1, real.shape[1])), np.cumsum(simpson, axis=0)])
 
 
-def propagate_standard(track: DressingTrack, t0: float | None = None, t1: float | None = None) -> np.ndarray:
-    """Standard-space propagator u over [t0, t1] (defaults: the whole track).
-
-    Both endpoints must be coarse grid points; diagonal propagators compose by
-    phase subtraction.
-    """
-    phases = standard_phases(track)
-    coarse = track.times[::2]
-    i0 = 0 if t0 is None else _locate(coarse, t0)
-    i1 = len(coarse) - 1 if t1 is None else _locate(coarse, t1)
-    return np.diag(np.exp(-1j * (phases[i1] - phases[i0])))
-
-
-def _locate(times: np.ndarray, t: float) -> int:
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ScenarioError(f"time {t:g} is not a grid point of the track")
-    return idx
-
-
 def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: float) -> np.ndarray:
     """Increment matrices of classical RK4 for i d/dt v = A v.
 
@@ -185,49 +152,16 @@ def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: floa
     return (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _advance(vec: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """v + D v for kets of shape (..., N) and matching (..., N, N) D."""
-    return vec + (increments @ vec[..., None])[..., 0]
-
-
-def _blowup(t: float) -> IntegrationError:
-    return IntegrationError(
-        f"non-finite state components after the step at t={t:g} "
-        "(exceptional-point crossing or metric blow-up upstream)",
-        t=float(t),
-    )
-
-
-def step_generator(
-    state: EvolutionState,
-    generators: Sequence[np.ndarray],
-    dt: float,
-) -> EvolutionState:
-    """One classical RK4 step of the twin equations.
-
-    ``generators`` holds H_gen at (t, t + dt/2, t + dt).  The right ket
-    advances with H_gen, the left ket with its adjoint; the standard ket is
-    not advanced here (it has its own closed-form propagator) and is carried
-    through unchanged.
-    """
-    if dt <= 0.0:
-        raise ScenarioError(f"dt must be positive, got {dt}")
-    g0, gm, g1 = generators
-    phi_right = state.phi_right
-    if phi_right is not None:
-        phi_right = _advance(phi_right, rk4_increments(g0, gm, g1, dt))
-    phi_left = state.phi_left
-    if phi_left is not None:
-        phi_left = _advance(phi_left, rk4_increments(dagger(g0), dagger(gm), dagger(g1), dt))
-    for ket in (phi_right, phi_left):
-        if ket is not None and not np.all(np.isfinite(ket)):
-            raise _blowup(state.t)
-    return EvolutionState(
-        t=state.t + dt,
-        phi_right=phi_right,
-        phi_left=phi_left,
-        phi_standard=state.phi_standard,
-    )
+def validate_pictures(pictures: Sequence[str]) -> tuple[str, ...]:
+    """The requested pictures as a tuple; raises `ScenarioError` for an
+    unknown picture or when 'right' is missing."""
+    pictures = tuple(pictures)
+    for p in pictures:
+        if p not in PICTURES:
+            raise ScenarioError(f"unknown picture {p!r}; expected a subset of {PICTURES}")
+    if "right" not in pictures:
+        raise ScenarioError("the 'right' picture is mandatory")
+    return pictures
 
 
 def resolve_initial_state(spec, track: DressingTrack) -> np.ndarray:
@@ -267,17 +201,11 @@ def propagate_quasi(
     Theta-norm.  Raises `IntegrationError` naming the first step whose kets
     are not finite.
     """
-    pictures = tuple(pictures)
-    for p in pictures:
-        if p not in PICTURES:
-            raise ScenarioError(f"unknown picture {p!r}; expected a subset of {PICTURES}")
-    if "right" not in pictures:
-        raise ScenarioError("the 'right' picture is mandatory")
-
+    pictures = validate_pictures(pictures)
     if use_plain_hamiltonian:
         gens = track.hamiltonians
     else:
-        gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
+        gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
 
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
@@ -300,10 +228,15 @@ def propagate_quasi(
                 block = np.concatenate([block, dagger(block)], axis=1)
             increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)
             for k in range(k0, k1):
-                kets[k + 1] = _advance(kets[k], increments[k - k0])
+                kets[k + 1] = kets[k] + (increments[k - k0] @ kets[k][..., None])[..., 0]
     finite = np.isfinite(kets).all(axis=(1, 2))
     if not finite.all():
-        raise _blowup(coarse[max(int(np.argmin(finite)) - 1, 0)])
+        t = coarse[max(int(np.argmin(finite)) - 1, 0)]
+        raise IntegrationError(
+            f"non-finite state components after the step at t={t:g} "
+            "(exceptional-point crossing or metric blow-up upstream)",
+            t=float(t),
+        )
 
     phi_standard = None
     if "standard" in pictures:
@@ -318,11 +251,10 @@ def propagate_quasi(
     )
 
 
-def expectation(state, A: np.ndarray, theta: np.ndarray):
-    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of the right ket
-    of ``state``: one value for an `EvolutionState`, one per reporting point
-    for a `Trajectory` (with A and theta stacked or broadcast to match)."""
-    phi = state.phi_right
+def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray):
+    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of one (N,) ket,
+    or of each ket of a (K, N) stack (with A and theta stacked or broadcast
+    to match)."""
     norm = theta_inner(phi, phi, theta)
     if np.any(np.abs(norm) < 1e-300):
         raise ValueError("zero Theta-norm state has no expectation values")

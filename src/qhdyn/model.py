@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
+from .schedules import ScheduleSpec, eval_schedule
 
 FAMILIES = ("triangular2", "pt2", "similarity-rand", "cubic-trunc")
 
@@ -193,28 +193,6 @@ def real_gauge(model: HamiltonianModel) -> np.ndarray | None:
     return np.array([1, 1j, -1, -1j])[np.arange(model.dimension) % 4]
 
 
-def build_hamiltonian_derivative(model: HamiltonianModel, t: float) -> np.ndarray:
-    """Analytic dH/dt (zero for families without scheduled parameters)."""
-    n = model.dimension
-    if not model.is_time_dependent:
-        return np.zeros((n, n), dtype=complex)
-    if model.family == "triangular2":
-        cdot = _param_derivative(model, "c", t)
-        e1dot = _param_derivative(model, "e1", t)
-        e2dot = _param_derivative(model, "e2", t)
-        return np.array([[e1dot, cdot], [0.0, e2dot]], dtype=complex)
-    if model.family == "pt2":
-        gdot = _param_derivative(model, "gamma", t)
-        sdot = _param_derivative(model, "s", t)
-        return np.array([[1j * gdot, sdot], [sdot, -1j * gdot]], dtype=complex)
-    if model.family == "cubic-trunc":
-        gdot = _param_derivative(model, "g", t)
-        _, x3 = _oscillator_blocks(n)
-        return 1j * gdot * x3
-    # similarity-rand is constant by construction
-    return np.zeros((n, n), dtype=complex)
-
-
 def realize_observable(
     spec: ObservableSpec,
     hamiltonian: np.ndarray,
@@ -227,12 +205,6 @@ def realize_observable(
     if spec.source == "user-matrix":
         return spec.data
     return omega_inv @ spec.data @ omega
-
-
-def _param_derivative(model: HamiltonianModel, name: str, t: float) -> complex:
-    if name in model.h_schedule:
-        return eval_schedule_derivative(model.h_schedule[name], t)
-    return 0.0 + 0.0j
 
 
 def _similarity_energies(model: HamiltonianModel) -> np.ndarray:

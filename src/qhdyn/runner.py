@@ -132,7 +132,7 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
     for k in range(n):
         blocks += [energies[:, k].real, energies[:, k].imag]
     for name in config.outputs:
-        value = expectation(trajectory, observable_series[name], theta)
+        value = expectation(phi, observable_series[name], theta)
         blocks += [value.real, value.imag]
     return tuple(columns), np.column_stack(blocks)
 
@@ -224,21 +224,23 @@ def _sweep_one(args) -> SweepPoint:
 def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "scenario") -> list[SweepPoint]:
     """Independent runs of one scenario with a config entry swept over values.
 
-    Each point gets a deep-copied document; points run in parallel up to
-    ``jobs``.  Errors are captured per point, not raised.
+    Each point gets a deep-copied document; points run in parallel in up to
+    ``jobs`` worker processes, never more than there are points.  Errors are
+    captured per point, not raised; ``jobs`` < 1 raises `ScenarioError`.
     """
     import copy as _copy
 
-    if not values:
-        return []
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be at least 1, got {jobs}")
     tasks = []
     for value in values:
         label = f"{name}__{param_path.replace('.', '_')}={value}"
         tasks.append((_copy.deepcopy(raw), param_path, value, label))
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
 

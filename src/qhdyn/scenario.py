@@ -33,7 +33,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .evolution import PICTURES, time_grid
+from .evolution import PICTURES, time_grid, validate_pictures
 from .model import HamiltonianModel, ObservableSpec
 from .schedules import ScheduleSpec, validate_bounded, validate_nonvanishing
 from .verify import DEFAULT_THRESHOLDS
@@ -106,9 +106,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     t0 = _number(time_doc, "time.t0")
     t1 = _number(time_doc, "time.t1")
     dt = _number(time_doc, "time.dt")
-    if dt <= 0.0:
-        raise ScenarioError(f"time.dt must be positive, got {dt}")
-    time_grid(t0, t1, dt)  # validates divisibility and minimum step count
+    time_grid(t0, t1, dt)  # validates the sign of dt, divisibility and the step count
 
     model = _parse_model(model_doc, t0)
     for key, spec in model.h_schedule.items():
@@ -127,12 +125,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     pictures = raw.get("pictures", list(PICTURES))
     if not isinstance(pictures, list):
         raise ScenarioError(f"pictures must be a list, got {pictures!r}")
-    pictures = tuple(pictures)
-    for p in pictures:
-        if p not in PICTURES:
-            raise ScenarioError(f"unknown picture {p!r}; expected a subset of {PICTURES}")
-    if "right" not in pictures:
-        raise ScenarioError("pictures must include 'right'")
+    pictures = validate_pictures(pictures)
 
     selection, overrides = _parse_checks(raw.get("checks"))
 

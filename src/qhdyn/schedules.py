@@ -65,10 +65,6 @@ class ScheduleSpec:
         return self.amplitude == 0.0 or self.frequency == 0.0
 
 
-def constant(value: complex) -> ScheduleSpec:
-    return ScheduleSpec(kind="constant", base=value)
-
-
 def eval_schedule(spec: ScheduleSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """Scheduled value at time ``t`` (elementwise for an array of times)."""
     if spec.kind == "constant":

@@ -58,25 +58,6 @@ class BiorthogonalFrame:
     def dimension(self) -> int:
         return self.energies.shape[-1]
 
-    @property
-    def spectrum_is_real(self) -> bool:
-        return bool(np.max(np.abs(self.energies.imag)) < REALITY_TOL)
-
-    def validate(self, matrix: np.ndarray | None = None):
-        """Raise unless biorthonormality, completeness, and (optionally) the
-        eigen-residuals against ``matrix`` (one per point) hold at their
-        standard tolerances; the earliest failing point is reported."""
-        n = self.dimension
-        kets = self.right_kets.reshape(-1, n, n)
-        times = np.broadcast_to(np.asarray(self.t, dtype=float), kets.shape[:1])
-        if matrix is not None:
-            matrix = np.asarray(matrix).reshape(kets.shape)
-        _raise_earliest(
-            _frame_failures(
-                kets, self.left_bras.reshape(-1, n, n), self.energies.reshape(-1, n), times, matrix
-            )
-        )
-
 
 # (per-point failure flags, error for a failing point index), in priority order
 _Failure = tuple[np.ndarray, Callable[[int], NumericalDomainError]]
@@ -180,7 +161,7 @@ def eig_biorthogonal(
     exceptional-point margin 1 / (||<<n|| ||n>||) falls below 1e-8 (defective
     or near-defective input, including a singular R); with reality_policy
     'assert', `ComplexSpectrumError` when any |Im E_n| >= 1e-10 ('report'
-    leaves reality to the caller via `spectrum_is_real`); then
+    leaves reality to the caller); then
     `ExceptionalPointError` when the frame fails validation.  The earliest
     failing point of a stack is the one reported.
     """
@@ -265,7 +246,9 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
 
     Raises `AmbiguousMatchError` at the earliest point where the assignment
     is not a unique permutation (two candidate overlaps within 1e-6 of each
-    other, or two rows claiming the same column).
+    other, or two rows claiming the same column).  When the spectrum is real
+    at the previous point and not at that point, the message says that an
+    exceptional point was crossed between the two.
     """
     kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
     m, n = energies.shape
@@ -285,17 +268,25 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     if bad.size:
         k = stop
         rows = perm[k - 1]
+        worst_im = np.max(np.abs(energies[k - 1 : k + 1].imag), axis=-1)
+        crossing = ""
+        if worst_im[0] < REALITY_TOL <= worst_im[1]:
+            crossing = (
+                f"; the spectrum left the real axis between t={times[k - 1]:g} and t={times[k]:g}, "
+                f"so an exceptional point was crossed between grid points (max |Im E| = "
+                f"{worst_im[1]:.3e} at t={times[k]:g})"
+            )
         if ambiguous[k - 1, rows].any():
             j = int(np.argmax(ambiguous[k - 1, rows]))
             i = rows[j]
             raise AmbiguousMatchError(
                 f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
-                f"(best {ranked[k - 1, i, -1]:.3e} vs runner-up {runner_up[k - 1, i]:.3e})",
+                f"(best {ranked[k - 1, i, -1]:.3e} vs runner-up {runner_up[k - 1, i]:.3e}){crossing}",
                 t=float(times[k]),
             )
         raise AmbiguousMatchError(
             f"continuity matching at t={times[k]:g} is not a permutation: "
-            f"{best[k - 1, rows].tolist()}",
+            f"{best[k - 1, rows].tolist()}{crossing}",
             t=float(times[k]),
         )
 

@@ -4,13 +4,14 @@ Each check condenses one structural identity of the dressed dynamics into a
 max-norm residual over the run and compares it against a threshold.  The
 defaults target desk scale (N <= 8, dt = 1e-3, T <= 1) and every threshold
 can be overridden per scenario.  Every check is one array expression over
-the stacked track and trajectory, giving a residual per grid time.
+the stacked track and trajectory, giving a residual per grid time, and one
+row of the table `CHECKS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,19 +19,19 @@ from .dressing import DressingTrack, dagger, hermitize, quasi_hermiticity_residu
 from .errors import ScenarioError
 from .evolution import Trajectory, expectation
 
-DEFAULT_THRESHOLDS = {
-    "theta-norm-conservation": 1e-8,
-    "left-right-duality": 1e-8,
-    "state-consistency": 1e-7,
-    "equivalence": 1e-7,
-    "standard-unitarity": 1e-10,
-    "propagator-intertwining": 1e-7,
-    "quasi-hermiticity": 1e-9,
-    "isospectrality": 1e-9,
-    "observable-reality": 1e-9,
-}
 
-CHECK_NAMES = tuple(DEFAULT_THRESHOLDS)
+class Check(NamedTuple):
+    """One row of `CHECKS`.
+
+    residuals     (trajectory, track, observable_series) -> (K,) residual per time
+    threshold     default threshold; a residual at or above it fails the check
+    on_fine_grid  True when the residuals sit on the track's fine grid, False
+                  when they sit on the trajectory's reporting grid
+    """
+
+    residuals: Callable[[Trajectory, DressingTrack, Mapping | None], np.ndarray]
+    threshold: float
+    on_fine_grid: bool
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class InvariantReport:
         )
 
 
-def equivalence_residuals(trajectory: Trajectory, track: DressingTrack) -> np.ndarray:
+def equivalence_residuals(trajectory: Trajectory, track: DressingTrack, observable_series=None) -> np.ndarray:
     """(K,) relative distance of the integrated right ket from the oracle path
     Omega^-1(t) u(t) Omega(0) Phi(0)."""
     phi0 = trajectory.phi_right[0]
@@ -67,76 +68,53 @@ def equivalence_residuals(trajectory: Trajectory, track: DressingTrack) -> np.nd
     return np.linalg.norm(trajectory.phi_right - oracle, axis=-1) / float(np.linalg.norm(phi0))
 
 
-def check_norm_conservation(trajectory: Trajectory, track: DressingTrack, threshold=None) -> InvariantReport:
+def _norm_drift(trajectory, track, observable_series):
     """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> along the run."""
-    threshold = DEFAULT_THRESHOLDS["theta-norm-conservation"] if threshold is None else threshold
     phi = trajectory.phi_right
     norms = theta_inner(phi, phi, track.theta[::2]).real
-    return InvariantReport.from_series(
-        "theta-norm-conservation", trajectory.times, np.abs(norms - norms[0]), threshold
-    )
+    return np.abs(norms - norms[0])
 
 
-def check_left_right_duality(trajectory: Trajectory, threshold=None) -> InvariantReport:
+def _duality_drift(trajectory, track, observable_series):
     """Drift of <<Phi(t)|Phi(t)> built from the independently integrated left ket."""
-    threshold = DEFAULT_THRESHOLDS["left-right-duality"] if threshold is None else threshold
-    _require_picture(trajectory, "left")
+    _require_left(trajectory)
     vals = np.sum(np.conj(trajectory.phi_left) * trajectory.phi_right, axis=-1)
-    return InvariantReport.from_series("left-right-duality", trajectory.times, np.abs(vals - vals[0]), threshold)
+    return np.abs(vals - vals[0])
 
 
-def check_state_consistency(trajectory: Trajectory, track: DressingTrack, threshold=None) -> InvariantReport:
+def _state_consistency(trajectory, track, observable_series):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    threshold = DEFAULT_THRESHOLDS["state-consistency"] if threshold is None else threshold
-    _require_picture(trajectory, "left")
+    _require_left(trajectory)
     expected = (track.theta[::2] @ trajectory.phi_right[..., None])[..., 0]
-    residuals = np.linalg.norm(trajectory.phi_left - expected, axis=-1)
-    return InvariantReport.from_series("state-consistency", trajectory.times, residuals, threshold)
+    return np.linalg.norm(trajectory.phi_left - expected, axis=-1)
 
 
-def check_equivalence(trajectory: Trajectory, track: DressingTrack, threshold=None) -> InvariantReport:
-    """Relative distance of the integrated right ket from the oracle path
-    Omega^-1(t) u(t) Omega(0) Phi(0)."""
-    threshold = DEFAULT_THRESHOLDS["equivalence"] if threshold is None else threshold
-    return InvariantReport.from_series(
-        "equivalence", trajectory.times, equivalence_residuals(trajectory, track), threshold
-    )
-
-
-def check_standard_unitarity(trajectory: Trajectory, threshold=None) -> InvariantReport:
-    """max ||u' u - I|| over the standard-space propagators (diagonal, so only
+def _standard_unitarity(trajectory, track, observable_series):
+    """||u' u - I|| over the standard-space propagators (diagonal, so only
     the diagonal of u' u can differ from I)."""
-    threshold = DEFAULT_THRESHOLDS["standard-unitarity"] if threshold is None else threshold
     u = trajectory.u_diagonals
-    residuals = np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
-    return InvariantReport.from_series("standard-unitarity", trajectory.times, residuals, threshold)
+    return np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
 
 
-def check_propagator_intertwining(
-    trajectory: Trajectory, track: DressingTrack, threshold=None
-) -> InvariantReport:
+def _intertwining(trajectory, track, observable_series):
     """U_L(t) U_R(t) = I -- the product whose collapse conserves the metric norm.
 
     U_R(t) = Omega^-1(t) u(t) Omega(0) moves right kets and
     U_L(t) = (Omega(t)' u(t) Omega^-1(0)')' = Omega^-1(0) u(t)' Omega(t)
     is the pulled-back left action.
     """
-    threshold = DEFAULT_THRESHOLDS["propagator-intertwining"] if threshold is None else threshold
     u = trajectory.u_diagonals[:, None, :]
     u_right = (track.omega_inv[::2] * u) @ track.omega[0]
     u_left = dagger((dagger(track.omega[::2]) * u) @ dagger(track.omega_inv[0]))
-    residuals = np.max(np.abs(u_left @ u_right - np.eye(track.dimension)), axis=(-2, -1))
-    return InvariantReport.from_series("propagator-intertwining", trajectory.times, residuals, threshold)
+    return np.max(np.abs(u_left @ u_right - np.eye(track.dimension)), axis=(-2, -1))
 
 
-def check_quasi_hermiticity(track: DressingTrack, threshold=None) -> InvariantReport:
+def _quasi_hermiticity(trajectory, track, observable_series):
     """||H' Theta - Theta H|| at every grid point of the track."""
-    threshold = DEFAULT_THRESHOLDS["quasi-hermiticity"] if threshold is None else threshold
-    residuals = quasi_hermiticity_residual(track.hamiltonians, track.theta)
-    return InvariantReport.from_series("quasi-hermiticity", track.times, residuals, threshold)
+    return quasi_hermiticity_residual(track.hamiltonians, track.theta)
 
 
-def check_isospectrality(track: DressingTrack, threshold=None) -> InvariantReport:
+def _isospectrality(trajectory, track, observable_series):
     """Spectra of h = Omega H Omega^-1 and H agree, certified by Gershgorin discs.
 
     The spectrum of H is the track's energies E, validated against H by their
@@ -150,7 +128,6 @@ def check_isospectrality(track: DressingTrack, threshold=None) -> InvariantRepor
     eigensolved, and the residual there is the largest distance between the
     (Re, Im)-sorted spectra of h and E.
     """
-    threshold = DEFAULT_THRESHOLDS["isospectrality"] if threshold is None else threshold
     energies = track.energies
     levels = np.arange(track.dimension)
     h = hermitize(track.omega, track.hamiltonians, track.omega_inv)
@@ -165,37 +142,49 @@ def check_isospectrality(track: DressingTrack, threshold=None) -> InvariantRepor
         h[:, levels, levels] = diagonal[overlap]
         spec_h = _lexsorted(np.linalg.eigvals(h))
         residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(energies[overlap])), axis=-1)
-    return InvariantReport.from_series("isospectrality", track.times, residuals, threshold)
+    return residuals
 
 
-def check_observable_reality(
-    trajectory: Trajectory,
-    observable_series: Mapping[str, np.ndarray],
-    track: DressingTrack,
-    threshold=None,
-    residual_threshold=None,
-) -> InvariantReport:
+def _observable_reality(trajectory, track, observable_series):
     """Imaginary part of every declared observable's mean value along the run.
 
     ``observable_series`` maps each name to its matrices on the reporting
     grid, (K, N, N) or one (N, N) matrix for all times.  Each observable must
-    first pass the quasi-Hermiticity residual gate at every reporting point; a
-    failed gate fails the check outright (the mean value of an illegitimate
-    observable has no reality claim).
+    first pass the quasi-Hermiticity residual gate, at the default
+    `quasi-hermiticity` threshold, at every reporting point; a failed gate
+    fails the check outright (the mean value of an illegitimate observable
+    has no reality claim).
     """
-    threshold = DEFAULT_THRESHOLDS["observable-reality"] if threshold is None else threshold
-    residual_threshold = (
-        DEFAULT_THRESHOLDS["quasi-hermiticity"] if residual_threshold is None else residual_threshold
-    )
+    if observable_series is None:
+        raise ScenarioError("observable-reality requested but no observables declared")
     theta = track.theta[::2]
+    gate_threshold = CHECKS["quasi-hermiticity"].threshold
     residuals = np.zeros(len(trajectory.times))
     for series in observable_series.values():
         a = np.asarray(series)
         gate = quasi_hermiticity_residual(a, theta)
         # not a Theta-observable where the gate fails; report the violation itself
-        value = np.where(gate > residual_threshold, gate, np.abs(expectation(trajectory, a, theta).imag))
+        value = np.where(gate > gate_threshold, gate, np.abs(expectation(trajectory.phi_right, a, theta).imag))
         residuals = np.maximum(residuals, value)
-    return InvariantReport.from_series("observable-reality", trajectory.times, residuals, threshold)
+    return residuals
+
+
+# every named check, in reporting order
+CHECKS = {
+    "theta-norm-conservation": Check(_norm_drift, 1e-8, False),
+    "left-right-duality": Check(_duality_drift, 1e-8, False),
+    "state-consistency": Check(_state_consistency, 1e-7, False),
+    "equivalence": Check(equivalence_residuals, 1e-7, False),
+    "standard-unitarity": Check(_standard_unitarity, 1e-10, False),
+    "propagator-intertwining": Check(_intertwining, 1e-7, False),
+    "quasi-hermiticity": Check(_quasi_hermiticity, 1e-9, True),
+    "isospectrality": Check(_isospectrality, 1e-9, True),
+    "observable-reality": Check(_observable_reality, 1e-9, False),
+}
+
+DEFAULT_THRESHOLDS = {name: check.threshold for name, check in CHECKS.items()}
+
+_LEFT_CHECKS = ("left-right-duality", "state-consistency")
 
 
 def run_standard_checks(
@@ -207,57 +196,32 @@ def run_standard_checks(
 ) -> list[InvariantReport]:
     """Run the named checks (all by default) with optional threshold overrides.
 
-    Checks that need the left picture are skipped automatically when it was
-    not integrated, unless explicitly selected.
+    Checks that need the left picture or declared observables are skipped
+    when those are absent, unless explicitly selected; then they raise
+    `ScenarioError`.
     """
     overrides = dict(overrides or {})
-    for name in overrides:
-        if name not in DEFAULT_THRESHOLDS:
-            raise ScenarioError(f"unknown check name {name!r}")
-    explicit = selection is not None
     if selection is None:
-        selection = list(CHECK_NAMES)
-        if "left" not in trajectory.pictures:
-            selection = [s for s in selection if s not in ("left-right-duality", "state-consistency")]
-        if observable_series is None:
-            selection = [s for s in selection if s != "observable-reality"]
-    for name in selection:
-        if name not in DEFAULT_THRESHOLDS:
+        selection = [
+            name for name in CHECKS
+            if (name not in _LEFT_CHECKS or "left" in trajectory.pictures)
+            and (name != "observable-reality" or observable_series is not None)
+        ]
+    for name in [*overrides, *selection]:
+        if name not in CHECKS:
             raise ScenarioError(f"unknown check name {name!r}")
-
-    def thr(name):
-        return overrides.get(name, DEFAULT_THRESHOLDS[name])
-
     reports = []
     for name in selection:
-        if name == "theta-norm-conservation":
-            reports.append(check_norm_conservation(trajectory, track, thr(name)))
-        elif name == "left-right-duality":
-            reports.append(check_left_right_duality(trajectory, thr(name)))
-        elif name == "state-consistency":
-            reports.append(check_state_consistency(trajectory, track, thr(name)))
-        elif name == "equivalence":
-            reports.append(check_equivalence(trajectory, track, threshold=thr(name)))
-        elif name == "standard-unitarity":
-            reports.append(check_standard_unitarity(trajectory, thr(name)))
-        elif name == "propagator-intertwining":
-            reports.append(check_propagator_intertwining(trajectory, track, thr(name)))
-        elif name == "quasi-hermiticity":
-            reports.append(check_quasi_hermiticity(track, thr(name)))
-        elif name == "isospectrality":
-            reports.append(check_isospectrality(track, thr(name)))
-        elif name == "observable-reality":
-            if observable_series is None:
-                if explicit:
-                    raise ScenarioError("observable-reality requested but no observables declared")
-                continue
-            reports.append(check_observable_reality(trajectory, observable_series, track, thr(name)))
+        check = CHECKS[name]
+        times = track.times if check.on_fine_grid else trajectory.times
+        residuals = check.residuals(trajectory, track, observable_series)
+        reports.append(InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold)))
     return reports
 
 
-def _require_picture(trajectory: Trajectory, picture: str):
-    if picture not in trajectory.pictures:
-        raise ScenarioError(f"check needs the {picture!r} picture, which was not integrated")
+def _require_left(trajectory: Trajectory):
+    if "left" not in trajectory.pictures:
+        raise ScenarioError("check needs the 'left' picture, which was not integrated")
 
 
 def _lexsorted(values: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def load_scenario(name, **replacements):
 @pytest.fixture(scope="session")
 def hand_frame():
     """Hand-verified biorthogonal frame of [[1, 1], [0, 2]]."""
-    from qhdyn import BiorthogonalFrame
+    from qhdyn.spectral import BiorthogonalFrame
 
     return BiorthogonalFrame(
         t=0.0,

@@ -16,12 +16,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from qhdyn import BiorthogonalFrame, DressingTrack, build_generator
-from qhdyn.dressing import dagger
+from qhdyn import DressingTrack
+from qhdyn.dressing import build_generator, dagger
 from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, IntegrationError
 from qhdyn.evolution import PICTURES, resolve_initial_state, standard_phases
 from qhdyn.model import HamiltonianModel, _similarity_energies
 from qhdyn.spectral import (
+    BiorthogonalFrame,
     _BIORTHO_TOL,
     _EIGEN_RESIDUAL_TOL,
     AMBIGUITY_TOL,
@@ -139,7 +140,7 @@ def reference_propagate(
     if use_plain_hamiltonian:
         gens = track.hamiltonians
     else:
-        gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
+        gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
     if want_left:

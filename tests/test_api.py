@@ -1,0 +1,37 @@
+"""The public surface: the names the package exports and the README's Python
+API example."""
+
+import re
+from pathlib import Path
+
+import qhdyn
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qhdyn.__all__ if not hasattr(qhdyn, name)]
+    assert missing == []
+
+
+def test_export_list_stays_short():
+    assert len(set(qhdyn.__all__)) == len(qhdyn.__all__) <= 30
+
+
+def test_readme_example_imports_exported_names():
+    imported = re.search(r"from qhdyn import \((.*?)\)", _readme_example(), re.S).group(1)
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    assert names and names <= set(qhdyn.__all__)
+
+
+def test_readme_example_runs_and_passes(capsys):
+    exec(compile(_readme_example(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # nine checks less observable-reality: the example declares no observables
+    assert len(lines) == 8
+    assert [line.split()[-1] for line in lines] == ["True"] * 8

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -104,6 +105,23 @@ def test_exceptional_point_scenario_exit_three(capsys):
     assert "exceptional point" in err
     # the EP margin is checked before reality at the same grid point
     assert "t=0.8" in err and "|Im E|" not in err
+
+
+def test_exceptional_point_between_grid_points_is_named(capsys):
+    # the 4 x 4 truncation turns a real pair complex between two grid points,
+    # where continuity matching finds two equally good candidates
+    code = main([
+        "run", scenario_path("cubic_osc_drive"),
+        "--override", "time.t0=2.0",
+        "--override", "time.t1=3.0",
+        "--override", "model.h_schedule={g: {kind: linear-ramp, base: -0.1, rate: 0.1}}",
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL_ERROR
+    assert "continuity match for eigenpair 0 at t=2.5985 is ambiguous" in err
+    assert "the spectrum left the real axis between t=2.598 and t=2.5985" in err
+    assert "an exceptional point was crossed between grid points" in err
+    assert re.search(r"max \|Im E\| = \d\.\d{3}e-0\d at t=2\.5985\)", err)
 
 
 @pytest.mark.parametrize("override", ["time.dt=.nan", "time.t1=.inf", "time.dt=1e-300"])
@@ -370,6 +388,55 @@ def test_sweep_cli_parallel_jobs(tmp_path):
     assert code == EXIT_OK
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert len(produced) == 2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, max_workers):
+        _RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import concurrent.futures
+
+    _RecordingPool.created = []
+    # set in the module's namespace, so the real pool module is never imported
+    monkeypatch.setitem(vars(concurrent.futures), "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.created
+
+
+def test_sweep_pool_is_capped_at_the_point_count(recording_pool):
+    import yaml
+
+    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
+    points = sweep(raw, "time.dt", [0.01, 0.005], jobs=5000)
+    assert recording_pool == [2]
+    assert [p.exit_code for p in points] == [EXIT_OK, EXIT_OK]
+    # one point never needs a pool
+    assert sweep(raw, "time.dt", [0.01], jobs=4)[0].exit_code == EXIT_OK
+    assert recording_pool == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(jobs, recording_pool, capsys):
+    code = main([
+        "sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
+        "--jobs", jobs,
+    ])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert recording_pool == []
 
 
 def test_sweep_captures_numerical_errors():

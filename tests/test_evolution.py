@@ -6,21 +6,17 @@ import scipy.linalg
 
 from qhdyn import (
     ComplexSpectrumError,
-    EvolutionState,
     HamiltonianModel,
     ScenarioError,
     build_dressing_track,
-    expectation,
     propagate_quasi,
-    build_generator,
-    propagate_standard,
-    step_generator,
+    run_standard_checks,
     time_grid,
 )
+from qhdyn.dressing import build_generator
 from qhdyn.errors import IntegrationError
-from qhdyn.evolution import rk4_increments
+from qhdyn.evolution import expectation, rk4_increments, standard_phases
 from qhdyn.schedules import ScheduleSpec
-from qhdyn.verify import check_norm_conservation, check_propagator_intertwining
 
 from conftest import SHIPPED_SCENARIOS, load_scenario
 from reference import reference_propagate
@@ -37,18 +33,20 @@ def _track(model, mu, t0=0.0, t1=1.0, dt=1e-3, **kw):
     return build_dressing_track(model, mu, fine, **kw)
 
 
+def _standard_propagator(track):
+    """u over the whole track, from the accumulated phases at its last point."""
+    return np.diag(np.exp(-1j * standard_phases(track)[-1]))
+
+
+def _check(name, traj, track):
+    return run_standard_checks(traj, track, selection=[name])[0]
+
+
 def test_standard_propagator_constant_energies():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2, t1=np.pi, dt=np.pi / 100)
-    u = propagate_standard(track)
+    u = _standard_propagator(track)
     np.testing.assert_allclose(u, np.diag([-1.0, 1.0]), atol=1e-12)
-
-
-def test_standard_propagator_zero_interval_is_identity():
-    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
-    track = _track(model, CONST_MU2, dt=0.1)
-    u = propagate_standard(track, 0.3, 0.3)
-    np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
 
 
 def test_standard_propagator_unitary_for_scheduled_energies():
@@ -59,7 +57,7 @@ def test_standard_propagator_unitary_for_scheduled_energies():
         {"gamma": ScheduleSpec("linear-ramp", base=0.0, rate=0.8)},
     )
     track = _track(model, CONST_MU2, dt=1e-2)
-    u = propagate_standard(track)
+    u = _standard_propagator(track)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -67,49 +65,41 @@ def test_standard_propagator_rejects_complex_energies():
     model = HamiltonianModel(4, "cubic-trunc", {"g": 0.5})  # broken-reality regime
     track = _track(model, tuple(CONST_MU2) * 2, dt=0.1, reality_policy="report")
     with pytest.raises(ComplexSpectrumError, match="mid-run"):
-        propagate_standard(track)
+        standard_phases(track)
 
 
-def test_step_generator_zero_is_identity():
-    state = EvolutionState(0.0, np.array([1.0, 2.0j]), np.array([1.0, 2.0j]), None)
-    zero = np.zeros((2, 2), dtype=complex)
-    out = step_generator(state, (zero, zero, zero), 1e-2)
-    np.testing.assert_array_equal(out.phi_right, state.phi_right)
-    np.testing.assert_array_equal(out.phi_left, state.phi_left)
-    assert out.t == pytest.approx(1e-2)
+def test_zero_generator_leaves_the_kets_unchanged():
+    model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
+    track = _track(model, CONST_MU2, dt=1e-2)
+    zero = np.zeros_like(track.hamiltonians)
+    track = dataclasses.replace(track, hamiltonians=zero, omega_dot=zero)
+    phi0 = np.array([1.0, 2.0j])
+    traj = propagate_quasi(track, phi0, pictures=("right", "left"))
+    np.testing.assert_array_equal(traj.phi_right, np.broadcast_to(phi0, traj.phi_right.shape))
+    np.testing.assert_array_equal(traj.phi_left, np.broadcast_to(track.theta[0] @ phi0, traj.phi_left.shape))
 
 
-def test_step_generator_matches_scalar_exponentials():
+def test_diagonal_generator_matches_scalar_exponentials():
     # constant non-normal diagonal generator: components evolve independently
-    gen = np.diag([1.0 - 0.3j, 2.0 + 0.1j])
-    gens = (gen, gen, gen)
-    dt = 1e-3
-    state = EvolutionState(0.0, np.array([0.6, 0.8], dtype=complex),
-                           np.array([0.6, 0.8], dtype=complex), None)
-    for _ in range(1000):
-        state = step_generator(state, gens, dt)
+    model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
+    track = _track(model, CONST_MU2)
+    gen = np.broadcast_to(np.diag([1.0 - 0.3j, 2.0 + 0.1j]), track.hamiltonians.shape)
+    track = dataclasses.replace(track, hamiltonians=gen, omega_dot=np.zeros_like(gen))
+    phi0 = np.array([0.6, 0.8], dtype=complex)
+    traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     t = 1.0
     exact_right = np.array([np.exp((-1j - 0.3) * t) * 0.6, np.exp((-2j + 0.1) * t) * 0.8])
     exact_left = np.array([np.exp((-1j + 0.3) * t) * 0.6, np.exp((-2j - 0.1) * t) * 0.8])
-    np.testing.assert_allclose(state.phi_right, exact_right, atol=1e-10)
-    np.testing.assert_allclose(state.phi_left, exact_left, atol=1e-10)
+    np.testing.assert_allclose(traj.phi_right[-1], exact_right, atol=1e-10)
+    np.testing.assert_allclose(traj.phi_left[-1], exact_left, atol=1e-10)
     # plain norm of the right ket is not conserved for this generator
-    assert abs(np.linalg.norm(state.phi_right) - np.linalg.norm([0.6, 0.8])) > 1e-3
-
-
-def test_step_generator_blowup_guard():
-    from qhdyn import IntegrationError
-
-    huge = np.diag([1e308, 1e308]).astype(complex)
-    state = EvolutionState(0.0, np.array([0.6, 0.8], dtype=complex), None, None)
-    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="non-finite"):
-        step_generator(state, (huge, huge, huge), 1.0)
+    assert abs(np.linalg.norm(traj.phi_right[-1]) - np.linalg.norm([0.6, 0.8])) > 1e-3
 
 
 def test_static_scenario_generator_equals_hamiltonian():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=0.1)
-    gens = build_generator(track.hamiltonians, track.omega, track.omega_dot, track.omega_inv)
+    gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
     np.testing.assert_array_equal(gens, track.hamiltonians)
 
 
@@ -120,7 +110,7 @@ def test_stationary_eigenstate_evolution():
     phi0 = track.right_kets[0][:, 0]
     for t, phi in zip(traj.times, traj.phi_right):
         np.testing.assert_allclose(phi, np.exp(-1j * t) * phi0, atol=1e-9)
-    drift = check_norm_conservation(traj, track)
+    drift = _check("theta-norm-conservation", traj, track)
     assert drift.max_residual < 1e-12
 
 
@@ -147,7 +137,7 @@ def test_generic_equivalence_residual():
     track = _track(model, EXP_MU2)
     traj = propagate_quasi(track, "uniform")
     final = traj.phi_right[-1]
-    oracle = track.omega_inv[-1] @ propagate_standard(track) @ track.omega[0] @ traj.phi_right[0]
+    oracle = track.omega_inv[-1] @ _standard_propagator(track) @ track.omega[0] @ traj.phi_right[0]
     assert np.linalg.norm(final - oracle) < 1e-7
 
 
@@ -172,9 +162,7 @@ def test_stationary_equivalence_residual_tight():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, ("eigenstate", 0))
-    from qhdyn.verify import check_equivalence
-
-    assert check_equivalence(traj, track).max_residual < 1e-10
+    assert _check("equivalence", traj, track).max_residual < 1e-10
 
 
 def test_rk4_convergence_order():
@@ -195,7 +183,7 @@ def test_rk4_convergence_order():
         final = traj.phi_right[-1]
         oracle = (
             track.omega_inv[-1]
-            @ propagate_standard(track)
+            @ _standard_propagator(track)
             @ track.omega[0]
             @ traj.phi_right[0]
         )
@@ -208,13 +196,13 @@ def test_propagator_intertwining_relations():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.5, "s": 1.0})
     track = _track(model, EXP_MU2, dt=1e-2)
     traj = propagate_quasi(track, "uniform")
-    u = propagate_standard(track)
+    u = _standard_propagator(track)
     u_right = track.omega_inv[-1] @ u @ track.omega[0]
     u_left_dag = track.omega[-1].conj().T @ u @ track.omega_inv[0].conj().T
     u_left = u_left_dag.conj().T
     np.testing.assert_allclose(u_left @ u_right, np.eye(2), atol=1e-7)
     # the stacked check evaluates the same product at every reporting point
-    report = check_propagator_intertwining(traj, track)
+    report = _check("propagator-intertwining", traj, track)
     assert report.passed
     assert report.residuals[-1] == pytest.approx(
         np.max(np.abs(u_left @ u_right - np.eye(2))), abs=1e-14
@@ -246,14 +234,16 @@ def test_initial_state_resolution_errors():
 
 def test_expectation_cases(hand_frame, hand_matrix):
     theta = np.array([[1.0, -1.0], [-1.0, 2.0]], dtype=complex)
-    state = EvolutionState(0.0, np.array([1.0, 1.0], dtype=complex), None, None)
-    assert expectation(state, np.eye(2), theta) == pytest.approx(1.0, abs=1e-14)
-    assert expectation(state, hand_matrix, theta) == pytest.approx(2.0, abs=1e-14)
+    phi = np.array([1.0, 1.0], dtype=complex)
+    assert expectation(phi, np.eye(2), theta) == pytest.approx(1.0, abs=1e-14)
+    assert expectation(phi, hand_matrix, theta) == pytest.approx(2.0, abs=1e-14)
     # eigenstate gives the eigenvalue exactly
-    eig_state = EvolutionState(0.0, hand_frame.right_kets[:, 1], None, None)
-    assert expectation(eig_state, hand_matrix, theta) == pytest.approx(2.0, abs=1e-12)
+    assert expectation(hand_frame.right_kets[:, 1], hand_matrix, theta) == pytest.approx(2.0, abs=1e-12)
+    # a (K, N) stack gives one value per ket
+    stack = np.stack([phi, hand_frame.right_kets[:, 1]])
+    np.testing.assert_allclose(expectation(stack, hand_matrix, theta), [2.0, 2.0], atol=1e-12)
     with pytest.raises(ValueError, match="zero"):
-        expectation(EvolutionState(0.0, np.zeros(2), None, None), np.eye(2), theta)
+        expectation(np.zeros(2), np.eye(2), theta)
 
 
 def _config_track(config):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qhdyn import HamiltonianModel, ObservableSpec, ScenarioError, build_hamiltonian
-from qhdyn.model import real_gauge
+from qhdyn import HamiltonianModel, ObservableSpec, ScenarioError
+from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 
 from reference import spectrum_closed_form

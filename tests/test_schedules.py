@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qhdyn import ScenarioError, ScheduleSpec, eval_schedule, eval_schedule_derivative
+from qhdyn import ScenarioError, ScheduleSpec
 from qhdyn.schedules import (
     derivative_bound,
+    eval_schedule,
+    eval_schedule_derivative,
     magnitude_bound,
     nonvanishing_bound,
     validate_bounded,

@@ -5,22 +5,16 @@ import pytest
 
 from qhdyn import (
     HamiltonianModel,
+    InvariantReport,
+    ObservableSpec,
     ScenarioError,
     build_dressing_track,
     propagate_quasi,
-    realize_observable,
     run_standard_checks,
     time_grid,
 )
+from qhdyn.model import realize_observable
 from qhdyn.schedules import ScheduleSpec
-from qhdyn.verify import (
-    InvariantReport,
-    check_equivalence,
-    check_isospectrality,
-    check_norm_conservation,
-    check_observable_reality,
-    check_standard_unitarity,
-)
 
 MU2 = (
     ScheduleSpec("exponential", base=1.0, rate=0.3),
@@ -43,6 +37,15 @@ def generic_run():
     return track, traj
 
 
+def _check(name, traj, track, observable_series=None):
+    return run_standard_checks(traj, track, observable_series, selection=[name])[0]
+
+
+def _isospectrality(track):
+    # isospectrality reads only the track
+    return _check("isospectrality", None, track)
+
+
 def test_report_semantics():
     passing = InvariantReport.from_series("x", [0.0, 1.0], [1e-12, 5e-11], 1e-9)
     assert passing.passed and passing.max_residual == pytest.approx(5e-11)
@@ -59,7 +62,7 @@ def test_norm_conservation_static_is_tiny():
     _, fine = time_grid(0.0, 1.0, 1e-3)
     track = build_dressing_track(model, mu, fine)
     traj = propagate_quasi(track, "uniform")
-    assert check_norm_conservation(traj, track).max_residual < 1e-12
+    assert _check("theta-norm-conservation", traj, track).max_residual < 1e-12
 
 
 def test_norm_conservation_eigenstate_is_tiny(generic_run):
@@ -67,25 +70,25 @@ def test_norm_conservation_eigenstate_is_tiny(generic_run):
     _, fine = time_grid(0.0, 1.0, 1e-3)
     track = build_dressing_track(model, MU2, fine)
     traj = propagate_quasi(track, ("eigenstate", 1))
-    assert check_norm_conservation(traj, track).max_residual < 1e-12
+    assert _check("theta-norm-conservation", traj, track).max_residual < 1e-12
 
 
 def test_norm_conservation_generic(generic_run):
     track, traj = generic_run
-    report = check_norm_conservation(traj, track)
+    report = _check("theta-norm-conservation", traj, track)
     assert report.passed and report.max_residual < 1e-8
     assert report.residuals[0] == 0.0
 
 
 def test_equivalence_series_thresholds(generic_run):
     track, traj = generic_run
-    report = check_equivalence(traj, track)
+    report = _check("equivalence", traj, track)
     assert report.passed and report.max_residual < 1e-7
 
 
 def test_standard_unitarity(generic_run):
     track, traj = generic_run
-    report = check_standard_unitarity(traj)
+    report = _check("standard-unitarity", traj, track)
     assert report.passed and report.max_residual < 1e-10
     assert report.residuals[0] < 1e-15  # u(t0) = I
 
@@ -98,8 +101,8 @@ def test_isospectrality_catches_a_corrupted_point(generic_run, field):
     k = 137
     values = getattr(track, field).copy()
     values[k] *= 1.001
-    report = check_isospectrality(dataclasses.replace(track, **{field: values}))
-    assert check_isospectrality(track).passed and not report.passed
+    report = _isospectrality(dataclasses.replace(track, **{field: values}))
+    assert _isospectrality(track).passed and not report.passed
     assert np.flatnonzero(report.residuals >= report.threshold).tolist() == [k]
 
 
@@ -110,7 +113,7 @@ def test_isospectrality_residual_is_the_gershgorin_radius(generic_run):
     k = 40
     omega_inv = track.omega_inv.copy()
     omega_inv[k] = omega_inv[k] @ np.array([[1.0, 1e-6], [0.0, 1.0]])
-    report = check_isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
+    report = _isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
     h = track.omega @ track.hamiltonians @ omega_inv
     radius = np.max(np.sum(np.abs(h - track.energies[:, :, None] * np.eye(2)), axis=-1), axis=-1)
     np.testing.assert_allclose(report.residuals, radius, rtol=0.0, atol=1e-15)
@@ -138,10 +141,10 @@ def test_isospectrality_falls_back_to_eigvals_where_discs_overlap(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    assert check_isospectrality(track).max_residual < 1e-14
+    assert _isospectrality(track).max_residual < 1e-14
     assert solved == []
 
-    report = check_isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
+    report = _isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
     assert len(solved) == 1
     h = track.omega[overlapping] @ track.hamiltonians[overlapping] @ omega_inv[overlapping]
     np.testing.assert_allclose(solved[0], h, rtol=0.0, atol=1e-15)
@@ -160,7 +163,7 @@ def test_observable_reality_identity_and_hamiltonian(generic_run):
     track, traj = generic_run
     eye = [np.eye(2)] * len(traj.times)
     h_series = track.hamiltonians[::2]
-    report = check_observable_reality(traj, {"I": eye, "H": h_series}, track)
+    report = _check("observable-reality", traj, track, {"I": eye, "H": h_series})
     assert report.passed
 
 
@@ -168,14 +171,27 @@ def test_observable_reality_conjugated_seed(generic_run):
     track, traj = generic_run
     seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     series = track.omega_inv[::2] @ seed @ track.omega[::2]
-    report = check_observable_reality(traj, {"imbalance": series}, track)
+    report = _check("observable-reality", traj, track, {"imbalance": series})
     assert report.passed and report.max_residual < 1e-9
+
+
+def test_observable_gate_ignores_a_quasi_hermiticity_override(generic_run):
+    # the gate keeps the default quasi-hermiticity threshold whatever a
+    # scenario sets for the quasi-hermiticity check itself
+    track, traj = generic_run
+    seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    series = {"imbalance": track.omega_inv[::2] @ seed @ track.omega[::2]}
+    plain, tight = (
+        run_standard_checks(traj, track, series, selection=["observable-reality"], overrides=overrides)[0]
+        for overrides in ({}, {"quasi-hermiticity": 1e-30})
+    )
+    np.testing.assert_array_equal(plain.residuals, tight.residuals)
 
 
 def test_observable_reality_gates_illegitimate_matrices(generic_run):
     track, traj = generic_run
     bogus = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)] * len(traj.times)
-    report = check_observable_reality(traj, {"bogus": bogus}, track)
+    report = _check("observable-reality", traj, track, {"bogus": bogus})
     assert not report.passed
     assert report.max_residual > 0.1  # the residual gate itself, not a tiny Im part
 
@@ -223,8 +239,6 @@ def test_realize_observable_sources(generic_run):
     track, traj = generic_run
     omega, omega_inv = track.omega[0], track.omega_inv[0]
     H = track.hamiltonians[0]
-    from qhdyn import ObservableSpec
-
     assert realize_observable(ObservableSpec("H", "hamiltonian-itself"), H, omega, omega_inv) is H
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     np.testing.assert_array_equal(
