@@ -37,26 +37,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qhdyn",
         description="Quasi-Hermitian quantum dynamics with time-dependent metrics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute one scenario file")
-    p_run.add_argument("scenario", type=Path)
-    p_run.add_argument("--out", type=Path, default=None, help="directory for CSV/summary/report")
-    p_run.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scenario", type=Path)
+    common.add_argument("--out", type=Path, default=None, help="directory for CSV/summary/report")
+    common.add_argument(
         "--override",
         action="append",
         default=[],
         metavar="KEY.PATH=VALUE",
         help="override a scenario entry (repeatable)",
     )
-
-    p_sweep = sub.add_parser("sweep", help="run a scenario over a list of parameter values")
-    p_sweep.add_argument("scenario", type=Path)
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("run", parents=[common], help="execute one scenario file")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run a scenario over a list of parameter values")
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. time.dt")
     p_sweep.add_argument("--values", required=True, help="comma-separated value list")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
-    p_sweep.add_argument("--out", type=Path, default=None)
-    p_sweep.add_argument("--override", action="append", default=[], metavar="KEY.PATH=VALUE")
     return parser
 
 
@@ -100,9 +96,7 @@ def _cmd_sweep(args) -> int:
             if p.report is not None:
                 write_outputs(p.report, args.out)
         sys.stdout.write(f"outputs written under {args.out}\n")
-    if not points:
-        return EXIT_OK
-    return max(p.exit_code for p in points)
+    return max((p.exit_code for p in points), default=EXIT_OK)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -49,8 +49,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
     """Omega = sum_n e_n mu_n <<n|: row n is mu_n times the left bra."""
     mu = np.asarray(mu, dtype=complex)
-    if mu.shape != frame.energies.shape:
-        raise ScenarioError(f"need {frame.dimension} mu coefficients per point, got shape {mu.shape}")
     if np.any(mu == 0):
         raise ScenarioError("mu coefficients must be nonzero")
     return mu[..., :, None] * frame.left_bras
@@ -169,8 +167,6 @@ class DressingTrack:
     energies                       (M, N)     tracked E_n(t)
     raw_overlaps                   (M, N)     exceptional-point margins
     theta_eigs                     (M, N)     ascending eigenvalues of Theta
-    omega_dot_source               'analytic' (exact mu differentiation,
-                                   static frames) or 'finite-difference'
     """
 
     times: np.ndarray
@@ -184,7 +180,6 @@ class DressingTrack:
     energies: np.ndarray
     raw_overlaps: np.ndarray
     theta_eigs: np.ndarray
-    omega_dot_source: str
 
     @property
     def dimension(self) -> int:
@@ -195,34 +190,21 @@ class DressingTrack:
         return float(self.times[1] - self.times[0])
 
 
-def omega_dot_series(
-    model: HamiltonianModel,
-    frames: BiorthogonalFrame,
-    omega: np.ndarray,
-    mu_schedules: Sequence[ScheduleSpec],
-    times: np.ndarray,
-    mode: str,
-) -> tuple[np.ndarray, str]:
-    """(M, N, N) dOmega/dt on the grid of a frame stack, by the requested route.
-
-    'analytic-mu-only' differentiates the mu schedules exactly and reuses the
-    (necessarily constant) left bras; it is rejected when H carries a genuine
-    time dependence.  'finite-difference' applies 4th-order stencils to
-    ``omega``, the Omega samples built from the tracked frames.  'auto' picks
-    analytic when H is static.
-    """
+def omega_dot_route(model: HamiltonianModel, mode: str) -> str:
+    """The route of dOmega/dt for ``mode``, decided from the model alone: 'auto'
+    is 'analytic-mu-only' for a static H and 'finite-difference' otherwise.
+    Raises `ScenarioError` for an unknown mode, or 'analytic-mu-only' with a
+    moving H."""
     if mode not in OMEGA_DOT_MODES:
         raise ScenarioError(f"unknown omega_dot mode {mode!r}; expected one of {OMEGA_DOT_MODES}")
     if mode == "auto":
-        mode = "finite-difference" if model.is_time_dependent else "analytic-mu-only"
-    if mode == "analytic-mu-only":
-        if model.is_time_dependent:
-            raise ScenarioError(
-                "omega_dot mode 'analytic-mu-only' is inconsistent with a "
-                "time-dependent Hamiltonian schedule"
-            )
-        return mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras, "analytic"
-    return differentiate_samples(omega, float(times[1] - times[0])), "finite-difference"
+        return "finite-difference" if model.is_time_dependent else "analytic-mu-only"
+    if mode == "analytic-mu-only" and model.is_time_dependent:
+        raise ScenarioError(
+            "omega_dot mode 'analytic-mu-only' is inconsistent with a "
+            "time-dependent Hamiltonian schedule"
+        )
+    return mode
 
 
 def _tracked_frames(
@@ -265,22 +247,26 @@ def build_dressing_track(
     Frames are solved once per distinct H in one batch, continuity-tracked
     and gathered back onto the grid; the dressing then follows the tracked
     gauge, so the sampled Omega(t) lies on one smooth curve and finite
-    differences of it are meaningful.  dOmega/dt comes from exact mu derivatives when H is
-    static and from 4th-order stencils over the Omega samples otherwise
-    (see `omega_dot_series`).
+    differences of it are meaningful.  dOmega/dt follows `omega_dot_route`,
+    decided before any H is built: exact mu derivatives times the (constant)
+    left bras, or 4th-order stencils over the Omega samples.
     """
     times = np.asarray(times, dtype=float)
     if len(mu_schedules) != model.dimension:
         raise ScenarioError(
             f"need {model.dimension} mu schedules, got {len(mu_schedules)}"
         )
+    route = omega_dot_route(model, omega_dot_mode)
 
     hams = build_hamiltonian(model, times)
     frames = _tracked_frames(hams, times, reality_policy, real_gauge(model))
 
     mu = mu_series(mu_schedules, times)
     omega = build_omega(frames, mu)
-    omega_dot, source = omega_dot_series(model, frames, omega, mu_schedules, times, omega_dot_mode)
+    if route == "analytic-mu-only":
+        omega_dot = mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras
+    else:
+        omega_dot = differentiate_samples(omega, float(times[1] - times[0]))
     theta = build_theta(omega)
     theta_eigs = np.linalg.eigvalsh(theta)
     _guard_metric(theta_eigs, times)
@@ -297,5 +283,4 @@ def build_dressing_track(
         energies=frames.energies,
         raw_overlaps=frames.raw_overlaps,
         theta_eigs=theta_eigs,
-        omega_dot_source=source,
     )

@@ -65,14 +65,13 @@ class Trajectory:
     times         (K,) reporting grid
     phi_right     (K, N) right kets |Phi(t_k)>
     phi_left      (K, N) left kets |Phi(t_k)>>, None when not integrated
-    phi_standard  (K, N) standard kets |phi(t_k)>, None when not requested
-    phases        (K, N) u(t_k) = diag(exp(-i phases[k]))
+    phases        (K, N) u(t_k) = diag(exp(-i phases[k])); the standard ket
+                  is u(t_k) Omega(0) |Phi(0)>
     """
 
     times: np.ndarray
     phi_right: np.ndarray
     phi_left: np.ndarray | None
-    phi_standard: np.ndarray | None
     phases: np.ndarray
     pictures: tuple[str, ...]
 
@@ -237,15 +236,10 @@ def propagate_quasi(
             "(exceptional-point crossing or metric blow-up upstream)",
             t=float(t),
         )
-
-    phi_standard = None
-    if "standard" in pictures:
-        phi_standard = np.exp(-1j * phases) * (track.omega[0] @ phi0)
     return Trajectory(
         times=coarse,
         phi_right=kets[:, 0],
         phi_left=kets[:, 1] if want_left else None,
-        phi_standard=phi_standard,
         phases=phases,
         pictures=pictures,
     )

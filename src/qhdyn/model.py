@@ -259,8 +259,7 @@ def _validate_family(model: HamiltonianModel):
     if model.family in ("triangular2", "pt2") and n != 2:
         raise ScenarioError(f"family {model.family!r} is two-dimensional, got N={n}")
     if model.family == "triangular2":
-        for name in ("e1", "e2", "c"):
-            model.param(name, t0)
+        model.param("c", t0)
         model.real_param("e1", t0)
         model.real_param("e2", t0)
     elif model.family == "pt2":

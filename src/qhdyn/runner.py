@@ -38,17 +38,10 @@ class RunReport:
     rows: np.ndarray  # (reporting points, columns)
     reports: tuple[InvariantReport, ...]
     wall_clock_seconds: float
-    version: str
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
-
-    def report(self, name: str) -> InvariantReport:
-        for r in self.reports:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -88,7 +81,6 @@ def run(config: ScenarioConfig) -> RunReport:
         rows=rows,
         reports=tuple(reports),
         wall_clock_seconds=_time.perf_counter() - started,
-        version=__version__,
     )
 
 
@@ -161,13 +153,13 @@ def summary_text(report: RunReport) -> str:
     lines.append("")
     overall = "all checks passed" if report.passed else "CHECK FAILURE"
     lines.append(f"result: {overall}")
-    lines.append(f"wall clock: {report.wall_clock_seconds:.3f} s   version: {report.version}")
+    lines.append(f"wall clock: {report.wall_clock_seconds:.3f} s   version: {__version__}")
     return "\n".join(lines) + "\n"
 
 
 def report_json_dict(report: RunReport) -> dict:
     return {
-        "version": report.version,
+        "version": __version__,
         "scenario": report.scenario.raw,
         "checks": [
             {

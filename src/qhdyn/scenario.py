@@ -8,7 +8,8 @@ A scenario is a YAML document with these top-level keys (normative):
                    at most 100 000 steps)
     initial_state  {preset: uniform} | {preset: eigenstate, index: k}
                    | {vector: [...]}            (default: uniform)
-    pictures       subset of [right, left, standard]   (default: all)
+    pictures       subset of [right, left, standard] with right (default:
+                   all; 'standard' is accepted but always computed)
     checks         list of check names or {name, threshold} entries
                    (default: every applicable check)
     evolution      generator: hgen | h-only; omega_dot: auto |
@@ -17,10 +18,12 @@ A scenario is a YAML document with these top-level keys (normative):
     outputs        observable names to add as expectation-value CSV columns
                    (default: all declared observables)
 
-Every number must be finite.  Schedules that can overflow anywhere on
-[t0, t1], and metric-coefficient schedules that can vanish there, are
-rejected here, at parse time.  PyYAML is imported only by the functions that
-parse text, so building a config from a dict never loads it.
+Every number must be finite.  Parsing rejects, before any numerics, a
+schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
+can vanish there (`schedules.schedule_bounds`), an omega_dot mode the model
+cannot take (`dressing.omega_dot_route`), and a selected check whose input
+is missing (`verify.unmet_need`).  PyYAML is imported only by the functions
+that parse text, so building a config from a dict never loads it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .dressing import omega_dot_route
 from .errors import ScenarioError
 from .evolution import PICTURES, time_grid, validate_pictures
 from .model import HamiltonianModel, ObservableSpec
 from .schedules import ScheduleSpec, validate_bounded, validate_nonvanishing
-from .verify import DEFAULT_THRESHOLDS
+from .verify import DEFAULT_THRESHOLDS, unmet_need
 
 _SCHEDULE_KEYS = {"kind", "base", "rate", "amplitude", "frequency", "phase"}
 _TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks",
@@ -44,7 +48,7 @@ _TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks
 _TIME_KEYS = {"t0", "t1", "dt"}
 _MODEL_KEYS = {"family", "dimension", "params", "h_schedule", "a_observables"}
 _EVOLUTION_KEYS = {"generator", "omega_dot", "reality"}
-_OBSERVABLE_KEYS = {"name", "matrix_source", "source", "data"}
+_OBSERVABLE_KEYS = {"name", "matrix_source", "data"}
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     pictures = validate_pictures(pictures)
 
     selection, overrides = _parse_checks(raw.get("checks"))
+    for check in selection or ():
+        problem = unmet_need(check, pictures, model.a_observables)
+        if problem:
+            raise ScenarioError(problem)
 
     evo = raw.get("evolution", {}) or {}
     if not isinstance(evo, dict):
@@ -137,6 +145,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if generator not in ("hgen", "h-only"):
         raise ScenarioError(f"evolution.generator must be 'hgen' or 'h-only', got {generator!r}")
     omega_dot_mode = str(evo.get("omega_dot", "auto"))
+    omega_dot_route(model, omega_dot_mode)
     reality_policy = str(evo.get("reality", "assert"))
     if reality_policy not in ("assert", "report"):
         raise ScenarioError(f"evolution.reality must be 'assert' or 'report', got {reality_policy!r}")
@@ -318,7 +327,7 @@ def _parse_observable(entry, index: int) -> ObservableSpec:
         raise ScenarioError(f"a_observables[{index}] must be a mapping")
     _reject_unknown(entry, _OBSERVABLE_KEYS, f"a_observables[{index}]")
     name = str(entry.get("name", f"A{index}"))
-    source = entry.get("matrix_source", entry.get("source"))
+    source = entry.get("matrix_source")
     if source is None:
         raise ScenarioError(f"observable {name!r}: missing 'matrix_source'")
     data = entry.get("data")

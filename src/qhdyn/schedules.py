@@ -4,10 +4,9 @@ Every built-in kind is smooth with an analytic derivative, so exact-derivative
 oracles are available wherever a time derivative of a scheduled quantity is
 needed.  Every schedule must stay finite on the run interval, and metric
 coefficients must also stay away from zero there.  `validate_bounded` and
-`validate_nonvanishing` enforce that at configuration time from closed-form
-bounds, one formula per kind, with no sampling: upper bounds on |value(t)|
-(`magnitude_bound`) and |d value/dt| (`derivative_bound`), and a lower bound
-on |value(t)| (`nonvanishing_bound`).
+`validate_nonvanishing` enforce that at configuration time, with no sampling,
+from the one closed-form dispatch over the kinds, `schedule_bounds`: a lower
+and an upper bound on |value(t)| and an upper bound on |d value/dt|.
 """
 
 from __future__ import annotations
@@ -95,103 +94,76 @@ def eval_schedule_derivative(spec: ScheduleSpec, t: float | np.ndarray) -> compl
     )
 
 
-def nonvanishing_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
-    """Closed-form lower bound on |value(t)| over [t0, t1].
+def schedule_bounds(spec: ScheduleSpec, t0: float, t1: float) -> tuple[float, float, float]:
+    """Closed-form bounds (lower, upper, slope) over [t0, t1], with
+    lower <= |value(t)| <= upper and |d value/dt| <= slope.
 
-    constant      |b|
+    constant      |b|, |b|, 0
     linear-ramp   |b + r t*| with t* the real root -Re b / r clipped to the
-                  interval: |Im b| when the root lies inside (or within
-                  `_ROOT_SLACK` of it), else the smaller end-point value
-    exponential   |b| exp(min(r t0, r t1))
-    sinusoidal    |b| (1 - |a|)
+                  interval (|Im b| when the root lies inside, or within
+                  `_ROOT_SLACK` of it, else the smaller end-point value);
+                  the larger end-point value; |r|
+    exponential   |b| exp(min(r t0, r t1)), |b| exp(max(r t0, r t1)),
+                  |r| times the upper bound
+    sinusoidal    |b| (1 - |a|), |b| (1 + |a|), |b| |a| |w|
+
+    An infinite upper bound or slope means the value or its derivative can
+    overflow on the interval.
     """
     b = complex(spec.base)
     lo, hi = min(t0, t1), max(t0, t1)
-    if spec.kind == "linear-ramp" and spec.rate != 0.0:
-        t_root = -b.real / spec.rate
-        slack = _ROOT_SLACK * max(1.0, abs(lo), abs(hi))
-        if lo - slack <= t_root <= hi + slack:
-            return abs(b.imag)
-        return min(abs(b + spec.rate * lo), abs(b + spec.rate * hi))
-    if spec.kind == "exponential":
-        with np.errstate(over="ignore"):
-            return abs(b) * float(np.exp(min(spec.rate * lo, spec.rate * hi)))
-    if spec.kind == "sinusoidal":
-        return abs(b) * (1.0 - abs(spec.amplitude))
-    return abs(b)
-
-
-def magnitude_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
-    """Closed-form upper bound on |value(t)| over [t0, t1].
-
-    constant      |b|
-    linear-ramp   the larger end-point value max(|b + r t0|, |b + r t1|)
-    exponential   |b| exp(max(r t0, r t1))
-    sinusoidal    |b| (1 + |a|)
-
-    An infinite result means the value can overflow on the interval.
-    """
-    b = complex(spec.base)
     with np.errstate(over="ignore"):  # np.abs: |b| itself may overflow to inf
-        if spec.kind == "linear-ramp":
-            return float(max(np.abs(b + spec.rate * t0), np.abs(b + spec.rate * t1)))
         size = float(np.abs(b))
+        if spec.kind == "linear-ramp":
+            ends = float(np.abs(b + spec.rate * lo)), float(np.abs(b + spec.rate * hi))
+            lower = min(ends)
+            if spec.rate != 0.0:
+                t_root = -b.real / spec.rate
+                slack = _ROOT_SLACK * max(1.0, abs(lo), abs(hi))
+                if lo - slack <= t_root <= hi + slack:
+                    lower = abs(b.imag)
+            return lower, max(ends), abs(spec.rate)
         if spec.kind == "exponential":
-            return size * float(np.exp(max(spec.rate * t0, spec.rate * t1)))
+            lower, upper = (size * float(np.exp(e)) for e in sorted((spec.rate * lo, spec.rate * hi)))
+            return lower, upper, abs(spec.rate) * upper
         if spec.kind == "sinusoidal":
-            return size * (1.0 + abs(spec.amplitude))
-        return size
+            a = abs(spec.amplitude)
+            return size * (1.0 - a), size * (1.0 + a), size * abs(spec.amplitude * spec.frequency)
+        return size, size, 0.0
 
 
-def derivative_bound(spec: ScheduleSpec, t0: float, t1: float) -> float:
-    """Closed-form upper bound on |d value/dt| over [t0, t1].
+def validate_bounded(spec: ScheduleSpec, t0: float, t1: float, label: str) -> float:
+    """Reject schedules whose value or time derivative can overflow on [t0, t1],
+    and return the lower bound on |value(t)| there.
 
-    constant      0
-    linear-ramp   |r|
-    exponential   |r| times `magnitude_bound`
-    sinusoidal    |b| |a| |w|
-    """
-    if spec.kind == "linear-ramp":
-        return abs(spec.rate)
-    if spec.kind == "exponential":
-        return abs(spec.rate) * magnitude_bound(spec, t0, t1)
-    if spec.kind == "sinusoidal":
-        with np.errstate(over="ignore"):
-            return float(np.abs(complex(spec.base))) * abs(spec.amplitude * spec.frequency)
-    return 0.0
-
-
-def validate_bounded(spec: ScheduleSpec, t0: float, t1: float, label: str):
-    """Reject schedules whose value or time derivative can overflow on [t0, t1].
-
-    Every field must be finite, and so must `magnitude_bound` and
-    `derivative_bound`.  Raises `ScenarioError` otherwise.
+    Every field must be finite, and so must the upper bound and the slope of
+    `schedule_bounds`.  Raises `ScenarioError` otherwise.
     """
     fields = (spec.base, spec.rate, spec.amplitude, spec.frequency, spec.phase)
     if not np.isfinite(fields).all():
         raise ScenarioError(f"{label}: schedule fields must be finite, got {spec}")
-    value, rate = magnitude_bound(spec, t0, t1), derivative_bound(spec, t0, t1)
+    lower, value, rate = schedule_bounds(spec, t0, t1)
     if not (value < np.inf and rate < np.inf):
         raise ScenarioError(
             f"{label}: {spec.kind} schedule overflows on [{t0:g}, {t1:g}] (upper bound "
             f"on |value|: {value:.3g}, on |derivative|: {rate:.3g})"
         )
+    return lower
 
 
 def validate_nonvanishing(spec: ScheduleSpec, t0: float, t1: float, label: str = "mu"):
     """Reject schedules that overflow, vanish or can vanish anywhere on [t0, t1].
 
-    The schedule must pass `validate_bounded`, and the closed-form
-    `nonvanishing_bound` must be at least the smallest normal double.  Raises
-    `ScenarioError` otherwise.
+    The schedule must pass `validate_bounded`, and the lower bound it returns
+    must be at least the smallest normal double.  Raises `ScenarioError`
+    otherwise.
     """
-    validate_bounded(spec, t0, t1, label)
+    bound = validate_bounded(spec, t0, t1, label)
     if spec.kind == "sinusoidal" and abs(spec.amplitude) >= 1.0:
         raise ScenarioError(
             f"{label}: sinusoidal amplitude |a|={abs(spec.amplitude)} >= 1 "
             "allows the value to cross zero"
         )
-    bound = nonvanishing_bound(spec, t0, t1)
     if not bound >= _MIN_NORMAL:
         raise ScenarioError(
             f"{label}: {spec.kind} schedule crosses zero or underflows on "

@@ -54,10 +54,6 @@ class BiorthogonalFrame:
     left_bras: np.ndarray
     raw_overlaps: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.energies.shape[-1]
-
 
 # (per-point failure flags, error for a failing point index), in priority order
 _Failure = tuple[np.ndarray, Callable[[int], NumericalDomainError]]

@@ -27,11 +27,14 @@ class Check(NamedTuple):
     threshold     default threshold; a residual at or above it fails the check
     on_fine_grid  True when the residuals sit on the track's fine grid, False
                   when they sit on the trajectory's reporting grid
+    needs         'left' (the integrated left ket), 'observables' (declared
+                  observables) or None; see `unmet_need`
     """
 
     residuals: Callable[[Trajectory, DressingTrack, Mapping | None], np.ndarray]
     threshold: float
     on_fine_grid: bool
+    needs: str | None = None
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,12 @@ def _norm_drift(trajectory, track, observable_series):
 
 def _duality_drift(trajectory, track, observable_series):
     """Drift of <<Phi(t)|Phi(t)> built from the independently integrated left ket."""
-    _require_left(trajectory)
     vals = np.sum(np.conj(trajectory.phi_left) * trajectory.phi_right, axis=-1)
     return np.abs(vals - vals[0])
 
 
 def _state_consistency(trajectory, track, observable_series):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    _require_left(trajectory)
     expected = (track.theta[::2] @ trajectory.phi_right[..., None])[..., 0]
     return np.linalg.norm(trajectory.phi_left - expected, axis=-1)
 
@@ -155,8 +156,6 @@ def _observable_reality(trajectory, track, observable_series):
     fails the check outright (the mean value of an illegitimate observable
     has no reality claim).
     """
-    if observable_series is None:
-        raise ScenarioError("observable-reality requested but no observables declared")
     theta = track.theta[::2]
     gate_threshold = CHECKS["quasi-hermiticity"].threshold
     residuals = np.zeros(len(trajectory.times))
@@ -172,19 +171,28 @@ def _observable_reality(trajectory, track, observable_series):
 # every named check, in reporting order
 CHECKS = {
     "theta-norm-conservation": Check(_norm_drift, 1e-8, False),
-    "left-right-duality": Check(_duality_drift, 1e-8, False),
-    "state-consistency": Check(_state_consistency, 1e-7, False),
+    "left-right-duality": Check(_duality_drift, 1e-8, False, "left"),
+    "state-consistency": Check(_state_consistency, 1e-7, False, "left"),
     "equivalence": Check(equivalence_residuals, 1e-7, False),
     "standard-unitarity": Check(_standard_unitarity, 1e-10, False),
     "propagator-intertwining": Check(_intertwining, 1e-7, False),
     "quasi-hermiticity": Check(_quasi_hermiticity, 1e-9, True),
     "isospectrality": Check(_isospectrality, 1e-9, True),
-    "observable-reality": Check(_observable_reality, 1e-9, False),
+    "observable-reality": Check(_observable_reality, 1e-9, False, "observables"),
 }
 
 DEFAULT_THRESHOLDS = {name: check.threshold for name, check in CHECKS.items()}
 
-_LEFT_CHECKS = ("left-right-duality", "state-consistency")
+
+def unmet_need(name: str, pictures: Sequence[str], observables) -> str | None:
+    """Why check ``name`` cannot run with these pictures and observables (any
+    collection, empty or None when none are declared), or None when it can."""
+    needs = CHECKS[name].needs
+    if needs == "left" and "left" not in pictures:
+        return "check needs the 'left' picture, which was not integrated"
+    if needs == "observables" and not observables:
+        return f"{name} requested but no observables declared"
+    return None
 
 
 def run_standard_checks(
@@ -196,32 +204,25 @@ def run_standard_checks(
 ) -> list[InvariantReport]:
     """Run the named checks (all by default) with optional threshold overrides.
 
-    Checks that need the left picture or declared observables are skipped
-    when those are absent, unless explicitly selected; then they raise
-    `ScenarioError`.
+    A check whose `unmet_need` is not None is skipped when no selection is
+    given, and raises `ScenarioError` when explicitly selected.
     """
     overrides = dict(overrides or {})
-    if selection is None:
-        selection = [
-            name for name in CHECKS
-            if (name not in _LEFT_CHECKS or "left" in trajectory.pictures)
-            and (name != "observable-reality" or observable_series is not None)
-        ]
-    for name in [*overrides, *selection]:
+    for name in [*overrides, *(selection or ())]:
         if name not in CHECKS:
             raise ScenarioError(f"unknown check name {name!r}")
     reports = []
-    for name in selection:
+    for name in CHECKS if selection is None else selection:
         check = CHECKS[name]
+        problem = check.needs and unmet_need(name, trajectory.pictures, observable_series)
+        if problem and selection is None:
+            continue
+        if problem:
+            raise ScenarioError(problem)
         times = track.times if check.on_fine_grid else trajectory.times
         residuals = check.residuals(trajectory, track, observable_series)
         reports.append(InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold)))
     return reports
-
-
-def _require_left(trajectory: Trajectory):
-    if "left" not in trajectory.pictures:
-        raise ScenarioError("check needs the 'left' picture, which was not integrated")
 
 
 def _lexsorted(values: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ def reference_eig(H: np.ndarray, reality_policy: str = "report", t: float = 0.0)
 
 def reference_continuity(prev: BiorthogonalFrame, cur: BiorthogonalFrame) -> BiorthogonalFrame:
     """Align ``cur`` with the already aligned ``prev`` across one grid step."""
-    n = prev.dimension
+    n = len(prev.energies)
     overlaps = prev.left_bras @ cur.right_kets
     mags = np.abs(overlaps)
     perm = np.empty(n, dtype=int)
@@ -173,8 +173,9 @@ def stack_frames(*frames: BiorthogonalFrame) -> BiorthogonalFrame:
 def theta_spectral(frame: BiorthogonalFrame, mu) -> np.ndarray:
     """Independent metric assembly sum_n |mu_n|^2 (<<n|)' <<n| for one frame."""
     mu = np.asarray(mu, dtype=complex)
-    theta = np.zeros((frame.dimension, frame.dimension), dtype=complex)
-    for k in range(frame.dimension):
+    n = len(frame.energies)
+    theta = np.zeros((n, n), dtype=complex)
+    for k in range(n):
         bra = frame.left_bras[k]
         theta += (abs(mu[k]) ** 2) * np.outer(bra.conj(), bra)
     return theta

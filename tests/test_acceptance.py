@@ -33,6 +33,11 @@ def _report(criterion, ok, detail=""):
     assert ok, f"{criterion}: {detail}"
 
 
+def _max_residual(report, check):
+    """The largest residual of one named check in a `RunReport`."""
+    return {r.name: r.max_residual for r in report.reports}[check]
+
+
 @pytest.fixture(scope="module")
 def shipped_runs():
     """Every shipped scenario at its stated dt = 1e-3."""
@@ -49,8 +54,8 @@ def test_criterion_1_theta_norm_conservation(shipped_runs, halved_runs):
     details = []
     ok = True
     for name in SHIPPED_SCENARIOS:
-        drift = shipped_runs[name].report("theta-norm-conservation").max_residual
-        coarse = halved_runs[name].report("theta-norm-conservation").max_residual
+        drift = _max_residual(shipped_runs[name], "theta-norm-conservation")
+        coarse = _max_residual(halved_runs[name], "theta-norm-conservation")
         ok &= drift < 1e-8
         if coarse > DRIFT_MEASURABLE_FLOOR:
             ratio = coarse / drift
@@ -64,8 +69,8 @@ def test_criterion_1_theta_norm_conservation(shipped_runs, halved_runs):
 def test_criterion_2_generator_necessity():
     good = run(load_scenario("exp_metric_drive"))
     bad = run(load_scenario("exp_metric_drive", **{"evolution.generator": "h-only"}))
-    good_drift = good.report("theta-norm-conservation").max_residual
-    bad_drift = bad.report("theta-norm-conservation").max_residual
+    good_drift = _max_residual(good, "theta-norm-conservation")
+    bad_drift = _max_residual(bad, "theta-norm-conservation")
     ok = good_drift < 1e-8 and bad_drift > 1e-3
     _report(
         "2 generator necessity",
@@ -76,7 +81,7 @@ def test_criterion_2_generator_necessity():
 
 def test_criterion_3_equivalence_oracle(shipped_runs):
     worst = {
-        name: rep.report("equivalence").max_residual for name, rep in shipped_runs.items()
+        name: _max_residual(rep, "equivalence") for name, rep in shipped_runs.items()
     }
     ok = all(v < 1e-7 for v in worst.values())
     _report(
@@ -90,8 +95,8 @@ def test_criterion_4_quasi_hermiticity_and_isospectrality(shipped_runs):
     ok = True
     details = []
     for name, rep in shipped_runs.items():
-        qh = rep.report("quasi-hermiticity").max_residual
-        iso = rep.report("isospectrality").max_residual
+        qh = _max_residual(rep, "quasi-hermiticity")
+        iso = _max_residual(rep, "isospectrality")
         ok &= qh < 1e-9 and iso < 1e-9
         details.append(f"{name}: qh {qh:.1e}, iso {iso:.1e}")
     _report("4 quasi-Hermiticity & isospectrality", ok, "; ".join(details))
@@ -133,7 +138,7 @@ def test_criterion_5_exact_fixtures():
 
 def test_criterion_6_left_right_duality(shipped_runs):
     worst = {
-        name: rep.report("state-consistency").max_residual
+        name: _max_residual(rep, "state-consistency")
         for name, rep in shipped_runs.items()
     }
     ok = all(v < 1e-7 for v in worst.values())

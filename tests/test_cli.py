@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhdyn import run
+import qhdyn.dressing
+from qhdyn import ScenarioError, run
 from qhdyn.cli import main
+from qhdyn.scenario import apply_overrides, scenario_from_dict
 from qhdyn.runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -86,7 +88,7 @@ def test_csv_is_bit_identical_across_runs(tmp_path):
 def test_seventeen_digit_serialization(tmp_path):
     values = [0.1 + 0.2, 1.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, -1.5e300]
     columns = tuple(f"c{k}" for k in range(len(values)))
-    report = RunReport(None, columns, np.array([values, values[::-1]]), (), 0.0, "")
+    report = RunReport(None, columns, np.array([values, values[::-1]]), (), 0.0)
     write_csv(report, tmp_path / "out.csv")
     header, first, second = (tmp_path / "out.csv").read_text().splitlines()
     assert header == ",".join(columns)
@@ -96,6 +98,38 @@ def test_seventeen_digit_serialization(tmp_path):
     parsed = [float(text) for text in first.split(",")]
     np.testing.assert_array_equal(parsed, values)  # doubles round-trip, nan and -0.0 too
     assert str(parsed[2]) == "-0.0"
+
+
+# each leaves cubic_osc_drive with a setting that no run of it can use
+_REJECTED_BEFORE_NUMERICS = [
+    ["evolution.omega_dot=bogus"],
+    ["evolution.omega_dot=analytic-mu-only"],  # its H moves
+    ["pictures=[right]", "checks=[state-consistency]"],
+    ["model.a_observables=[]", "checks=[observable-reality]"],
+]
+
+
+@pytest.mark.parametrize("overrides", _REJECTED_BEFORE_NUMERICS)
+def test_misconfiguration_exits_two_before_any_eigensolve(overrides, monkeypatch, capsys):
+    import yaml
+
+    solves = []
+    solve = qhdyn.dressing.eig_biorthogonal
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", counting)
+    argv = ["run", scenario_path("cubic_osc_drive")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "configuration error" in capsys.readouterr().err
+    assert solves == []
+    raw = yaml.safe_load((SCENARIO_DIR / "cubic_osc_drive.yaml").read_text(encoding="utf-8"))
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(apply_overrides(raw, overrides))
 
 
 def test_exceptional_point_scenario_exit_three(capsys):
@@ -337,7 +371,7 @@ def test_sweep_dt_halving_ratio(capsys):
     raw = yaml.safe_load((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
     points = sweep(raw, "time.dt", [0.002, 0.001], name="tri_sin_drive")
     assert all(p.exit_code == EXIT_OK for p in points)
-    drifts = [p.report.report("theta-norm-conservation").max_residual for p in points]
+    drifts = [{r.name: r.max_residual for r in p.report.reports}["theta-norm-conservation"] for p in points]
     assert 10.0 < drifts[0] / drifts[1] < 22.0
 
 

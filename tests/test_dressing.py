@@ -15,8 +15,6 @@ from qhdyn.dressing import (
     build_theta,
     differentiate_samples,
     hermitize,
-    mu_series,
-    omega_dot_series,
     omega_inverse,
     quasi_hermiticity_residual,
     theta_inner,
@@ -105,7 +103,7 @@ def test_hermitize_identity_and_fixture(hand_frame, hand_matrix):
 def test_hermitize_produces_hermitian_diagonal(model):
     H = build_hamiltonian(model, 0.0)
     frame = eig_biorthogonal(H)
-    mu = np.exp(0.3j) * np.arange(1.0, frame.dimension + 1.0)
+    mu = np.exp(0.3j) * np.arange(1.0, len(frame.energies) + 1.0)
     omega = build_omega(frame, mu)
     h = hermitize(omega, H, omega_inverse(frame, mu))
     assert np.max(np.abs(h - h.conj().T)) < 1e-10
@@ -135,20 +133,11 @@ def test_generator_static_dressing():
 
 def test_generator_diagonal_closed_form():
     # Hermitian diag(1,2), mu_n = exp(alpha_n t): Omega diag, H_gen constant
-    model = HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0], "seed": 0})
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.0})
     H = np.diag([1.0, 2.0]).astype(complex)
     frame = eig_biorthogonal(H)
     times = np.linspace(0.0, 1.0, 5)
-    frames = stack_frames(*[frame] * len(times))
-    dots, source = omega_dot_series(
-        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.0}),
-        frames,
-        build_omega(frames, mu_series(EXP_MU, times)),
-        EXP_MU,
-        times,
-        "analytic-mu-only",
-    )
-    assert source == "analytic"
+    dots = build_dressing_track(model, EXP_MU, times, omega_dot_mode="analytic-mu-only").omega_dot
     t = times[2]
     mu = np.array([np.exp(0.3 * t), np.exp(-0.1 * t)])
     omega = build_omega(frame, mu)
@@ -187,8 +176,10 @@ def test_finite_difference_matches_analytic():
         np.max(np.abs(a - b)) for a, b in zip(analytic.omega_dot, fd.omega_dot)
     )
     assert worst < 1e-10
-    assert analytic.omega_dot_source == "analytic"
-    assert fd.omega_dot_source == "finite-difference"
+    # 'auto' takes the exact route for a static H, and the two routes differ
+    auto = build_dressing_track(model, EXP_MU, fine)
+    np.testing.assert_array_equal(auto.omega_dot, analytic.omega_dot)
+    assert np.any(auto.omega_dot != fd.omega_dot)
 
 
 def test_finite_difference_is_fourth_order():

@@ -141,23 +141,6 @@ def test_generic_equivalence_residual():
     assert np.linalg.norm(final - oracle) < 1e-7
 
 
-def test_standard_ket_maps_back_to_right_ket():
-    # |phi(t)> evolved by u(t) must equal Omega(t)|Phi(t)> up to RK4 error
-    model = HamiltonianModel(
-        2,
-        "triangular2",
-        {"e1": 1.0, "e2": 2.0, "c": 1.0},
-        {"c": ScheduleSpec("sinusoidal", base=1.0, amplitude=0.5, frequency=2.0)},
-    )
-    track = _track(model, EXP_MU2)
-    traj = propagate_quasi(track, "uniform")
-    worst = max(
-        np.linalg.norm(std - omega @ right)
-        for std, omega, right in zip(traj.phi_standard, track.omega[::2], traj.phi_right)
-    )
-    assert worst < 1e-9
-
-
 def test_stationary_equivalence_residual_tight():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2)
@@ -214,7 +197,6 @@ def test_pictures_subset():
     track = _track(model, CONST_MU2, dt=0.1)
     traj = propagate_quasi(track, "uniform", pictures=("right",))
     assert traj.phi_left is None
-    assert traj.phi_standard is None
     with pytest.raises(ScenarioError, match="mandatory"):
         propagate_quasi(track, "uniform", pictures=("left",))
 

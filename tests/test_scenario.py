@@ -131,6 +131,9 @@ def test_observable_parsing():
     assert cfg.outputs == ("H", "seed")
     with pytest.raises(ScenarioError, match="unknown observable"):
         parse_scenario(MINIMAL + "outputs: [phantom]\n")
+    # one spelling of the source key
+    with pytest.raises(ScenarioError, match=r"unknown a_observables\[0\] keys: \['source'\]"):
+        parse_scenario(doc.replace("{name: H, matrix_source:", "{name: H, source:"))
 
 
 def test_evolution_block_validation():

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from qhdyn import ScenarioError, ScheduleSpec
 from qhdyn.schedules import (
-    derivative_bound,
     eval_schedule,
     eval_schedule_derivative,
-    magnitude_bound,
-    nonvanishing_bound,
+    schedule_bounds,
     validate_bounded,
     validate_nonvanishing,
 )
@@ -127,7 +125,7 @@ def test_complex_ramp_with_real_axis_root_accepted():
     # Re(mu) vanishes at t = 0.5, but |mu| >= |Im base| = 0.2 throughout
     spec = ScheduleSpec("linear-ramp", base=0.5 + 0.2j, rate=-1.0)
     validate_nonvanishing(spec, 0.0, 1.0)
-    assert nonvanishing_bound(spec, 0.0, 1.0) == pytest.approx(0.2, abs=1e-15)
+    assert schedule_bounds(spec, 0.0, 1.0)[0] == pytest.approx(0.2, abs=1e-15)
 
 
 @pytest.mark.parametrize("field", ["base", "rate", "amplitude", "frequency", "phase"])
@@ -169,7 +167,7 @@ def test_validator_agrees_with_dense_scan(spec, t0, width):
         validate_nonvanishing(spec, t0, t1)
     except ScenarioError:
         return
-    bound = nonvanishing_bound(spec, t0, t1)
+    bound = schedule_bounds(spec, t0, t1)[0]
     assert np.all(scan > 0.0)  # so every scan that hits an exact 0.0 was rejected
     # the bound is exact at the minimiser for every kind; allow for rounding
     assert np.min(scan) >= bound * (1.0 - 1e-12)
@@ -191,12 +189,18 @@ def test_overflowing_schedule_rejected(spec, message):
 
 
 def test_upper_bounds_per_kind():
-    assert magnitude_bound(ScheduleSpec("constant", base=-3.0 + 4.0j), 0.0, 1.0) == 5.0
-    assert magnitude_bound(ScheduleSpec("linear-ramp", base=1.0, rate=-3.0), 0.0, 1.0) == 2.0
-    assert magnitude_bound(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
-    assert magnitude_bound(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5), 0.0, 1.0) == 3.0
-    assert derivative_bound(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
-    assert derivative_bound(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5, frequency=3.0), 0.0, 1.0) == 3.0
+    def upper(spec, t0, t1):
+        return schedule_bounds(spec, t0, t1)[1]
+
+    def slope(spec, t0, t1):
+        return schedule_bounds(spec, t0, t1)[2]
+
+    assert upper(ScheduleSpec("constant", base=-3.0 + 4.0j), 0.0, 1.0) == 5.0
+    assert upper(ScheduleSpec("linear-ramp", base=1.0, rate=-3.0), 0.0, 1.0) == 2.0
+    assert upper(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
+    assert upper(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5), 0.0, 1.0) == 3.0
+    assert slope(ScheduleSpec("exponential", base=2.0, rate=-1.0), -1.0, 1.0) == 2.0 * np.exp(1.0)
+    assert slope(ScheduleSpec("sinusoidal", base=2.0, amplitude=-0.5, frequency=3.0), 0.0, 1.0) == 3.0
 
 
 @given(spec=_schedules, t0=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0))
@@ -214,5 +218,6 @@ def test_upper_bounds_agree_with_dense_scan(spec, t0, width):
     except ScenarioError:
         return
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(rates))
-    assert np.max(values) <= magnitude_bound(spec, t0, t1) * (1.0 + 1e-12)
-    assert np.max(rates) <= derivative_bound(spec, t0, t1) * (1.0 + 1e-12)
+    _, upper, slope = schedule_bounds(spec, t0, t1)
+    assert np.max(values) <= upper * (1.0 + 1e-12)
+    assert np.max(rates) <= slope * (1.0 + 1e-12)

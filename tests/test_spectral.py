@@ -18,7 +18,7 @@ from reference import reference_permutations, reference_track, stack_frames
 
 
 def assert_frame_relations(frame, H, atol=1e-10):
-    n = frame.dimension
+    n = frame.energies.shape[-1]
     np.testing.assert_allclose(frame.left_bras @ frame.right_kets, np.eye(n), atol=atol)
     np.testing.assert_allclose(frame.right_kets @ frame.left_bras, np.eye(n), atol=atol)
     for k in range(n):

@@ -235,6 +235,14 @@ def test_checks_skip_left_picture_when_absent():
         run_standard_checks(traj, track, selection=["left-right-duality"])
 
 
+@pytest.mark.parametrize("series", [None, {}])
+def test_observable_reality_needs_declared_observables(generic_run, series):
+    track, traj = generic_run
+    assert "observable-reality" not in {r.name for r in run_standard_checks(traj, track, series)}
+    with pytest.raises(ScenarioError, match="no observables declared"):
+        run_standard_checks(traj, track, series, selection=["observable-reality"])
+
+
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
     omega, omega_inv = track.omega[0], track.omega_inv[0]
