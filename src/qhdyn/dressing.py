@@ -19,6 +19,12 @@ with the grid index first.  The functions below take a single (N, N) matrix
 or such a stack alike.  The track is built with one batched eigensolve that
 solves each distinct H along the grid once (a static H once in all), one
 batched metric spectrum, and array expressions for everything else.
+
+Each quantity is stored once: the track keeps the right kets (the eigenstate
+preset reads them) but not the left bras, which live on only as the rows of
+Omega.  Products over the grid (Theta, H_gen, the check residuals) are
+formed over blocks of `_STEP_BLOCK` points, and the stencils accumulate in
+place, so no temporary the size of the track outlives one expression.
 """
 
 from __future__ import annotations
@@ -40,6 +46,12 @@ OMEGA_DOT_MODES = ("auto", "analytic-mu-only", "finite-difference")
 THETA_COND_WARN = 1e8
 THETA_COND_ABORT = 1e12
 
+# grid points whose products are formed together (RK4 increments, Theta, the
+# check residuals): enough to amortise the batched products, few enough that
+# a block's temporaries stay small next to the track (forming a product over
+# the whole grid at once raises the run's memory high-water mark)
+_STEP_BLOCK = 64
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
@@ -60,12 +72,34 @@ def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray
     return frame.right_kets / np.asarray(mu, dtype=complex)[..., None, :]
 
 
+def grid_blocks(stack: np.ndarray) -> list:
+    """Index expressions that cover an (M, ...) stack in blocks of at most
+    `_STEP_BLOCK` grid points; a single (N, N) matrix is one block (``...``)."""
+    if np.ndim(stack) == 2:
+        return [...]
+    return [slice(k, k + _STEP_BLOCK) for k in range(0, len(stack), _STEP_BLOCK)]
+
+
+def blockwise(func, *stacks) -> np.ndarray:
+    """The per-point values ``func`` gives for (M, ...) stacks, computed one
+    grid block at a time so that func's temporaries never span the grid.
+    All stacks share the leading axis of the first; a first argument that is
+    a single (N, N) matrix gives one value."""
+    out = np.empty(np.shape(stacks[0])[:-2])
+    for block in grid_blocks(stacks[0]):
+        out[block] = func(*(a[block] for a in stacks))
+    return out[()]
+
+
 def build_theta(omega: np.ndarray) -> np.ndarray:
     """Metric Theta = Omega' Omega; Hermitian positive definite by construction."""
+    theta = np.empty_like(omega)
     # inf/nan from an overflowing Omega is reported by the track's metric guard
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = dagger(omega) @ omega
-        return 0.5 * (theta + dagger(theta))
+        for block in grid_blocks(omega):
+            product = dagger(omega[block]) @ omega[block]
+            theta[block] = 0.5 * (product + dagger(product))
+    return theta
 
 
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
@@ -73,10 +107,14 @@ def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.nda
     return omega @ H @ omega_inv
 
 
+def _quasi_hermiticity(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
+
+
 def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """max-norm of A' Theta - Theta A (one value per point of a stack); zero
     certifies A as a Theta-observable."""
-    return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
+    return blockwise(_quasi_hermiticity, *np.broadcast_arrays(A, theta))
 
 
 def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
@@ -142,12 +180,21 @@ def differentiate_samples(samples: np.ndarray, step: float) -> np.ndarray:
     if m < 5:
         raise ScenarioError(f"need at least 5 samples for 4th-order differences, got {m}")
     out = np.empty_like(s)
-    out[2:-2] = s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]
+    # s0 - 8 s1 + 8 s3 - s4, accumulated in place in that order: scaling by a
+    # power of two is exact, so (t / 8 + s3) * 8 rounds as t + 8 s3 does
+    interior = out[2:-2]
+    np.multiply(s[1:-3], 8.0, out=interior)
+    np.subtract(s[:-4], interior, out=interior)
+    interior *= 0.125
+    interior += s[3:-1]
+    interior *= 8.0
+    interior -= s[4:]
     out[0] = np.tensordot(_FORWARD_0, s[:5], axes=1)
     out[1] = np.tensordot(_FORWARD_1, s[:5], axes=1)
     out[-2] = np.tensordot(-_FORWARD_1[::-1], s[-5:], axes=1)
     out[-1] = np.tensordot(-_FORWARD_0[::-1], s[-5:], axes=1)
-    return out * (1.0 / (12.0 * step))
+    out *= 1.0 / (12.0 * step)
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,25 +207,24 @@ class DressingTrack:
 
     times                          (M,)
     hamiltonians                   (M, N, N)  H(t)
-    right_kets, left_bras          (M, N, N)  continuity-tracked frames
-                                              (columns |n>, rows <<n|)
+    right_kets                     (M, N, N)  continuity-tracked kets |n>
+                                              (columns)
     omega, omega_inv, omega_dot    (M, N, N)  Omega, Omega^-1, dOmega/dt
     theta                          (M, N, N)  metric Omega' Omega
     energies                       (M, N)     tracked E_n(t)
-    raw_overlaps                   (M, N)     exceptional-point margins
     theta_eigs                     (M, N)     ascending eigenvalues of Theta
+
+    The tracked bras are not kept: row n of Omega is mu_n <<n|.
     """
 
     times: np.ndarray
     hamiltonians: np.ndarray
     right_kets: np.ndarray
-    left_bras: np.ndarray
     omega: np.ndarray
     omega_inv: np.ndarray
     omega_dot: np.ndarray
     theta: np.ndarray
     energies: np.ndarray
-    raw_overlaps: np.ndarray
     theta_eigs: np.ndarray
 
     @property
@@ -211,7 +257,8 @@ def _tracked_frames(
     hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None
 ) -> BiorthogonalFrame:
     """Solve and continuity-track each distinct H once (a point whose H differs
-    from its predecessor's), then gather the frames back onto the grid.
+    from its predecessor's), then gather the frames back onto the grid; when
+    every H is distinct, the tracked frame is already the grid's.
     ``gauge`` is the model's real gauge, passed on to `eig_biorthogonal`.
 
     A point-by-point sweep would match point j against j - 1 before solving
@@ -219,7 +266,9 @@ def _tracked_frames(
     before k is the error to report.
     """
     distinct = np.concatenate(([True], np.any(hams[1:] != hams[:-1], axis=(-2, -1))))
-    hams, solve_times = hams[distinct], times[distinct]
+    every = distinct.all()
+    solve = slice(None) if every else distinct  # a view of a moving H's stack, not a copy
+    hams, solve_times = hams[solve], times[solve]
     try:
         frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=solve_times, gauge=gauge)
     except NumericalDomainError as exc:
@@ -229,6 +278,8 @@ def _tracked_frames(
             track_continuity(prefix)
         raise
     frames = track_continuity(frames)
+    if every:
+        return frames
     at = np.cumsum(distinct) - 1
     return BiorthogonalFrame(
         times, frames.energies[at], frames.right_kets[at], frames.left_bras[at], frames.raw_overlaps[at]
@@ -263,10 +314,13 @@ def build_dressing_track(
 
     mu = mu_series(mu_schedules, times)
     omega = build_omega(frames, mu)
+    omega_inv = omega_inverse(frames, mu)
     if route == "analytic-mu-only":
         omega_dot = mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras
     else:
         omega_dot = differentiate_samples(omega, float(times[1] - times[0]))
+    right_kets, energies = frames.right_kets, frames.energies
+    del frames  # nothing below reads the bras: free them before Theta is built
     theta = build_theta(omega)
     theta_eigs = np.linalg.eigvalsh(theta)
     _guard_metric(theta_eigs, times)
@@ -274,13 +328,11 @@ def build_dressing_track(
     return DressingTrack(
         times=times,
         hamiltonians=hams,
-        right_kets=frames.right_kets,
-        left_bras=frames.left_bras,
+        right_kets=right_kets,
         omega=omega,
-        omega_inv=omega_inverse(frames, mu),
+        omega_inv=omega_inv,
         omega_dot=omega_dot,
         theta=theta,
-        energies=frames.energies,
-        raw_overlaps=frames.raw_overlaps,
+        energies=energies,
         theta_eigs=theta_eigs,
     )

@@ -30,9 +30,10 @@ for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
 1.34e-13 to 8.75e-14 and the drift ratio under step halving from 16.1 to
 25.0, off the fourth-order value of 16.
 
-A run is kept as stacked arrays: the generator is formed once for the whole
-track, the kets on the reporting grid are (K, N) arrays, and the standard
-propagator is stored as its (K, N) phases.
+A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
+arrays and the standard propagator is stored as its (K, N) phases.  The
+generator is never held for the whole track; each block of steps forms its
+own samples of H_gen from slices of H, dOmega/dt and Omega^-1.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import DressingTrack, build_generator, dagger, theta_inner
+from .dressing import _STEP_BLOCK, DressingTrack, build_generator, dagger, theta_inner
 from .errors import ComplexSpectrumError, IntegrationError, ScenarioError
 from .spectral import REALITY_TOL
 
@@ -51,11 +52,6 @@ PICTURES = ("right", "left", "standard")
 # the track holds 2 * steps + 1 samples of every N x N matrix, so the step
 # count is capped where those stacks would outgrow a desk machine
 MAX_STEPS = 100_000
-
-# steps whose RK4 increment matrices are formed together: enough to amortise
-# the batched products, few enough that the block stays small next to the
-# track (forming every step at once raises the run's memory high-water mark)
-_STEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,29 @@ def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: floa
     which is the k1..k4 update with each stage written as a matrix acting on
     v (a v = dt k1, k2 v = dt k2, and so on).
     """
+    # accumulated in place, in the order of the expressions above; each
+    # stage is dropped once the sum has taken it
     a = (-1j * dt) * begin
     m = (-1j * dt) * mid
+    k2 = m @ a
+    k2 *= 0.5
+    k2 += m
+    k3 = m @ k2
+    k3 *= 0.5
+    k3 += m
+    del m
+    k2 *= 2.0
+    a += k2
+    del k2
     c = (-1j * dt) * end
-    k2 = m + 0.5 * (m @ a)
-    k3 = m + 0.5 * (m @ k2)
-    k4 = c + c @ k3
-    return (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    k4 = c @ k3
+    k4 += c
+    del c
+    k3 *= 2.0
+    a += k3
+    a += k4
+    a /= 6.0
+    return a
 
 
 def validate_pictures(pictures: Sequence[str]) -> tuple[str, ...]:
@@ -201,11 +213,6 @@ def propagate_quasi(
     are not finite.
     """
     pictures = validate_pictures(pictures)
-    if use_plain_hamiltonian:
-        gens = track.hamiltonians
-    else:
-        gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
-
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
     phases = standard_phases(track)
@@ -222,7 +229,11 @@ def propagate_quasi(
     with np.errstate(all="ignore"):
         for k0 in range(0, steps, _STEP_BLOCK):
             k1 = min(k0 + _STEP_BLOCK, steps)
-            block = gens[2 * k0 : 2 * k1 + 1, None]
+            points = slice(2 * k0, 2 * k1 + 1)
+            block = track.hamiltonians[points]
+            if not use_plain_hamiltonian:
+                block = build_generator(block, track.omega_dot[points], track.omega_inv[points])
+            block = block[:, None]
             if want_left:
                 block = np.concatenate([block, dagger(block)], axis=1)
             increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)

@@ -23,12 +23,15 @@ schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
 can vanish there (`schedules.schedule_bounds`), an omega_dot mode the model
 cannot take (`dressing.omega_dot_route`), and a selected check whose input
 is missing (`verify.unmet_need`).  PyYAML is imported only by the functions
-that parse text, so building a config from a dict never loads it.
+that parse YAML text, so building a config from a dict, or reading a JSON
+document, never loads it.  YAML is read with YAML 1.2's float rule, so an
+exponent needs no decimal point and no sign (`dt: 1e-3`).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -81,17 +84,50 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     return scenario_from_dict(load_document(text), name=name)
 
 
-def load_document(text: str) -> dict:
-    """YAML text of one scenario document as its raw dict (not yet validated)."""
+@functools.cache
+def _yaml_loader():
+    """PyYAML's SafeLoader plus YAML 1.2's float rule: a plain scalar with an
+    exponent but no decimal point or no exponent sign (1e-3, 2.5e3, .5E+2),
+    a string under YAML 1.1, resolves as a float."""
+    import re
+
     import yaml
 
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
+    class Loader(yaml.SafeLoader):
+        pass
+
+    exponent_float = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+0123456789."))
+    return Loader
+
+
+def load_document(text: str) -> dict:
+    """Text of one scenario document as its raw dict (not yet validated): a
+    JSON object is read with `json`, any other text as YAML."""
+    raw = _json_object(text)
+    if raw is None:
+        import yaml
+
+        try:
+            raw = yaml.load(text, Loader=_yaml_loader())
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping at top level")
     return raw
+
+
+def _json_object(text: str) -> dict | None:
+    """The JSON object ``text`` holds, or None when it holds none (YAML, or
+    a YAML flow mapping that is not JSON)."""
+    if not text.lstrip().startswith("{"):
+        return None
+    import json
+
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
@@ -196,14 +232,11 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def parse_scalar_text(text: str):
-    """YAML-parse one command-line value; rescue exponent-only floats.
-
-    YAML 1.1 treats `1e-3` (no decimal point) as a string, which is never
-    what a numeric flag means.
-    """
+    """YAML-parse one command-line value with the document loader; a string
+    that Python reads as a float (`inf`, `nan`) becomes that float."""
     import yaml
 
-    value = yaml.safe_load(text)
+    value = yaml.load(text, Loader=_yaml_loader())
     if isinstance(value, str):
         try:
             return float(value)

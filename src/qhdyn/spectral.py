@@ -69,12 +69,29 @@ def _raise_earliest(failures: list[_Failure]):
         raise failures[int(np.argmax(flags[:, k]))][1](k)
 
 
-def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
-    n = kets.shape[-1]
-    eye = np.eye(n)
+def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
+    """Max-norm residuals of a frame stack, all formed in one product buffer:
+    the (M,) biorthonormality and completeness residuals ||<<m|n> - I|| and
+    ||sum_n |n><<n| - I||, then, with ``matrix``, the (M, N) right and left
+    eigen-residuals of each pair."""
+    product = np.empty(kets.shape, dtype=complex)
+
+    def worst(a, b, minus, axis):
+        np.matmul(a, b, out=product)
+        np.subtract(product, minus, out=product)
+        return np.max(np.abs(product), axis=axis)
+
+    eye = np.eye(kets.shape[-1])
     with np.errstate(invalid="ignore", over="ignore"):
-        bi_res = np.max(np.abs(bras @ kets - eye), axis=(-2, -1))
-        complete_res = np.max(np.abs(kets @ bras - eye), axis=(-2, -1))
+        residuals = [worst(bras, kets, eye, (-2, -1)), worst(kets, bras, eye, (-2, -1))]
+        if matrix is not None:
+            residuals.append(worst(matrix, kets, kets * energies[:, None, :], -2))
+            residuals.append(worst(bras, matrix, energies[:, :, None] * bras, -1))
+    return residuals
+
+
+def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
+    bi_res, complete_res, *eigen = _frame_residuals(kets, bras, energies, matrix)
     failures: list[_Failure] = [(
         (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL),
         lambda k: ExceptionalPointError(
@@ -84,10 +101,8 @@ def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
             t=float(times[k]),
         ),
     )]
-    if matrix is not None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            right = np.max(np.abs(matrix @ kets - kets * energies[:, None, :]), axis=-2)
-            left = np.max(np.abs(bras @ matrix - energies[:, :, None] * bras), axis=-1)
+    if eigen:
+        right, left = eigen
         bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
 
         def residual_error(k):
@@ -175,7 +190,8 @@ def eig_biorthogonal(
     w = np.take_along_axis(w, order, axis=-1)
     vr = np.take_along_axis(vr, order[:, None, :], axis=-1)
     pivot = np.take_along_axis(vr, np.argmax(np.abs(vr), axis=-2)[:, None, :], axis=-2)
-    kets = vr * (np.abs(pivot) / pivot)
+    vr *= np.abs(pivot) / pivot
+    kets = vr
     bras = _inverse(kets)
     # infinite bras of a singular R, or norms that overflow, give margin 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,12 +303,17 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
         )
 
     chosen = overlaps[np.arange(m - 1)[:, None], perm[:-1], perm[1:]]
+    del overlaps, mags, ranked  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([np.ones((1, n)), np.conj(chosen) / np.abs(chosen)]), axis=0)
     phases /= np.abs(phases)
+    tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)
+    tracked_kets *= phases[:, None, :]
+    tracked_bras = np.take_along_axis(bras, perm[:, :, None], axis=-2)
+    tracked_bras *= np.conj(phases)[:, :, None]
     return BiorthogonalFrame(
         t=frame.t,
         energies=np.take_along_axis(energies, perm, axis=-1),
-        right_kets=np.take_along_axis(kets, perm[:, None, :], axis=-1) * phases[:, None, :],
-        left_bras=np.take_along_axis(bras, perm[:, :, None], axis=-2) * np.conj(phases)[:, :, None],
+        right_kets=tracked_kets,
+        left_bras=tracked_bras,
         raw_overlaps=np.take_along_axis(frame.raw_overlaps, perm, axis=-1),
     )

@@ -5,7 +5,8 @@ max-norm residual over the run and compares it against a threshold.  The
 defaults target desk scale (N <= 8, dt = 1e-3, T <= 1) and every threshold
 can be overridden per scenario.  Every check is one array expression over
 the stacked track and trajectory, giving a residual per grid time, and one
-row of the table `CHECKS`.
+row of the table `CHECKS`; the checks whose expressions form matrix
+products run over `dressing.grid_blocks`, so no temporary spans the grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dressing import DressingTrack, dagger, hermitize, quasi_hermiticity_residual, theta_inner
+from .dressing import (
+    DressingTrack, blockwise, dagger, grid_blocks, hermitize, quasi_hermiticity_residual, theta_inner
+)
 from .errors import ScenarioError
 from .evolution import Trajectory, expectation
 
@@ -104,10 +107,15 @@ def _intertwining(trajectory, track, observable_series):
     U_L(t) = (Omega(t)' u(t) Omega^-1(0)')' = Omega^-1(0) u(t)' Omega(t)
     is the pulled-back left action.
     """
-    u = trajectory.u_diagonals[:, None, :]
-    u_right = (track.omega_inv[::2] * u) @ track.omega[0]
-    u_left = dagger((dagger(track.omega[::2]) * u) @ dagger(track.omega_inv[0]))
-    return np.max(np.abs(u_left @ u_right - np.eye(track.dimension)), axis=(-2, -1))
+    omega0, inv0 = track.omega[0], dagger(track.omega_inv[0])
+    eye = np.eye(track.dimension)
+
+    def residual(omega, omega_inv, u):
+        u_right = (omega_inv * u) @ omega0
+        u_left = dagger((dagger(omega) * u) @ inv0)
+        return np.max(np.abs(u_left @ u_right - eye), axis=(-2, -1))
+
+    return blockwise(residual, track.omega[::2], track.omega_inv[::2], trajectory.u_diagonals[:, None, :])
 
 
 def _quasi_hermiticity(trajectory, track, observable_series):
@@ -125,24 +133,27 @@ def _isospectrality(trajectory, track, observable_series):
     disc lies inside the disc of radius r about E_i.  Where r is below half
     the smallest distance between two E_i, these discs are disjoint and each
     holds exactly one eigenvalue of h, so r bounds how far each eigenvalue of
-    h lies from its own E_i; no eigensolve is needed.  Only where the discs overlap (levels closer than 2r) is h
-    eigensolved, and the residual there is the largest distance between the
-    (Re, Im)-sorted spectra of h and E.
+    h lies from its own E_i; no eigensolve is needed.  Only where the discs
+    overlap (levels closer than 2r) is h eigensolved, and the residual there
+    is the largest distance between the (Re, Im)-sorted spectra of h and E.
+    The certificate runs over grid blocks; the points whose discs overlap are
+    eigensolved together afterwards.
     """
-    energies = track.energies
     levels = np.arange(track.dimension)
-    h = hermitize(track.omega, track.hamiltonians, track.omega_inv)
-    diagonal = h[:, levels, levels]
-    h[:, levels, levels] -= energies
-    residuals = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
-    distances = np.abs(energies[:, :, None] - energies[:, None, :])
-    distances[:, levels, levels] = np.inf
-    overlap = ~(residuals < 0.5 * np.min(distances, axis=(-2, -1)))
+    residuals = np.empty(len(track.times))
+    overlap = np.empty(len(track.times), dtype=bool)
+    for block in grid_blocks(track.omega):
+        h = hermitize(track.omega[block], track.hamiltonians[block], track.omega_inv[block])
+        energies = track.energies[block]
+        h[:, levels, levels] -= energies
+        residuals[block] = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
+        distances = np.abs(energies[:, :, None] - energies[:, None, :])
+        distances[:, levels, levels] = np.inf
+        overlap[block] = ~(residuals[block] < 0.5 * np.min(distances, axis=(-2, -1)))
     if overlap.any():
-        h = h[overlap]
-        h[:, levels, levels] = diagonal[overlap]
+        h = hermitize(track.omega[overlap], track.hamiltonians[overlap], track.omega_inv[overlap])
         spec_h = _lexsorted(np.linalg.eigvals(h))
-        residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(energies[overlap])), axis=-1)
+        residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(track.energies[overlap])), axis=-1)
     return residuals
 
 

@@ -7,8 +7,9 @@ Python loop.  `reference_permutations` is the step-by-step composition of
 those matches into branch labels.  `reference_propagate` is the RK4 loop the
 step-matrix integrator replaced: the four stages k1..k4 applied to the kets
 one step at a time, with a finiteness check after every step.
-`theta_spectral` and `spectrum_closed_form` are independent oracles for the
-metric and for the spectra of the families that have one.
+`reference_frame_residuals` forms the frame validation residuals point by
+point.  `theta_spectral` and `spectrum_closed_form` are independent oracles
+for the metric and for the spectra of the families that have one.
 """
 
 from __future__ import annotations
@@ -101,6 +102,22 @@ def reference_track(hams, times, reality_policy: str = "report") -> list[Biortho
         frame = reference_eig(H, reality_policy, t)
         frames.append(frame if not frames else reference_continuity(frames[-1], frame))
     return frames
+
+
+def reference_frame_residuals(kets, bras, energies, hams):
+    """Biorthonormality, completeness, right and left eigen-residuals of each
+    point of a frame stack, one point and one pair at a time."""
+    m, n = energies.shape
+    eye = np.eye(n)
+    bi, complete = np.empty(m), np.empty(m)
+    right, left = np.empty((m, n)), np.empty((m, n))
+    for k in range(m):
+        bi[k] = np.max(np.abs(bras[k] @ kets[k] - eye))
+        complete[k] = np.max(np.abs(kets[k] @ bras[k] - eye))
+        for j in range(n):
+            right[k, j] = np.max(np.abs(hams[k] @ kets[k][:, j] - energies[k, j] * kets[k][:, j]))
+            left[k, j] = np.max(np.abs(bras[k][j] @ hams[k] - energies[k, j] * bras[k][j]))
+    return bi, complete, right, left
 
 
 def reference_permutations(best: np.ndarray) -> np.ndarray:

@@ -284,6 +284,58 @@ def _fresh_interpreter(probe: str, stdin: str = "") -> str:
     return result.stdout.strip()
 
 
+def test_json_document_runs_without_yaml(tmp_path):
+    from qhdyn.scenario import load_document
+
+    doc = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    probe = (
+        "import sys; sys.modules['yaml'] = None; from qhdyn.cli import main; "
+        f"print(main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]))"
+    )
+    assert _fresh_interpreter(probe).splitlines()[-1] == str(EXIT_OK)
+
+
+def test_exponent_only_document_values_run(tmp_path, capsys):
+    text = (SCENARIO_DIR / "tri_sin_drive.yaml").read_text().replace("dt: 0.001}", "dt: 1e-3}")
+    path = tmp_path / "tri_sin_drive.yaml"
+    path.write_text(text + "checks: [{name: equivalence, threshold: 1e-6}]\n", encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "threshold 1.0e-06" in capsys.readouterr().out
+
+
+def test_run_peak_memory_per_fine_point():
+    # N = 8 cubic-trunc with g as in the moving-cubic8 benchmark, over
+    # M = 2001 fine points: the track holds six (M, 8, 8) complex stacks
+    # (6 KiB per point), and every other whole-grid temporary is bounded by
+    # a grid block
+    import tracemalloc
+
+    doc = {
+        "model": {
+            "family": "cubic-trunc",
+            "dimension": 8,
+            "params": {"g": 0.025},
+            "h_schedule": {"g": {"kind": "sinusoidal", "base": 0.025, "amplitude": 0.3, "frequency": 2.0}},
+            "a_observables": [{"name": "H", "matrix_source": "hamiltonian-itself"}],
+        },
+        "mu": [{"kind": "exponential", "base": 1.0, "rate": 0.05 * (k - 4)} for k in range(8)],
+        "time": {"t0": 0.0, "t1": 1.0, "dt": 1e-3},
+        "evolution": {"reality": "report"},
+    }
+    config = scenario_from_dict(doc)
+    run(config)  # the first run fills lazy imports and caches
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak / 2001 <= 8 * 1024
+
+
 def test_cli_import_does_not_load_scipy():
     assert _fresh_interpreter("import sys, qhdyn.cli; print('scipy' in sys.modules)") == "False"
 

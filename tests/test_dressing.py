@@ -10,16 +10,18 @@ from qhdyn import (
     time_grid,
 )
 from qhdyn.dressing import (
+    _tracked_frames,
     build_generator,
     build_omega,
     build_theta,
+    dagger,
     differentiate_samples,
     hermitize,
     omega_inverse,
     quasi_hermiticity_residual,
     theta_inner,
 )
-from qhdyn.model import build_hamiltonian
+from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import eig_biorthogonal, track_continuity
 
@@ -319,13 +321,18 @@ def test_static_track_repeats_one_frame():
     model = HamiltonianModel(4, "similarity-rand", {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7})
     mu = tuple(ScheduleSpec("sinusoidal", base=1.0, amplitude=0.4, frequency=k + 1.0) for k in range(4))
     _, fine = time_grid(0.0, 1.0, 0.01)
-    track = build_dressing_track(model, mu, fine)
-    reference = reference_track(track.hamiltonians, fine)
+    hams = build_hamiltonian(model, fine)
+    frames = _tracked_frames(hams, fine, "assert", real_gauge(model))
+    reference = reference_track(hams, fine)
     for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
-        values = getattr(track, field)
+        values = getattr(frames, field)
         assert all(v.tobytes() == values[0].tobytes() for v in values)
         expected = np.array([getattr(f, field) for f in reference])
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+    # the track keeps the tracked kets and energies of that frame as they are
+    track = build_dressing_track(model, mu, fine)
+    assert track.right_kets.tobytes() == frames.right_kets.tobytes()
+    assert track.energies.tobytes() == frames.energies.tobytes()
 
 
 def test_static_exceptional_point_names_the_first_time():
@@ -362,3 +369,24 @@ def test_cubic_track_has_an_exactly_real_spectrum():
     _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
     track = build_dressing_track(cfg.model, cfg.mu, fine, cfg.omega_dot_mode, cfg.reality_policy)
     assert not np.any(track.energies.imag)
+
+
+@pytest.mark.parametrize("m", [5, 64, 130])  # less than, exactly and over one grid block
+def test_blocked_and_in_place_forms_match_the_whole_grid_expressions(m):
+    rng = np.random.default_rng(m)
+
+    def stack():
+        return rng.standard_normal((m, 3, 3)) + 1j * rng.standard_normal((m, 3, 3))
+
+    omega = stack()
+    product = dagger(omega) @ omega
+    assert build_theta(omega).tobytes() == (0.5 * (product + dagger(product))).tobytes()
+
+    A, theta = stack(), stack()
+    for a in (A, A[0]):  # a stack, and one matrix for the whole grid
+        expected = np.max(np.abs(dagger(a) @ theta - theta @ a), axis=(-2, -1))
+        assert quasi_hermiticity_residual(a, theta).tobytes() == expected.tobytes()
+
+    s, step = stack(), 0.01
+    interior = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) * (1.0 / (12.0 * step))
+    assert differentiate_samples(s, step)[2:-2].tobytes() == interior.tobytes()

@@ -279,3 +279,16 @@ def test_increment_matrix_is_the_rk4_update():
     expected = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     got = (rk4_increments(a0, am, a1, dt) @ vec[..., None])[..., 0]
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
+def test_increments_accumulate_as_the_stage_expressions():
+    # in place, in the same order of operations: bit for bit the stage formulas
+    rng = np.random.default_rng(12)
+    begin, mid, end = rng.standard_normal((3, 130, 2, 4, 4)) + 1j * rng.standard_normal((3, 130, 2, 4, 4))
+    dt = 0.03
+    a, m, c = (-1j * dt) * begin, (-1j * dt) * mid, (-1j * dt) * end
+    k2 = m + 0.5 * (m @ a)
+    k3 = m + 0.5 * (m @ k2)
+    k4 = c + c @ k3
+    expected = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    assert rk4_increments(begin, mid, end, dt).tobytes() == expected.tobytes()

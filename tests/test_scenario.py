@@ -1,5 +1,6 @@
 import copy
 import functools
+import json
 import operator
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhdyn import ScenarioConfig, ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
-from qhdyn.scenario import set_by_path
+from qhdyn.scenario import load_document, set_by_path
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
 
 MINIMAL = """
 model:
@@ -189,6 +190,34 @@ def test_exponent_only_floats_from_command_line():
     raw = yaml.safe_load(MINIMAL)
     out = apply_overrides(raw, ["time.dt=1e-3"])
     assert out["time"]["dt"] == 1e-3
+
+
+def test_exponent_only_floats_in_documents():
+    # YAML 1.1 reads 1e-3 as a string; documents take YAML 1.2's float rule
+    text = (SCENARIO_DIR / "tri_sin_drive.yaml").read_text()
+    edited = text.replace("dt: 0.001}", "dt: 1e-3}")
+    assert edited != text
+    cfg = parse_scenario(edited + "checks: [{name: equivalence, threshold: 1e-6}]\n")
+    assert cfg.dt == 1e-3
+    assert cfg.check_overrides == {"equivalence": 1e-6}
+    assert load_document("a: [2.5e3, .5E+2, -1_0e1, 1e]") == {"a": [2500.0, 50.0, -100.0, "1e"]}
+    # PyYAML's own SafeLoader is left as it is
+    assert yaml.safe_load("dt: 1e-3") == {"dt": "1e-3"}
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS + ("ep_crossing",))
+def test_json_document_gives_the_yaml_config(name):
+    text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+    from_yaml = parse_scenario(text)
+    from_json = parse_scenario(json.dumps(load_document(text)))
+    assert from_json.raw == from_yaml.raw
+    assert repr(from_json) == repr(from_yaml)
+
+
+def test_flow_mapping_that_is_not_json_is_read_as_yaml():
+    assert load_document("{time: {dt: 1e-3}}") == {"time": {"dt": 1e-3}}
+    with pytest.raises(ScenarioError, match="not valid YAML"):
+        load_document('{"time": ')
 
 
 def test_unknown_subdocument_keys_rejected():

@@ -8,13 +8,14 @@ from qhdyn.spectral import (
     REALITY_TOL,
     BiorthogonalFrame,
     _frame_failures,
+    _frame_residuals,
     _raise_earliest,
     branch_permutations,
     eig_biorthogonal,
     track_continuity,
 )
 
-from reference import reference_permutations, reference_track, stack_frames
+from reference import reference_frame_residuals, reference_permutations, reference_track, stack_frames
 
 
 def assert_frame_relations(frame, H, atol=1e-10):
@@ -367,3 +368,44 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
         for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
             assert getattr(gauged, field).tobytes() == getattr(plain, field).tobytes()
     assert solved == [np.complex128] * 4
+
+
+def test_frame_residuals_match_the_pointwise_reference():
+    # a perturbed frame of random matrices, so every residual is well above rounding
+    rng = np.random.default_rng(4)
+    hams = rng.standard_normal((70, 4, 4)) + 1j * rng.standard_normal((70, 4, 4))
+    frame = eig_biorthogonal(hams)
+    kets = frame.right_kets + 1e-3 * rng.standard_normal(frame.right_kets.shape)
+    bras = frame.left_bras + 1e-3 * rng.standard_normal(frame.left_bras.shape)
+    got = _frame_residuals(kets, bras, frame.energies, hams)
+    expected = reference_frame_residuals(kets, bras, frame.energies, hams)
+    assert len(got) == 4
+    for g, e in zip(got, expected):
+        assert np.min(e) > 1e-6
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=0.0)
+    assert len(_frame_residuals(kets, bras, frame.energies, None)) == 2
+
+
+def test_moving_track_is_the_tracked_frame_itself(monkeypatch):
+    import qhdyn.dressing
+    from qhdyn.dressing import _tracked_frames
+
+    model = HamiltonianModel(
+        6, "cubic-trunc", {"g": 0.1}, {"g": ScheduleSpec("sinusoidal", base=0.1, amplitude=0.3, frequency=2.0)}
+    )
+    times = np.linspace(0.0, 1.0, 201)
+    hams = _stack_along(model, times)
+    returned = []
+
+    def spy(frame):
+        returned.append(track_continuity(frame))
+        return returned[-1]
+
+    monkeypatch.setattr(qhdyn.dressing, "track_continuity", spy)
+    frames = _tracked_frames(hams, times, "report")
+    # every H is distinct: no gather copies the continuity-tracked stacks
+    assert frames is returned[0]
+    reference = reference_track(hams, times)
+    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+        expected = np.array([getattr(f, field) for f in reference])
+        np.testing.assert_allclose(getattr(frames, field), expected, rtol=0.0, atol=1e-12)
