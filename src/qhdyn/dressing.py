@@ -9,15 +9,15 @@ operator that actually moves kets in time is
 
     H_gen(t) = H(t) - i Omega^-1(t) dOmega/dt.
 
-Two routes produce dOmega/dt: exact differentiation of the mu schedules when
-H is static (frames constant), or 4th-order finite differences applied to the
-continuity-tracked Omega(t) samples when H itself moves.
+Whether H moves is the model's to say (`HamiltonianModel.is_time_dependent`).
+A static H is solved once, and dOmega/dt is the exact mu derivative times
+its constant left bras; a moving H is solved at every grid point, and
+dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
 
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
-or such a stack alike.  The track is built with one batched eigensolve that
-solves each distinct H along the grid once (a static H once in all), one
+or such a stack alike.  The track is built with one batched eigensolve, one
 batched metric spectrum, and array expressions for everything else.
 
 Each quantity is stored once: the track keeps the right kets (the eigenstate
@@ -39,8 +39,6 @@ from .errors import ConditioningError, ConditioningWarning, MetricPositivityErro
 from .model import HamiltonianModel, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
 from .spectral import BiorthogonalFrame, eig_biorthogonal, track_continuity
-
-OMEGA_DOT_MODES = ("auto", "analytic-mu-only", "finite-difference")
 
 # metric conditioning guard: warn above the first bound, abort above the second
 THETA_COND_WARN = 1e8
@@ -214,7 +212,9 @@ class DressingTrack:
     energies                       (M, N)     tracked E_n(t)
     theta_eigs                     (M, N)     ascending eigenvalues of Theta
 
-    The tracked bras are not kept: row n of Omega is mu_n <<n|.
+    The tracked bras are not kept: row n of Omega is mu_n <<n|.  The
+    hamiltonians, right kets and energies are read-only; for a static H they
+    are one solve broadcast over the grid (stride 0 along the grid axis).
     """
 
     times: np.ndarray
@@ -236,90 +236,63 @@ class DressingTrack:
         return float(self.times[1] - self.times[0])
 
 
-def omega_dot_route(model: HamiltonianModel, mode: str) -> str:
-    """The route of dOmega/dt for ``mode``, decided from the model alone: 'auto'
-    is 'analytic-mu-only' for a static H and 'finite-difference' otherwise.
-    Raises `ScenarioError` for an unknown mode, or 'analytic-mu-only' with a
-    moving H."""
-    if mode not in OMEGA_DOT_MODES:
-        raise ScenarioError(f"unknown omega_dot mode {mode!r}; expected one of {OMEGA_DOT_MODES}")
-    if mode == "auto":
-        return "finite-difference" if model.is_time_dependent else "analytic-mu-only"
-    if mode == "analytic-mu-only" and model.is_time_dependent:
-        raise ScenarioError(
-            "omega_dot mode 'analytic-mu-only' is inconsistent with a "
-            "time-dependent Hamiltonian schedule"
-        )
-    return mode
-
-
 def _tracked_frames(
     hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None
 ) -> BiorthogonalFrame:
-    """Solve and continuity-track each distinct H once (a point whose H differs
-    from its predecessor's), then gather the frames back onto the grid; when
-    every H is distinct, the tracked frame is already the grid's.
-    ``gauge`` is the model's real gauge, passed on to `eig_biorthogonal`.
+    """Solve the (M, N, N) stack of H at ``times`` in one batch and
+    continuity-track it.  ``gauge`` is the model's real gauge, passed on to
+    `eig_biorthogonal`.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
     before k is the error to report.
     """
-    distinct = np.concatenate(([True], np.any(hams[1:] != hams[:-1], axis=(-2, -1))))
-    every = distinct.all()
-    solve = slice(None) if every else distinct  # a view of a moving H's stack, not a copy
-    hams, solve_times = hams[solve], times[solve]
     try:
-        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=solve_times, gauge=gauge)
+        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=times, gauge=gauge)
     except NumericalDomainError as exc:
-        k = int(np.searchsorted(solve_times, exc.t))
+        k = int(np.searchsorted(times, exc.t))
         if k > 1:
-            prefix = eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=solve_times[:k], gauge=gauge)
+            prefix = eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=times[:k], gauge=gauge)
             track_continuity(prefix)
         raise
-    frames = track_continuity(frames)
-    if every:
-        return frames
-    at = np.cumsum(distinct) - 1
-    return BiorthogonalFrame(
-        times, frames.energies[at], frames.right_kets[at], frames.left_bras[at], frames.raw_overlaps[at]
-    )
+    return track_continuity(frames)
 
 
 def build_dressing_track(
     model: HamiltonianModel,
     mu_schedules: Sequence[ScheduleSpec],
     times: np.ndarray,
-    omega_dot_mode: str = "auto",
     reality_policy: str = "assert",
 ) -> DressingTrack:
     """Assemble frames and dressing maps along a uniform time grid.
 
-    Frames are solved once per distinct H in one batch, continuity-tracked
-    and gathered back onto the grid; the dressing then follows the tracked
-    gauge, so the sampled Omega(t) lies on one smooth curve and finite
-    differences of it are meaningful.  dOmega/dt follows `omega_dot_route`,
-    decided before any H is built: exact mu derivatives times the (constant)
-    left bras, or 4th-order stencils over the Omega samples.
+    A static H (`HamiltonianModel.is_time_dependent` false) is built and
+    solved at ``times[0]`` alone; dOmega/dt is then the exact mu derivatives
+    times its constant left bras.  A moving H is solved at every point in
+    one batch and continuity-tracked, so the sampled Omega(t) lies on one
+    smooth curve, and dOmega/dt is taken by 4th-order stencils over it.
     """
     times = np.asarray(times, dtype=float)
     if len(mu_schedules) != model.dimension:
         raise ScenarioError(
             f"need {model.dimension} mu schedules, got {len(mu_schedules)}"
         )
-    route = omega_dot_route(model, omega_dot_mode)
+    solved = times if model.is_time_dependent else times[:1]
 
-    hams = build_hamiltonian(model, times)
-    frames = _tracked_frames(hams, times, reality_policy, real_gauge(model))
+    hams = build_hamiltonian(model, solved)
+    frames = _tracked_frames(hams, solved, reality_policy, real_gauge(model))
 
     mu = mu_series(mu_schedules, times)
     omega = build_omega(frames, mu)
     omega_inv = omega_inverse(frames, mu)
-    if route == "analytic-mu-only":
-        omega_dot = mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras
-    else:
+    if model.is_time_dependent:
         omega_dot = differentiate_samples(omega, float(times[1] - times[0]))
-    right_kets, energies = frames.right_kets, frames.energies
+    else:
+        omega_dot = mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras
+    # read-only (M, ...) views: one solve of a static H stands for every point
+    hams, right_kets, energies = (
+        np.broadcast_to(a, times.shape + a.shape[1:]) for a in (hams, frames.right_kets, frames.energies)
+    )
     del frames  # nothing below reads the bras: free them before Theta is built
     theta = build_theta(omega)
     theta_eigs = np.linalg.eigvalsh(theta)

@@ -177,7 +177,9 @@ def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndar
     # cubic-trunc
     g = np.broadcast_to(model.real_param("g", t), np.shape(t))
     p2, x3 = _oscillator_blocks(n)
-    return p2 + 1j * g[..., None, None] * x3
+    h = 1j * g[..., None, None] * x3
+    h += p2  # in place: no second stack the size of the output
+    return h
 
 
 def real_gauge(model: HamiltonianModel) -> np.ndarray | None:

@@ -52,13 +52,7 @@ def run(config: ScenarioConfig) -> RunReport:
     """
     started = _time.perf_counter()
     _, fine = time_grid(config.t0, config.t1, config.dt)
-    track = build_dressing_track(
-        config.model,
-        config.mu,
-        fine,
-        omega_dot_mode=config.omega_dot_mode,
-        reality_policy=config.reality_policy,
-    )
+    track = build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
     trajectory = propagate_quasi(
         track,
         config.initial_state,
@@ -142,7 +136,7 @@ def summary_text(report: RunReport) -> str:
         f"scenario: {cfg.name}",
         f"family: {cfg.model.family}  N={cfg.model.dimension}",
         f"grid: t0={cfg.t0:g} t1={cfg.t1:g} dt={cfg.dt:g} steps={cfg.steps}",
-        f"generator: {cfg.generator}  omega_dot: {cfg.omega_dot_mode}  reality: {cfg.reality_policy}",
+        f"generator: {cfg.generator}  reality: {cfg.reality_policy}",
         "",
     ]
     for r in report.reports:

@@ -12,20 +12,18 @@ A scenario is a YAML document with these top-level keys (normative):
                    all; 'standard' is accepted but always computed)
     checks         list of check names or {name, threshold} entries
                    (default: every applicable check)
-    evolution      generator: hgen | h-only; omega_dot: auto |
-                   analytic-mu-only | finite-difference; reality: assert |
-                   report                       (all optional)
+    evolution      generator: hgen | h-only; reality: assert | report
+                   (both optional)
     outputs        observable names to add as expectation-value CSV columns
                    (default: all declared observables)
 
 Every number must be finite.  Parsing rejects, before any numerics, a
 schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
-can vanish there (`schedules.schedule_bounds`), an omega_dot mode the model
-cannot take (`dressing.omega_dot_route`), and a selected check whose input
-is missing (`verify.unmet_need`).  PyYAML is imported only by the functions
-that parse YAML text, so building a config from a dict, or reading a JSON
-document, never loads it.  YAML is read with YAML 1.2's float rule, so an
-exponent needs no decimal point and no sign (`dt: 1e-3`).
+can vanish there (`schedules.schedule_bounds`), and a selected check whose
+input is missing (`verify.unmet_need`).  PyYAML is imported only by the
+functions that parse YAML text, so building a config from a dict, or reading
+a JSON document or JSON values, never loads it.  YAML is read with YAML 1.2's
+float rule, so an exponent needs no decimal point and no sign (`dt: 1e-3`).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .dressing import omega_dot_route
 from .errors import ScenarioError
 from .evolution import PICTURES, time_grid, validate_pictures
 from .model import HamiltonianModel, ObservableSpec
@@ -50,7 +47,7 @@ _TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks
              "evolution", "outputs"}
 _TIME_KEYS = {"t0", "t1", "dt"}
 _MODEL_KEYS = {"family", "dimension", "params", "h_schedule", "a_observables"}
-_EVOLUTION_KEYS = {"generator", "omega_dot", "reality"}
+_EVOLUTION_KEYS = {"generator", "reality"}
 _OBSERVABLE_KEYS = {"name", "matrix_source", "data"}
 
 
@@ -69,7 +66,6 @@ class ScenarioConfig:
     check_selection: tuple[str, ...] | None
     check_overrides: Mapping[str, float]
     generator: str
-    omega_dot_mode: str
     reality_policy: str
     outputs: tuple[str, ...]
     raw: dict = field(repr=False, default_factory=dict)
@@ -180,8 +176,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     generator = str(evo.get("generator", "hgen"))
     if generator not in ("hgen", "h-only"):
         raise ScenarioError(f"evolution.generator must be 'hgen' or 'h-only', got {generator!r}")
-    omega_dot_mode = str(evo.get("omega_dot", "auto"))
-    omega_dot_route(model, omega_dot_mode)
     reality_policy = str(evo.get("reality", "assert"))
     if reality_policy not in ("assert", "report"):
         raise ScenarioError(f"evolution.reality must be 'assert' or 'report', got {reality_policy!r}")
@@ -208,7 +202,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         check_selection=selection,
         check_overrides=overrides,
         generator=generator,
-        omega_dot_mode=omega_dot_mode,
         reality_policy=reality_policy,
         outputs=tuple(str(o) for o in outputs),
         raw=raw,
@@ -218,9 +211,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply repeatable ``key.path=value`` overrides to a raw scenario dict.
 
-    Values are parsed as YAML scalars, so `time.dt=5e-4` arrives as a float
-    and `evolution.generator=h-only` as a string.  List elements are indexed
-    numerically: `mu.0.rate=0.2`.
+    Values are parsed by `parse_scalar_text`, so `time.dt=5e-4` arrives as a
+    float and `evolution.generator=h-only` as a string.  List elements are
+    indexed numerically: `mu.0.rate=0.2`.
     """
     raw = copy.deepcopy(raw)
     for item in overrides:
@@ -232,11 +225,18 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def parse_scalar_text(text: str):
-    """YAML-parse one command-line value with the document loader; a string
-    that Python reads as a float (`inf`, `nan`) becomes that float."""
-    import yaml
+    """One command-line value: JSON when it is JSON (no PyYAML needed), else
+    YAML read with the document loader, which gives the same value wherever
+    both accept the text; a string that Python reads as a float (`inf`,
+    `nan`) becomes that float."""
+    import json
 
-    value = yaml.load(text, Loader=_yaml_loader())
+    try:
+        value = json.loads(text)
+    except ValueError:
+        import yaml
+
+        value = yaml.load(text, Loader=_yaml_loader())
     if isinstance(value, str):
         try:
             return float(value)

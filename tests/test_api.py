@@ -41,7 +41,7 @@ def test_readme_scenario_example_parses_and_passes():
     section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
     text = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
     config = qhdyn.parse_scenario(text)
-    assert config.pictures == ("right", "left", "standard") and config.omega_dot_mode == "auto"
+    assert config.pictures == ("right", "left", "standard")
     report = qhdyn.run(config)
     assert [r.name for r in report.reports] == ["theta-norm-conservation", "equivalence"]
     assert report.passed

@@ -103,7 +103,7 @@ def test_seventeen_digit_serialization(tmp_path):
 # each leaves cubic_osc_drive with a setting that no run of it can use
 _REJECTED_BEFORE_NUMERICS = [
     ["evolution.omega_dot=bogus"],
-    ["evolution.omega_dot=analytic-mu-only"],  # its H moves
+    ["evolution.omega_dot=analytic-mu-only"],  # a retired key, whatever its value
     ["pictures=[right]", "checks=[state-consistency]"],
     ["model.a_observables=[]", "checks=[observable-reality]"],
 ]
@@ -290,11 +290,13 @@ def test_json_document_runs_without_yaml(tmp_path):
     doc = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    # a sweep too: its --values entries are JSON, read without yaml
     probe = (
         "import sys; sys.modules['yaml'] = None; from qhdyn.cli import main; "
-        f"print(main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]))"
+        f"codes = [main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]), "
+        f"main(['sweep', {str(path)!r}, '--param', 'time.dt', '--values', '0.002,0.001'])]; print(codes)"
     )
-    assert _fresh_interpreter(probe).splitlines()[-1] == str(EXIT_OK)
+    assert _fresh_interpreter(probe).splitlines()[-1] == str([EXIT_OK, EXIT_OK])
 
 
 def test_exponent_only_document_values_run(tmp_path, capsys):

@@ -21,7 +21,7 @@ from qhdyn.dressing import (
     quasi_hermiticity_residual,
     theta_inner,
 )
-from qhdyn.model import build_hamiltonian, real_gauge
+from qhdyn.model import build_hamiltonian
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import eig_biorthogonal, track_continuity
 
@@ -139,25 +139,13 @@ def test_generator_diagonal_closed_form():
     H = np.diag([1.0, 2.0]).astype(complex)
     frame = eig_biorthogonal(H)
     times = np.linspace(0.0, 1.0, 5)
-    dots = build_dressing_track(model, EXP_MU, times, omega_dot_mode="analytic-mu-only").omega_dot
+    dots = build_dressing_track(model, EXP_MU, times).omega_dot  # a static H: the exact mu route
     t = times[2]
     mu = np.array([np.exp(0.3 * t), np.exp(-0.1 * t)])
     omega = build_omega(frame, mu)
     np.testing.assert_allclose(dots[2], np.diag([0.3, -0.1]) * mu[:, None], atol=1e-12)
     gen = build_generator(H, dots[2], np.linalg.inv(omega))
     np.testing.assert_allclose(gen, np.diag([1.0 - 0.3j, 2.0 + 0.1j]), atol=1e-12)
-
-
-def test_analytic_mode_rejected_for_moving_hamiltonian():
-    model = HamiltonianModel(
-        2,
-        "triangular2",
-        {"e1": 1.0, "e2": 2.0, "c": 1.0},
-        {"c": ScheduleSpec("sinusoidal", base=1.0, amplitude=0.5, frequency=2.0)},
-    )
-    _, fine = time_grid(0.0, 1.0, 0.01)
-    with pytest.raises(ScenarioError, match="inconsistent"):
-        build_dressing_track(model, EXP_MU, fine, omega_dot_mode="analytic-mu-only")
 
 
 def test_constant_everything_gives_zero_omega_dot():
@@ -172,16 +160,12 @@ def test_constant_everything_gives_zero_omega_dot():
 def test_finite_difference_matches_analytic():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     _, fine = time_grid(0.0, 1.0, 1e-3)
-    analytic = build_dressing_track(model, EXP_MU, fine, omega_dot_mode="analytic-mu-only")
-    fd = build_dressing_track(model, EXP_MU, fine, omega_dot_mode="finite-difference")
-    worst = max(
-        np.max(np.abs(a - b)) for a, b in zip(analytic.omega_dot, fd.omega_dot)
-    )
+    # a static H takes the exact route; stencils over its Omega samples agree
+    track = build_dressing_track(model, EXP_MU, fine)
+    fd = differentiate_samples(track.omega, track.step)
+    worst = max(np.max(np.abs(a - b)) for a, b in zip(track.omega_dot, fd))
     assert worst < 1e-10
-    # 'auto' takes the exact route for a static H, and the two routes differ
-    auto = build_dressing_track(model, EXP_MU, fine)
-    np.testing.assert_array_equal(auto.omega_dot, analytic.omega_dot)
-    assert np.any(auto.omega_dot != fd.omega_dot)
+    assert np.any(track.omega_dot != fd)  # the two routes differ
 
 
 def test_finite_difference_is_fourth_order():
@@ -194,10 +178,10 @@ def test_finite_difference_is_fourth_order():
     errors = []
     for dt in (0.2, 0.1):
         _, fine = time_grid(0.0, 2.0, dt)
-        analytic = build_dressing_track(model, mu, fine, omega_dot_mode="analytic-mu-only")
-        fd = build_dressing_track(model, mu, fine, omega_dot_mode="finite-difference")
+        track = build_dressing_track(model, mu, fine)  # a static H: exact dOmega/dt
+        fd = differentiate_samples(track.omega, track.step)
         mid = len(fine) // 2  # interior: central stencils
-        errors.append(np.max(np.abs(analytic.omega_dot[mid] - fd.omega_dot[mid])))
+        errors.append(np.max(np.abs(track.omega_dot[mid] - fd[mid])))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
 
@@ -311,7 +295,7 @@ def test_each_distinct_hamiltonian_is_solved_once(name, monkeypatch):
     monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", spy)
     cfg = load_scenario(name)
     _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
-    build_dressing_track(cfg.model, cfg.mu, fine, cfg.omega_dot_mode, cfg.reality_policy)
+    build_dressing_track(cfg.model, cfg.mu, fine, cfg.reality_policy)
     n = cfg.model.dimension
     static = name in ("exp_metric_drive", "rand4_metric_sin", "static_hermitian")
     assert shapes == [(1 if static else len(fine), n, n)]
@@ -321,18 +305,40 @@ def test_static_track_repeats_one_frame():
     model = HamiltonianModel(4, "similarity-rand", {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7})
     mu = tuple(ScheduleSpec("sinusoidal", base=1.0, amplitude=0.4, frequency=k + 1.0) for k in range(4))
     _, fine = time_grid(0.0, 1.0, 0.01)
-    hams = build_hamiltonian(model, fine)
-    frames = _tracked_frames(hams, fine, "assert", real_gauge(model))
-    reference = reference_track(hams, fine)
-    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
-        values = getattr(frames, field)
-        assert all(v.tobytes() == values[0].tobytes() for v in values)
-        expected = np.array([getattr(f, field) for f in reference])
-        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
-    # the track keeps the tracked kets and energies of that frame as they are
     track = build_dressing_track(model, mu, fine)
-    assert track.right_kets.tobytes() == frames.right_kets.tobytes()
-    assert track.energies.tobytes() == frames.energies.tobytes()
+    # one solve held as a read-only view over the grid
+    for values in (track.hamiltonians, track.right_kets, track.energies):
+        assert values.shape[0] == len(fine) and values.strides[0] == 0
+        assert not values.flags.writeable
+    # equal to the frame a point-by-point sweep tracks at every point
+    hams = build_hamiltonian(model, fine)
+    np.testing.assert_array_equal(track.hamiltonians, hams)
+    reference = reference_track(hams, fine)
+    for field in ("energies", "right_kets"):
+        expected = np.array([getattr(f, field) for f in reference])
+        np.testing.assert_allclose(getattr(track, field), expected, rtol=0.0, atol=1e-12)
+
+
+def test_static_hamiltonian_is_built_once(monkeypatch):
+    import qhdyn.dressing
+
+    calls = []
+
+    def spy(model, t):
+        calls.append(np.shape(t))
+        return build_hamiltonian(model, t)
+
+    monkeypatch.setattr(qhdyn.dressing, "build_hamiltonian", spy)
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.5})
+    _, fine = time_grid(0.0, 1.0, 0.01)
+    build_dressing_track(model, EXP_MU, fine)
+    assert calls == [(1,)]
+    moving = HamiltonianModel(
+        2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.5},
+        {"c": ScheduleSpec("sinusoidal", base=0.5, amplitude=0.5, frequency=2.0)},
+    )
+    build_dressing_track(moving, EXP_MU, fine)
+    assert calls == [(1,), fine.shape]
 
 
 def test_static_exceptional_point_names_the_first_time():
@@ -367,7 +373,7 @@ def test_cubic_ramp_leaves_the_real_phase_at_the_same_time():
 def test_cubic_track_has_an_exactly_real_spectrum():
     cfg = load_scenario("cubic_osc_drive")
     _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
-    track = build_dressing_track(cfg.model, cfg.mu, fine, cfg.omega_dot_mode, cfg.reality_policy)
+    track = build_dressing_track(cfg.model, cfg.mu, fine, cfg.reality_policy)
     assert not np.any(track.energies.imag)
 
 

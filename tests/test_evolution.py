@@ -230,9 +230,7 @@ def test_expectation_cases(hand_frame, hand_matrix):
 
 def _config_track(config):
     _, fine = time_grid(config.t0, config.t1, config.dt)
-    return build_dressing_track(
-        config.model, config.mu, fine, omega_dot_mode=config.omega_dot_mode, reality_policy=config.reality_policy
-    )
+    return build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
 
 
 @pytest.mark.parametrize("generator", ["hgen", "h-only"])

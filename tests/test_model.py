@@ -266,3 +266,25 @@ def test_hamiltonian_stack_equals_pointwise_calls(model):
     pointwise = np.array([build_hamiltonian(model, float(t)) for t in times])
     assert stacked.shape == (len(times), model.dimension, model.dimension)
     assert stacked.tobytes() == pointwise.tobytes()  # bit for bit, signed zeros included
+
+
+def test_cubic_stack_is_built_in_place():
+    # N = 8 over M = 2001 times: the in-place sum gives the bytes of
+    # p2 + 1j g x3 with no second temporary the size of the output
+    import tracemalloc
+
+    from qhdyn.model import _oscillator_blocks
+
+    g = ScheduleSpec("sinusoidal", base=0.1, amplitude=0.5, frequency=2.0)
+    model = HamiltonianModel(8, "cubic-trunc", {"g": 0.1}, {"g": g})
+    times = np.linspace(0.0, 1.0, 2001)
+    p2, x3 = _oscillator_blocks(8)
+    expected = p2 + 1j * model.real_param("g", times)[:, None, None] * x3
+    assert build_hamiltonian(model, times).tobytes() == expected.tobytes()
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(model, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * h.nbytes

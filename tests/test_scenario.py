@@ -34,7 +34,6 @@ def test_minimal_document_fills_defaults():
     assert cfg.pictures == ("right", "left", "standard")
     assert cfg.check_selection is None  # all applicable checks
     assert cfg.generator == "hgen"
-    assert cfg.omega_dot_mode == "auto"
     assert cfg.reality_policy == "assert"
     assert cfg.steps == 100
 
@@ -138,10 +137,12 @@ def test_observable_parsing():
 
 
 def test_evolution_block_validation():
-    cfg = parse_scenario(MINIMAL + "evolution: {generator: h-only, omega_dot: finite-difference, reality: report}\n")
+    cfg = parse_scenario(MINIMAL + "evolution: {generator: h-only, reality: report}\n")
     assert cfg.generator == "h-only"
-    assert cfg.omega_dot_mode == "finite-difference"
     assert cfg.reality_policy == "report"
+    # the model decides how dOmega/dt is obtained; the key that chose it is gone
+    with pytest.raises(ScenarioError, match=r"unknown evolution keys: \['omega_dot'\]"):
+        parse_scenario(MINIMAL + "evolution: {omega_dot: auto}\n")
     with pytest.raises(ScenarioError, match="generator"):
         parse_scenario(MINIMAL + "evolution: {generator: imaginary}\n")
     with pytest.raises(ScenarioError, match="reality"):
@@ -190,6 +191,28 @@ def test_exponent_only_floats_from_command_line():
     raw = yaml.safe_load(MINIMAL)
     out = apply_overrides(raw, ["time.dt=1e-3"])
     assert out["time"]["dt"] == 1e-3
+
+
+_SCALAR_TEXTS = [
+    "1e-3", "5e-4", "2.5e3", "1E+5", "-1.5e-300", "1e400", "1.5e+308", "0.002", "1", "-7", "0", "-0",
+    "-0.0", "012", "0x1A", "1_000", ".5", "inf", "-inf", "Infinity", "-Infinity", "NaN", "nan", ".nan",
+    ".inf", "true", "false", "True", "null", "~", "", "h-only", "hgen", "[right]", '["right", "left"]',
+    "[1, 2.5]", "{a: 1}", '{"a": 1}', '"x"', "'x'",
+]
+
+
+@pytest.mark.parametrize("text", _SCALAR_TEXTS)
+def test_command_line_values_read_as_json_equal_the_yaml_reading(text):
+    from qhdyn.scenario import _yaml_loader, parse_scalar_text
+
+    value = yaml.load(text, Loader=_yaml_loader())  # the YAML loader alone
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    got = parse_scalar_text(text)
+    assert type(got) is type(value) and repr(got) == repr(value)  # nan, -0.0 and int vs float too
 
 
 def test_exponent_only_floats_in_documents():
