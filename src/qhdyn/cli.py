@@ -78,11 +78,9 @@ def _cmd_run(args) -> int:
 
 
 def _parse_values(text: str) -> list:
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            values.append(parse_scalar_text(chunk))
+    values = [parse_scalar_text(chunk) for chunk in map(str.strip, text.split(",")) if chunk]
+    if not values:
+        raise ScenarioError(f"--values {text!r} lists no value")
     return values
 
 
@@ -91,12 +89,12 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     points = sweep(raw, args.param, values, jobs=args.jobs, name=raw.get("name", args.scenario.stem))
     sys.stdout.write(sweep_summary_text(args.param, points))
-    if args.out is not None and points:
+    if args.out is not None:
         for p in points:
             if p.report is not None:
                 write_outputs(p.report, args.out)
         sys.stdout.write(f"outputs written under {args.out}\n")
-    return max((p.exit_code for p in points), default=EXIT_OK)
+    return max(p.exit_code for p in points)
 
 
 def main(argv: list[str] | None = None) -> int:

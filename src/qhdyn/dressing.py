@@ -17,14 +17,13 @@ dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
-or such a stack alike.  The track is built with one batched eigensolve, one
-batched metric spectrum, and array expressions for everything else.
-
-Each quantity is stored once: the track keeps the right kets (the eigenstate
-preset reads them) but not the left bras, which live on only as the rows of
-Omega.  Products over the grid (Theta, H_gen, the check residuals) are
-formed over blocks of `_STEP_BLOCK` points, and the stencils accumulate in
-place, so no temporary the size of the track outlives one expression.
+or such a stack alike.  The track holds four matrix stacks: H, Omega,
+Omega^-1 and Theta.  A moving H is solved and continuity-tracked in blocks
+of at most `_FRAME_ENTRIES` matrix entries that write their rows of Omega
+and Omega^-1, so its frames never span the grid; kets are kept at t0 only.
+dOmega/dt and the other products over the grid (Theta, H_gen, the check
+residuals) are formed over blocks of `_STEP_BLOCK` points, so no temporary
+the size of the track outlives one expression.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
 from .model import HamiltonianModel, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
-from .spectral import BiorthogonalFrame, eig_biorthogonal, track_continuity
+from .spectral import BiorthogonalFrame, _point, eig_biorthogonal, track_continuity
 
 # metric conditioning guard: warn above the first bound, abort above the second
 THETA_COND_WARN = 1e8
@@ -50,24 +49,27 @@ THETA_COND_ABORT = 1e12
 # the whole grid at once raises the run's memory high-water mark)
 _STEP_BLOCK = 64
 
+# matrix entries per block of a moving H's frames: 64 points at N = 8, 1024 at N = 2
+_FRAME_ENTRIES = _STEP_BLOCK * 8 * 8
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
+def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex], out: np.ndarray | None = None) -> np.ndarray:
     """Omega = sum_n e_n mu_n <<n|: row n is mu_n times the left bra."""
     mu = np.asarray(mu, dtype=complex)
     if np.any(mu == 0):
         raise ScenarioError("mu coefficients must be nonzero")
-    return mu[..., :, None] * frame.left_bras
+    return np.multiply(mu[..., :, None], frame.left_bras, out=out)
 
 
-def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex]) -> np.ndarray:
+def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex], out: np.ndarray | None = None) -> np.ndarray:
     """Frame-exact inverse: column n is |n> / mu_n (uses <<m|n> = delta_mn);
     the nonzero ``mu`` that `build_omega` accepted."""
-    return frame.right_kets / np.asarray(mu, dtype=complex)[..., None, :]
+    return np.divide(frame.right_kets, np.asarray(mu, dtype=complex)[..., None, :], out=out)
 
 
 def grid_blocks(stack: np.ndarray) -> list:
@@ -169,28 +171,29 @@ _FORWARD_0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _FORWARD_1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
 
 
-def differentiate_samples(samples: np.ndarray, step: float) -> np.ndarray:
+def differentiate_samples(samples: np.ndarray, step: float, points: slice = slice(None)) -> np.ndarray:
     """4th-order finite-difference time derivative of (M, ...) samples on a
-    uniform grid; one-sided stencils at the two points nearest each
-    boundary."""
+    uniform grid, at its ``points`` (a unit-step slice; the same bits as the
+    whole grid's); one-sided stencils at the two points nearest each end."""
     s = np.asarray(samples)
     m = len(s)
     if m < 5:
         raise ScenarioError(f"need at least 5 samples for 4th-order differences, got {m}")
-    out = np.empty_like(s)
+    lo, hi, _ = points.indices(m)
+    out = np.empty((hi - lo,) + s.shape[1:], dtype=s.dtype)
     # s0 - 8 s1 + 8 s3 - s4, accumulated in place in that order: scaling by a
     # power of two is exact, so (t / 8 + s3) * 8 rounds as t + 8 s3 does
-    interior = out[2:-2]
-    np.multiply(s[1:-3], 8.0, out=interior)
-    np.subtract(s[:-4], interior, out=interior)
+    a, b = max(lo, 2), max(min(hi, m - 2), lo, 2)
+    interior = out[a - lo : b - lo]
+    np.multiply(s[a - 1 : b - 1], 8.0, out=interior)
+    np.subtract(s[a - 2 : b - 2], interior, out=interior)
     interior *= 0.125
-    interior += s[3:-1]
+    interior += s[a + 1 : b + 1]
     interior *= 8.0
-    interior -= s[4:]
-    out[0] = np.tensordot(_FORWARD_0, s[:5], axes=1)
-    out[1] = np.tensordot(_FORWARD_1, s[:5], axes=1)
-    out[-2] = np.tensordot(-_FORWARD_1[::-1], s[-5:], axes=1)
-    out[-1] = np.tensordot(-_FORWARD_0[::-1], s[-5:], axes=1)
+    interior -= s[a + 2 : b + 2]
+    for k, weights in ((0, _FORWARD_0), (1, _FORWARD_1), (m - 2, -_FORWARD_1[::-1]), (m - 1, -_FORWARD_0[::-1])):
+        if lo <= k < hi:
+            out[k - lo] = np.tensordot(weights, s[:5] if k < 2 else s[-5:], axes=1)
     out *= 1.0 / (12.0 * step)
     return out
 
@@ -203,29 +206,29 @@ class DressingTrack:
     step), so every Runge-Kutta substep time is a sample.  Coarse reporting
     points sit at the even indices.  With M grid points and dimension N:
 
-    times                          (M,)
-    hamiltonians                   (M, N, N)  H(t)
-    right_kets                     (M, N, N)  continuity-tracked kets |n>
-                                              (columns)
-    omega, omega_inv, omega_dot    (M, N, N)  Omega, Omega^-1, dOmega/dt
-    theta                          (M, N, N)  metric Omega' Omega
-    energies                       (M, N)     tracked E_n(t)
-    theta_eigs                     (M, N)     ascending eigenvalues of Theta
+    times             (M,)
+    hamiltonians      (M, N, N)  H(t)
+    omega, omega_inv  (M, N, N)  Omega, Omega^-1
+    theta             (M, N, N)  metric Omega' Omega
+    energies          (M, N)     tracked E_n(t)
+    theta_eigs        (M, N)     ascending eigenvalues of Theta
+    initial_frame                the tracked frame at t0 (kets, bras)
+    mu_dot            (M, N)     exact dmu/dt for a static H; None if H moves
 
-    The tracked bras are not kept: row n of Omega is mu_n <<n|.  The
-    hamiltonians, right kets and energies are read-only; for a static H they
-    are one solve broadcast over the grid (stride 0 along the grid axis).
+    Row n of Omega is mu_n <<n|.  The hamiltonians and energies are
+    read-only; for a static H they are one solve broadcast over the grid
+    (stride 0 along the grid axis).
     """
 
     times: np.ndarray
     hamiltonians: np.ndarray
-    right_kets: np.ndarray
     omega: np.ndarray
     omega_inv: np.ndarray
-    omega_dot: np.ndarray
     theta: np.ndarray
     energies: np.ndarray
     theta_eigs: np.ndarray
+    initial_frame: BiorthogonalFrame
+    mu_dot: np.ndarray | None
 
     @property
     def dimension(self) -> int:
@@ -235,27 +238,40 @@ class DressingTrack:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def omega_dot(self, points: slice = slice(None)) -> np.ndarray:
+        """dOmega/dt at the grid points ``points`` (a unit-step slice): exact
+        for a static H, by 4th-order stencils over Omega for a moving one."""
+        if self.mu_dot is None:
+            return differentiate_samples(self.omega, self.step, points)
+        return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
 
-def _tracked_frames(
-    hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None
-) -> BiorthogonalFrame:
-    """Solve the (M, N, N) stack of H at ``times`` in one batch and
-    continuity-track it.  ``gauge`` is the model's real gauge, passed on to
-    `eig_biorthogonal`.
+
+def _tracked_blocks(hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None):
+    """Solve the (M, N, N) stack of H at ``times`` in blocks of at most
+    `_FRAME_ENTRIES` entries, each tracked on from the block before, and yield
+    (grid slice, tracked frame) per block.  ``gauge`` is the model's real
+    gauge, passed on to `eig_biorthogonal`.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
     before k is the error to report.
     """
-    try:
-        frames = eig_biorthogonal(hams, reality_policy=reality_policy, t=times, gauge=gauge)
-    except NumericalDomainError as exc:
-        k = int(np.searchsorted(times, exc.t))
-        if k > 1:
-            prefix = eig_biorthogonal(hams[:k], reality_policy=reality_policy, t=times[:k], gauge=gauge)
-            track_continuity(prefix)
-        raise
-    return track_continuity(frames)
+    size = max(1, _FRAME_ENTRIES // hams.shape[-1] ** 2)
+    carry = None
+    for k in range(0, len(times), size):
+        block = slice(k, k + size)
+        try:
+            raw = eig_biorthogonal(hams[block], reality_policy=reality_policy, t=times[block], gauge=gauge)
+        except NumericalDomainError as exc:
+            j = k + int(np.searchsorted(times[block], exc.t))
+            if j > k:
+                prefix = eig_biorthogonal(hams[k:j], reality_policy=reality_policy, t=times[k:j], gauge=gauge)
+                track_continuity(prefix, carry)
+            raise
+        frame = track_continuity(raw, carry)
+        del raw
+        yield block, frame
+        carry = frame.continuation
 
 
 def build_dressing_track(
@@ -268,8 +284,8 @@ def build_dressing_track(
 
     A static H (`HamiltonianModel.is_time_dependent` false) is built and
     solved at ``times[0]`` alone; dOmega/dt is then the exact mu derivatives
-    times its constant left bras.  A moving H is solved at every point in
-    one batch and continuity-tracked, so the sampled Omega(t) lies on one
+    times its constant left bras.  A moving H is solved at every point, block
+    by block, and continuity-tracked, so the sampled Omega(t) lies on one
     smooth curve, and dOmega/dt is taken by 4th-order stencils over it.
     """
     times = np.asarray(times, dtype=float)
@@ -280,20 +296,19 @@ def build_dressing_track(
     solved = times if model.is_time_dependent else times[:1]
 
     hams = build_hamiltonian(model, solved)
-    frames = _tracked_frames(hams, solved, reality_policy, real_gauge(model))
-
     mu = mu_series(mu_schedules, times)
-    omega = build_omega(frames, mu)
-    omega_inv = omega_inverse(frames, mu)
-    if model.is_time_dependent:
-        omega_dot = differentiate_samples(omega, float(times[1] - times[0]))
-    else:
-        omega_dot = mu_series(mu_schedules, times, eval_schedule_derivative)[:, :, None] * frames.left_bras
+    for block, frame in _tracked_blocks(hams, solved, reality_policy, real_gauge(model)):
+        if block.start == 0:  # allocated once the first block's raw frame is freed
+            initial = _point(frame, 0, frame.t)
+            omega = np.empty(mu.shape + mu.shape[-1:], dtype=complex)
+            omega_inv = np.empty_like(omega)
+            energies = np.empty(solved.shape + mu.shape[-1:], dtype=complex)
+        rows = block if model.is_time_dependent else slice(None)  # one solve of a static H serves all
+        build_omega(frame, mu[rows], out=omega[rows])
+        omega_inverse(frame, mu[rows], out=omega_inv[rows])
+        energies[block] = frame.energies
     # read-only (M, ...) views: one solve of a static H stands for every point
-    hams, right_kets, energies = (
-        np.broadcast_to(a, times.shape + a.shape[1:]) for a in (hams, frames.right_kets, frames.energies)
-    )
-    del frames  # nothing below reads the bras: free them before Theta is built
+    hams, energies = (np.broadcast_to(a, times.shape + a.shape[1:]) for a in (hams, energies))
     theta = build_theta(omega)
     theta_eigs = np.linalg.eigvalsh(theta)
     _guard_metric(theta_eigs, times)
@@ -301,11 +316,11 @@ def build_dressing_track(
     return DressingTrack(
         times=times,
         hamiltonians=hams,
-        right_kets=right_kets,
         omega=omega,
         omega_inv=omega_inv,
-        omega_dot=omega_dot,
         theta=theta,
         energies=energies,
         theta_eigs=theta_eigs,
+        initial_frame=initial,
+        mu_dot=None if model.is_time_dependent else mu_series(mu_schedules, times, eval_schedule_derivative),
     )

@@ -32,8 +32,8 @@ for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
 
 A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
 arrays and the standard propagator is stored as its (K, N) phases.  The
-generator is never held for the whole track; each block of steps forms its
-own samples of H_gen from slices of H, dOmega/dt and Omega^-1.
+generator and dOmega/dt are never held for the whole track; each block of
+steps forms its own samples of both from slices of the track.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def resolve_initial_state(spec, track: DressingTrack) -> np.ndarray:
         k = int(spec[1])
         if not 0 <= k < n:
             raise ScenarioError(f"eigenstate index {k} out of range for N={n}")
-        return track.right_kets[0][:, k].copy()
+        return track.initial_frame.right_kets[:, k].copy()
     vec = np.asarray(spec, dtype=complex)
     if vec.shape != (n,):
         raise ScenarioError(f"initial state must have {n} components, got shape {vec.shape}")
@@ -232,7 +232,7 @@ def propagate_quasi(
             points = slice(2 * k0, 2 * k1 + 1)
             block = track.hamiltonians[points]
             if not use_plain_hamiltonian:
-                block = build_generator(block, track.omega_dot[points], track.omega_inv[points])
+                block = build_generator(block, track.omega_dot(points), track.omega_inv[points])
             block = block[:, None]
             if want_left:
                 block = np.concatenate([block, dagger(block)], axis=1)

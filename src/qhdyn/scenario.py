@@ -102,15 +102,20 @@ def load_document(text: str) -> dict:
     JSON object is read with `json`, any other text as YAML."""
     raw = _json_object(text)
     if raw is None:
-        import yaml
-
-        try:
-            raw = yaml.load(text, Loader=_yaml_loader())
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
+        raw = _load_yaml(text, "scenario document")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping at top level")
     return raw
+
+
+def _load_yaml(text: str, what: str):
+    """``text`` read by the document loader; `ScenarioError` when it is not YAML."""
+    import yaml
+
+    try:
+        return yaml.load(text, Loader=_yaml_loader())
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{what} is not valid YAML: {exc}") from exc
 
 
 def _json_object(text: str) -> dict | None:
@@ -228,15 +233,13 @@ def parse_scalar_text(text: str):
     """One command-line value: JSON when it is JSON (no PyYAML needed), else
     YAML read with the document loader, which gives the same value wherever
     both accept the text; a string that Python reads as a float (`inf`,
-    `nan`) becomes that float."""
+    `nan`) becomes that float.  Text that neither reads raises `ScenarioError`."""
     import json
 
     try:
         value = json.loads(text)
     except ValueError:
-        import yaml
-
-        value = yaml.load(text, Loader=_yaml_loader())
+        value = _load_yaml(text, f"value {text!r}")
     if isinstance(value, str):
         try:
             return float(value)
@@ -431,10 +434,11 @@ def _parse_initial_state(entry):
             vector = entry["vector"]
             if not isinstance(vector, list):
                 raise ScenarioError(f"initial_state.vector must be a list, got {vector!r}")
-            return np.array(
-                [_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)],
-                dtype=complex,
-            )
+            vector = np.array([_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)], dtype=complex)
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(vector)):
+                    raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
+            return vector
     raise ScenarioError(
         "initial_state must be {preset: uniform}, {preset: eigenstate, index: k}, "
         "or {vector: [...]}"

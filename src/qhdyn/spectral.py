@@ -6,17 +6,17 @@ with completeness sum_n |n><<n| = I.  Near an exceptional point a left-right
 pair becomes orthogonal and the construction degenerates; that is detected via
 the raw overlap magnitude, not via Jordan-form analysis.
 
-Both entry points work on a whole time grid at once: `eig_biorthogonal` takes
-an (M, N, N) stack of matrices and returns a frame of stacked arrays, and
-`track_continuity` aligns every point of such a stack with its predecessor.
+Both entry points work on a block of grid points at once: `eig_biorthogonal`
+takes an (M, N, N) stack of matrices and returns a frame of stacked arrays,
+and `track_continuity` aligns every point of such a stack with its predecessor.
 Failures are reported for the earliest grid point that has one, so a stack
 raises the same error a point-by-point sweep of the grid would raise first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class BiorthogonalFrame:
     raw_overlaps  (..., N) exceptional-point margins 1 / (||<<n|| ||n>||)
                   (the pre-normalization left-right overlap magnitude; 1 for
                   a Hermitian matrix, -> 0 at an exceptional point)
+    continuation  what `track_continuity` needs to go on past the last point
     """
 
     t: float | np.ndarray
@@ -53,6 +54,15 @@ class BiorthogonalFrame:
     right_kets: np.ndarray
     left_bras: np.ndarray
     raw_overlaps: np.ndarray
+    continuation: Continuation | None = field(default=None, compare=False, repr=False)
+
+
+class Continuation(NamedTuple):
+    """A tracked block's last raw point, branch labels and unnormalized phases."""
+
+    point: BiorthogonalFrame
+    perm: np.ndarray
+    phases: np.ndarray
 
 
 # (per-point failure flags, error for a failing point index), in priority order
@@ -219,24 +229,23 @@ def eig_biorthogonal(
     failures += _frame_failures(kets, bras, w, times, stack)
     _raise_earliest(failures)
 
-    if H.ndim == 2:
-        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0], margins[0])
-    return BiorthogonalFrame(times.copy(), w, kets, bras, margins)
+    frame = BiorthogonalFrame(times.copy(), w, kets, bras, margins)
+    return _point(frame, 0, times) if H.ndim == 2 else frame
 
 
-def branch_permutations(best: np.ndarray) -> np.ndarray:
+def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """Compose per-step matches into branch labels along the grid.
 
     ``best[k - 1, i]`` is the raw index at point k matched to raw index i at
     point k - 1.  Returns ``perm`` of shape (len(best) + 1, N) with
     perm[k, m] = raw index at point k of the branch that starts as m, i.e.
-    perm[0] = identity and perm[k] = best[k - 1, perm[k - 1]].  perm only
-    changes where best[k - 1] is not the identity, so only those steps are
-    composed one by one; the runs between them are filled by slices.
+    perm[0] = ``first`` (or identity) and perm[k] = best[k - 1, perm[k - 1]].
+    perm only changes where best[k - 1] is not the identity, so only those
+    steps are composed one by one; the runs between them are filled by slices.
     """
     identity = np.arange(best.shape[-1])
     perm = np.empty((len(best) + 1, len(identity)), dtype=int)
-    current, start = identity, 0
+    current, start = identity if first is None else first, 0
     for k in np.flatnonzero(np.any(best != identity, axis=-1)) + 1:
         perm[start:k] = current
         current = best[k - 1, current]
@@ -245,7 +254,13 @@ def branch_permutations(best: np.ndarray) -> np.ndarray:
     return perm
 
 
-def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
+def _point(frame: BiorthogonalFrame, k: int, times: np.ndarray) -> BiorthogonalFrame:
+    """Point k of a frame stack as a one-point frame of its own."""
+    arrays = (frame.energies, frame.right_kets, frame.left_bras, frame.raw_overlaps)
+    return BiorthogonalFrame(float(times[k]), *(a[k].copy() for a in arrays))
+
+
+def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None) -> BiorthogonalFrame:
     """Align every point of a frame stack with its (already aligned) predecessor.
 
     The eigenpairs at point k are re-ordered so index n maximizes
@@ -255,6 +270,9 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     overlaps of the raw frames come from one batched product; re-ordering
     and re-phasing a point only permutes and rotates those overlaps, so the
     per-step permutations and phases are composed along the grid afterwards.
+    The first point keeps its raw order and phases, unless ``start`` (the
+    `continuation` of the block before) gives its predecessor; a grid tracked
+    block by block is then the grid tracked in one call, bit for bit.
 
     Raises `AmbiguousMatchError` at the earliest point where the assignment
     is not a unique permutation (two candidate overlaps within 1e-6 of each
@@ -265,8 +283,10 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
     m, n = energies.shape
     times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
-
-    overlaps = bras[:-1] @ kets[1:]  # [k - 1, i, j] = <<i_{k-1}|j_k>, raw indices
+    first = int(start is None)  # the first point matched to a predecessor
+    start = start or Continuation(_point(frame, 0, times), np.arange(n), np.ones(n))
+    # [s, i, j] = <<i|j> from the raw point before point first + s to that point
+    overlaps = np.concatenate([start.point.left_bras @ kets[first : first + 1], bras[first:-1] @ kets[first + 1 :]])
     mags = np.abs(overlaps)
     best = np.argmax(mags, axis=-1)
     ranked = np.sort(mags, axis=-1)
@@ -275,37 +295,39 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
     not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
     bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
 
-    stop = int(bad[0]) + 1 if bad.size else m
-    perm = branch_permutations(best[: stop - 1])
+    s = int(bad[0]) if bad.size else m - first
+    perm = branch_permutations(best[:s], start.perm)
     if bad.size:
-        k = stop
-        rows = perm[k - 1]
-        worst_im = np.max(np.abs(energies[k - 1 : k + 1].imag), axis=-1)
+        k, rows = first + s, perm[s]
+        before_t, before_e = (times[k - 1], energies[k - 1]) if k else (start.point.t, start.point.energies)
+        worst_im = np.max(np.abs(np.stack([before_e, energies[k]]).imag), axis=-1)
         crossing = ""
         if worst_im[0] < REALITY_TOL <= worst_im[1]:
             crossing = (
-                f"; the spectrum left the real axis between t={times[k - 1]:g} and t={times[k]:g}, "
+                f"; the spectrum left the real axis between t={before_t:g} and t={times[k]:g}, "
                 f"so an exceptional point was crossed between grid points (max |Im E| = "
                 f"{worst_im[1]:.3e} at t={times[k]:g})"
             )
-        if ambiguous[k - 1, rows].any():
-            j = int(np.argmax(ambiguous[k - 1, rows]))
+        if ambiguous[s, rows].any():
+            j = int(np.argmax(ambiguous[s, rows]))
             i = rows[j]
             raise AmbiguousMatchError(
                 f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
-                f"(best {ranked[k - 1, i, -1]:.3e} vs runner-up {runner_up[k - 1, i]:.3e}){crossing}",
+                f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e}){crossing}",
                 t=float(times[k]),
             )
         raise AmbiguousMatchError(
             f"continuity matching at t={times[k]:g} is not a permutation: "
-            f"{best[k - 1, rows].tolist()}{crossing}",
+            f"{best[s, rows].tolist()}{crossing}",
             t=float(times[k]),
         )
 
-    chosen = overlaps[np.arange(m - 1)[:, None], perm[:-1], perm[1:]]
+    chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
     del overlaps, mags, ranked  # free the overlap stacks before the frame is re-ordered
-    phases = np.cumprod(np.concatenate([np.ones((1, n)), np.conj(chosen) / np.abs(chosen)]), axis=0)
+    phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
+    continuation = Continuation(_point(frame, m - 1, times), perm[-1].copy(), phases[-1].copy())
     phases /= np.abs(phases)
+    perm, phases = perm[1 - first :], phases[1 - first :]  # the rows of this frame's points
     tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)
     tracked_kets *= phases[:, None, :]
     tracked_bras = np.take_along_axis(bras, perm[:, :, None], axis=-2)
@@ -316,4 +338,5 @@ def track_continuity(frame: BiorthogonalFrame) -> BiorthogonalFrame:
         right_kets=tracked_kets,
         left_bras=tracked_bras,
         raw_overlaps=np.take_along_axis(frame.raw_overlaps, perm, axis=-1),
+        continuation=continuation,
     )

@@ -157,7 +157,7 @@ def reference_propagate(
     if use_plain_hamiltonian:
         gens = track.hamiltonians
     else:
-        gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
+        gens = build_generator(track.hamiltonians, track.omega_dot(), track.omega_inv)
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
     if want_left:

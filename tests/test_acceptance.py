@@ -207,7 +207,7 @@ def test_criterion_8_derivative_oracle():
     fd = differentiate_samples(track.omega, track.step)
     H = track.hamiltonians
     gen_diff = np.max(np.abs(
-        build_generator(H, track.omega_dot, track.omega_inv) - build_generator(H, fd, track.omega_inv)
+        build_generator(H, track.omega_dot(), track.omega_inv) - build_generator(H, fd, track.omega_inv)
     ))
 
     # Richardson: error of the finite-difference derivative against the exact
@@ -217,7 +217,7 @@ def test_criterion_8_derivative_oracle():
         _, grid = time_grid(0.0, 1.0, dt)
         a = build_dressing_track(cfg.model, cfg.mu, grid)
         mid = len(grid) // 2
-        errors.append(np.max(np.abs(a.omega_dot[mid] - differentiate_samples(a.omega, a.step)[mid])))
+        errors.append(np.max(np.abs(a.omega_dot()[mid] - differentiate_samples(a.omega, a.step)[mid])))
     ratio = errors[0] / errors[1]
     ok = gen_diff < 1e-7 and 12.0 <= ratio <= 20.0
     _report(

@@ -309,8 +309,8 @@ def test_exponent_only_document_values_run(tmp_path, capsys):
 
 def test_run_peak_memory_per_fine_point():
     # N = 8 cubic-trunc with g as in the moving-cubic8 benchmark, over
-    # M = 2001 fine points: the track holds six (M, 8, 8) complex stacks
-    # (6 KiB per point), and every other whole-grid temporary is bounded by
+    # M = 2001 fine points: the track holds four (M, 8, 8) complex stacks
+    # (4 KiB per point), and every other whole-grid temporary is bounded by
     # a grid block
     import tracemalloc
 
@@ -336,6 +336,23 @@ def test_run_peak_memory_per_fine_point():
         tracemalloc.stop()
     assert report.passed
     assert peak / 2001 <= 8 * 1024
+
+
+def test_cubic_osc_drive_peak_memory_per_fine_point():
+    # N = 4 over M = 2001 fine points: four (M, 4, 4) stacks are 1 KiB per
+    # point; a moving H's frames are solved in blocks, never for the grid
+    import tracemalloc
+
+    config = load_scenario("cubic_osc_drive")
+    points = 2 * config.steps + 1
+    run(config)  # the first run fills lazy imports and caches
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / points <= 1.6 * 1024
 
 
 def test_cli_import_does_not_load_scipy():
@@ -369,6 +386,26 @@ def test_config_error_exit_two(tmp_path, capsys):
     code = main(["run", str(bad)])
     assert code == EXIT_CONFIG_ERROR
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("run", ["--override", "mu=[1"]),
+        ("sweep", ["--param", "time.dt", "--values", "{a"]),
+        ("sweep", ["--param", "time.dt", "--values", " , "]),
+        ("run", ["--override", "initial_state={vector: [1e308, 1e308]}"]),
+    ],
+)
+def test_bad_command_line_value_exit_two(command, extra, capsys):
+    # a malformed value, an empty value list and an initial vector whose
+    # squared norm overflows are configuration errors, reported with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, scenario_path("tri_sin_drive")] + extra) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("error") == 1 and captured.out == ""
 
 
 def test_missing_file_exit_two(capsys):

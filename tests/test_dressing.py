@@ -10,18 +10,19 @@ from qhdyn import (
     time_grid,
 )
 from qhdyn.dressing import (
-    _tracked_frames,
+    _tracked_blocks,
     build_generator,
     build_omega,
     build_theta,
     dagger,
     differentiate_samples,
     hermitize,
+    mu_series,
     omega_inverse,
     quasi_hermiticity_residual,
     theta_inner,
 )
-from qhdyn.model import build_hamiltonian
+from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import eig_biorthogonal, track_continuity
 
@@ -139,7 +140,7 @@ def test_generator_diagonal_closed_form():
     H = np.diag([1.0, 2.0]).astype(complex)
     frame = eig_biorthogonal(H)
     times = np.linspace(0.0, 1.0, 5)
-    dots = build_dressing_track(model, EXP_MU, times).omega_dot  # a static H: the exact mu route
+    dots = build_dressing_track(model, EXP_MU, times).omega_dot()  # a static H: the exact mu route
     t = times[2]
     mu = np.array([np.exp(0.3 * t), np.exp(-0.1 * t)])
     omega = build_omega(frame, mu)
@@ -153,7 +154,7 @@ def test_constant_everything_gives_zero_omega_dot():
     mu = (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=1.0))
     _, fine = time_grid(0.0, 1.0, 0.1)
     track = build_dressing_track(model, mu, fine)
-    for omega_dot in track.omega_dot:
+    for omega_dot in track.omega_dot():
         np.testing.assert_allclose(omega_dot, 0.0, atol=1e-15)
 
 
@@ -163,9 +164,9 @@ def test_finite_difference_matches_analytic():
     # a static H takes the exact route; stencils over its Omega samples agree
     track = build_dressing_track(model, EXP_MU, fine)
     fd = differentiate_samples(track.omega, track.step)
-    worst = max(np.max(np.abs(a - b)) for a, b in zip(track.omega_dot, fd))
+    worst = max(np.max(np.abs(a - b)) for a, b in zip(track.omega_dot(), fd))
     assert worst < 1e-10
-    assert np.any(track.omega_dot != fd)  # the two routes differ
+    assert np.any(track.omega_dot() != fd)  # the two routes differ
 
 
 def test_finite_difference_is_fourth_order():
@@ -181,7 +182,7 @@ def test_finite_difference_is_fourth_order():
         track = build_dressing_track(model, mu, fine)  # a static H: exact dOmega/dt
         fd = differentiate_samples(track.omega, track.step)
         mid = len(fine) // 2  # interior: central stencils
-        errors.append(np.max(np.abs(track.omega_dot[mid] - fd[mid])))
+        errors.append(np.max(np.abs(track.omega_dot()[mid] - fd[mid])))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
 
@@ -266,39 +267,120 @@ def test_conditioning_warning():
     assert any("cond" in str(w.message) for w in caught)
 
 
+OK2 = np.diag([1.0, 2.0]).astype(complex)
+HAD2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+EP2 = np.array([[1j, 1.0], [1.0, -1j]])
+
+
+def _solve_all(hams, times):
+    return list(_tracked_blocks(np.array(hams), np.asarray(times, dtype=float), "report"))
+
+
 def test_continuity_failure_before_a_later_solve_failure_wins():
     from qhdyn import AmbiguousMatchError, ExceptionalPointError
-    from qhdyn.dressing import _tracked_frames
 
-    ok = np.diag([1.0, 2.0]).astype(complex)
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    ep = np.array([[1j, 1.0], [1.0, -1j]])
     times = np.array([0.0, 1.0, 2.0, 3.0])
     # point 2 cannot be matched to point 1; point 3 is an exceptional point
     with pytest.raises(AmbiguousMatchError, match="t=2"):
-        _tracked_frames(np.array([ok, ok, had @ ok @ had, ep]), times, "report")
+        _solve_all([OK2, OK2, HAD2 @ OK2 @ HAD2, EP2], times)
     # at one point the solve fails before continuity is tried
     with pytest.raises(ExceptionalPointError, match="t=1"):
-        _tracked_frames(np.array([ok, ep]), times[:2], "report")
+        _solve_all([OK2, EP2], times[:2])
+
+
+def test_earliest_failure_wins_across_block_boundaries(monkeypatch):
+    import qhdyn.dressing
+    from qhdyn import AmbiguousMatchError, ExceptionalPointError
+
+    monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 8)  # two points per block at N = 2
+    swapped = HAD2 @ OK2 @ HAD2
+    times = np.arange(6.0)
+    assert [b for b, _ in _solve_all([OK2] * 5, times[:5])] == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    # a continuity failure inside block 0 beats the solve failure in block 1
+    with pytest.raises(AmbiguousMatchError, match="t=1"):
+        _solve_all([OK2, swapped, EP2, OK2], times[:4])
+    # the match of block 1's first point against block 0's last point fails
+    # before the solve failure at block 1's second point
+    with pytest.raises(AmbiguousMatchError, match="t=2"):
+        _solve_all([OK2, OK2, swapped, EP2], times[:4])
+    # a solve failure at a block's first point names that point
+    with pytest.raises(ExceptionalPointError, match="t=4") as info:
+        _solve_all([OK2, OK2, OK2, OK2, EP2, OK2], times)
+    assert info.value.t == 4.0
+    # with no solve failure, block 1's first point is matched against the carried point
+    with pytest.raises(AmbiguousMatchError, match="t=2"):
+        _solve_all([OK2, OK2, swapped, OK2], times[:4])
 
 
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_each_distinct_hamiltonian_is_solved_once(name, monkeypatch):
+    # the solved blocks tile the grid once, in order
     import qhdyn.dressing
+    from qhdyn.dressing import _FRAME_ENTRIES
 
-    shapes = []
+    solved = []
 
-    def spy(H, *args, **kwargs):
-        shapes.append(np.shape(H))
-        return eig_biorthogonal(H, *args, **kwargs)
+    def spy(H, *args, t, **kwargs):
+        solved.append(np.array(t))
+        return eig_biorthogonal(H, *args, t=t, **kwargs)
 
     monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", spy)
     cfg = load_scenario(name)
     _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
     build_dressing_track(cfg.model, cfg.mu, fine, cfg.reality_policy)
-    n = cfg.model.dimension
     static = name in ("exp_metric_drive", "rand4_metric_sin", "static_hermitian")
-    assert shapes == [(1 if static else len(fine), n, n)]
+    np.testing.assert_array_equal(np.concatenate(solved), fine[:1] if static else fine)
+    n = cfg.model.dimension
+    # a block holds no more matrix entries than 64 points at N = 8
+    assert all(len(t) * n * n <= _FRAME_ENTRIES == 64 * 8 * 8 for t in solved)
+    assert all(len(t) == len(solved[0]) for t in solved[:-1])
+
+
+def _cubic8(points):
+    model = HamiltonianModel(
+        8, "cubic-trunc", {"g": 0.025}, {"g": ScheduleSpec("sinusoidal", base=0.025, amplitude=0.3, frequency=2.0)}
+    )
+    mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.05 * (k - 4)) for k in range(8))
+    return model, mu, np.linspace(0.0, 1.0, points)
+
+
+def _pt2(points):
+    ramp = {"gamma": ScheduleSpec("sinusoidal", base=0.2, amplitude=0.3, frequency=2.0)}
+    return HamiltonianModel(2, "pt2", {"gamma": 0.2, "s": 1.0}, ramp), EXP_MU, np.linspace(0.0, 1.0, points)
+
+
+# cubic-trunc is solved in its real gauge, where every continuity phase is
+# +-1; pt2 is complex, so its blocks must carry nontrivial phases bitwise
+@pytest.mark.parametrize("case, entries", [(_cubic8, None), (_pt2, 4 * 64)])
+def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
+    import qhdyn.dressing
+
+    if entries:
+        monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", entries)  # 64 points per block at N = 2
+    model, mu, times = case(201)  # four blocks of at most 64 points
+    track = build_dressing_track(model, mu, times, "report")
+    hams = build_hamiltonian(model, times)
+    # the grid solved and tracked in one call
+    whole = track_continuity(eig_biorthogonal(hams, "report", times, real_gauge(model)))
+    mus = mu_series(mu, times)
+    np.testing.assert_array_equal(track.omega, build_omega(whole, mus))
+    np.testing.assert_array_equal(track.omega_inv, omega_inverse(whole, mus))
+    np.testing.assert_array_equal(track.energies, whole.energies)
+    np.testing.assert_array_equal(track.initial_frame.right_kets, whole.right_kets[0])
+    reference = reference_track(hams, times)
+    np.testing.assert_allclose(track.energies, [f.energies for f in reference], rtol=0.0, atol=1e-12)
+    bras = np.array([f.left_bras for f in reference])
+    np.testing.assert_allclose(track.omega, mus[:, :, None] * bras, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [slice(0, 1), slice(0, 5), slice(1, 3), slice(60, 70), slice(196, 201), slice(None)])
+def test_omega_dot_of_a_slice_is_that_slice_of_the_grid(points):
+    model, mu, times = _cubic8(201)
+    track = build_dressing_track(model, mu, times, "report")
+    whole = differentiate_samples(track.omega, track.step)
+    np.testing.assert_array_equal(track.omega_dot(points), whole[points])
+    static = build_dressing_track(HamiltonianModel(8, "cubic-trunc", {"g": 0.025}), mu, times, "report")
+    np.testing.assert_array_equal(static.omega_dot(points), static.omega_dot()[points])
 
 
 def test_static_track_repeats_one_frame():
@@ -307,16 +389,16 @@ def test_static_track_repeats_one_frame():
     _, fine = time_grid(0.0, 1.0, 0.01)
     track = build_dressing_track(model, mu, fine)
     # one solve held as a read-only view over the grid
-    for values in (track.hamiltonians, track.right_kets, track.energies):
+    for values in (track.hamiltonians, track.energies):
         assert values.shape[0] == len(fine) and values.strides[0] == 0
         assert not values.flags.writeable
     # equal to the frame a point-by-point sweep tracks at every point
     hams = build_hamiltonian(model, fine)
     np.testing.assert_array_equal(track.hamiltonians, hams)
     reference = reference_track(hams, fine)
-    for field in ("energies", "right_kets"):
-        expected = np.array([getattr(f, field) for f in reference])
-        np.testing.assert_allclose(getattr(track, field), expected, rtol=0.0, atol=1e-12)
+    expected = np.array([f.energies for f in reference])
+    np.testing.assert_allclose(track.energies, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.initial_frame.right_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
 
 
 def test_static_hamiltonian_is_built_once(monkeypatch):
@@ -343,7 +425,6 @@ def test_static_hamiltonian_is_built_once(monkeypatch):
 
 def test_static_exceptional_point_names_the_first_time():
     from qhdyn import ExceptionalPointError
-    from qhdyn.dressing import _tracked_frames
 
     # pt2 at gamma = s; the model itself rejects a static gamma(0) = s, so
     # the stack is taken from a ramp at t = 0 and t = 1
@@ -353,9 +434,9 @@ def test_static_exceptional_point_names_the_first_time():
     ok, ep = build_hamiltonian(ramp, np.array([0.0, 1.0]))
     times = np.linspace(0.3, 0.8, 6)
     with pytest.raises(ExceptionalPointError, match="t=0.3"):
-        _tracked_frames(np.array([ep] * 6), times, "report")
+        _solve_all([ep] * 6, times)
     with pytest.raises(ExceptionalPointError, match="t=0.6"):
-        _tracked_frames(np.array([ok] * 3 + [ep] * 3), times, "report")
+        _solve_all([ok] * 3 + [ep] * 3, times)
 
 
 def test_cubic_ramp_leaves_the_real_phase_at_the_same_time():

@@ -72,7 +72,7 @@ def test_zero_generator_leaves_the_kets_unchanged():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=1e-2)
     zero = np.zeros_like(track.hamiltonians)
-    track = dataclasses.replace(track, hamiltonians=zero, omega_dot=zero)
+    track = dataclasses.replace(track, hamiltonians=zero, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([1.0, 2.0j])
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     np.testing.assert_array_equal(traj.phi_right, np.broadcast_to(phi0, traj.phi_right.shape))
@@ -84,7 +84,7 @@ def test_diagonal_generator_matches_scalar_exponentials():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2)
     gen = np.broadcast_to(np.diag([1.0 - 0.3j, 2.0 + 0.1j]), track.hamiltonians.shape)
-    track = dataclasses.replace(track, hamiltonians=gen, omega_dot=np.zeros_like(gen))
+    track = dataclasses.replace(track, hamiltonians=gen, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([0.6, 0.8], dtype=complex)
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     t = 1.0
@@ -99,7 +99,7 @@ def test_diagonal_generator_matches_scalar_exponentials():
 def test_static_scenario_generator_equals_hamiltonian():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=0.1)
-    gens = build_generator(track.hamiltonians, track.omega_dot, track.omega_inv)
+    gens = build_generator(track.hamiltonians, track.omega_dot(), track.omega_inv)
     np.testing.assert_array_equal(gens, track.hamiltonians)
 
 
@@ -107,7 +107,7 @@ def test_stationary_eigenstate_evolution():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, ("eigenstate", 0))
-    phi0 = track.right_kets[0][:, 0]
+    phi0 = track.initial_frame.right_kets[:, 0]
     for t, phi in zip(traj.times, traj.phi_right):
         np.testing.assert_allclose(phi, np.exp(-1j * t) * phi0, atol=1e-9)
     drift = _check("theta-norm-conservation", traj, track)
@@ -250,12 +250,13 @@ def test_step_matrices_match_sequential_rk4(name, generator):
 @pytest.mark.parametrize("pictures", [("right",), ("right", "left")])
 def test_non_finite_generator_blowup_names_the_sequential_step(index, bad, pictures):
     # one poisoned dOmega/dt sample at fine index ``index`` (a step midpoint
-    # when odd, the end of one step and the start of the next when even)
+    # when odd, the end of one step and the start of the next when even),
+    # through the mu derivative that a static H's dOmega/dt is formed from
     model = HamiltonianModel(2, "pt2", {"gamma": 0.5, "s": 1.0})
     track = _track(model, EXP_MU2)
-    omega_dot = track.omega_dot.copy()
-    omega_dot[index, 0, 1] = bad
-    track = dataclasses.replace(track, omega_dot=omega_dot)
+    mu_dot = track.mu_dot.copy()
+    mu_dot[index, 0] = bad
+    track = dataclasses.replace(track, mu_dot=mu_dot)
     with np.errstate(all="ignore"):
         with pytest.raises(IntegrationError, match="non-finite") as expected:
             reference_propagate(track, "uniform", pictures)

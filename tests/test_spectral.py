@@ -388,24 +388,26 @@ def test_frame_residuals_match_the_pointwise_reference():
 
 def test_moving_track_is_the_tracked_frame_itself(monkeypatch):
     import qhdyn.dressing
-    from qhdyn.dressing import _tracked_frames
+    from qhdyn.dressing import _tracked_blocks
 
     model = HamiltonianModel(
         6, "cubic-trunc", {"g": 0.1}, {"g": ScheduleSpec("sinusoidal", base=0.1, amplitude=0.3, frequency=2.0)}
     )
-    times = np.linspace(0.0, 1.0, 201)
+    times = np.linspace(0.0, 1.0, 301)
     hams = _stack_along(model, times)
     returned = []
 
-    def spy(frame):
-        returned.append(track_continuity(frame))
+    def spy(frame, start=None):
+        returned.append(track_continuity(frame, start))
         return returned[-1]
 
     monkeypatch.setattr(qhdyn.dressing, "track_continuity", spy)
-    frames = _tracked_frames(hams, times, "report")
+    blocks = list(_tracked_blocks(hams, times, "report"))
     # every H is distinct: no gather copies the continuity-tracked stacks
-    assert frames is returned[0]
+    assert len(blocks) == 3 and [frame for _, frame in blocks] == returned
+    assert all(a is b for (_, a), b in zip(blocks, returned))
     reference = reference_track(hams, times)
     for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
         expected = np.array([getattr(f, field) for f in reference])
-        np.testing.assert_allclose(getattr(frames, field), expected, rtol=0.0, atol=1e-12)
+        got = np.concatenate([getattr(frame, field) for _, frame in blocks])
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
