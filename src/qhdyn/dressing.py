@@ -17,13 +17,13 @@ dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
-or such a stack alike.  The track holds four matrix stacks: H, Omega,
-Omega^-1 and Theta.  A moving H is solved and continuity-tracked in blocks
-of at most `_FRAME_ENTRIES` matrix entries that write their rows of Omega
-and Omega^-1, so its frames never span the grid; kets are kept at t0 only.
-dOmega/dt and the other products over the grid (Theta, H_gen, the check
-residuals) are formed over blocks of `_STEP_BLOCK` points, so no temporary
-the size of the track outlives one expression.
+or such a stack alike.  The track keeps only what a block of points cannot
+rebuild cheaply: Omega and Omega^-1 on the fine grid, the energies and
+Theta's eigenvalues, and the frame at t0.  H (from the model), Theta and
+dOmega/dt (from Omega) and every other product over the grid (a moving H's
+frames, H_gen, the check residuals) are formed over blocks of about
+`_FRAME_ENTRIES` matrix entries, so no temporary the size of the track
+outlives one expression.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import model as _models
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
 from .model import HamiltonianModel, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
@@ -43,14 +44,12 @@ from .spectral import BiorthogonalFrame, _point, eig_biorthogonal, track_continu
 THETA_COND_WARN = 1e8
 THETA_COND_ABORT = 1e12
 
-# grid points whose products are formed together (RK4 increments, Theta, the
-# check residuals): enough to amortise the batched products, few enough that
-# a block's temporaries stay small next to the track (forming a product over
+# matrix entries per block of grid points whose products are formed together
+# (a moving H's frames, Theta, the check residuals): 64 points at N = 8, 1024
+# at N = 2; enough to amortise the batched products, few enough that a
+# block's temporaries stay small next to the track (forming a product over
 # the whole grid at once raises the run's memory high-water mark)
-_STEP_BLOCK = 64
-
-# matrix entries per block of a moving H's frames: 64 points at N = 8, 1024 at N = 2
-_FRAME_ENTRIES = _STEP_BLOCK * 8 * 8
+_FRAME_ENTRIES = 64 * 8 * 8
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -72,34 +71,25 @@ def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex], out: np.ndarr
     return np.divide(frame.right_kets, np.asarray(mu, dtype=complex)[..., None, :], out=out)
 
 
-def grid_blocks(stack: np.ndarray) -> list:
-    """Index expressions that cover an (M, ...) stack in blocks of at most
-    `_STEP_BLOCK` grid points; a single (N, N) matrix is one block (``...``)."""
-    if np.ndim(stack) == 2:
-        return [...]
-    return [slice(k, k + _STEP_BLOCK) for k in range(0, len(stack), _STEP_BLOCK)]
+def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
+    """Slices covering ``count`` grid points of N x N matrices in blocks of `_FRAME_ENTRIES`
+    entries and at most ``most`` points (more only raises the memory peak at N = 2)."""
+    size = max(1, min(most, _FRAME_ENTRIES // n**2))
+    return [slice(k, k + size) for k in range(0, count, size)]
 
 
-def blockwise(func, *stacks) -> np.ndarray:
-    """The per-point values ``func`` gives for (M, ...) stacks, computed one
-    grid block at a time so that func's temporaries never span the grid.
-    All stacks share the leading axis of the first; a first argument that is
-    a single (N, N) matrix gives one value."""
-    out = np.empty(np.shape(stacks[0])[:-2])
-    for block in grid_blocks(stacks[0]):
-        out[block] = func(*(a[block] for a in stacks))
-    return out[()]
+def reporting_blocks(track: DressingTrack) -> list[tuple[slice, slice]]:
+    """(rows, grid points) of each of the `grid_blocks` of reporting points: the rows
+    index the K reporting points, the grid points are the same as a stride-2 slice."""
+    rows = grid_blocks((len(track.times) + 1) // 2, track.dimension)
+    return [(r, slice(2 * r.start, 2 * r.stop, 2)) for r in rows]
 
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
-    """Metric Theta = Omega' Omega; Hermitian positive definite by construction."""
-    theta = np.empty_like(omega)
-    # inf/nan from an overflowing Omega is reported by the track's metric guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in grid_blocks(omega):
-            product = dagger(omega[block]) @ omega[block]
-            theta[block] = 0.5 * (product + dagger(product))
-    return theta
+    """Metric Theta = Omega' Omega; Hermitian positive definite by construction.
+    A stack's temporaries span it: pass one block of points at a time."""
+    product = dagger(omega) @ omega
+    return 0.5 * (product + dagger(product))
 
 
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
@@ -107,19 +97,17 @@ def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.nda
     return omega @ H @ omega_inv
 
 
-def _quasi_hermiticity(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """max-norm of A' Theta - Theta A (one value per point of a stack, for
+    one block of points at a time); zero certifies A as a Theta-observable."""
     return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
 
 
-def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """max-norm of A' Theta - Theta A (one value per point of a stack); zero
-    certifies A as a Theta-observable."""
-    return blockwise(_quasi_hermiticity, *np.broadcast_arrays(A, theta))
-
-
-def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
-    """H_gen = H - i Omega^-1 dOmega/dt."""
-    return H - 1j * (omega_inv @ omega_dot)
+def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray, out=None) -> np.ndarray:
+    """H_gen = H - i Omega^-1 dOmega/dt, formed in ``out`` when given."""
+    out = np.matmul(omega_inv, omega_dot, out=out)
+    np.multiply(1j, out, out=out)
+    return np.subtract(H, out, out=out)
 
 
 def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
@@ -128,26 +116,31 @@ def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
 
 
 def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
-    """Abort at the earliest point whose metric lost positivity or whose
-    condition number passed the abort bound; warn once about the worst point
-    inside the warning band."""
-    smallest = theta_eigs[:, 0]
+    """Abort at the earliest point whose metric is not finite (NaN eigenvalues),
+    clearly indefinite or too ill-conditioned; warn once about the worst point in
+    the warning band.  Theta = Omega' Omega is semidefinite up to rounding: a smallest
+    eigenvalue within N eps lambda_max of zero is conditioning, not lost positivity."""
+    smallest, largest = theta_eigs[:, 0], theta_eigs[:, -1]
+    rounding = theta_eigs.shape[1] * np.finfo(float).eps * largest
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(smallest > 0.0, theta_eigs[:, -1] / smallest, np.inf)
-    bad = np.flatnonzero((smallest <= 0.0) | (cond > THETA_COND_ABORT))
+        cond = np.where(smallest > rounding, largest / smallest, np.inf)
+    bad = np.flatnonzero(cond > THETA_COND_ABORT)
     if bad.size:
         k = int(bad[0])
-        if smallest[k] <= 0.0:
+        t = float(times[k])
+        if smallest[k] < -rounding[k]:
             raise MetricPositivityError(
-                f"metric lost positive definiteness at t={times[k]:g} (min eigenvalue "
+                f"metric lost positive definiteness at t={t:g} (min eigenvalue "
                 f"{smallest[k]:.3e}); the dressing map upstream is broken",
-                t=float(times[k]),
+                t=t,
             )
-        raise ConditioningError(
-            f"cond(Theta) = {cond[k]:.3e} > {THETA_COND_ABORT:.0e} at t={times[k]:g}; "
-            "metric-norm checks are no longer meaningful",
-            t=float(times[k]),
-        )
+        if np.isnan(largest[k]):
+            what = "metric Theta = Omega' Omega is not finite (Omega is too large for double precision)"
+        elif np.isinf(cond[k]):
+            what = f"cond(Theta) is beyond double precision (min eigenvalue {smallest[k]:.3e}, max {largest[k]:.3e})"
+        else:
+            what = f"cond(Theta) = {cond[k]:.3e} > {THETA_COND_ABORT:.0e}"
+        raise ConditioningError(f"{what} at t={t:g}; metric-norm checks are no longer meaningful", t=t)
     k = int(np.argmax(cond))
     if cond[k] > THETA_COND_WARN:
         warnings.warn(
@@ -200,35 +193,35 @@ def differentiate_samples(samples: np.ndarray, step: float, points: slice = slic
 
 @dataclass(frozen=True)
 class DressingTrack:
-    """Frames and dressing maps sampled on a uniform grid, as stacked arrays.
+    """Solved frames and dressing maps on a uniform grid, as stacked arrays.
 
     The grid is the integrator's fine grid (spacing = half the reporting
     step), so every Runge-Kutta substep time is a sample.  Coarse reporting
     points sit at the even indices.  With M grid points and dimension N:
 
-    times             (M,)
-    hamiltonians      (M, N, N)  H(t)
-    omega, omega_inv  (M, N, N)  Omega, Omega^-1
-    theta             (M, N, N)  metric Omega' Omega
-    energies          (M, N)     tracked E_n(t)
-    theta_eigs        (M, N)     ascending eigenvalues of Theta
-    initial_frame                the tracked frame at t0 (kets, bras)
-    mu_dot            (M, N)     exact dmu/dt for a static H; None if H moves
+    times               (M,)
+    omega, omega_inv    (M, N, N)  Omega, Omega^-1
+    energies            (M, N)     tracked E_n(t)
+    theta_eigs          (M, N)     ascending eigenvalues of the metric Omega' Omega
+    initial_frame                  the tracked frame at t0 (kets, bras)
+    mu_dot              (M, N)     exact dmu/dt for a static H; None if H moves
+    static_hamiltonian  (N, N)     the one H of a static model; None if H moves
+    model                          the model, which gives a moving H(t)
 
-    Row n of Omega is mu_n <<n|.  The hamiltonians and energies are
-    read-only; for a static H they are one solve broadcast over the grid
-    (stride 0 along the grid axis).
+    `hamiltonian`, `theta` and `omega_dot` form H, Theta and dOmega/dt for the
+    points asked for.  Row n of Omega is mu_n <<n|.  The energies are read-only;
+    for a static H they are one solve broadcast over the grid (stride 0).
     """
 
     times: np.ndarray
-    hamiltonians: np.ndarray
     omega: np.ndarray
     omega_inv: np.ndarray
-    theta: np.ndarray
     energies: np.ndarray
     theta_eigs: np.ndarray
     initial_frame: BiorthogonalFrame
     mu_dot: np.ndarray | None
+    static_hamiltonian: np.ndarray | None
+    model: HamiltonianModel
 
     @property
     def dimension(self) -> int:
@@ -238,6 +231,18 @@ class DressingTrack:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def hamiltonian(self, points=slice(None)) -> np.ndarray:
+        """H at the grid points ``points`` (a slice, mask or index array): built from
+        the model if H moves (not by this module's `build_hamiltonian`, which only the
+        frame solve calls), else one matrix broadcast read-only."""
+        if self.static_hamiltonian is None:
+            return _models.build_hamiltonian(self.model, self.times[points])
+        return np.broadcast_to(self.static_hamiltonian, self.times[points].shape + self.omega.shape[1:])
+
+    def theta(self, points=slice(None)) -> np.ndarray:
+        """The metric Omega' Omega at the grid points ``points``."""
+        return build_theta(self.omega[points])
+
     def omega_dot(self, points: slice = slice(None)) -> np.ndarray:
         """dOmega/dt at the grid points ``points`` (a unit-step slice): exact
         for a static H, by 4th-order stencils over Omega for a moving one."""
@@ -246,26 +251,27 @@ class DressingTrack:
         return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
 
 
-def _tracked_blocks(hams: np.ndarray, times: np.ndarray, reality_policy: str, gauge: np.ndarray | None = None):
-    """Solve the (M, N, N) stack of H at ``times`` in blocks of at most
-    `_FRAME_ENTRIES` entries, each tracked on from the block before, and yield
-    (grid slice, tracked frame) per block.  ``gauge`` is the model's real
-    gauge, passed on to `eig_biorthogonal`.
+def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_policy: str, gauge=None):
+    """Solve H at ``times`` in blocks of at most `_FRAME_ENTRIES` entries,
+    each tracked on from the block before, and yield (grid slice, tracked
+    frame) per block.  ``hamiltonian`` maps a block of times to its stack of
+    N x N matrices H; ``gauge`` is the model's real gauge, passed on to
+    `eig_biorthogonal`.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
     before k is the error to report.
     """
-    size = max(1, _FRAME_ENTRIES // hams.shape[-1] ** 2)
     carry = None
-    for k in range(0, len(times), size):
-        block = slice(k, k + size)
+    for block in grid_blocks(len(times), dimension, most=np.inf):
+        k = block.start
+        hams = hamiltonian(times[block])
         try:
-            raw = eig_biorthogonal(hams[block], reality_policy=reality_policy, t=times[block], gauge=gauge)
+            raw = eig_biorthogonal(hams, reality_policy=reality_policy, t=times[block], gauge=gauge)
         except NumericalDomainError as exc:
-            j = k + int(np.searchsorted(times[block], exc.t))
-            if j > k:
-                prefix = eig_biorthogonal(hams[k:j], reality_policy=reality_policy, t=times[k:j], gauge=gauge)
+            j = int(np.searchsorted(times[block], exc.t))
+            if j > 0:
+                prefix = eig_biorthogonal(hams[:j], reality_policy=reality_policy, t=times[k : k + j], gauge=gauge)
                 track_continuity(prefix, carry)
             raise
         frame = track_continuity(raw, carry)
@@ -284,8 +290,8 @@ def build_dressing_track(
 
     A static H (`HamiltonianModel.is_time_dependent` false) is built and
     solved at ``times[0]`` alone; dOmega/dt is then the exact mu derivatives
-    times its constant left bras.  A moving H is solved at every point, block
-    by block, and continuity-tracked, so the sampled Omega(t) lies on one
+    times its constant left bras.  A moving H is built, solved and
+    continuity-tracked block by block, so the sampled Omega(t) lies on one
     smooth curve, and dOmega/dt is taken by 4th-order stencils over it.
     """
     times = np.asarray(times, dtype=float)
@@ -293,34 +299,41 @@ def build_dressing_track(
         raise ScenarioError(
             f"need {model.dimension} mu schedules, got {len(mu_schedules)}"
         )
-    solved = times if model.is_time_dependent else times[:1]
+    moving = model.is_time_dependent
+    solved = times if moving else times[:1]
 
-    hams = build_hamiltonian(model, solved)
+    static = None if moving else build_hamiltonian(model, solved)
     mu = mu_series(mu_schedules, times)
-    for block, frame in _tracked_blocks(hams, solved, reality_policy, real_gauge(model)):
+    hamiltonian = (lambda t: build_hamiltonian(model, t)) if moving else (lambda t: static)
+    for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension, reality_policy, real_gauge(model)):
         if block.start == 0:  # allocated once the first block's raw frame is freed
             initial = _point(frame, 0, frame.t)
             omega = np.empty(mu.shape + mu.shape[-1:], dtype=complex)
             omega_inv = np.empty_like(omega)
             energies = np.empty(solved.shape + mu.shape[-1:], dtype=complex)
-        rows = block if model.is_time_dependent else slice(None)  # one solve of a static H serves all
-        build_omega(frame, mu[rows], out=omega[rows])
+        rows = block if moving else slice(None)  # one solve of a static H serves all
+        with np.errstate(over="ignore"):  # an overflowing Omega is reported by the metric guard
+            build_omega(frame, mu[rows], out=omega[rows])
         omega_inverse(frame, mu[rows], out=omega_inv[rows])
         energies[block] = frame.energies
-    # read-only (M, ...) views: one solve of a static H stands for every point
-    hams, energies = (np.broadcast_to(a, times.shape + a.shape[1:]) for a in (hams, energies))
-    theta = build_theta(omega)
-    theta_eigs = np.linalg.eigvalsh(theta)
+    theta_eigs = np.empty(omega.shape[:-1])
+    for block in grid_blocks(len(times), model.dimension):
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite Theta
+            theta = build_theta(omega[block])
+        finite = np.isfinite(theta).all(axis=(-2, -1))
+        theta[~finite] = 0.0  # eigvalsh rejects inf and NaN; the guard names these points
+        theta_eigs[block] = np.where(finite[:, None], np.linalg.eigvalsh(theta), np.nan)
     _guard_metric(theta_eigs, times)
 
     return DressingTrack(
         times=times,
-        hamiltonians=hams,
         omega=omega,
         omega_inv=omega_inv,
-        theta=theta,
-        energies=energies,
+        # read-only (M, N) view: one solve of a static H stands for every point
+        energies=np.broadcast_to(energies, times.shape + energies.shape[1:]),
         theta_eigs=theta_eigs,
         initial_frame=initial,
-        mu_dot=None if model.is_time_dependent else mu_series(mu_schedules, times, eval_schedule_derivative),
+        mu_dot=None if moving else mu_series(mu_schedules, times, eval_schedule_derivative),
+        static_hamiltonian=None if moving else static[0],
+        model=model,
     )

@@ -31,9 +31,10 @@ for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
 25.0, off the fourth-order value of 16.
 
 A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
-arrays and the standard propagator is stored as its (K, N) phases.  The
+arrays and the standard propagator is stored as its (K, N) phases.  H, the
 generator and dOmega/dt are never held for the whole track; each block of
-steps forms its own samples of both from slices of the track.
+steps forms its generator samples, for every picture, in one array of about
+a frame block's entries.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import _STEP_BLOCK, DressingTrack, build_generator, dagger, theta_inner
+from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, theta_inner
 from .errors import ComplexSpectrumError, IntegrationError, ScenarioError
 from .spectral import REALITY_TOL
 
@@ -218,24 +219,28 @@ def propagate_quasi(
     phases = standard_phases(track)
 
     # the integrated kets as one (pictures, N) state: right, then left
-    state = np.stack([phi0, track.theta[0] @ phi0]) if want_left else phi0[None]
+    state = np.stack([phi0, track.theta(slice(0, 1))[0] @ phi0]) if want_left else phi0[None]
 
     coarse = track.times[::2]
     dt = float(coarse[1] - coarse[0])
     steps = len(coarse) - 1
     kets = np.empty((steps + 1,) + state.shape, dtype=complex)
     kets[0] = state
+    # a block's generator samples (all pictures) fill about a frame block, at most 64 steps
+    n = track.dimension
+    size = max(1, min(64, _FRAME_ENTRIES // (2 * len(state) * n * n)))
     # a blow-up is reported below, naming the step it happened in
     with np.errstate(all="ignore"):
-        for k0 in range(0, steps, _STEP_BLOCK):
-            k1 = min(k0 + _STEP_BLOCK, steps)
-            points = slice(2 * k0, 2 * k1 + 1)
-            block = track.hamiltonians[points]
-            if not use_plain_hamiltonian:
-                block = build_generator(block, track.omega_dot(points), track.omega_inv[points])
-            block = block[:, None]
+        for k0 in range(0, steps, size):
+            k1 = min(k0 + size, steps)
+            span = slice(2 * k0, 2 * k1 + 1)
+            block = np.empty((2 * (k1 - k0) + 1, len(state), n, n), dtype=complex)
+            if use_plain_hamiltonian:
+                block[:, 0] = track.hamiltonian(span)
+            else:  # formed in place, as is the left picture's adjoint
+                build_generator(track.hamiltonian(span), track.omega_dot(span), track.omega_inv[span], out=block[:, 0])
             if want_left:
-                block = np.concatenate([block, dagger(block)], axis=1)
+                np.conj(np.swapaxes(block[:, 0], -1, -2), out=block[:, 1])
             increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)
             for k in range(k0, k1):
                 kets[k + 1] = kets[k] + (increments[k - k0] @ kets[k][..., None])[..., 0]

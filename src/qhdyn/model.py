@@ -141,7 +141,7 @@ class HamiltonianModel:
 
     def real_param(self, name: str, t: float | np.ndarray) -> float | np.ndarray:
         value = self.param(name, t)
-        bad = np.abs(np.imag(value)) > _REAL_PARAM_TOL * (1.0 + np.abs(value))
+        bad = np.any(np.imag(value)) and np.abs(np.imag(value)) > _REAL_PARAM_TOL * (1.0 + np.abs(value))
         if np.any(bad):
             offending = np.ravel(value)[np.argmax(np.ravel(bad))]
             raise ScenarioError(
@@ -174,12 +174,12 @@ def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndar
         energies = _similarity_energies(model)
         s_mat, s_inv = _similarity_matrix(n, int(model.params.get("seed", 0)))
         return np.broadcast_to((s_mat * energies) @ s_inv, shape).copy()
-    # cubic-trunc
+    # cubic-trunc, over flattened matrices (numpy broadcasts over one trailing axis faster)
     g = np.broadcast_to(model.real_param("g", t), np.shape(t))
     p2, x3 = _oscillator_blocks(n)
-    h = 1j * g[..., None, None] * x3
-    h += p2  # in place: no second stack the size of the output
-    return h
+    h = (1j * g)[..., None] * x3.reshape(n * n)
+    h += p2.reshape(n * n)  # in place: no second stack the size of the output
+    return h.reshape(shape)
 
 
 def real_gauge(model: HamiltonianModel) -> np.ndarray | None:

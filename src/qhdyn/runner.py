@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, theta_inner
+from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, reporting_blocks, theta_inner
 from .errors import NumericalDomainError, ScenarioError
 from .evolution import Trajectory, expectation, propagate_quasi, time_grid
 from .model import realize_observable
@@ -80,10 +80,10 @@ def run(config: ScenarioConfig) -> RunReport:
 
 def _realize_observables(config: ScenarioConfig, track: DressingTrack):
     """Each declared observable on the reporting grid."""
-    return {
-        spec.name: realize_observable(spec, track.hamiltonians[::2], track.omega[::2], track.omega_inv[::2])
-        for spec in config.model.a_observables
-    }
+    specs, coarse = config.model.a_observables, slice(None, None, 2)
+    # one H on the reporting grid, shared by every observable that is H itself
+    h = track.hamiltonian(coarse) if any(spec.source == "hamiltonian-itself" for spec in specs) else None
+    return {spec.name: realize_observable(spec, h, track.omega[coarse], track.omega_inv[coarse]) for spec in specs}
 
 
 def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_series):
@@ -103,24 +103,26 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
         columns += [f"re_exp_{name}", f"im_exp_{name}"]
 
     phi = trajectory.phi_right
-    theta = track.theta[::2]
     eigs = track.theta_eigs[::2]
     energies = track.energies[::2]
-    blocks = [
-        trajectory.times,
-        theta_inner(phi, phi, theta).real,
-        np.sum(np.conj(phi) * phi, axis=-1).real,
-        equivalence_residuals(trajectory, track),
-        quasi_hermiticity_residual(track.hamiltonians[::2], theta),
-        eigs[:, 0],
-        eigs[:, -1] / eigs[:, 0],
-    ]
-    for k in range(n):
-        blocks += [energies[:, k].real, energies[:, k].imag]
-    for name in config.outputs:
-        value = expectation(phi, observable_series[name], theta)
-        blocks += [value.real, value.imag]
-    return tuple(columns), np.column_stack(blocks)
+    table = np.empty((len(phi), len(columns)))
+    table[:, 0] = trajectory.times
+    table[:, 2] = np.sum(np.conj(phi) * phi, axis=-1).real
+    table[:, 3] = equivalence_residuals(trajectory, track)
+    table[:, 5] = eigs[:, 0]
+    table[:, 6] = eigs[:, -1] / eigs[:, 0]
+    table[:, 7 : 7 + 2 * n : 2] = energies.real
+    table[:, 8 : 8 + 2 * n : 2] = energies.imag
+    # the columns that read Theta, formed once per block of reporting points
+    for rows, points in reporting_blocks(track):
+        theta, part = track.theta(points), phi[rows]
+        table[rows, 1] = theta_inner(part, part, theta).real
+        table[rows, 4] = quasi_hermiticity_residual(track.hamiltonian(points), theta)
+        for j, name in enumerate(config.outputs):
+            value = expectation(part, np.broadcast_to(observable_series[name], (len(phi), n, n))[rows], theta)
+            table[rows, 7 + 2 * (n + j)] = value.real
+            table[rows, 8 + 2 * (n + j)] = value.imag
+    return tuple(columns), table
 
 
 def write_csv(report: RunReport, path: Path):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dressing import (
-    DressingTrack, blockwise, dagger, grid_blocks, hermitize, quasi_hermiticity_residual, theta_inner
+    DressingTrack, dagger, grid_blocks, hermitize, quasi_hermiticity_residual, reporting_blocks, theta_inner
 )
 from .errors import ScenarioError
 from .evolution import Trajectory, expectation
@@ -77,7 +77,9 @@ def equivalence_residuals(trajectory: Trajectory, track: DressingTrack, observab
 def _norm_drift(trajectory, track, observable_series):
     """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> along the run."""
     phi = trajectory.phi_right
-    norms = theta_inner(phi, phi, track.theta[::2]).real
+    norms = np.empty(len(phi))
+    for rows, points in reporting_blocks(track):
+        norms[rows] = theta_inner(phi[rows], phi[rows], track.theta(points)).real
     return np.abs(norms - norms[0])
 
 
@@ -89,8 +91,11 @@ def _duality_drift(trajectory, track, observable_series):
 
 def _state_consistency(trajectory, track, observable_series):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    expected = (track.theta[::2] @ trajectory.phi_right[..., None])[..., 0]
-    return np.linalg.norm(trajectory.phi_left - expected, axis=-1)
+    residuals = np.empty(len(trajectory.times))
+    for rows, points in reporting_blocks(track):
+        expected = (track.theta(points) @ trajectory.phi_right[rows][..., None])[..., 0]
+        residuals[rows] = np.linalg.norm(trajectory.phi_left[rows] - expected, axis=-1)
+    return residuals
 
 
 def _standard_unitarity(trajectory, track, observable_series):
@@ -109,18 +114,21 @@ def _intertwining(trajectory, track, observable_series):
     """
     omega0, inv0 = track.omega[0], dagger(track.omega_inv[0])
     eye = np.eye(track.dimension)
-
-    def residual(omega, omega_inv, u):
-        u_right = (omega_inv * u) @ omega0
-        u_left = dagger((dagger(omega) * u) @ inv0)
-        return np.max(np.abs(u_left @ u_right - eye), axis=(-2, -1))
-
-    return blockwise(residual, track.omega[::2], track.omega_inv[::2], trajectory.u_diagonals[:, None, :])
+    u = trajectory.u_diagonals[:, None, :]
+    residuals = np.empty(len(trajectory.times))
+    for rows, points in reporting_blocks(track):
+        u_right = (track.omega_inv[points] * u[rows]) @ omega0
+        u_left = dagger((dagger(track.omega[points]) * u[rows]) @ inv0)
+        residuals[rows] = np.max(np.abs(u_left @ u_right - eye), axis=(-2, -1))
+    return residuals
 
 
 def _quasi_hermiticity(trajectory, track, observable_series):
-    """||H' Theta - Theta H|| at every grid point of the track."""
-    return quasi_hermiticity_residual(track.hamiltonians, track.theta)
+    """||H' Theta - Theta H|| at every grid point, with H and Theta formed per block."""
+    residuals = np.empty(len(track.times))
+    for block in grid_blocks(len(track.times), track.dimension):
+        residuals[block] = quasi_hermiticity_residual(track.hamiltonian(block), track.theta(block))
+    return residuals
 
 
 def _isospectrality(trajectory, track, observable_series):
@@ -142,8 +150,8 @@ def _isospectrality(trajectory, track, observable_series):
     levels = np.arange(track.dimension)
     residuals = np.empty(len(track.times))
     overlap = np.empty(len(track.times), dtype=bool)
-    for block in grid_blocks(track.omega):
-        h = hermitize(track.omega[block], track.hamiltonians[block], track.omega_inv[block])
+    for block in grid_blocks(len(track.times), track.dimension):
+        h = hermitize(track.omega[block], track.hamiltonian(block), track.omega_inv[block])
         energies = track.energies[block]
         h[:, levels, levels] -= energies
         residuals[block] = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
@@ -151,7 +159,7 @@ def _isospectrality(trajectory, track, observable_series):
         distances[:, levels, levels] = np.inf
         overlap[block] = ~(residuals[block] < 0.5 * np.min(distances, axis=(-2, -1)))
     if overlap.any():
-        h = hermitize(track.omega[overlap], track.hamiltonians[overlap], track.omega_inv[overlap])
+        h = hermitize(track.omega[overlap], track.hamiltonian(overlap), track.omega_inv[overlap])
         spec_h = _lexsorted(np.linalg.eigvals(h))
         residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(track.energies[overlap])), axis=-1)
     return residuals
@@ -167,15 +175,16 @@ def _observable_reality(trajectory, track, observable_series):
     fails the check outright (the mean value of an illegitimate observable
     has no reality claim).
     """
-    theta = track.theta[::2]
     gate_threshold = CHECKS["quasi-hermiticity"].threshold
     residuals = np.zeros(len(trajectory.times))
-    for series in observable_series.values():
-        a = np.asarray(series)
-        gate = quasi_hermiticity_residual(a, theta)
-        # not a Theta-observable where the gate fails; report the violation itself
-        value = np.where(gate > gate_threshold, gate, np.abs(expectation(trajectory.phi_right, a, theta).imag))
-        residuals = np.maximum(residuals, value)
+    observables = [np.broadcast_to(a, residuals.shape + np.shape(a)[-2:]) for a in observable_series.values()]
+    for rows, points in reporting_blocks(track):
+        theta, phi = track.theta(points), trajectory.phi_right[rows]
+        for a in observables:
+            gate = quasi_hermiticity_residual(a[rows], theta)
+            # not a Theta-observable where the gate fails; report the violation itself
+            value = np.where(gate > gate_threshold, gate, np.abs(expectation(phi, a[rows], theta).imag))
+            residuals[rows] = np.maximum(residuals[rows], value)
     return residuals
 
 

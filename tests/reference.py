@@ -154,15 +154,13 @@ def reference_propagate(
 ):
     """(phi_right, phi_left or None, phases) on the reporting grid, with the
     right and left kets advanced together by `_rk4`, step after step."""
-    if use_plain_hamiltonian:
-        gens = track.hamiltonians
-    else:
-        gens = build_generator(track.hamiltonians, track.omega_dot(), track.omega_inv)
+    hams = track.hamiltonian()
+    gens = hams if use_plain_hamiltonian else build_generator(hams, track.omega_dot(), track.omega_inv)
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
     if want_left:
         gens = np.stack([gens, dagger(gens)], axis=1)
-        state = np.stack([phi0, track.theta[0] @ phi0])
+        state = np.stack([phi0, track.theta(slice(0, 1))[0] @ phi0])
     else:
         gens = gens[:, None]
         state = phi0[None]

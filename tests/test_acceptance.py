@@ -205,7 +205,7 @@ def test_criterion_8_derivative_oracle():
     # a static H: the track's dOmega/dt is exact, the stencils are the oracle
     track = build_dressing_track(cfg.model, cfg.mu, fine)
     fd = differentiate_samples(track.omega, track.step)
-    H = track.hamiltonians
+    H = track.hamiltonian()
     gen_diff = np.max(np.abs(
         build_generator(H, track.omega_dot(), track.omega_inv) - build_generator(H, fd, track.omega_inv)
     ))

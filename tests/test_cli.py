@@ -251,6 +251,29 @@ def test_huge_finite_schedule_aborts_without_warnings(override, capsys, tmp_path
     assert len(err) == 1 and err[0].startswith("numerical-domain error:")
 
 
+@pytest.mark.parametrize("base", ["1e155", "1e308"])
+def test_overflowing_metric_aborts_naming_the_time(base, capsys):
+    # |mu|^2 overflows in Theta = Omega' Omega (at 1e308 Omega itself
+    # overflows); the guard reports it before any eigensolve of Theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", scenario_path("cubic_osc_drive"), "--override", f"mu.0.base={base}"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL_ERROR
+    assert len(err) == 1 and err[0].startswith("numerical-domain error: metric Theta = Omega' Omega is not finite")
+    assert "at t=0;" in err[0]
+
+
+def test_metric_singular_to_rounding_is_a_conditioning_abort(capsys):
+    # Theta = diag(1e308, 1): its smallest eigenvalue is lost to rounding,
+    # which is conditioning, not a broken dressing map
+    code = main(["run", scenario_path("static_hermitian"), "--override", "mu.0.base=1e154"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL_ERROR
+    assert "cond(Theta) is beyond double precision" in err and "at t=0;" in err
+    assert "positive definiteness" not in err
+
+
 def test_two_level_similarity_rand_runs(capsys, tmp_path):
     code = main([
         "run", scenario_path("rand4_metric_sin"),
@@ -309,9 +332,10 @@ def test_exponent_only_document_values_run(tmp_path, capsys):
 
 def test_run_peak_memory_per_fine_point():
     # N = 8 cubic-trunc with g as in the moving-cubic8 benchmark, over
-    # M = 2001 fine points: the track holds four (M, 8, 8) complex stacks
-    # (4 KiB per point), and every other whole-grid temporary is bounded by
-    # a grid block
+    # M = 2001 fine points: the track holds two (M, 8, 8) complex stacks,
+    # Omega and Omega^-1 (2 KiB per point), the run one (K, 8, 8) H for the
+    # observable that is H (0.5 KiB per point); H and Theta are formed per
+    # block, and every other whole-grid temporary is bounded by a block
     import tracemalloc
 
     doc = {
@@ -335,11 +359,11 @@ def test_run_peak_memory_per_fine_point():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak / 2001 <= 8 * 1024
+    assert peak / 2001 <= 3.5 * 1024
 
 
 def test_cubic_osc_drive_peak_memory_per_fine_point():
-    # N = 4 over M = 2001 fine points: four (M, 4, 4) stacks are 1 KiB per
+    # N = 4 over M = 2001 fine points: Omega and Omega^-1 are 0.5 KiB per
     # point; a moving H's frames are solved in blocks, never for the grid
     import tracemalloc
 

@@ -5,11 +5,13 @@ from qhdyn import (
     ComplexSpectrumError,
     ConditioningError,
     HamiltonianModel,
+    MetricPositivityError,
     ScenarioError,
     build_dressing_track,
     time_grid,
 )
 from qhdyn.dressing import (
+    _guard_metric,
     _tracked_blocks,
     build_generator,
     build_omega,
@@ -18,8 +20,10 @@ from qhdyn.dressing import (
     differentiate_samples,
     hermitize,
     mu_series,
+    grid_blocks,
     omega_inverse,
     quasi_hermiticity_residual,
+    reporting_blocks,
     theta_inner,
 )
 from qhdyn.model import build_hamiltonian, real_gauge
@@ -273,7 +277,8 @@ EP2 = np.array([[1j, 1.0], [1.0, -1j]])
 
 
 def _solve_all(hams, times):
-    return list(_tracked_blocks(np.array(hams), np.asarray(times, dtype=float), "report"))
+    hams, times = np.array(hams), np.asarray(times, dtype=float)
+    return list(_tracked_blocks(lambda t: hams[np.searchsorted(times, t)], times, 2, "report"))
 
 
 def test_continuity_failure_before_a_later_solve_failure_wins():
@@ -389,12 +394,12 @@ def test_static_track_repeats_one_frame():
     _, fine = time_grid(0.0, 1.0, 0.01)
     track = build_dressing_track(model, mu, fine)
     # one solve held as a read-only view over the grid
-    for values in (track.hamiltonians, track.energies):
+    for values in (track.hamiltonian(), track.energies):
         assert values.shape[0] == len(fine) and values.strides[0] == 0
         assert not values.flags.writeable
     # equal to the frame a point-by-point sweep tracks at every point
     hams = build_hamiltonian(model, fine)
-    np.testing.assert_array_equal(track.hamiltonians, hams)
+    np.testing.assert_array_equal(track.hamiltonian(), hams)
     reference = reference_track(hams, fine)
     expected = np.array([f.energies for f in reference])
     np.testing.assert_allclose(track.energies, expected, rtol=0.0, atol=1e-12)
@@ -477,3 +482,132 @@ def test_blocked_and_in_place_forms_match_the_whole_grid_expressions(m):
     s, step = stack(), 0.01
     interior = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) * (1.0 / (12.0 * step))
     assert differentiate_samples(s, step)[2:-2].tobytes() == interior.tobytes()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _moving_model(family, kind):
+    """A model of ``family`` whose H moves by a ``kind`` schedule (similarity-rand takes none)."""
+
+    def schedule(base):
+        if kind == "sinusoidal":
+            return ScheduleSpec("sinusoidal", base=base, amplitude=0.3, frequency=2.0)
+        return ScheduleSpec("exponential", base=base, rate=0.5)
+
+    if family == "triangular2":
+        return HamiltonianModel(2, family, {"e1": 1.0, "e2": 2.0, "c": 0.5}, {"c": schedule(0.5)})
+    if family == "pt2":
+        return HamiltonianModel(2, family, {"gamma": 0.2, "s": 1.0}, {"gamma": schedule(0.2)})
+    if family == "similarity-rand":
+        return HamiltonianModel(4, family, {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7})
+    return HamiltonianModel(4, family, {"g": 0.05}, {"g": schedule(0.05)})
+
+
+@pytest.mark.parametrize("kind", ["sinusoidal", "exponential"])
+@pytest.mark.parametrize("family", ["triangular2", "pt2", "similarity-rand", "cubic-trunc"])
+def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, monkeypatch):
+    import qhdyn.dressing
+
+    monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 40 * 4)  # ragged 40-point blocks at N = 2
+    model = _moving_model(family, kind)
+    n = model.dimension
+    times = np.linspace(0.0, 1.0, 203)
+    track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times, "report")
+    whole = build_hamiltonian(model, times)
+    fine = grid_blocks(len(times), n)
+    blocks = fine + [points for _, points in reporting_blocks(track)]
+    assert len(times[fine[0]]) > len(times[fine[-1]])  # a ragged last block
+    # the RK4 blocks' halo slices and an isospectrality mask, too
+    mask = np.zeros(len(times), dtype=bool)
+    mask[[3, 50, 202]] = True
+    for points in blocks + [slice(0, 33), slice(32, 65), slice(192, 203), slice(None, None, 2), mask]:
+        assert _bits(track.hamiltonian(points)) == _bits(whole[points])
+
+
+@pytest.mark.parametrize("case", ["cubic8", "pt2"])
+def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
+    model, mu, times = (_cubic8 if case == "cubic8" else _pt2)(203)
+    track = build_dressing_track(model, mu, times, "report")
+    product = dagger(track.omega) @ track.omega
+    whole = 0.5 * (product + dagger(product))
+    for block in grid_blocks(len(times), model.dimension):
+        assert _bits(track.theta(block)) == _bits(whole[block])
+    for rows, points in reporting_blocks(track):
+        assert _bits(track.theta(points)) == _bits(whole[points]) == _bits(whole[::2][rows])
+    assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(whole))
+
+
+def test_a_moving_track_holds_only_the_frame_on_the_grid():
+    model, mu, times = _cubic8(203)
+    track = build_dressing_track(model, mu, times, "report")
+    grid_stacks = [name for name, value in vars(track).items() if np.shape(value) == track.omega.shape]
+    assert grid_stacks == ["omega", "omega_inv"]
+    assert track.static_hamiltonian is None and track.mu_dot is None
+
+
+def test_a_moving_run_forms_no_whole_grid_hamiltonian_or_theta(monkeypatch):
+    # N = 8 cubic-trunc over M = 1001 fine points: H and Theta are formed for
+    # one block of points at a time; the one larger H is the reporting grid's,
+    # for the observable that is H itself
+    import qhdyn.dressing
+    import qhdyn.model
+    from qhdyn import scenario_from_dict
+    from qhdyn.runner import run
+
+    formed = {"H": [], "Theta": []}
+
+    def spy(name, original):
+        def wrapped(*args):
+            result = original(*args)
+            formed[name].append(result.shape[0] if result.ndim == 3 else 1)
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(qhdyn.dressing, "build_hamiltonian", spy("H", build_hamiltonian))
+    monkeypatch.setattr(qhdyn.model, "build_hamiltonian", spy("H", build_hamiltonian))
+    monkeypatch.setattr(qhdyn.dressing, "build_theta", spy("Theta", build_theta))
+    doc = {
+        "model": {
+            "family": "cubic-trunc",
+            "dimension": 8,
+            "params": {"g": 0.025},
+            "h_schedule": {"g": {"kind": "sinusoidal", "base": 0.025, "amplitude": 0.3, "frequency": 2.0}},
+            "a_observables": [{"name": "H", "matrix_source": "hamiltonian-itself"}],
+        },
+        "mu": [{"kind": "exponential", "base": 1.0, "rate": 0.05 * (k - 4)} for k in range(8)],
+        "time": {"t0": 0.0, "t1": 0.5, "dt": 1e-3},
+        "evolution": {"reality": "report"},
+    }
+    assert run(scenario_from_dict(doc)).passed
+    block = 64  # points per block at N = 8
+    assert max(formed["Theta"]) == block
+    assert sorted(formed["H"])[-2:] == [block, 501]  # 501 reporting points, 1001 grid points
+
+
+def test_metric_guard_tells_rounding_from_lost_positivity():
+    times = np.array([0.0, 0.5, 1.0])
+    # Theta = Omega' Omega: a smallest eigenvalue within N eps lambda_max of
+    # zero is rounding, so the metric is ill-conditioned, not indefinite
+    rounding = np.array([[1.0, 2.0], [-1e292, 1e308], [-1.0, 2.0]])
+    with pytest.raises(ConditioningError, match=r"beyond double precision .* at t=0\.5;") as info:
+        _guard_metric(rounding, times)
+    assert info.value.t == 0.5
+    negative = np.array([[1.0, 2.0], [-1e-3, 2.0], [1.0, 2.0]])
+    with pytest.raises(MetricPositivityError, match=r"t=0\.5 \(min eigenvalue -1\.000e-03\)"):
+        _guard_metric(negative, times)
+    nonfinite = np.array([[1.0, 2.0], [1.0, 2.0], [np.nan, np.nan]])
+    with pytest.raises(ConditioningError, match=r"not finite .* at t=1;"):
+        _guard_metric(nonfinite, times)
+
+
+def test_a_broken_dressing_map_is_lost_positivity(monkeypatch):
+    import qhdyn.dressing
+
+    monkeypatch.setattr(qhdyn.dressing, "build_theta", lambda omega: -build_theta(omega))
+    _, fine = time_grid(0.0, 1.0, 0.01)
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.5})
+    with pytest.raises(MetricPositivityError, match="t=0 "):
+        build_dressing_track(model, EXP_MU, fine)

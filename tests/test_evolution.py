@@ -71,20 +71,20 @@ def test_standard_propagator_rejects_complex_energies():
 def test_zero_generator_leaves_the_kets_unchanged():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=1e-2)
-    zero = np.zeros_like(track.hamiltonians)
-    track = dataclasses.replace(track, hamiltonians=zero, mu_dot=np.zeros_like(track.mu_dot))
+    zero = np.zeros((2, 2), dtype=complex)
+    track = dataclasses.replace(track, static_hamiltonian=zero, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([1.0, 2.0j])
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     np.testing.assert_array_equal(traj.phi_right, np.broadcast_to(phi0, traj.phi_right.shape))
-    np.testing.assert_array_equal(traj.phi_left, np.broadcast_to(track.theta[0] @ phi0, traj.phi_left.shape))
+    np.testing.assert_array_equal(traj.phi_left, np.broadcast_to(track.theta(0) @ phi0, traj.phi_left.shape))
 
 
 def test_diagonal_generator_matches_scalar_exponentials():
     # constant non-normal diagonal generator: components evolve independently
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2)
-    gen = np.broadcast_to(np.diag([1.0 - 0.3j, 2.0 + 0.1j]), track.hamiltonians.shape)
-    track = dataclasses.replace(track, hamiltonians=gen, mu_dot=np.zeros_like(track.mu_dot))
+    gen = np.diag([1.0 - 0.3j, 2.0 + 0.1j])
+    track = dataclasses.replace(track, static_hamiltonian=gen, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([0.6, 0.8], dtype=complex)
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     t = 1.0
@@ -99,8 +99,8 @@ def test_diagonal_generator_matches_scalar_exponentials():
 def test_static_scenario_generator_equals_hamiltonian():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=0.1)
-    gens = build_generator(track.hamiltonians, track.omega_dot(), track.omega_inv)
-    np.testing.assert_array_equal(gens, track.hamiltonians)
+    gens = build_generator(track.hamiltonian(), track.omega_dot(), track.omega_inv)
+    np.testing.assert_array_equal(gens, track.hamiltonian())
 
 
 def test_stationary_eigenstate_evolution():
@@ -119,7 +119,7 @@ def test_degeneration_to_plain_hermitian_reference():
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, "uniform")
-    H = track.hamiltonians[0]
+    H = track.hamiltonian(0)
     phi0 = traj.phi_right[0]
     for k in (250, 500, 1000):
         t = traj.times[k]
@@ -291,3 +291,38 @@ def test_increments_accumulate_as_the_stage_expressions():
     k4 = c + c @ k3
     expected = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     assert rk4_increments(begin, mid, end, dt).tobytes() == expected.tobytes()
+
+
+def _propagate_transient(track, **kwargs):
+    """tracemalloc peak of one propagate_quasi above what it started with."""
+    import tracemalloc
+
+    propagate_quasi(track, "uniform", **kwargs)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        propagate_quasi(track, "uniform", **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
+def test_propagate_transient_is_bounded_at_n8():
+    # N = 8 cubic-trunc as in the moving-cubic8 benchmark, 250 steps with the
+    # left picture: the kets and phases are 0.1 MiB, and a 16-step block's
+    # generator samples and RK4 stages about 0.2 MiB (64-step blocks took
+    # the transient to 0.96 MiB)
+    g = ScheduleSpec("sinusoidal", base=0.025, amplitude=0.3, frequency=2.0)
+    model = HamiltonianModel(8, "cubic-trunc", {"g": 0.025}, {"g": g})
+    mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.05 * (k - 4)) for k in range(8))
+    track = _track(model, mu, t1=0.25, reality_policy="report")
+    assert _propagate_transient(track, pictures=("right", "left")) <= 0.5
+
+
+def test_propagate_transient_is_bounded_at_n4():
+    # N = 4 over 1000 steps: the kets and phases are 0.15 MiB, and the
+    # 64-step blocks are as long as before the blocks were sized by entries
+    config = load_scenario("cubic_osc_drive")
+    track = _config_track(config)
+    assert _propagate_transient(track, pictures=config.pictures) <= 0.4

@@ -402,7 +402,7 @@ def test_moving_track_is_the_tracked_frame_itself(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(qhdyn.dressing, "track_continuity", spy)
-    blocks = list(_tracked_blocks(hams, times, "report"))
+    blocks = list(_tracked_blocks(lambda t: hams[np.searchsorted(times, t)], times, 6, "report"))
     # every H is distinct: no gather copies the continuity-tracked stacks
     assert len(blocks) == 3 and [frame for _, frame in blocks] == returned
     assert all(a is b for (_, a), b in zip(blocks, returned))

@@ -114,7 +114,7 @@ def test_isospectrality_residual_is_the_gershgorin_radius(generic_run):
     omega_inv = track.omega_inv.copy()
     omega_inv[k] = omega_inv[k] @ np.array([[1.0, 1e-6], [0.0, 1.0]])
     report = _isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
-    h = track.omega @ track.hamiltonians @ omega_inv
+    h = track.omega @ track.hamiltonian() @ omega_inv
     radius = np.max(np.sum(np.abs(h - track.energies[:, :, None] * np.eye(2)), axis=-1), axis=-1)
     np.testing.assert_allclose(report.residuals, radius, rtol=0.0, atol=1e-15)
     assert report.residuals[k] == pytest.approx(1e-6 * abs(track.energies[k, 0]), rel=1e-6)
@@ -146,7 +146,7 @@ def test_isospectrality_falls_back_to_eigvals_where_discs_overlap(monkeypatch):
 
     report = _isospectrality(dataclasses.replace(track, omega_inv=omega_inv))
     assert len(solved) == 1
-    h = track.omega[overlapping] @ track.hamiltonians[overlapping] @ omega_inv[overlapping]
+    h = track.omega[overlapping] @ track.hamiltonian(overlapping) @ omega_inv[overlapping]
     np.testing.assert_allclose(solved[0], h, rtol=0.0, atol=1e-15)
     spec_h = np.sort_complex(eigvals(h))
     spec_e = np.sort_complex(track.energies[overlapping])
@@ -162,7 +162,7 @@ def test_isospectrality_falls_back_to_eigvals_where_discs_overlap(monkeypatch):
 def test_observable_reality_identity_and_hamiltonian(generic_run):
     track, traj = generic_run
     eye = [np.eye(2)] * len(traj.times)
-    h_series = track.hamiltonians[::2]
+    h_series = track.hamiltonian(slice(None, None, 2))
     report = _check("observable-reality", traj, track, {"I": eye, "H": h_series})
     assert report.passed
 
@@ -246,7 +246,7 @@ def test_observable_reality_needs_declared_observables(generic_run, series):
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
     omega, omega_inv = track.omega[0], track.omega_inv[0]
-    H = track.hamiltonians[0]
+    H = track.hamiltonian(0)
     assert realize_observable(ObservableSpec("H", "hamiltonian-itself"), H, omega, omega_inv) is H
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     np.testing.assert_array_equal(
