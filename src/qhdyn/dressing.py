@@ -20,10 +20,10 @@ with the grid index first.  The functions below take a single (N, N) matrix
 or such a stack alike.  The track keeps only what a block of points cannot
 rebuild cheaply: Omega and Omega^-1 on the fine grid, the energies and
 Theta's eigenvalues, and the frame at t0.  H (from the model), Theta and
-dOmega/dt (from Omega) and every other product over the grid (a moving H's
-frames, H_gen, the check residuals) are formed over blocks of about
-`_FRAME_ENTRIES` matrix entries, so no temporary the size of the track
-outlives one expression.
+dOmega/dt (from Omega), the declared observables and every other product
+over the grid (a moving H's frames, H_gen, the check residuals) are formed
+over blocks of about `_FRAME_ENTRIES` matrix entries, so no temporary the
+size of the track outlives one expression.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import model as _models
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
-from .model import HamiltonianModel, build_hamiltonian, real_gauge
+from .model import HamiltonianModel, ObservableSpec, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
 from .spectral import BiorthogonalFrame, _point, eig_biorthogonal, track_continuity
 
@@ -117,14 +117,15 @@ def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
 
 def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
     """Abort at the earliest point whose metric is not finite (NaN eigenvalues),
-    clearly indefinite or too ill-conditioned; warn once about the worst point in
-    the warning band.  Theta = Omega' Omega is semidefinite up to rounding: a smallest
-    eigenvalue within N eps lambda_max of zero is conditioning, not lost positivity."""
+    clearly indefinite, too ill-conditioned or below the normal double range;
+    warn once about the worst point in the warning band.  Theta = Omega' Omega is
+    semidefinite up to rounding: a smallest eigenvalue within N eps lambda_max of
+    zero is conditioning, not lost positivity."""
     smallest, largest = theta_eigs[:, 0], theta_eigs[:, -1]
     rounding = theta_eigs.shape[1] * np.finfo(float).eps * largest
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smallest > rounding, largest / smallest, np.inf)
-    bad = np.flatnonzero(cond > THETA_COND_ABORT)
+    bad = np.flatnonzero((cond > THETA_COND_ABORT) | (smallest < np.finfo(float).tiny))
     if bad.size:
         k = int(bad[0])
         t = float(times[k])
@@ -138,8 +139,10 @@ def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
             what = "metric Theta = Omega' Omega is not finite (Omega is too large for double precision)"
         elif np.isinf(cond[k]):
             what = f"cond(Theta) is beyond double precision (min eigenvalue {smallest[k]:.3e}, max {largest[k]:.3e})"
-        else:
+        elif cond[k] > THETA_COND_ABORT:
             what = f"cond(Theta) = {cond[k]:.3e} > {THETA_COND_ABORT:.0e}"
+        else:
+            what = f"Theta's min eigenvalue {smallest[k]:.3e} is below the normal double range"
         raise ConditioningError(f"{what} at t={t:g}; metric-norm checks are no longer meaningful", t=t)
     k = int(np.argmax(cond))
     if cond[k] > THETA_COND_WARN:
@@ -205,12 +208,11 @@ class DressingTrack:
     theta_eigs          (M, N)     ascending eigenvalues of the metric Omega' Omega
     initial_frame                  the tracked frame at t0 (kets, bras)
     mu_dot              (M, N)     exact dmu/dt for a static H; None if H moves
-    static_hamiltonian  (N, N)     the one H of a static model; None if H moves
-    model                          the model, which gives a moving H(t)
+    model                          the model: H(t) and the declared observables
 
-    `hamiltonian`, `theta` and `omega_dot` form H, Theta and dOmega/dt for the
-    points asked for.  Row n of Omega is mu_n <<n|.  The energies are read-only;
-    for a static H they are one solve broadcast over the grid (stride 0).
+    `hamiltonian`, `theta`, `omega_dot` and `observable` form H, Theta, dOmega/dt
+    and a declared observable at the points asked for.  Row n of Omega is mu_n <<n|.
+    The energies are read-only; for a static H, one solve broadcast (stride 0).
     """
 
     times: np.ndarray
@@ -220,7 +222,6 @@ class DressingTrack:
     theta_eigs: np.ndarray
     initial_frame: BiorthogonalFrame
     mu_dot: np.ndarray | None
-    static_hamiltonian: np.ndarray | None
     model: HamiltonianModel
 
     @property
@@ -232,12 +233,9 @@ class DressingTrack:
         return float(self.times[1] - self.times[0])
 
     def hamiltonian(self, points=slice(None)) -> np.ndarray:
-        """H at the grid points ``points`` (a slice, mask or index array): built from
-        the model if H moves (not by this module's `build_hamiltonian`, which only the
-        frame solve calls), else one matrix broadcast read-only."""
-        if self.static_hamiltonian is None:
-            return _models.build_hamiltonian(self.model, self.times[points])
-        return np.broadcast_to(self.static_hamiltonian, self.times[points].shape + self.omega.shape[1:])
+        """H at the grid points ``points`` (a slice, mask or index array), from the
+        model; only the frame solve calls this module's `build_hamiltonian`."""
+        return _models.build_hamiltonian(self.model, self.times[points])
 
     def theta(self, points=slice(None)) -> np.ndarray:
         """The metric Omega' Omega at the grid points ``points``."""
@@ -249,6 +247,15 @@ class DressingTrack:
         if self.mu_dot is None:
             return differentiate_samples(self.omega, self.step, points)
         return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
+
+    def observable(self, spec: ObservableSpec, points=slice(None)) -> np.ndarray:
+        """The declared observable A(t) at the grid points ``points``: H itself, the
+        user's matrix broadcast read-only, or Omega^-1 . data . Omega."""
+        if spec.source == "hamiltonian-itself":
+            return self.hamiltonian(points)
+        if spec.source == "user-matrix":
+            return np.broadcast_to(spec.data, self.times[points].shape + spec.data.shape)
+        return self.omega_inv[points] @ spec.data @ self.omega[points]
 
 
 def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_policy: str, gauge=None):
@@ -302,9 +309,8 @@ def build_dressing_track(
     moving = model.is_time_dependent
     solved = times if moving else times[:1]
 
-    static = None if moving else build_hamiltonian(model, solved)
     mu = mu_series(mu_schedules, times)
-    hamiltonian = (lambda t: build_hamiltonian(model, t)) if moving else (lambda t: static)
+    hamiltonian = lambda t: build_hamiltonian(model, t)
     for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension, reality_policy, real_gauge(model)):
         if block.start == 0:  # allocated once the first block's raw frame is freed
             initial = _point(frame, 0, frame.t)
@@ -334,6 +340,5 @@ def build_dressing_track(
         theta_eigs=theta_eigs,
         initial_frame=initial,
         mu_dot=None if moving else mu_series(mu_schedules, times, eval_schedule_derivative),
-        static_hamiltonian=None if moving else static[0],
         model=model,
     )

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, theta_inner
-from .errors import ComplexSpectrumError, IntegrationError, ScenarioError
+from .errors import ComplexSpectrumError, ConditioningError, IntegrationError, ScenarioError
 from .spectral import REALITY_TOL
 
 PICTURES = ("right", "left", "standard")
@@ -191,8 +191,8 @@ def resolve_initial_state(spec, track: DressingTrack) -> np.ndarray:
     vec = np.asarray(spec, dtype=complex)
     if vec.shape != (n,):
         raise ScenarioError(f"initial state must have {n} components, got shape {vec.shape}")
-    if not np.any(vec):
-        raise ScenarioError("initial state is the zero vector")
+    if not np.linalg.norm(vec) ** 2 >= np.finfo(float).tiny:
+        raise ScenarioError("initial state is the zero vector or its squared norm is not a normal double")
     return vec.copy()
 
 
@@ -261,11 +261,15 @@ def propagate_quasi(
     )
 
 
-def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray):
+def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray, times=None):
     """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of one (N,) ket,
     or of each ket of a (K, N) stack (with A and theta stacked or broadcast
-    to match)."""
+    to match).  Raises `ConditioningError` naming the first of the kets' ``times``
+    whose Theta-norm is below the normal double range."""
     norm = theta_inner(phi, phi, theta)
-    if np.any(np.abs(norm) < 1e-300):
-        raise ValueError("zero Theta-norm state has no expectation values")
+    small = np.ravel(np.abs(norm) < np.finfo(float).tiny)
+    if small.any():
+        t = None if times is None else float(np.ravel(times)[np.argmax(small)])
+        where = "" if t is None else f" at t={t:g}"
+        raise ConditioningError(f"Theta-norm of the state is below the normal double range{where}; no mean values", t=t)
     return theta_inner(phi, (A @ phi[..., None])[..., 0], theta) / norm

@@ -48,7 +48,7 @@ _REAL_PARAM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """A declared observable A_j(t).
+    """A declared observable A_j(t), formed per block of grid points by `DressingTrack.observable`.
 
     source selects the construction:
       hamiltonian-itself   A(t) = H(t)
@@ -111,8 +111,10 @@ class HamiltonianModel:
         for key in self.h_schedule:
             if key not in self.params:
                 raise ScenarioError(f"schedule refers to unknown parameter {key!r}")
-        n = self.dimension
+        n, names = self.dimension, [obs.name for obs in self.a_observables]
         for obs in self.a_observables:
+            if names.count(obs.name) > 1:
+                raise ScenarioError(f"observable name {obs.name!r} is declared more than once")
             if obs.source != "hamiltonian-itself" and obs.data.shape != (n, n):
                 raise ScenarioError(
                     f"observable {obs.name!r}: matrix must be {n}x{n}, got shape {obs.data.shape}"
@@ -173,7 +175,7 @@ def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndar
     if model.family == "similarity-rand":
         energies = _similarity_energies(model)
         s_mat, s_inv = _similarity_matrix(n, int(model.params.get("seed", 0)))
-        return np.broadcast_to((s_mat * energies) @ s_inv, shape).copy()
+        return np.broadcast_to((s_mat * energies) @ s_inv, shape)  # one H for every t, read-only
     # cubic-trunc, over flattened matrices (numpy broadcasts over one trailing axis faster)
     g = np.broadcast_to(model.real_param("g", t), np.shape(t))
     p2, x3 = _oscillator_blocks(n)
@@ -193,20 +195,6 @@ def real_gauge(model: HamiltonianModel) -> np.ndarray | None:
     if model.family != "cubic-trunc":
         return None
     return np.array([1, 1j, -1, -1j])[np.arange(model.dimension) % 4]
-
-
-def realize_observable(
-    spec: ObservableSpec,
-    hamiltonian: np.ndarray,
-    omega: np.ndarray,
-    omega_inv: np.ndarray,
-) -> np.ndarray:
-    """Observable matrix A(t) given the same-time Hamiltonian and dressing."""
-    if spec.source == "hamiltonian-itself":
-        return hamiltonian
-    if spec.source == "user-matrix":
-        return spec.data
-    return omega_inv @ spec.data @ omega
 
 
 def _similarity_energies(model: HamiltonianModel) -> np.ndarray:

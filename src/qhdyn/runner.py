@@ -20,7 +20,6 @@ from . import __version__
 from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, reporting_blocks, theta_inner
 from .errors import NumericalDomainError, ScenarioError
 from .evolution import Trajectory, expectation, propagate_quasi, time_grid
-from .model import realize_observable
 from .scenario import ScenarioConfig, scenario_from_dict, set_by_path
 from .verify import InvariantReport, equivalence_residuals, run_standard_checks
 
@@ -60,15 +59,8 @@ def run(config: ScenarioConfig) -> RunReport:
         use_plain_hamiltonian=(config.generator == "h-only"),
     )
 
-    observable_series = _realize_observables(config, track)
-    reports = run_standard_checks(
-        trajectory,
-        track,
-        observable_series=observable_series or None,
-        selection=config.check_selection,
-        overrides=config.check_overrides,
-    )
-    columns, rows = _tabulate(config, track, trajectory, observable_series)
+    reports = run_standard_checks(trajectory, track, selection=config.check_selection, overrides=config.check_overrides)
+    columns, rows = _tabulate(config, track, trajectory)
     return RunReport(
         scenario=config,
         columns=columns,
@@ -78,15 +70,7 @@ def run(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _realize_observables(config: ScenarioConfig, track: DressingTrack):
-    """Each declared observable on the reporting grid."""
-    specs, coarse = config.model.a_observables, slice(None, None, 2)
-    # one H on the reporting grid, shared by every observable that is H itself
-    h = track.hamiltonian(coarse) if any(spec.source == "hamiltonian-itself" for spec in specs) else None
-    return {spec.name: realize_observable(spec, h, track.omega[coarse], track.omega_inv[coarse]) for spec in specs}
-
-
-def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_series):
+def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     n = track.dimension
     columns = [
         "t",
@@ -103,6 +87,7 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
         columns += [f"re_exp_{name}", f"im_exp_{name}"]
 
     phi = trajectory.phi_right
+    specs = {spec.name: spec for spec in track.model.a_observables}
     eigs = track.theta_eigs[::2]
     energies = track.energies[::2]
     table = np.empty((len(phi), len(columns)))
@@ -119,7 +104,8 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory, observable_s
         table[rows, 1] = theta_inner(part, part, theta).real
         table[rows, 4] = quasi_hermiticity_residual(track.hamiltonian(points), theta)
         for j, name in enumerate(config.outputs):
-            value = expectation(part, np.broadcast_to(observable_series[name], (len(phi), n, n))[rows], theta)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing observable fails observable-reality
+                value = expectation(part, track.observable(specs[name], points), theta, trajectory.times[rows])
             table[rows, 7 + 2 * (n + j)] = value.real
             table[rows, 8 + 2 * (n + j)] = value.imag
     return tuple(columns), table

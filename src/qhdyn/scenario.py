@@ -438,6 +438,8 @@ def _parse_initial_state(entry):
             with np.errstate(over="ignore"):
                 if not np.isfinite(np.linalg.norm(vector)):
                     raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
+            if np.linalg.norm(vector) ** 2 < np.finfo(float).tiny:
+                raise ScenarioError("initial_state.vector is too small: its squared norm is not a normal double")
             return vector
     raise ScenarioError(
         "initial_state must be {preset: uniform}, {preset: eigenstate, index: k}, "

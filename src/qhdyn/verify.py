@@ -26,7 +26,7 @@ from .evolution import Trajectory, expectation
 class Check(NamedTuple):
     """One row of `CHECKS`.
 
-    residuals     (trajectory, track, observable_series) -> (K,) residual per time
+    residuals     (trajectory, track) -> (K,) residual per time
     threshold     default threshold; a residual at or above it fails the check
     on_fine_grid  True when the residuals sit on the track's fine grid, False
                   when they sit on the trajectory's reporting grid
@@ -34,7 +34,7 @@ class Check(NamedTuple):
                   observables) or None; see `unmet_need`
     """
 
-    residuals: Callable[[Trajectory, DressingTrack, Mapping | None], np.ndarray]
+    residuals: Callable[[Trajectory, DressingTrack], np.ndarray]
     threshold: float
     on_fine_grid: bool
     needs: str | None = None
@@ -65,7 +65,7 @@ class InvariantReport:
         )
 
 
-def equivalence_residuals(trajectory: Trajectory, track: DressingTrack, observable_series=None) -> np.ndarray:
+def equivalence_residuals(trajectory: Trajectory, track: DressingTrack) -> np.ndarray:
     """(K,) relative distance of the integrated right ket from the oracle path
     Omega^-1(t) u(t) Omega(0) Phi(0)."""
     phi0 = trajectory.phi_right[0]
@@ -74,7 +74,7 @@ def equivalence_residuals(trajectory: Trajectory, track: DressingTrack, observab
     return np.linalg.norm(trajectory.phi_right - oracle, axis=-1) / float(np.linalg.norm(phi0))
 
 
-def _norm_drift(trajectory, track, observable_series):
+def _norm_drift(trajectory, track):
     """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> along the run."""
     phi = trajectory.phi_right
     norms = np.empty(len(phi))
@@ -83,13 +83,13 @@ def _norm_drift(trajectory, track, observable_series):
     return np.abs(norms - norms[0])
 
 
-def _duality_drift(trajectory, track, observable_series):
+def _duality_drift(trajectory, track):
     """Drift of <<Phi(t)|Phi(t)> built from the independently integrated left ket."""
     vals = np.sum(np.conj(trajectory.phi_left) * trajectory.phi_right, axis=-1)
     return np.abs(vals - vals[0])
 
 
-def _state_consistency(trajectory, track, observable_series):
+def _state_consistency(trajectory, track):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
     residuals = np.empty(len(trajectory.times))
     for rows, points in reporting_blocks(track):
@@ -98,14 +98,14 @@ def _state_consistency(trajectory, track, observable_series):
     return residuals
 
 
-def _standard_unitarity(trajectory, track, observable_series):
+def _standard_unitarity(trajectory, track):
     """||u' u - I|| over the standard-space propagators (diagonal, so only
     the diagonal of u' u can differ from I)."""
     u = trajectory.u_diagonals
     return np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
 
 
-def _intertwining(trajectory, track, observable_series):
+def _intertwining(trajectory, track):
     """U_L(t) U_R(t) = I -- the product whose collapse conserves the metric norm.
 
     U_R(t) = Omega^-1(t) u(t) Omega(0) moves right kets and
@@ -123,7 +123,7 @@ def _intertwining(trajectory, track, observable_series):
     return residuals
 
 
-def _quasi_hermiticity(trajectory, track, observable_series):
+def _quasi_hermiticity(trajectory, track):
     """||H' Theta - Theta H|| at every grid point, with H and Theta formed per block."""
     residuals = np.empty(len(track.times))
     for block in grid_blocks(len(track.times), track.dimension):
@@ -131,7 +131,7 @@ def _quasi_hermiticity(trajectory, track, observable_series):
     return residuals
 
 
-def _isospectrality(trajectory, track, observable_series):
+def _isospectrality(trajectory, track):
     """Spectra of h = Omega H Omega^-1 and H agree, certified by Gershgorin discs.
 
     The spectrum of H is the track's energies E, validated against H by their
@@ -165,26 +165,26 @@ def _isospectrality(trajectory, track, observable_series):
     return residuals
 
 
-def _observable_reality(trajectory, track, observable_series):
+def _observable_reality(trajectory, track):
     """Imaginary part of every declared observable's mean value along the run.
 
-    ``observable_series`` maps each name to its matrices on the reporting
-    grid, (K, N, N) or one (N, N) matrix for all times.  Each observable must
-    first pass the quasi-Hermiticity residual gate, at the default
-    `quasi-hermiticity` threshold, at every reporting point; a failed gate
-    fails the check outright (the mean value of an illegitimate observable
-    has no reality claim).
+    Each observable of ``track.model.a_observables`` is formed per block of
+    reporting points and must first pass the quasi-Hermiticity residual gate,
+    at the default `quasi-hermiticity` threshold, at every reporting point; a
+    failed or non-finite gate fails the check outright (the mean value of an
+    illegitimate observable has no reality claim).
     """
     gate_threshold = CHECKS["quasi-hermiticity"].threshold
     residuals = np.zeros(len(trajectory.times))
-    observables = [np.broadcast_to(a, residuals.shape + np.shape(a)[-2:]) for a in observable_series.values()]
     for rows, points in reporting_blocks(track):
         theta, phi = track.theta(points), trajectory.phi_right[rows]
-        for a in observables:
-            gate = quasi_hermiticity_residual(a[rows], theta)
+        for spec in track.model.a_observables:
+            with np.errstate(over="ignore", invalid="ignore"):  # a NaN gate fails below, as NaN
+                a = track.observable(spec, points)
+                gate = quasi_hermiticity_residual(a, theta)
+                mean = expectation(phi, a, theta, trajectory.times[rows])
             # not a Theta-observable where the gate fails; report the violation itself
-            value = np.where(gate > gate_threshold, gate, np.abs(expectation(phi, a[rows], theta).imag))
-            residuals[rows] = np.maximum(residuals[rows], value)
+            residuals[rows] = np.maximum(residuals[rows], np.where(gate <= gate_threshold, np.abs(mean.imag), gate))
     return residuals
 
 
@@ -218,7 +218,6 @@ def unmet_need(name: str, pictures: Sequence[str], observables) -> str | None:
 def run_standard_checks(
     trajectory: Trajectory,
     track: DressingTrack,
-    observable_series: Mapping[str, Sequence[np.ndarray]] | None = None,
     selection: Sequence[str] | None = None,
     overrides: Mapping[str, float] | None = None,
 ) -> list[InvariantReport]:
@@ -234,13 +233,13 @@ def run_standard_checks(
     reports = []
     for name in CHECKS if selection is None else selection:
         check = CHECKS[name]
-        problem = check.needs and unmet_need(name, trajectory.pictures, observable_series)
+        problem = check.needs and unmet_need(name, trajectory.pictures, track.model.a_observables)
         if problem and selection is None:
             continue
         if problem:
             raise ScenarioError(problem)
         times = track.times if check.on_fine_grid else trajectory.times
-        residuals = check.residuals(trajectory, track, observable_series)
+        residuals = check.residuals(trajectory, track)
         reports.append(InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold)))
     return reports
 

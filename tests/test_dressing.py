@@ -6,6 +6,7 @@ from qhdyn import (
     ConditioningError,
     HamiltonianModel,
     MetricPositivityError,
+    ObservableSpec,
     ScenarioError,
     build_dressing_track,
     time_grid,
@@ -393,13 +394,15 @@ def test_static_track_repeats_one_frame():
     mu = tuple(ScheduleSpec("sinusoidal", base=1.0, amplitude=0.4, frequency=k + 1.0) for k in range(4))
     _, fine = time_grid(0.0, 1.0, 0.01)
     track = build_dressing_track(model, mu, fine)
-    # one solve held as a read-only view over the grid
-    for values in (track.hamiltonian(), track.energies):
-        assert values.shape[0] == len(fine) and values.strides[0] == 0
-        assert not values.flags.writeable
+    # one solve's energies held as a read-only view over the grid
+    assert track.energies.shape[0] == len(fine) and track.energies.strides[0] == 0
+    assert not track.energies.flags.writeable
+    # H per block is the one solved matrix, bit for bit
+    solved = build_hamiltonian(model, fine[:1])[0]
+    for block in grid_blocks(len(fine), 4, most=40):
+        assert all(_bits(h) == _bits(solved) for h in track.hamiltonian(block))
     # equal to the frame a point-by-point sweep tracks at every point
     hams = build_hamiltonian(model, fine)
-    np.testing.assert_array_equal(track.hamiltonian(), hams)
     reference = reference_track(hams, fine)
     expected = np.array([f.energies for f in reference])
     np.testing.assert_allclose(track.energies, expected, rtol=0.0, atol=1e-12)
@@ -539,18 +542,44 @@ def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(whole))
 
 
+def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
+    # the whole-reporting-grid stacks the observables were once formed as,
+    # against the accessor over the blocks of reporting points and a mask
+    model, mu, times = _cubic8(203)
+    track = build_dressing_track(model, mu, times, "report")
+    coarse = slice(None, None, 2)
+    rng = np.random.default_rng(5)
+    seed = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    seed += dagger(seed)
+    whole = [
+        (ObservableSpec("H", "hamiltonian-itself"), build_hamiltonian(model, times[coarse])),
+        (ObservableSpec("X", "user-matrix", seed), np.broadcast_to(seed, times[coarse].shape + seed.shape)),
+        (ObservableSpec("Z", "function-of-frame", seed), track.omega_inv[coarse] @ seed @ track.omega[coarse]),
+    ]
+    blocks = reporting_blocks(track)
+    sizes = [len(times[points]) for _, points in blocks]
+    assert sizes == [64, 38]  # a ragged last block
+    mask = np.zeros(len(times), dtype=bool)
+    mask[[0, 64, 202]] = True
+    for spec, stack in whole:
+        for rows, points in blocks:
+            assert _bits(track.observable(spec, points)) == _bits(stack[rows])
+        assert _bits(track.observable(spec, mask)) == _bits(stack[[0, 32, 101]])
+
+
 def test_a_moving_track_holds_only_the_frame_on_the_grid():
     model, mu, times = _cubic8(203)
     track = build_dressing_track(model, mu, times, "report")
     grid_stacks = [name for name, value in vars(track).items() if np.shape(value) == track.omega.shape]
     assert grid_stacks == ["omega", "omega_inv"]
-    assert track.static_hamiltonian is None and track.mu_dot is None
+    assert track.mu_dot is None
+    # no field holds a matrix of H or of an observable: the model gives them per block
+    assert not any(np.shape(value)[-2:] == (8, 8) for name, value in vars(track).items() if name not in grid_stacks)
 
 
 def test_a_moving_run_forms_no_whole_grid_hamiltonian_or_theta(monkeypatch):
     # N = 8 cubic-trunc over M = 1001 fine points: H and Theta are formed for
-    # one block of points at a time; the one larger H is the reporting grid's,
-    # for the observable that is H itself
+    # one block of points at a time, the observable that is H itself too
     import qhdyn.dressing
     import qhdyn.model
     from qhdyn import scenario_from_dict
@@ -584,7 +613,7 @@ def test_a_moving_run_forms_no_whole_grid_hamiltonian_or_theta(monkeypatch):
     assert run(scenario_from_dict(doc)).passed
     block = 64  # points per block at N = 8
     assert max(formed["Theta"]) == block
-    assert sorted(formed["H"])[-2:] == [block, 501]  # 501 reporting points, 1001 grid points
+    assert max(formed["H"]) == block  # 501 reporting points, 1001 grid points
 
 
 def test_metric_guard_tells_rounding_from_lost_positivity():

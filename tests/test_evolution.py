@@ -6,6 +6,8 @@ import scipy.linalg
 
 from qhdyn import (
     ComplexSpectrumError,
+    ConditioningError,
+    DressingTrack,
     HamiltonianModel,
     ScenarioError,
     build_dressing_track,
@@ -68,23 +70,31 @@ def test_standard_propagator_rejects_complex_energies():
         standard_phases(track)
 
 
-def test_zero_generator_leaves_the_kets_unchanged():
+def _inject_hamiltonian(monkeypatch, matrix):
+    """Make every track's H the one ``matrix``, at any points asked for."""
+    def hamiltonian(self, points=slice(None)):
+        return np.broadcast_to(matrix, self.times[points].shape + matrix.shape)
+
+    monkeypatch.setattr(DressingTrack, "hamiltonian", hamiltonian)
+
+
+def test_zero_generator_leaves_the_kets_unchanged(monkeypatch):
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2, dt=1e-2)
-    zero = np.zeros((2, 2), dtype=complex)
-    track = dataclasses.replace(track, static_hamiltonian=zero, mu_dot=np.zeros_like(track.mu_dot))
+    _inject_hamiltonian(monkeypatch, np.zeros((2, 2), dtype=complex))
+    track = dataclasses.replace(track, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([1.0, 2.0j])
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     np.testing.assert_array_equal(traj.phi_right, np.broadcast_to(phi0, traj.phi_right.shape))
     np.testing.assert_array_equal(traj.phi_left, np.broadcast_to(track.theta(0) @ phi0, traj.phi_left.shape))
 
 
-def test_diagonal_generator_matches_scalar_exponentials():
+def test_diagonal_generator_matches_scalar_exponentials(monkeypatch):
     # constant non-normal diagonal generator: components evolve independently
     model = HamiltonianModel(2, "pt2", {"gamma": 0.0, "s": 1.0})
     track = _track(model, CONST_MU2)
-    gen = np.diag([1.0 - 0.3j, 2.0 + 0.1j])
-    track = dataclasses.replace(track, static_hamiltonian=gen, mu_dot=np.zeros_like(track.mu_dot))
+    _inject_hamiltonian(monkeypatch, np.diag([1.0 - 0.3j, 2.0 + 0.1j]))
+    track = dataclasses.replace(track, mu_dot=np.zeros_like(track.mu_dot))
     phi0 = np.array([0.6, 0.8], dtype=complex)
     traj = propagate_quasi(track, phi0, pictures=("right", "left"))
     t = 1.0
@@ -210,6 +220,8 @@ def test_initial_state_resolution_errors():
         propagate_quasi(track, ("eigenstate", 5))
     with pytest.raises(ScenarioError, match="zero vector"):
         propagate_quasi(track, np.zeros(2))
+    with pytest.raises(ScenarioError, match="not a normal double"):
+        propagate_quasi(track, np.array([1e-200, 1e-200]))
     with pytest.raises(ScenarioError, match="components"):
         propagate_quasi(track, np.ones(3))
 
@@ -224,7 +236,12 @@ def test_expectation_cases(hand_frame, hand_matrix):
     # a (K, N) stack gives one value per ket
     stack = np.stack([phi, hand_frame.right_kets[:, 1]])
     np.testing.assert_allclose(expectation(stack, hand_matrix, theta), [2.0, 2.0], atol=1e-12)
-    with pytest.raises(ValueError, match="zero"):
+    # a Theta-norm below the normal range is a conditioning abort naming its time
+    for tiny in (0.0, 1e-155):
+        with pytest.raises(ConditioningError, match=r"below the normal double range at t=0\.5;") as info:
+            expectation(np.array([phi, tiny * phi]), np.eye(2), theta, np.array([0.0, 0.5]))
+        assert info.value.t == 0.5
+    with pytest.raises(ConditioningError, match=r"below the normal double range;"):
         expectation(np.zeros(2), np.eye(2), theta)
 
 

@@ -211,6 +211,13 @@ def test_observable_spec_validation():
                          a_observables=(ObservableSpec("A", "user-matrix", data=np.eye(3)),))
 
 
+def test_a_repeated_observable_name_is_rejected():
+    # the CSV columns and the outputs list name observables: one name, one observable
+    specs = (ObservableSpec("H", "hamiltonian-itself"), ObservableSpec("H", "user-matrix", data=np.eye(2)))
+    with pytest.raises(ScenarioError, match="observable name 'H' is declared more than once"):
+        HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0}, a_observables=specs)
+
+
 @pytest.mark.parametrize(
     "params, message",
     [

@@ -13,7 +13,7 @@ from qhdyn import (
     run_standard_checks,
     time_grid,
 )
-from qhdyn.model import realize_observable
+from qhdyn.verify import unmet_need
 from qhdyn.schedules import ScheduleSpec
 
 MU2 = (
@@ -37,8 +37,11 @@ def generic_run():
     return track, traj
 
 
-def _check(name, traj, track, observable_series=None):
-    return run_standard_checks(traj, track, observable_series, selection=[name])[0]
+def _check(name, traj, track, *observables):
+    """Check ``name`` alone, with the track's model declaring ``observables`` when given."""
+    if observables:
+        track = dataclasses.replace(track, model=dataclasses.replace(track.model, a_observables=observables))
+    return run_standard_checks(traj, track, selection=[name])[0]
 
 
 def _isospectrality(track):
@@ -161,17 +164,17 @@ def test_isospectrality_falls_back_to_eigvals_where_discs_overlap(monkeypatch):
 
 def test_observable_reality_identity_and_hamiltonian(generic_run):
     track, traj = generic_run
-    eye = [np.eye(2)] * len(traj.times)
-    h_series = track.hamiltonian(slice(None, None, 2))
-    report = _check("observable-reality", traj, track, {"I": eye, "H": h_series})
+    eye = ObservableSpec("I", "user-matrix", np.eye(2))
+    report = _check("observable-reality", traj, track, eye, ObservableSpec("H", "hamiltonian-itself"))
     assert report.passed
+
+
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def test_observable_reality_conjugated_seed(generic_run):
     track, traj = generic_run
-    seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    series = track.omega_inv[::2] @ seed @ track.omega[::2]
-    report = _check("observable-reality", traj, track, {"imbalance": series})
+    report = _check("observable-reality", traj, track, ObservableSpec("imbalance", "function-of-frame", SIGMA_Z))
     assert report.passed and report.max_residual < 1e-9
 
 
@@ -179,10 +182,10 @@ def test_observable_gate_ignores_a_quasi_hermiticity_override(generic_run):
     # the gate keeps the default quasi-hermiticity threshold whatever a
     # scenario sets for the quasi-hermiticity check itself
     track, traj = generic_run
-    seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    series = {"imbalance": track.omega_inv[::2] @ seed @ track.omega[::2]}
+    model = dataclasses.replace(track.model, a_observables=(ObservableSpec("imbalance", "function-of-frame", SIGMA_Z),))
+    track = dataclasses.replace(track, model=model)
     plain, tight = (
-        run_standard_checks(traj, track, series, selection=["observable-reality"], overrides=overrides)[0]
+        run_standard_checks(traj, track, selection=["observable-reality"], overrides=overrides)[0]
         for overrides in ({}, {"quasi-hermiticity": 1e-30})
     )
     np.testing.assert_array_equal(plain.residuals, tight.residuals)
@@ -190,8 +193,8 @@ def test_observable_gate_ignores_a_quasi_hermiticity_override(generic_run):
 
 def test_observable_reality_gates_illegitimate_matrices(generic_run):
     track, traj = generic_run
-    bogus = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)] * len(traj.times)
-    report = _check("observable-reality", traj, track, {"bogus": bogus})
+    bogus = ObservableSpec("bogus", "user-matrix", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    report = _check("observable-reality", traj, track, bogus)
     assert not report.passed
     assert report.max_residual > 0.1  # the residual gate itself, not a tiny Im part
 
@@ -235,26 +238,24 @@ def test_checks_skip_left_picture_when_absent():
         run_standard_checks(traj, track, selection=["left-right-duality"])
 
 
-@pytest.mark.parametrize("series", [None, {}])
+@pytest.mark.parametrize("series", [None, ()])
 def test_observable_reality_needs_declared_observables(generic_run, series):
+    # the model declares none: an absent and an empty list are both unmet
     track, traj = generic_run
-    assert "observable-reality" not in {r.name for r in run_standard_checks(traj, track, series)}
+    assert unmet_need("observable-reality", traj.pictures, series).endswith("no observables declared")
+    assert "observable-reality" not in {r.name for r in run_standard_checks(traj, track)}
     with pytest.raises(ScenarioError, match="no observables declared"):
-        run_standard_checks(traj, track, series, selection=["observable-reality"])
+        run_standard_checks(traj, track, selection=["observable-reality"])
 
 
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
-    omega, omega_inv = track.omega[0], track.omega_inv[0]
-    H = track.hamiltonian(0)
-    assert realize_observable(ObservableSpec("H", "hamiltonian-itself"), H, omega, omega_inv) is H
+    points = slice(2, 9, 2)
+    hamiltonian = track.observable(ObservableSpec("H", "hamiltonian-itself"), points)
+    np.testing.assert_array_equal(hamiltonian, track.hamiltonian(points))
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    np.testing.assert_array_equal(
-        realize_observable(ObservableSpec("X", "user-matrix", fixed), H, omega, omega_inv),
-        fixed,
-    )
-    seed = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    conjugated = realize_observable(
-        ObservableSpec("Z", "function-of-frame", seed), H, omega, omega_inv
-    )
-    np.testing.assert_allclose(conjugated, omega_inv @ seed @ omega, atol=1e-14)
+    matrices = track.observable(ObservableSpec("X", "user-matrix", fixed), points)
+    assert matrices.shape == (4, 2, 2) and matrices.strides[0] == 0 and not matrices.flags.writeable
+    np.testing.assert_array_equal(matrices, np.broadcast_to(fixed, (4, 2, 2)))
+    conjugated = track.observable(ObservableSpec("Z", "function-of-frame", SIGMA_Z), points)
+    np.testing.assert_allclose(conjugated, track.omega_inv[points] @ SIGMA_Z @ track.omega[points], atol=1e-14)
