@@ -17,19 +17,18 @@ dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
-or such a stack alike.  The track keeps only what a block of points cannot
-rebuild cheaply: Omega and Omega^-1 on the fine grid, the energies and
-Theta's eigenvalues, and the frame at t0.  H (from the model), Theta and
-dOmega/dt (from Omega), the declared observables and every other product
-over the grid (a moving H's frames, H_gen, the check residuals) are formed
-over blocks of about `_FRAME_ENTRIES` matrix entries, so no temporary the
-size of the track outlives one expression.
+or such a stack alike.  The track holds the frame, not the dressing map:
+the tracked kets and bras of D* H D in the model's real gauge D (real for
+cubic-trunc), mu(t), the energies and Theta's eigenvalues.  Omega, Omega^-1,
+H, Theta, dOmega/dt, the observables and every other product over the grid
+(a moving H's frames, H_gen, the check residuals) are formed over blocks of
+`_FRAME_ENTRIES` entries: no temporary the size of the track outlives one expression.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,18 +56,20 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def build_omega(frame: BiorthogonalFrame, mu: Sequence[complex], out: np.ndarray | None = None) -> np.ndarray:
-    """Omega = sum_n e_n mu_n <<n|: row n is mu_n times the left bra."""
-    mu = np.asarray(mu, dtype=complex)
+def build_omega(bras: np.ndarray, mu: Sequence[complex], gauge: np.ndarray | None = None) -> np.ndarray:
+    """Omega = diag(mu) L D*: row n is mu_n times the left bra <<n| of L, the
+    bras of D* H D for the phases ``gauge`` = diag(D) (of H without them)."""
+    mu = np.asarray(mu)
     if np.any(mu == 0):
         raise ScenarioError("mu coefficients must be nonzero")
-    return np.multiply(mu[..., :, None], frame.left_bras, out=out)
+    omega = np.multiply(mu[..., :, None], bras, dtype=None if gauge is None else complex)
+    return omega if gauge is None else np.multiply(omega, np.conj(gauge), out=omega)
 
 
-def omega_inverse(frame: BiorthogonalFrame, mu: Sequence[complex], out: np.ndarray | None = None) -> np.ndarray:
-    """Frame-exact inverse: column n is |n> / mu_n (uses <<m|n> = delta_mn);
-    the nonzero ``mu`` that `build_omega` accepted."""
-    return np.divide(frame.right_kets, np.asarray(mu, dtype=complex)[..., None, :], out=out)
+def omega_inverse(kets: np.ndarray, mu: Sequence[complex], gauge: np.ndarray | None = None) -> np.ndarray:
+    """Frame-exact inverse D R diag(1/mu) (uses <<m|n> = delta_mn), for the ``gauge`` of `build_omega`."""
+    inverse = np.divide(kets, np.asarray(mu)[..., None, :], dtype=None if gauge is None else complex)
+    return inverse if gauge is None else np.multiply(inverse, gauge[:, None], out=inverse)
 
 
 def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
@@ -196,28 +197,33 @@ def differentiate_samples(samples: np.ndarray, step: float, points: slice = slic
 
 @dataclass(frozen=True)
 class DressingTrack:
-    """Solved frames and dressing maps on a uniform grid, as stacked arrays.
+    """Solved frames on a uniform grid, as stacked arrays.
 
     The grid is the integrator's fine grid (spacing = half the reporting
     step), so every Runge-Kutta substep time is a sample.  Coarse reporting
     points sit at the even indices.  With M grid points and dimension N:
 
     times               (M,)
-    omega, omega_inv    (M, N, N)  Omega, Omega^-1
+    kets, bras          (M, N, N)  tracked kets R and bras L of G = D* H D, D = `model.real_gauge`
+    mu                  (M, N)     metric coefficients mu_n(t) times conj(z_n), see below
     energies            (M, N)     tracked E_n(t)
     theta_eigs          (M, N)     ascending eigenvalues of the metric Omega' Omega
-    initial_frame                  the tracked frame at t0 (kets, bras)
+    initial_frame                  H's tracked frame at t0 (kets D R diag(z), bras diag(z*) L D*)
     mu_dot              (M, N)     exact dmu/dt for a static H; None if H moves
     model                          the model: H(t) and the declared observables
 
-    `hamiltonian`, `theta`, `omega_dot` and `observable` form H, Theta, dOmega/dt
-    and a declared observable at the points asked for.  Row n of Omega is mu_n <<n|.
-    The energies are read-only; for a static H, one solve broadcast (stride 0).
+    The pivot convention holds for G's kets, so H's kets D R differ from H's own by a
+    constant phase z_n = conj(d_p) per branch, p its largest component at t0; with z* in
+    mu, Omega = diag(mu) L D* and Omega^-1 = D R diag(1/mu) are those of H's own frame.
+    `omega`, `omega_inv`, `omega_dot`, `hamiltonian`, `theta` and `observable` form
+    Omega, Omega^-1, dOmega/dt, H, Theta and a declared observable at the points asked
+    for.  kets, bras and energies are read-only; for a static H, one solve (stride 0).
     """
 
     times: np.ndarray
-    omega: np.ndarray
-    omega_inv: np.ndarray
+    kets: np.ndarray
+    bras: np.ndarray
+    mu: np.ndarray
     energies: np.ndarray
     theta_eigs: np.ndarray
     initial_frame: BiorthogonalFrame
@@ -232,6 +238,14 @@ class DressingTrack:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def omega(self, points=slice(None)) -> np.ndarray:
+        """Omega at the grid points ``points`` (a slice, mask, index array or one index)."""
+        return build_omega(self.bras[points], self.mu[points], real_gauge(self.model))
+
+    def omega_inv(self, points=slice(None)) -> np.ndarray:
+        """Omega^-1 at the grid points ``points``."""
+        return omega_inverse(self.kets[points], self.mu[points], real_gauge(self.model))
+
     def hamiltonian(self, points=slice(None)) -> np.ndarray:
         """H at the grid points ``points`` (a slice, mask or index array), from the
         model; only the frame solve calls this module's `build_hamiltonian`."""
@@ -239,14 +253,17 @@ class DressingTrack:
 
     def theta(self, points=slice(None)) -> np.ndarray:
         """The metric Omega' Omega at the grid points ``points``."""
-        return build_theta(self.omega[points])
+        return build_theta(self.omega(points))
 
     def omega_dot(self, points: slice = slice(None)) -> np.ndarray:
-        """dOmega/dt at the grid points ``points`` (a unit-step slice): exact
-        for a static H, by 4th-order stencils over Omega for a moving one."""
-        if self.mu_dot is None:
-            return differentiate_samples(self.omega, self.step, points)
-        return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
+        """dOmega/dt at the grid points ``points`` (a unit-step slice): exact for a
+        static H; for a moving one, 4th-order stencils over Omega formed on the
+        points plus a two-point halo, the same bits as over the whole grid."""
+        if self.mu_dot is not None:
+            return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
+        lo, hi, _ = points.indices(m := len(self.times))
+        start, stop = min(max(lo - 2, 0), m - 5), max(min(hi + 2, m), 5)
+        return differentiate_samples(self.omega(slice(start, stop)), self.step, slice(lo - start, hi - start))
 
     def observable(self, spec: ObservableSpec, points=slice(None)) -> np.ndarray:
         """The declared observable A(t) at the grid points ``points``: H itself, the
@@ -255,15 +272,21 @@ class DressingTrack:
             return self.hamiltonian(points)
         if spec.source == "user-matrix":
             return np.broadcast_to(spec.data, self.times[points].shape + spec.data.shape)
-        return self.omega_inv[points] @ spec.data @ self.omega[points]
+        return self.omega_inv(points) @ spec.data @ self.omega(points)
 
 
-def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_policy: str, gauge=None):
+def _gauged(hams: np.ndarray, gauge: np.ndarray | None) -> np.ndarray:
+    """D* H D for ``gauge`` = diag(D) (H without one), as a contiguous real stack if exactly real."""
+    if gauge is None:
+        return hams
+    gauged = hams * (np.conj(gauge)[:, None] * gauge)
+    return gauged if np.any(gauged.imag) else gauged.real.copy()
+
+
+def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_policy: str):
     """Solve H at ``times`` in blocks of at most `_FRAME_ENTRIES` entries,
     each tracked on from the block before, and yield (grid slice, tracked
-    frame) per block.  ``hamiltonian`` maps a block of times to its stack of
-    N x N matrices H; ``gauge`` is the model's real gauge, passed on to
-    `eig_biorthogonal`.
+    frame) per block; ``hamiltonian`` maps a block of times to its stack.
 
     A point-by-point sweep would match point j against j - 1 before solving
     point j + 1, so when the solve fails at point k, a continuity failure
@@ -274,11 +297,11 @@ def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_poli
         k = block.start
         hams = hamiltonian(times[block])
         try:
-            raw = eig_biorthogonal(hams, reality_policy=reality_policy, t=times[block], gauge=gauge)
+            raw = eig_biorthogonal(hams, reality_policy=reality_policy, t=times[block])
         except NumericalDomainError as exc:
             j = int(np.searchsorted(times[block], exc.t))
             if j > 0:
-                prefix = eig_biorthogonal(hams[:j], reality_policy=reality_policy, t=times[k : k + j], gauge=gauge)
+                prefix = eig_biorthogonal(hams[:j], reality_policy=reality_policy, t=times[k : k + j])
                 track_continuity(prefix, carry)
             raise
         frame = track_continuity(raw, carry)
@@ -300,6 +323,8 @@ def build_dressing_track(
     times its constant left bras.  A moving H is built, solved and
     continuity-tracked block by block, so the sampled Omega(t) lies on one
     smooth curve, and dOmega/dt is taken by 4th-order stencils over it.
+    What is solved is G = D* H D in the model's real gauge (real for cubic-trunc, to
+    Theta's eigenvalues); a complex block upcasts the stored frame once.
     """
     times = np.asarray(times, dtype=float)
     if len(mu_schedules) != model.dimension:
@@ -310,22 +335,28 @@ def build_dressing_track(
     solved = times if moving else times[:1]
 
     mu = mu_series(mu_schedules, times)
-    hamiltonian = lambda t: build_hamiltonian(model, t)
-    for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension, reality_policy, real_gauge(model)):
+    gauge = real_gauge(model)
+    hamiltonian = lambda t: _gauged(build_hamiltonian(model, t), gauge)
+    for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension, reality_policy):
         if block.start == 0:  # allocated once the first block's raw frame is freed
             initial = _point(frame, 0, frame.t)
-            omega = np.empty(mu.shape + mu.shape[-1:], dtype=complex)
-            omega_inv = np.empty_like(omega)
-            energies = np.empty(solved.shape + mu.shape[-1:], dtype=complex)
-        rows = block if moving else slice(None)  # one solve of a static H serves all
-        with np.errstate(over="ignore"):  # an overflowing Omega is reported by the metric guard
-            build_omega(frame, mu[rows], out=omega[rows])
-        omega_inverse(frame, mu[rows], out=omega_inv[rows])
-        energies[block] = frame.energies
-    theta_eigs = np.empty(omega.shape[:-1])
+            if gauge is not None:  # H's frame: kets D R diag(z), bras diag(z*) L D*, z* = d_p
+                z_conj = gauge[np.argmax(np.abs(initial.right_kets), axis=0)]
+                mu *= z_conj  # mu_series gives a fresh complex stack
+                initial = replace(initial, right_kets=gauge[:, None] * initial.right_kets * np.conj(z_conj),
+                                  left_bras=z_conj[:, None] * initial.left_bras * np.conj(gauge))
+            kets = np.empty(solved.shape + frame.right_kets.shape[1:], dtype=frame.right_kets.dtype)
+            bras = np.empty_like(kets)
+            energies = np.empty(solved.shape + mu.shape[-1:], dtype=kets.dtype)
+        if np.iscomplexobj(frame.right_kets) and not np.iscomplexobj(kets):  # a complex block after real ones
+            kets, bras, energies = (a.astype(complex) for a in (kets, bras, energies))
+        kets[block], bras[block], energies[block] = frame.right_kets, frame.left_bras, frame.energies
+    # read-only (M, ...) views: one solve of a static H stands for every point
+    kets, bras, energies = (np.broadcast_to(a, times.shape + a.shape[1:]) for a in (kets, bras, energies))
+    theta_eigs = np.empty(mu.shape)
     for block in grid_blocks(len(times), model.dimension):
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite Theta
-            theta = build_theta(omega[block])
+            theta = build_theta(build_omega(bras[block], np.abs(mu[block])))  # L' |mu|^2 L = D* Theta D
         finite = np.isfinite(theta).all(axis=(-2, -1))
         theta[~finite] = 0.0  # eigvalsh rejects inf and NaN; the guard names these points
         theta_eigs[block] = np.where(finite[:, None], np.linalg.eigvalsh(theta), np.nan)
@@ -333,10 +364,10 @@ def build_dressing_track(
 
     return DressingTrack(
         times=times,
-        omega=omega,
-        omega_inv=omega_inv,
-        # read-only (M, N) view: one solve of a static H stands for every point
-        energies=np.broadcast_to(energies, times.shape + energies.shape[1:]),
+        kets=kets,
+        bras=bras,
+        mu=mu,
+        energies=energies,
         theta_eigs=theta_eigs,
         initial_frame=initial,
         mu_dot=None if moving else mu_series(mu_schedules, times, eval_schedule_derivative),

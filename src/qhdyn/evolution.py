@@ -72,10 +72,9 @@ class Trajectory:
     phases: np.ndarray
     pictures: tuple[str, ...]
 
-    @property
-    def u_diagonals(self) -> np.ndarray:
-        """(K, N) diagonals of the standard-space propagators u(t_k)."""
-        return np.exp(-1j * self.phases)
+    def u_diagonals(self, rows=slice(None)) -> np.ndarray:
+        """(K, N) diagonals of the standard-space propagators u(t_k), at the reporting ``rows``."""
+        return np.exp(-1j * self.phases[rows])
 
 
 def time_grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,12 +237,13 @@ def propagate_quasi(
             if use_plain_hamiltonian:
                 block[:, 0] = track.hamiltonian(span)
             else:  # formed in place, as is the left picture's adjoint
-                build_generator(track.hamiltonian(span), track.omega_dot(span), track.omega_inv[span], out=block[:, 0])
+                build_generator(track.hamiltonian(span), track.omega_dot(span), track.omega_inv(span), out=block[:, 0])
             if want_left:
                 np.conj(np.swapaxes(block[:, 0], -1, -2), out=block[:, 1])
             increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)
             for k in range(k0, k1):
                 kets[k + 1] = kets[k] + (increments[k - k0] @ kets[k][..., None])[..., 0]
+            del block, increments  # freed before the next block forms its own
     finite = np.isfinite(kets).all(axis=(1, 2))
     if not finite.all():
         t = coarse[max(int(np.argmin(finite)) - 1, 0)]

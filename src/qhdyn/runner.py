@@ -20,7 +20,7 @@ from . import __version__
 from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, reporting_blocks, theta_inner
 from .errors import NumericalDomainError, ScenarioError
 from .evolution import Trajectory, expectation, propagate_quasi, time_grid
-from .scenario import ScenarioConfig, scenario_from_dict, set_by_path
+from .scenario import ScenarioConfig, plain_name, scenario_from_dict, set_by_path
 from .verify import InvariantReport, equivalence_residuals, run_standard_checks
 
 EXIT_OK = 0
@@ -92,7 +92,6 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     energies = track.energies[::2]
     table = np.empty((len(phi), len(columns)))
     table[:, 0] = trajectory.times
-    table[:, 2] = np.sum(np.conj(phi) * phi, axis=-1).real
     table[:, 3] = equivalence_residuals(trajectory, track)
     table[:, 5] = eigs[:, 0]
     table[:, 6] = eigs[:, -1] / eigs[:, 0]
@@ -102,6 +101,7 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     for rows, points in reporting_blocks(track):
         theta, part = track.theta(points), phi[rows]
         table[rows, 1] = theta_inner(part, part, theta).real
+        table[rows, 2] = np.sum(np.conj(part) * part, axis=-1).real
         table[rows, 4] = quasi_hermiticity_residual(track.hamiltonian(points), theta)
         for j, name in enumerate(config.outputs):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing observable fails observable-reality
@@ -140,22 +140,24 @@ def summary_text(report: RunReport) -> str:
 
 
 def report_json_dict(report: RunReport) -> dict:
-    return {
+    """The report as strict JSON: a non-finite number (a check's max residual, or a scenario
+    entry the run ignored) is null, and a check with a non-finite one has "non_finite": true."""
+    import json
+
+    checks = [
+        {"name": r.name, "max_residual": r.max_residual, "threshold": r.threshold, "passed": r.passed}
+        | ({} if np.isfinite(r.max_residual) else {"non_finite": True})
+        for r in report.reports
+    ]
+    document = {
         "version": __version__,
         "scenario": report.scenario.raw,
-        "checks": [
-            {
-                "name": r.name,
-                "max_residual": r.max_residual,
-                "threshold": r.threshold,
-                "passed": r.passed,
-            }
-            for r in report.reports
-        ],
+        "checks": checks,
         "passed": report.passed,
         "rows": len(report.rows),
         "wall_clock_seconds": report.wall_clock_seconds,
     }
+    return json.loads(json.dumps(document), parse_constant=lambda _: None)  # NaN and +-inf become null
 
 
 def write_outputs(report: RunReport, out_dir: Path) -> Path:
@@ -167,7 +169,7 @@ def write_outputs(report: RunReport, out_dir: Path) -> Path:
     write_csv(report, run_dir / "timeseries.csv")
     (run_dir / "summary.txt").write_text(summary_text(report), encoding="utf-8")
     (run_dir / "report.json").write_text(
-        json.dumps(report_json_dict(report), indent=2) + "\n", encoding="utf-8"
+        json.dumps(report_json_dict(report), indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     return run_dir
 
@@ -206,6 +208,7 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
 
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, got {jobs}")
+    plain_name(name)  # every point's label, and so its output directory, starts with it
     tasks = []
     for value in values:
         label = f"{name}__{param_path.replace('.', '_')}={value}"

@@ -131,12 +131,19 @@ def _json_object(text: str) -> dict | None:
         return None
 
 
+def plain_name(name) -> str:
+    """``name`` as a string, if it names a directory right under the output directory."""
+    if (name := str(name)) in (".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(f"name {name!r} must be a plain file name (no path separator, not '.' or '..')")
+    return name
+
+
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     raw = copy.deepcopy(raw)
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    name = str(raw.get("name", name))
+    name = plain_name(raw.get("name", name))
 
     model_doc = _require(raw, "model", dict)
     time_doc = _require(raw, "time", dict)

@@ -40,7 +40,7 @@ class BiorthogonalFrame:
     """Eigenvalue doublets of one matrix, or of a stack of M matrices.
 
     t             time of the matrix, or (M,) times of the stack
-    energies      (..., N) complex eigenvalues E_n
+    energies      (..., N) eigenvalues E_n (real, like the kets and bras, for a real frame)
     right_kets    (..., N, N), column n is |n>
     left_bras     (..., N, N), row n is <<n|
     raw_overlaps  (..., N) exceptional-point margins 1 / (||<<n|| ||n>||)
@@ -84,7 +84,7 @@ def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
     the (M,) biorthonormality and completeness residuals ||<<m|n> - I|| and
     ||sum_n |n><<n| - I||, then, with ``matrix``, the (M, N) right and left
     eigen-residuals of each pair."""
-    product = np.empty(kets.shape, dtype=complex)
+    product = np.empty(kets.shape, dtype=np.result_type(kets, bras, energies, *([] if matrix is None else [matrix])))
 
     def worst(a, b, minus, axis):
         np.matmul(a, b, out=product)
@@ -142,41 +142,25 @@ def _inverse(kets: np.ndarray) -> np.ndarray:
         return bras
 
 
-def _eig(stack: np.ndarray, gauge: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Complex eigenvalues and right eigenvectors of each matrix of a stack;
-    in real arithmetic when the diagonal phases ``gauge`` make every matrix
-    exactly real."""
-    if gauge is not None:
-        gauged = stack * (np.conj(gauge)[:, None] * gauge)
-        if not np.any(gauged.imag):
-            real = gauged.real.copy()  # a contiguous stack solves faster than the strided view
-            del gauged
-            w, v = np.linalg.eig(real)
-            return w.astype(complex, copy=False), gauge[:, None] * v
-    return np.linalg.eig(stack)
-
-
 def eig_biorthogonal(
     H: np.ndarray,
     reality_policy: str = "report",
     t: float | np.ndarray = 0.0,
-    gauge: np.ndarray | None = None,
 ) -> BiorthogonalFrame:
-    """Biorthogonal eigendecomposition of one complex square matrix, or of an
+    """Biorthogonal eigendecomposition of one square matrix, or of an
     (M, N, N) stack of them taken at the (M,) times ``t``.
 
     One batched `np.linalg.eig` gives the right kets; the left bras are the
-    rows of inv(R), biorthonormal by construction.  ``gauge`` is an optional
-    (N,) vector of diagonal phases d (see `model.real_gauge`): when
-    G = D^-1 H D, with D = diag(d), has an imaginary part of exactly zero at
-    every point, the solve runs on the real stack G (LAPACK's real routine,
-    about twice as fast) and the kets are mapped back as D v.  Otherwise, or
-    without a gauge, the complex H is solved as it is.  Everything after
-    the solve is the same on both routes and works on the complex H.
+    rows of inv(R), biorthonormal by construction.  Every step follows the
+    dtype of the input: a real stack with a real spectrum is sorted,
+    normalized, inverted and validated in real arithmetic, giving a real
+    frame; a complex stack, or a complex pair anywhere, gives a complex one.
 
     Normalization convention: unit-norm |n> with its largest-magnitude
-    component real and positive, and <<n|n> = 1.  Eigenpairs are ordered by
-    (Re E, Im E) ascending; continuity tracking may reorder them later.
+    component real and positive, and <<n|n> = 1, for the matrix handed in
+    (`dressing.build_dressing_track` hands in D* H D and carries the
+    convention back to H).  Eigenpairs are ordered by (Re E, Im E)
+    ascending; continuity tracking may reorder them later.
 
     Per point, in this order: raises `ExceptionalPointError` when an
     exceptional-point margin 1 / (||<<n|| ||n>||) falls below 1e-8 (defective
@@ -186,7 +170,8 @@ def eig_biorthogonal(
     `ExceptionalPointError` when the frame fails validation.  The earliest
     failing point of a stack is the one reported.
     """
-    H = np.asarray(H, dtype=complex)
+    H = np.asarray(H)
+    H = H.astype(np.result_type(H, float), copy=False)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
     if reality_policy not in ("assert", "report"):
@@ -195,7 +180,7 @@ def eig_biorthogonal(
     stack = H.reshape(-1, n, n)
     times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
 
-    w, vr = _eig(stack, gauge)
+    w, vr = np.linalg.eig(stack)
     order = np.lexsort((w.imag, w.real), axis=-1)
     w = np.take_along_axis(w, order, axis=-1)
     vr = np.take_along_axis(vr, order[:, None, :], axis=-1)

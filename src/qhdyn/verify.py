@@ -69,9 +69,12 @@ def equivalence_residuals(trajectory: Trajectory, track: DressingTrack) -> np.nd
     """(K,) relative distance of the integrated right ket from the oracle path
     Omega^-1(t) u(t) Omega(0) Phi(0)."""
     phi0 = trajectory.phi_right[0]
-    seed = track.omega[0] @ phi0
-    oracle = (track.omega_inv[::2] @ (trajectory.u_diagonals * seed)[..., None])[..., 0]
-    return np.linalg.norm(trajectory.phi_right - oracle, axis=-1) / float(np.linalg.norm(phi0))
+    seed, scale = track.omega(0) @ phi0, float(np.linalg.norm(phi0))
+    residuals = np.empty(len(trajectory.times))
+    for rows, points in reporting_blocks(track):
+        oracle = (track.omega_inv(points) @ (trajectory.u_diagonals(rows) * seed)[..., None])[..., 0]
+        residuals[rows] = np.linalg.norm(trajectory.phi_right[rows] - oracle, axis=-1) / scale
+    return residuals
 
 
 def _norm_drift(trajectory, track):
@@ -85,8 +88,9 @@ def _norm_drift(trajectory, track):
 
 def _duality_drift(trajectory, track):
     """Drift of <<Phi(t)|Phi(t)> built from the independently integrated left ket."""
-    vals = np.sum(np.conj(trajectory.phi_left) * trajectory.phi_right, axis=-1)
-    return np.abs(vals - vals[0])
+    left, right = trajectory.phi_left, trajectory.phi_right
+    vals = [np.sum(np.conj(left[rows]) * right[rows], axis=-1) for rows, _ in reporting_blocks(track)]
+    return np.abs(np.concatenate(vals) - vals[0][0])
 
 
 def _state_consistency(trajectory, track):
@@ -101,8 +105,8 @@ def _state_consistency(trajectory, track):
 def _standard_unitarity(trajectory, track):
     """||u' u - I|| over the standard-space propagators (diagonal, so only
     the diagonal of u' u can differ from I)."""
-    u = trajectory.u_diagonals
-    return np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
+    blocks = (trajectory.u_diagonals(rows) for rows, _ in reporting_blocks(track))
+    return np.concatenate([np.max(np.abs(np.conj(u) * u - 1.0), axis=-1) for u in blocks])
 
 
 def _intertwining(trajectory, track):
@@ -112,13 +116,13 @@ def _intertwining(trajectory, track):
     U_L(t) = (Omega(t)' u(t) Omega^-1(0)')' = Omega^-1(0) u(t)' Omega(t)
     is the pulled-back left action.
     """
-    omega0, inv0 = track.omega[0], dagger(track.omega_inv[0])
+    omega0, inv0 = track.omega(0), dagger(track.omega_inv(0))
     eye = np.eye(track.dimension)
-    u = trajectory.u_diagonals[:, None, :]
     residuals = np.empty(len(trajectory.times))
     for rows, points in reporting_blocks(track):
-        u_right = (track.omega_inv[points] * u[rows]) @ omega0
-        u_left = dagger((dagger(track.omega[points]) * u[rows]) @ inv0)
+        u = trajectory.u_diagonals(rows)[:, None, :]
+        u_right = (track.omega_inv(points) * u) @ omega0
+        u_left = dagger((dagger(track.omega(points)) * u) @ inv0)
         residuals[rows] = np.max(np.abs(u_left @ u_right - eye), axis=(-2, -1))
     return residuals
 
@@ -151,7 +155,7 @@ def _isospectrality(trajectory, track):
     residuals = np.empty(len(track.times))
     overlap = np.empty(len(track.times), dtype=bool)
     for block in grid_blocks(len(track.times), track.dimension):
-        h = hermitize(track.omega[block], track.hamiltonian(block), track.omega_inv[block])
+        h = hermitize(track.omega(block), track.hamiltonian(block), track.omega_inv(block))
         energies = track.energies[block]
         h[:, levels, levels] -= energies
         residuals[block] = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
@@ -159,7 +163,7 @@ def _isospectrality(trajectory, track):
         distances[:, levels, levels] = np.inf
         overlap[block] = ~(residuals[block] < 0.5 * np.min(distances, axis=(-2, -1)))
     if overlap.any():
-        h = hermitize(track.omega[overlap], track.hamiltonian(overlap), track.omega_inv[overlap])
+        h = hermitize(track.omega(overlap), track.hamiltonian(overlap), track.omega_inv(overlap))
         spec_h = _lexsorted(np.linalg.eigvals(h))
         residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(track.energies[overlap])), axis=-1)
     return residuals

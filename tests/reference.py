@@ -155,7 +155,7 @@ def reference_propagate(
     """(phi_right, phi_left or None, phases) on the reporting grid, with the
     right and left kets advanced together by `_rk4`, step after step."""
     hams = track.hamiltonian()
-    gens = hams if use_plain_hamiltonian else build_generator(hams, track.omega_dot(), track.omega_inv)
+    gens = hams if use_plain_hamiltonian else build_generator(hams, track.omega_dot(), track.omega_inv())
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
     if want_left:

@@ -122,7 +122,7 @@ def test_criterion_5_exact_fixtures():
     _raise_earliest(_frame_failures(
         frame.right_kets[None], frame.left_bras[None], frame.energies[None], np.zeros(1), H[None]
     ))
-    omega = build_omega(frame, [1.0, 1.0])
+    omega = build_omega(frame.left_bras, [1.0, 1.0])
     theta = build_theta(omega)
     h = hermitize(omega, H, np.linalg.inv(omega))
     cross = theta @ H
@@ -204,10 +204,10 @@ def test_criterion_8_derivative_oracle():
     _, fine = time_grid(cfg.t0, cfg.t1, cfg.dt)
     # a static H: the track's dOmega/dt is exact, the stencils are the oracle
     track = build_dressing_track(cfg.model, cfg.mu, fine)
-    fd = differentiate_samples(track.omega, track.step)
+    fd = differentiate_samples(track.omega(), track.step)
     H = track.hamiltonian()
     gen_diff = np.max(np.abs(
-        build_generator(H, track.omega_dot(), track.omega_inv) - build_generator(H, fd, track.omega_inv)
+        build_generator(H, track.omega_dot(), track.omega_inv()) - build_generator(H, fd, track.omega_inv())
     ))
 
     # Richardson: error of the finite-difference derivative against the exact
@@ -217,7 +217,7 @@ def test_criterion_8_derivative_oracle():
         _, grid = time_grid(0.0, 1.0, dt)
         a = build_dressing_track(cfg.model, cfg.mu, grid)
         mid = len(grid) // 2
-        errors.append(np.max(np.abs(a.omega_dot()[mid] - differentiate_samples(a.omega, a.step)[mid])))
+        errors.append(np.max(np.abs(a.omega_dot()[mid] - differentiate_samples(a.omega(), a.step)[mid])))
     ratio = errors[0] / errors[1]
     ok = gen_diff < 1e-7 and 12.0 <= ratio <= 20.0
     _report(

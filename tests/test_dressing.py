@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qhdyn import (
     time_grid,
 )
 from qhdyn.dressing import (
+    _gauged,
     _guard_metric,
     _tracked_blocks,
     build_generator,
@@ -42,33 +45,33 @@ EXP_MU = (
 
 def test_identity_dressing():
     frame = eig_biorthogonal(np.diag([1.0, 2.0]).astype(complex))
-    omega = build_omega(frame, [1.0, 1.0])
+    omega = build_omega(frame.left_bras, [1.0, 1.0])
     np.testing.assert_allclose(omega, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(build_theta(omega), np.eye(2), atol=1e-14)
 
 
 def test_omega_rows_are_scaled_left_bras(hand_frame):
-    omega = build_omega(hand_frame, [1.0, 1.0])
+    omega = build_omega(hand_frame.left_bras, [1.0, 1.0])
     np.testing.assert_allclose(omega, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
-    scaled = build_omega(hand_frame, [2.0, 1.0])
+    scaled = build_omega(hand_frame.left_bras, [2.0, 1.0])
     np.testing.assert_allclose(scaled, [[2.0, -2.0], [0.0, 1.0]], atol=1e-14)
 
 
 def test_zero_mu_rejected(hand_frame):
     with pytest.raises(ScenarioError, match="nonzero"):
-        build_omega(hand_frame, [1.0, 0.0])
+        build_omega(hand_frame.left_bras, [1.0, 0.0])
 
 
 def test_omega_inverse_is_frame_exact(hand_frame):
     mu = np.array([2.0, 0.5 + 0.5j])
-    omega = build_omega(hand_frame, mu)
-    inv = omega_inverse(hand_frame, mu)
+    omega = build_omega(hand_frame.left_bras, mu)
+    inv = omega_inverse(hand_frame.right_kets, mu)
     np.testing.assert_allclose(omega @ inv, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(inv @ omega, np.eye(2), atol=1e-14)
 
 
 def test_theta_fixture(hand_frame):
-    omega = build_omega(hand_frame, [1.0, 1.0])
+    omega = build_omega(hand_frame.left_bras, [1.0, 1.0])
     theta = build_theta(omega)
     np.testing.assert_allclose(theta, [[1.0, -1.0], [-1.0, 2.0]], atol=1e-14)
     eigs = np.linalg.eigvalsh(theta)
@@ -79,14 +82,14 @@ def test_theta_fixture(hand_frame):
 
 def test_theta_two_assembly_paths_agree(hand_frame):
     mu = np.array([1.3, 0.4 - 0.6j])
-    direct = build_theta(build_omega(hand_frame, mu))
+    direct = build_theta(build_omega(hand_frame.left_bras, mu))
     spectral = theta_spectral(hand_frame, mu)
     np.testing.assert_allclose(direct, spectral, atol=1e-12)
 
 
 def test_theta_depends_only_on_mu_modulus(hand_frame):
-    direct = build_theta(build_omega(hand_frame, [1.0, 1.0]))
-    phased = build_theta(build_omega(hand_frame, [np.exp(0.4j), np.exp(-1.1j)]))
+    direct = build_theta(build_omega(hand_frame.left_bras, [1.0, 1.0]))
+    phased = build_theta(build_omega(hand_frame.left_bras, [np.exp(0.4j), np.exp(-1.1j)]))
     np.testing.assert_allclose(direct, phased, atol=1e-14)
 
 
@@ -94,7 +97,7 @@ def test_hermitize_identity_and_fixture(hand_frame, hand_matrix):
     H = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     np.testing.assert_allclose(hermitize(np.eye(2), H, np.eye(2)), H, atol=1e-14)
 
-    omega = build_omega(hand_frame, [1.0, 1.0])
+    omega = build_omega(hand_frame.left_bras, [1.0, 1.0])
     h = hermitize(omega, hand_matrix, np.linalg.inv(omega))
     np.testing.assert_allclose(h, np.diag([1.0, 2.0]), atol=1e-12)
 
@@ -112,8 +115,8 @@ def test_hermitize_produces_hermitian_diagonal(model):
     H = build_hamiltonian(model, 0.0)
     frame = eig_biorthogonal(H)
     mu = np.exp(0.3j) * np.arange(1.0, len(frame.energies) + 1.0)
-    omega = build_omega(frame, mu)
-    h = hermitize(omega, H, omega_inverse(frame, mu))
+    omega = build_omega(frame.left_bras, mu)
+    h = hermitize(omega, H, omega_inverse(frame.right_kets, mu))
     assert np.max(np.abs(h - h.conj().T)) < 1e-10
     np.testing.assert_allclose(h, np.diag(frame.energies), atol=1e-10)
     # isospectrality via fresh eigensolves
@@ -148,7 +151,7 @@ def test_generator_diagonal_closed_form():
     dots = build_dressing_track(model, EXP_MU, times).omega_dot()  # a static H: the exact mu route
     t = times[2]
     mu = np.array([np.exp(0.3 * t), np.exp(-0.1 * t)])
-    omega = build_omega(frame, mu)
+    omega = build_omega(frame.left_bras, mu)
     np.testing.assert_allclose(dots[2], np.diag([0.3, -0.1]) * mu[:, None], atol=1e-12)
     gen = build_generator(H, dots[2], np.linalg.inv(omega))
     np.testing.assert_allclose(gen, np.diag([1.0 - 0.3j, 2.0 + 0.1j]), atol=1e-12)
@@ -168,7 +171,7 @@ def test_finite_difference_matches_analytic():
     _, fine = time_grid(0.0, 1.0, 1e-3)
     # a static H takes the exact route; stencils over its Omega samples agree
     track = build_dressing_track(model, EXP_MU, fine)
-    fd = differentiate_samples(track.omega, track.step)
+    fd = differentiate_samples(track.omega(), track.step)
     worst = max(np.max(np.abs(a - b)) for a, b in zip(track.omega_dot(), fd))
     assert worst < 1e-10
     assert np.any(track.omega_dot() != fd)  # the two routes differ
@@ -185,7 +188,7 @@ def test_finite_difference_is_fourth_order():
     for dt in (0.2, 0.1):
         _, fine = time_grid(0.0, 2.0, dt)
         track = build_dressing_track(model, mu, fine)  # a static H: exact dOmega/dt
-        fd = differentiate_samples(track.omega, track.step)
+        fd = differentiate_samples(track.omega(), track.step)
         mid = len(fine) // 2  # interior: central stencils
         errors.append(np.max(np.abs(track.omega_dot()[mid] - fd[mid])))
     ratio = errors[0] / errors[1]
@@ -213,7 +216,7 @@ def test_theta_inner_cases(hand_frame):
 
 
 def test_theta_inner_positive_definite_sweep(hand_frame):
-    theta = build_theta(build_omega(hand_frame, [1.0, 1.0]))
+    theta = build_theta(build_omega(hand_frame.left_bras, [1.0, 1.0]))
     rng = np.random.default_rng(42)
     for _ in range(1000):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -222,7 +225,7 @@ def test_theta_inner_positive_definite_sweep(hand_frame):
 
 def test_metric_relation_against_standard_product(hand_frame):
     mu = np.array([1.0, 2.0 - 1.0j])
-    omega = build_omega(hand_frame, mu)
+    omega = build_omega(hand_frame.left_bras, mu)
     theta = build_theta(omega)
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -236,7 +239,7 @@ def test_metric_relation_against_standard_product(hand_frame):
 def test_gauge_confined_to_normalization_convention(hand_matrix):
     frame = eig_biorthogonal(hand_matrix)
     mu = np.array([1.0, 0.7])
-    theta = build_theta(build_omega(frame, mu))
+    theta = build_theta(build_omega(frame.left_bras, mu))
     # simulate a continuity re-phasing and rebuild
     z = np.exp(1.3j)
     rotated = type(frame)(
@@ -247,8 +250,23 @@ def test_gauge_confined_to_normalization_convention(hand_matrix):
         raw_overlaps=frame.raw_overlaps.copy(),
     )
     tracked = track_continuity(stack_frames(frame, rotated))
-    theta_again = build_theta(build_omega(tracked, np.stack([mu, mu]))[1])
+    theta_again = build_theta(build_omega(tracked.left_bras, np.stack([mu, mu]))[1])
     assert np.max(np.abs(theta - theta_again)) < 1e-10
+    # the frame of the gauged D* H D, with Omega = diag(mu) L D*, gives the same metric
+    d = np.exp(np.array([0.0, 0.7j]))
+    gauged = eig_biorthogonal(np.conj(d)[:, None] * hand_matrix * d)
+    assert np.max(np.abs(theta - build_theta(build_omega(gauged.left_bras, mu, d)))) < 1e-10
+    # a real frame of cubic-trunc's gauged H with real mu: complex Omega and Omega^-1
+    cubic = HamiltonianModel(4, "cubic-trunc", {"g": 0.1})
+    H, d = build_hamiltonian(cubic, 0.0), real_gauge(cubic)
+    real = eig_biorthogonal(_gauged(H, d))
+    assert real.left_bras.dtype == np.float64
+    mu = np.array([1.0, 0.7, 1.3, 0.9])
+    omega, omega_inv = build_omega(real.left_bras, mu, d), omega_inverse(real.right_kets, mu, d)
+    assert omega.dtype == omega_inv.dtype == np.complex128
+    np.testing.assert_allclose(omega_inv @ omega, np.eye(4), rtol=0.0, atol=1e-12)
+    plain = eig_biorthogonal(H)
+    np.testing.assert_allclose(build_theta(omega), build_theta(build_omega(plain.left_bras, mu)), rtol=0.0, atol=1e-12)
 
 
 def test_conditioning_abort():
@@ -365,25 +383,36 @@ def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
         monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", entries)  # 64 points per block at N = 2
     model, mu, times = case(201)  # four blocks of at most 64 points
     track = build_dressing_track(model, mu, times, "report")
-    hams = build_hamiltonian(model, times)
+    gauge = real_gauge(model)
+    solved = _gauged(build_hamiltonian(model, times), gauge)
     # the grid solved and tracked in one call
-    whole = track_continuity(eig_biorthogonal(hams, "report", times, real_gauge(model)))
+    whole = track_continuity(eig_biorthogonal(solved, "report", times))
     mus = mu_series(mu, times)
-    np.testing.assert_array_equal(track.omega, build_omega(whole, mus))
-    np.testing.assert_array_equal(track.omega_inv, omega_inverse(whole, mus))
+    # each branch's phase conj(z) = d_p at its largest component p at t0
+    z_conj = np.ones(model.dimension) if gauge is None else gauge[np.argmax(np.abs(whole.right_kets[0]), axis=0)]
+    np.testing.assert_array_equal(track.kets, whole.right_kets)
+    np.testing.assert_array_equal(track.bras, whole.left_bras)
+    np.testing.assert_array_equal(track.omega(), build_omega(whole.left_bras, mus * z_conj, gauge))
+    np.testing.assert_array_equal(track.omega_inv(), omega_inverse(whole.right_kets, mus * z_conj, gauge))
     np.testing.assert_array_equal(track.energies, whole.energies)
-    np.testing.assert_array_equal(track.initial_frame.right_kets, whole.right_kets[0])
-    reference = reference_track(hams, times)
+    kets0 = whole.right_kets[0] if gauge is None else gauge[:, None] * whole.right_kets[0] * np.conj(z_conj)
+    np.testing.assert_array_equal(track.initial_frame.right_kets, kets0)
+    # H's own frame, tracked point by point: its kets at t0, Omega and Omega^-1
+    reference = reference_track(build_hamiltonian(model, times), times)
     np.testing.assert_allclose(track.energies, [f.energies for f in reference], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.initial_frame.right_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.initial_frame.left_bras, reference[0].left_bras, rtol=0.0, atol=1e-12)
     bras = np.array([f.left_bras for f in reference])
-    np.testing.assert_allclose(track.omega, mus[:, :, None] * bras, rtol=0.0, atol=1e-12)
+    kets = np.array([f.right_kets for f in reference])
+    np.testing.assert_allclose(track.omega(), build_omega(bras, mus), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.omega_inv(), omega_inverse(kets, mus), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("points", [slice(0, 1), slice(0, 5), slice(1, 3), slice(60, 70), slice(196, 201), slice(None)])
 def test_omega_dot_of_a_slice_is_that_slice_of_the_grid(points):
     model, mu, times = _cubic8(201)
     track = build_dressing_track(model, mu, times, "report")
-    whole = differentiate_samples(track.omega, track.step)
+    whole = differentiate_samples(track.omega(), track.step)
     np.testing.assert_array_equal(track.omega_dot(points), whole[points])
     static = build_dressing_track(HamiltonianModel(8, "cubic-trunc", {"g": 0.025}), mu, times, "report")
     np.testing.assert_array_equal(static.omega_dot(points), static.omega_dot()[points])
@@ -533,13 +562,21 @@ def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, mo
 def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     model, mu, times = (_cubic8 if case == "cubic8" else _pt2)(203)
     track = build_dressing_track(model, mu, times, "report")
-    product = dagger(track.omega) @ track.omega
+    omega = track.omega()
+    product = dagger(omega) @ omega
     whole = 0.5 * (product + dagger(product))
     for block in grid_blocks(len(times), model.dimension):
         assert _bits(track.theta(block)) == _bits(whole[block])
     for rows, points in reporting_blocks(track):
         assert _bits(track.theta(points)) == _bits(whole[points]) == _bits(whole[::2][rows])
-    assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(whole))
+    # Theta's eigenvalues come from the frame, as those of L' |mu|^2 L: a real
+    # symmetric matrix for cubic-trunc, Theta itself for pt2's positive mu
+    weighted = build_theta(build_omega(track.bras, np.abs(track.mu)))
+    assert weighted.dtype == (float if case == "cubic8" else complex)
+    assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(weighted))
+    np.testing.assert_allclose(track.theta_eigs, np.linalg.eigvalsh(whole), rtol=1e-13, atol=0.0)
+    if case == "pt2":
+        assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(whole))
 
 
 def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
@@ -554,7 +591,7 @@ def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
     whole = [
         (ObservableSpec("H", "hamiltonian-itself"), build_hamiltonian(model, times[coarse])),
         (ObservableSpec("X", "user-matrix", seed), np.broadcast_to(seed, times[coarse].shape + seed.shape)),
-        (ObservableSpec("Z", "function-of-frame", seed), track.omega_inv[coarse] @ seed @ track.omega[coarse]),
+        (ObservableSpec("Z", "function-of-frame", seed), track.omega_inv()[coarse] @ seed @ track.omega()[coarse]),
     ]
     blocks = reporting_blocks(track)
     sizes = [len(times[points]) for _, points in blocks]
@@ -570,11 +607,105 @@ def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
 def test_a_moving_track_holds_only_the_frame_on_the_grid():
     model, mu, times = _cubic8(203)
     track = build_dressing_track(model, mu, times, "report")
-    grid_stacks = [name for name, value in vars(track).items() if np.shape(value) == track.omega.shape]
-    assert grid_stacks == ["omega", "omega_inv"]
+    grid_stacks = [name for name, value in vars(track).items() if np.shape(value) == (len(times), 8, 8)]
+    assert grid_stacks == ["kets", "bras"]
     assert track.mu_dot is None
     # no field holds a matrix of H or of an observable: the model gives them per block
     assert not any(np.shape(value)[-2:] == (8, 8) for name, value in vars(track).items() if name not in grid_stacks)
+
+
+def test_a_moving_cubic_track_holds_a_real_frame(monkeypatch):
+    # cubic-trunc is real in its gauge: the frame is stored as float64 L and R,
+    # no grid stack is complex, and neither the track build nor the run hands
+    # a complex matrix to a LAPACK routine
+    from qhdyn import scenario_from_dict
+    from qhdyn.runner import run
+
+    model, mu, times = _cubic8(203)
+    track = build_dressing_track(model, mu, times, "report")
+    assert track.kets.dtype == track.bras.dtype == track.energies.dtype == np.float64
+    assert track.kets.shape == track.bras.shape == (203, 8, 8)
+    assert [name for name, value in vars(track).items() if np.ndim(value) == 3 and np.iscomplexobj(value)] == []
+
+    solved = []
+
+    def spy(name):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args):
+            solved.append((name, a.dtype))
+            return original(a, *args)
+
+        return recorded
+
+    for name in ("eig", "eigvals", "eigvalsh", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    doc = {
+        "model": {
+            "family": "cubic-trunc",
+            "dimension": 8,
+            "params": {"g": 0.025},
+            "h_schedule": {"g": {"kind": "sinusoidal", "base": 0.025, "amplitude": 0.3, "frequency": 2.0}},
+            "a_observables": [{"name": "H", "matrix_source": "hamiltonian-itself"}],
+        },
+        "mu": [{"kind": "exponential", "base": 1.0, "rate": 0.05 * (k - 4)} for k in range(8)],
+        "time": {"t0": 0.0, "t1": 0.25, "dt": 1e-3},
+        "evolution": {"reality": "report"},
+    }
+    assert run(scenario_from_dict(doc)).passed
+    assert {name for name, _ in solved} == {"eig", "eigvalsh", "inv"}
+    assert {dtype for _, dtype in solved} == {np.dtype(float)}
+
+
+def test_a_complex_block_after_real_ones_upcasts_the_frame(monkeypatch):
+    # the third of four blocks is handed over complex (its values still real):
+    # its frame is complex, so the stored frame is upcast and the last block
+    # is written into it as it is; the values agree with the all-real track
+    import qhdyn.dressing
+
+    model, mu, times = _cubic8(201)  # blocks of 64, 64, 64 and 9 points
+    real = build_dressing_track(model, mu, times, "report")
+    calls = []
+
+    def complex_from_the_third(hams, gauge):
+        calls.append(len(hams))
+        gauged = _gauged(hams, gauge)
+        return gauged.astype(complex) if len(calls) >= 3 else gauged
+
+    monkeypatch.setattr(qhdyn.dressing, "_gauged", complex_from_the_third)
+    track = build_dressing_track(model, mu, times, "report")
+    assert calls == [64, 64, 64, 9]
+    assert real.kets.dtype == real.bras.dtype == real.energies.dtype == np.float64
+    assert track.kets.dtype == track.bras.dtype == track.energies.dtype == np.complex128
+    for field in ("kets", "bras", "energies"):
+        np.testing.assert_array_equal(getattr(track, field)[:128], getattr(real, field)[:128])
+        np.testing.assert_allclose(getattr(track, field), getattr(real, field), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.theta_eigs, real.theta_eigs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(track.omega_dot(), real.omega_dot(), rtol=0.0, atol=1e-9)
+
+
+def test_real_and_complex_routes_agree_on_every_csv_column(monkeypatch):
+    # cubic_osc_drive solved in its real gauge and as the complex H itself
+    # (no gauge), with a coupling of branches 0 and 1 as a further observable:
+    # the same verdicts, and every column within 1e-10 of its
+    # scale, the larger of 1 (the normalized state's, for the rounding-level
+    # residual and imaginary columns) and the column's largest magnitude
+    import qhdyn.dressing
+    from qhdyn.runner import run
+
+    config = load_scenario("cubic_osc_drive")
+    # and an off-diagonal Hermitian seed, whose means carry the frame's phases
+    coupling = ObservableSpec("x01", "function-of-frame", np.kron(np.diag([1.0, 0.0]), [[0.0, 1.0], [1.0, 0.0]]))
+    model = replace(config.model, a_observables=config.model.a_observables + (coupling,))
+    config = replace(config, model=model, outputs=config.outputs + ("x01",))
+    real = run(config)
+    monkeypatch.setattr(qhdyn.dressing, "real_gauge", lambda model: None)
+    plain = run(config)
+    assert [(r.name, r.passed) for r in real.reports] == [(r.name, r.passed) for r in plain.reports]
+    assert real.columns == plain.columns and "re_exp_x01" in real.columns
+    scale = np.maximum(1.0, np.max(np.abs(plain.rows), axis=0))
+    assert np.all(np.max(np.abs(real.rows - plain.rows), axis=0) <= 1e-10 * scale)
+    assert np.any(real.rows != plain.rows)  # two routes, not one
 
 
 def test_a_moving_run_forms_no_whole_grid_hamiltonian_or_theta(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhdyn import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, HamiltonianModel
+from qhdyn.dressing import _gauged
 from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import (
@@ -346,28 +347,71 @@ def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     )
     times = np.linspace(0.0, 1.0, 201)
     hams = build_hamiltonian(model, times)
+    d = real_gauge(model)
     solved = _spy_on_eig(monkeypatch)
-    real = track_continuity(eig_biorthogonal(hams, t=times, gauge=real_gauge(model)))
+    real = track_continuity(eig_biorthogonal(_gauged(hams, d), t=times))
     full = track_continuity(eig_biorthogonal(hams, t=times))
     assert solved == [np.float64, np.complex128]
-    # a real spectrum comes out of the real solve with no imaginary rounding
-    assert not np.any(real.energies.imag)
+    # a real spectrum comes out of the real solve with no imaginary rounding,
+    # and the whole frame of G = D* H D stays real
     for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
-        np.testing.assert_allclose(getattr(real, field), getattr(full, field), rtol=0.0, atol=1e-12)
+        assert getattr(real, field).dtype == np.float64
+    # H's frame is D R and L D*.  The pivot convention holds for G's kets, so
+    # each branch differs from H's own convention by the constant phase
+    # conj(d) at its first pivot, which continuity tracking carries along
+    z = np.conj(d[np.argmax(np.abs(real.right_kets[0]), axis=0)])
+    kets = d[:, None] * real.right_kets * z
+    bras = real.left_bras * np.conj(d) * np.conj(z)[:, None]
+    for got, field in ((real.energies, "energies"), (kets, "right_kets"), (bras, "left_bras"),
+                       (real.raw_overlaps, "raw_overlaps")):
+        np.testing.assert_allclose(got, getattr(full, field), rtol=0.0, atol=1e-12)
 
 
 def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
     cubic = HamiltonianModel(4, "cubic-trunc", {"g": 0.1})
     hams = build_hamiltonian(cubic, np.zeros(3))
     hams[1, 2, 0] += 1e-13j  # even offset: stays imaginary under the gauge
-    pt2 = build_hamiltonian(HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}), 0.0)
+    pt2 = build_hamiltonian(HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}), np.zeros(1))
     solved = _spy_on_eig(monkeypatch)
-    for stack, gauge in ((hams, real_gauge(cubic)), (pt2, 1j ** np.arange(2))):
-        gauged = eig_biorthogonal(stack, gauge=gauge)
-        plain = eig_biorthogonal(stack)
-        for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
-            assert getattr(gauged, field).tobytes() == getattr(plain, field).tobytes()
+    for stack, d in ((hams, real_gauge(cubic)), (pt2, 1j ** np.arange(2))):
+        gauged = _gauged(stack, d)
+        assert gauged.tobytes() == (stack * (np.conj(d)[:, None] * d)).tobytes()
+        frame, plain = eig_biorthogonal(gauged), eig_biorthogonal(stack)
+        # a complex frame of G, which the gauge and each branch's pivot phase
+        # z = conj(d_p) map onto H's: same spectrum, margins, kets and bras.
+        # LAPACK solves G and H as two different inputs, so they agree to
+        # rounding (1.7e-15 for this cubic stack), not bit for bit
+        np.testing.assert_allclose(frame.energies, plain.energies, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(frame.raw_overlaps, plain.raw_overlaps, rtol=0.0, atol=1e-12)
+        z = np.conj(d[np.argmax(np.abs(frame.right_kets), axis=-2)])
+        kets = d[:, None] * frame.right_kets * z[..., None, :]
+        bras = np.conj(z)[..., :, None] * frame.left_bras * np.conj(d)
+        np.testing.assert_allclose(kets, plain.right_kets, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(bras, plain.left_bras, rtol=0.0, atol=1e-12)
     assert solved == [np.complex128] * 4
+
+
+def test_a_real_stack_with_a_complex_pair_gives_a_complex_frame():
+    # the second matrix has the eigenvalues 1 +- 0.5i and 2: the stack's frame
+    # is complex, validated, and a frame of each real matrix
+    stack = np.array([
+        [[1.0, 0.2, 0.0], [0.0, 2.0, 0.3], [0.0, 0.0, 3.0]],
+        [[1.0, 0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 2.0]],
+    ])
+    times = np.array([0.0, 1.0])
+    frame = eig_biorthogonal(stack, t=times)
+    assert frame.right_kets.dtype == frame.left_bras.dtype == frame.energies.dtype == np.complex128
+    np.testing.assert_allclose(frame.energies[1], [1.0 - 0.5j, 1.0 + 0.5j, 2.0], rtol=0.0, atol=1e-14)
+    for k in range(2):
+        arrays = (frame.energies, frame.right_kets, frame.left_bras, frame.raw_overlaps)
+        point = BiorthogonalFrame(times[k], *(a[k] for a in arrays))
+        assert_frame_relations(point, stack[k])
+    with pytest.raises(ComplexSpectrumError, match="t=1 "):
+        eig_biorthogonal(stack, "assert", times)
+    # the first matrix alone keeps a real frame
+    alone = eig_biorthogonal(stack[0])
+    assert alone.right_kets.dtype == alone.left_bras.dtype == alone.energies.dtype == np.float64
+    assert_frame_relations(alone, stack[0])
 
 
 def test_frame_residuals_match_the_pointwise_reference():
