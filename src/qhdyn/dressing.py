@@ -23,13 +23,15 @@ cubic-trunc), mu(t), the energies and Theta's eigenvalues.  Omega, Omega^-1,
 H, Theta, dOmega/dt, the observables and every other product over the grid
 (a moving H's frames, H_gen, the check residuals) are formed over blocks of
 `_FRAME_ENTRIES` entries: no temporary the size of the track outlives one expression.
+The checks and the CSV each make one pass of `DressingTrack.blocks`, sharing each block's matrices.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,13 +79,6 @@ def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
     entries and at most ``most`` points (more only raises the memory peak at N = 2)."""
     size = max(1, min(most, _FRAME_ENTRIES // n**2))
     return [slice(k, k + size) for k in range(0, count, size)]
-
-
-def reporting_blocks(track: DressingTrack) -> list[tuple[slice, slice]]:
-    """(rows, grid points) of each of the `grid_blocks` of reporting points: the rows
-    index the K reporting points, the grid points are the same as a stride-2 slice."""
-    rows = grid_blocks((len(track.times) + 1) // 2, track.dimension)
-    return [(r, slice(2 * r.start, 2 * r.stop, 2)) for r in rows]
 
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
@@ -215,9 +210,9 @@ class DressingTrack:
     The pivot convention holds for G's kets, so H's kets D R differ from H's own by a
     constant phase z_n = conj(d_p) per branch, p its largest component at t0; with z* in
     mu, Omega = diag(mu) L D* and Omega^-1 = D R diag(1/mu) are those of H's own frame.
-    `omega`, `omega_inv`, `omega_dot`, `hamiltonian`, `theta` and `observable` form
-    Omega, Omega^-1, dOmega/dt, H, Theta and a declared observable at the points asked
-    for.  kets, bras and energies are read-only; for a static H, one solve (stride 0).
+    `omega`, `omega_inv`, `omega_dot` and `hamiltonian` form Omega, Omega^-1, dOmega/dt and H at
+    the points asked for; `blocks` walks the grid once, in `Block`s that form each of H, Theta, Omega
+    and Omega^-1 at most once.  kets, bras and energies are read-only; for a static H, one solve.
     """
 
     times: np.ndarray
@@ -251,10 +246,6 @@ class DressingTrack:
         model; only the frame solve calls this module's `build_hamiltonian`."""
         return _models.build_hamiltonian(self.model, self.times[points])
 
-    def theta(self, points=slice(None)) -> np.ndarray:
-        """The metric Omega' Omega at the grid points ``points``."""
-        return build_theta(self.omega(points))
-
     def omega_dot(self, points: slice = slice(None)) -> np.ndarray:
         """dOmega/dt at the grid points ``points`` (a unit-step slice): exact for a
         static H; for a moving one, 4th-order stencils over Omega formed on the
@@ -265,14 +256,44 @@ class DressingTrack:
         start, stop = min(max(lo - 2, 0), m - 5), max(min(hi + 2, m), 5)
         return differentiate_samples(self.omega(slice(start, stop)), self.step, slice(lo - start, hi - start))
 
-    def observable(self, spec: ObservableSpec, points=slice(None)) -> np.ndarray:
-        """The declared observable A(t) at the grid points ``points``: H itself, the
-        user's matrix broadcast read-only, or Omega^-1 . data . Omega."""
+    def blocks(self, step: int = 1) -> Iterator[Block]:
+        """The `Block`s of one pass over the grid, in order.  With ``step`` 1 a block is a run
+        of fine points from an even index, of an even size (at most `_FRAME_ENTRIES` entries),
+        so its reporting points are its even ones; with ``step`` 2, only those points."""
+        count = (len(self.times) + 1) // 2  # reporting points
+        size = max(1, min(256, _FRAME_ENTRIES // self.dimension**2) // 2)  # rows per block, either step
+        origin = Block(self, slice(0, 1, 1), slice(0, 1))
+        for start in range(0, count, size):
+            rows = slice(start, min(start + size, count))
+            yield Block(self, slice(2 * start, min(2 * rows.stop, len(self.times)), step), rows, origin)
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One block of a `DressingTrack.blocks` pass: the grid slice ``points`` it covers, the
+    reporting ``rows`` at its own ``[coarse]`` points, and ``origin``, the pass's one-point
+    block at t0.  H, Theta, Omega and Omega^-1 at its points are each formed on first use
+    and kept: a consumer forms only what it reads, and every later one reuses it."""
+
+    track: DressingTrack = field(repr=False)
+    points: slice
+    rows: slice
+    origin: Block | None = field(default=None, repr=False)
+
+    coarse = property(lambda self: slice(None, None, 2 // self.points.step))
+    hamiltonian = cached_property(lambda self: self.track.hamiltonian(self.points))
+    omega = cached_property(lambda self: self.track.omega(self.points))
+    omega_inv = cached_property(lambda self: self.track.omega_inv(self.points))
+    theta = cached_property(lambda self: build_theta(self.omega))
+
+    def observable(self, spec: ObservableSpec) -> np.ndarray:
+        """The declared observable A(t) at the block's reporting points: H itself,
+        the user's matrix broadcast read-only, or Omega^-1 . data . Omega."""
         if spec.source == "hamiltonian-itself":
-            return self.hamiltonian(points)
+            return self.hamiltonian[self.coarse]
         if spec.source == "user-matrix":
-            return np.broadcast_to(spec.data, self.times[points].shape + spec.data.shape)
-        return self.omega_inv(points) @ spec.data @ self.omega(points)
+            return np.broadcast_to(spec.data, (self.rows.stop - self.rows.start,) + spec.data.shape)
+        return self.omega_inv[self.coarse] @ spec.data @ self.omega[self.coarse]
 
 
 def _gauged(hams: np.ndarray, gauge: np.ndarray | None) -> np.ndarray:

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, theta_inner
+from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, build_theta, theta_inner
 from .errors import ComplexSpectrumError, ConditioningError, IntegrationError, ScenarioError
 from .spectral import REALITY_TOL
 
@@ -218,7 +218,7 @@ def propagate_quasi(
     phases = standard_phases(track)
 
     # the integrated kets as one (pictures, N) state: right, then left
-    state = np.stack([phi0, track.theta(slice(0, 1))[0] @ phi0]) if want_left else phi0[None]
+    state = np.stack([phi0, build_theta(track.omega(0)) @ phi0]) if want_left else phi0[None]
 
     coarse = track.times[::2]
     dt = float(coarse[1] - coarse[0])

@@ -48,7 +48,7 @@ _REAL_PARAM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """A declared observable A_j(t), formed per block of grid points by `DressingTrack.observable`.
+    """A declared observable A_j(t), formed per block of grid points by `dressing.Block.observable`.
 
     source selects the construction:
       hamiltonian-itself   A(t) = H(t)

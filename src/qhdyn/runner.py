@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dressing import DressingTrack, build_dressing_track, quasi_hermiticity_residual, reporting_blocks, theta_inner
+from .dressing import DressingTrack, build_dressing_track, theta_inner
 from .errors import NumericalDomainError, ScenarioError
 from .evolution import Trajectory, expectation, propagate_quasi, time_grid
 from .scenario import ScenarioConfig, plain_name, scenario_from_dict, set_by_path
-from .verify import InvariantReport, equivalence_residuals, run_standard_checks
+from .verify import CHECKS, InvariantReport, run_standard_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,19 +72,10 @@ def run(config: ScenarioConfig) -> RunReport:
 
 def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     n = track.dimension
-    columns = [
-        "t",
-        "theta_norm",
-        "std_norm",
-        "equivalence_residual",
-        "quasi_hermiticity_residual",
-        "theta_min_eig",
-        "theta_cond",
-    ]
-    for k in range(1, n + 1):
-        columns += [f"re_E{k}", f"im_E{k}"]
-    for name in config.outputs:
-        columns += [f"re_exp_{name}", f"im_exp_{name}"]
+    columns = ["t", "theta_norm", "std_norm", "equivalence_residual", "quasi_hermiticity_residual", "theta_min_eig",
+               "theta_cond"]
+    columns += [f"{part}_E{k}" for k in range(1, n + 1) for part in ("re", "im")]
+    columns += [f"{part}_exp_{name}" for name in config.outputs for part in ("re", "im")]
 
     phi = trajectory.phi_right
     specs = {spec.name: spec for spec in track.model.a_observables}
@@ -92,20 +83,20 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     energies = track.energies[::2]
     table = np.empty((len(phi), len(columns)))
     table[:, 0] = trajectory.times
-    table[:, 3] = equivalence_residuals(trajectory, track)
     table[:, 5] = eigs[:, 0]
     table[:, 6] = eigs[:, -1] / eigs[:, 0]
     table[:, 7 : 7 + 2 * n : 2] = energies.real
     table[:, 8 : 8 + 2 * n : 2] = energies.imag
-    # the columns that read Theta, formed once per block of reporting points
-    for rows, points in reporting_blocks(track):
-        theta, part = track.theta(points), phi[rows]
+    # one pass over blocks of reporting points; the residual columns are the checks' own
+    for block in track.blocks(step=2):
+        rows, part, theta = block.rows, phi[block.rows], block.theta
         table[rows, 1] = theta_inner(part, part, theta).real
         table[rows, 2] = np.sum(np.conj(part) * part, axis=-1).real
-        table[rows, 4] = quasi_hermiticity_residual(track.hamiltonian(points), theta)
+        table[rows, 3] = CHECKS["equivalence"].residuals(trajectory, block)
+        table[rows, 4] = CHECKS["quasi-hermiticity"].residuals(trajectory, block)
         for j, name in enumerate(config.outputs):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing observable fails observable-reality
-                value = expectation(part, track.observable(specs[name], points), theta, trajectory.times[rows])
+                value = expectation(part, block.observable(specs[name]), theta, trajectory.times[rows])
             table[rows, 7 + 2 * (n + j)] = value.real
             table[rows, 8 + 2 * (n + j)] = value.imag
     return tuple(columns), table
@@ -145,7 +136,8 @@ def report_json_dict(report: RunReport) -> dict:
     import json
 
     checks = [
-        {"name": r.name, "max_residual": r.max_residual, "threshold": r.threshold, "passed": r.passed}
+        {"name": r.name, "max_residual": r.max_residual, "threshold": r.threshold, "passed": r.passed,
+         "worst_t": r.worst_t}
         | ({} if np.isfinite(r.max_residual) else {"non_finite": True})
         for r in report.reports
     ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -42,7 +42,10 @@ from .model import HamiltonianModel, ObservableSpec
 from .schedules import ScheduleSpec, validate_bounded, validate_nonvanishing
 from .verify import DEFAULT_THRESHOLDS, unmet_need
 
-_SCHEDULE_KEYS = {"kind", "base", "rate", "amplitude", "frequency", "phase"}
+# the keys of each schedule kind besides "kind", and of each initial_state form
+_SCHEDULE_KEYS = {"constant": {"base"}, "linear-ramp": {"base", "rate"}, "exponential": {"base", "rate"},
+                  "sinusoidal": {"base", "amplitude", "frequency", "phase"}}
+_INITIAL_STATE_KEYS = {"uniform": {"preset"}, "eigenstate": {"preset", "index"}, "vector": {"vector"}}
 _TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks",
              "evolution", "outputs"}
 _TIME_KEYS = {"t0", "t1", "dt"}
@@ -384,18 +387,16 @@ def _parse_schedule(entry, label: str) -> ScheduleSpec:
         return ScheduleSpec(kind="constant", base=_real(entry, label))
     if not isinstance(entry, dict):
         raise ScenarioError(f"{label}: schedule must be a mapping or a number")
-    unknown = set(entry) - _SCHEDULE_KEYS
-    if unknown:
-        raise ScenarioError(f"{label}: unknown schedule keys {sorted(unknown)}")
     if "kind" not in entry:
         raise ScenarioError(f'{label}: missing required key "kind"')
-    kwargs = {"kind": str(entry["kind"])}
+    spec = ScheduleSpec(kind=str(entry["kind"]))  # rejects an unknown kind
+    unknown = set(entry) - {"kind"} - _SCHEDULE_KEYS[spec.kind]
+    if unknown:
+        raise ScenarioError(f"{label}: unknown schedule keys {sorted(unknown)} for kind {spec.kind!r}")
+    kwargs = {key: _real(entry[key], f"{label}.{key}") for key in sorted(set(entry) - {"kind", "base"})}
     if "base" in entry:
         kwargs["base"] = _scalar(entry["base"], f"{label}.base")
-    for key in ("rate", "amplitude", "frequency", "phase"):
-        if key in entry:
-            kwargs[key] = _real(entry[key], f"{label}.{key}")
-    return ScheduleSpec(**kwargs)
+    return replace(spec, **kwargs)
 
 
 def _scalar(value, label: str) -> float | complex:
@@ -427,31 +428,26 @@ def _complex_matrix(data, label: str) -> np.ndarray:
 
 
 def _parse_initial_state(entry):
-    if isinstance(entry, dict):
-        if "preset" in entry:
-            preset = str(entry["preset"])
-            if preset == "uniform":
-                return "uniform"
-            if preset == "eigenstate":
-                if "index" not in entry:
-                    raise ScenarioError('initial_state preset "eigenstate" needs "index"')
-                return ("eigenstate", _integer(entry["index"], "initial_state.index"))
-            raise ScenarioError(f"unknown initial_state preset {preset!r}")
-        if "vector" in entry:
-            vector = entry["vector"]
-            if not isinstance(vector, list):
-                raise ScenarioError(f"initial_state.vector must be a list, got {vector!r}")
-            vector = np.array([_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)], dtype=complex)
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.linalg.norm(vector)):
-                    raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
-            if np.linalg.norm(vector) ** 2 < np.finfo(float).tiny:
-                raise ScenarioError("initial_state.vector is too small: its squared norm is not a normal double")
-            return vector
-    raise ScenarioError(
-        "initial_state must be {preset: uniform}, {preset: eigenstate, index: k}, "
-        "or {vector: [...]}"
-    )
+    """Exactly one of the three forms, each with only its own keys."""
+    form = str(entry.get("preset", "vector")) if isinstance(entry, dict) and entry else None
+    if form not in _INITIAL_STATE_KEYS:
+        raise ScenarioError("initial_state takes {preset: uniform}, {preset: eigenstate, index: k} or {vector: [...]}")
+    if set(entry) != (keys := _INITIAL_STATE_KEYS[form]):
+        raise ScenarioError(f"initial_state ({form}) takes the keys {sorted(keys)}, got {sorted(entry)}")
+    if form == "uniform":
+        return "uniform"
+    if form == "eigenstate":
+        return ("eigenstate", _integer(entry["index"], "initial_state.index"))
+    vector = entry["vector"]
+    if not isinstance(vector, list):
+        raise ScenarioError(f"initial_state.vector must be a list, got {vector!r}")
+    vector = np.array([_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)], dtype=complex)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(vector)):
+            raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
+    if np.linalg.norm(vector) ** 2 < np.finfo(float).tiny:
+        raise ScenarioError("initial_state.vector is too small: its squared norm is not a normal double")
+    return vector
 
 
 def _parse_checks(entry):

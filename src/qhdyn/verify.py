@@ -3,10 +3,11 @@
 Each check condenses one structural identity of the dressed dynamics into a
 max-norm residual over the run and compares it against a threshold.  The
 defaults target desk scale (N <= 8, dt = 1e-3, T <= 1) and every threshold
-can be overridden per scenario.  Every check is one array expression over
-the stacked track and trajectory, giving a residual per grid time, and one
-row of the table `CHECKS`; the checks whose expressions form matrix
-products run over `dressing.grid_blocks`, so no temporary spans the grid.
+can be overridden per scenario.  Every check is one row of the table
+`CHECKS`: an array expression over one `dressing.Block` and the trajectory rows
+it covers, giving a residual per grid time of the block.  `run_standard_checks`
+feeds each block of one pass over the track to every check, so no temporary
+spans the grid and H, Theta, Omega and Omega^-1 are formed once per block.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dressing import (
-    DressingTrack, dagger, grid_blocks, hermitize, quasi_hermiticity_residual, reporting_blocks, theta_inner
-)
+from .dressing import Block, DressingTrack, dagger, hermitize, quasi_hermiticity_residual, theta_inner
 from .errors import ScenarioError
 from .evolution import Trajectory, expectation
 
@@ -26,7 +25,8 @@ from .evolution import Trajectory, expectation
 class Check(NamedTuple):
     """One row of `CHECKS`.
 
-    residuals     (trajectory, track) -> (K,) residual per time
+    residuals     (trajectory, block) -> the residuals of one `dressing.Block`:
+                  at its ``points`` on the fine grid, or at its reporting ``rows``
     threshold     default threshold; a residual at or above it fails the check
     on_fine_grid  True when the residuals sit on the track's fine grid, False
                   when they sit on the trajectory's reporting grid
@@ -34,7 +34,7 @@ class Check(NamedTuple):
                   observables) or None; see `unmet_need`
     """
 
-    residuals: Callable[[Trajectory, DressingTrack], np.ndarray]
+    residuals: Callable[[Trajectory, Block], np.ndarray]
     threshold: float
     on_fine_grid: bool
     needs: str | None = None
@@ -64,78 +64,68 @@ class InvariantReport:
             residuals=residuals,
         )
 
-
-def equivalence_residuals(trajectory: Trajectory, track: DressingTrack) -> np.ndarray:
-    """(K,) relative distance of the integrated right ket from the oracle path
-    Omega^-1(t) u(t) Omega(0) Phi(0)."""
-    phi0 = trajectory.phi_right[0]
-    seed, scale = track.omega(0) @ phi0, float(np.linalg.norm(phi0))
-    residuals = np.empty(len(trajectory.times))
-    for rows, points in reporting_blocks(track):
-        oracle = (track.omega_inv(points) @ (trajectory.u_diagonals(rows) * seed)[..., None])[..., 0]
-        residuals[rows] = np.linalg.norm(trajectory.phi_right[rows] - oracle, axis=-1) / scale
-    return residuals
+    @property
+    def worst_t(self) -> float:
+        """The time of the first non-finite residual, else of the largest."""
+        return float(self.times[np.argmax(np.where(np.isfinite(self.residuals), self.residuals, np.inf))])
 
 
-def _norm_drift(trajectory, track):
-    """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> along the run."""
-    phi = trajectory.phi_right
-    norms = np.empty(len(phi))
-    for rows, points in reporting_blocks(track):
-        norms[rows] = theta_inner(phi[rows], phi[rows], track.theta(points)).real
-    return np.abs(norms - norms[0])
+def _norm_drift(trajectory, block):
+    """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> from its value at t0."""
+    phi, rows = trajectory.phi_right, block.rows
+    norms = theta_inner(phi[rows], phi[rows], block.theta[block.coarse]).real
+    return np.abs(norms - theta_inner(phi[:1], phi[:1], block.origin.theta).real)
 
 
-def _duality_drift(trajectory, track):
+def _duality_drift(trajectory, block):
     """Drift of <<Phi(t)|Phi(t)> built from the independently integrated left ket."""
     left, right = trajectory.phi_left, trajectory.phi_right
-    vals = [np.sum(np.conj(left[rows]) * right[rows], axis=-1) for rows, _ in reporting_blocks(track)]
-    return np.abs(np.concatenate(vals) - vals[0][0])
+    pairing = np.sum(np.conj(left[block.rows]) * right[block.rows], axis=-1)
+    return np.abs(pairing - np.sum(np.conj(left[:1]) * right[:1], axis=-1))
 
 
-def _state_consistency(trajectory, track):
+def _state_consistency(trajectory, block):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    residuals = np.empty(len(trajectory.times))
-    for rows, points in reporting_blocks(track):
-        expected = (track.theta(points) @ trajectory.phi_right[rows][..., None])[..., 0]
-        residuals[rows] = np.linalg.norm(trajectory.phi_left[rows] - expected, axis=-1)
-    return residuals
+    expected = (block.theta[block.coarse] @ trajectory.phi_right[block.rows][..., None])[..., 0]
+    return np.linalg.norm(trajectory.phi_left[block.rows] - expected, axis=-1)
 
 
-def _standard_unitarity(trajectory, track):
+def _equivalence(trajectory, block):
+    """Relative distance of the integrated right ket from the oracle path
+    Omega^-1(t) u(t) Omega(0) Phi(0)."""
+    phi0 = trajectory.phi_right[0]
+    seed = block.origin.omega[0] @ phi0
+    oracle = (block.omega_inv[block.coarse] @ (trajectory.u_diagonals(block.rows) * seed)[..., None])[..., 0]
+    return np.linalg.norm(trajectory.phi_right[block.rows] - oracle, axis=-1) / float(np.linalg.norm(phi0))
+
+
+def _standard_unitarity(trajectory, block):
     """||u' u - I|| over the standard-space propagators (diagonal, so only
     the diagonal of u' u can differ from I)."""
-    blocks = (trajectory.u_diagonals(rows) for rows, _ in reporting_blocks(track))
-    return np.concatenate([np.max(np.abs(np.conj(u) * u - 1.0), axis=-1) for u in blocks])
+    u = trajectory.u_diagonals(block.rows)
+    return np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
 
 
-def _intertwining(trajectory, track):
+def _intertwining(trajectory, block):
     """U_L(t) U_R(t) = I -- the product whose collapse conserves the metric norm.
 
     U_R(t) = Omega^-1(t) u(t) Omega(0) moves right kets and
     U_L(t) = (Omega(t)' u(t) Omega^-1(0)')' = Omega^-1(0) u(t)' Omega(t)
     is the pulled-back left action.
     """
-    omega0, inv0 = track.omega(0), dagger(track.omega_inv(0))
-    eye = np.eye(track.dimension)
-    residuals = np.empty(len(trajectory.times))
-    for rows, points in reporting_blocks(track):
-        u = trajectory.u_diagonals(rows)[:, None, :]
-        u_right = (track.omega_inv(points) * u) @ omega0
-        u_left = dagger((dagger(track.omega(points)) * u) @ inv0)
-        residuals[rows] = np.max(np.abs(u_left @ u_right - eye), axis=(-2, -1))
-    return residuals
+    omega0, inv0 = block.origin.omega[0], dagger(block.origin.omega_inv[0])
+    u = trajectory.u_diagonals(block.rows)[:, None, :]
+    u_right = (block.omega_inv[block.coarse] * u) @ omega0
+    u_left = dagger((dagger(block.omega[block.coarse]) * u) @ inv0)
+    return np.max(np.abs(u_left @ u_right - np.eye(len(omega0))), axis=(-2, -1))
 
 
-def _quasi_hermiticity(trajectory, track):
-    """||H' Theta - Theta H|| at every grid point, with H and Theta formed per block."""
-    residuals = np.empty(len(track.times))
-    for block in grid_blocks(len(track.times), track.dimension):
-        residuals[block] = quasi_hermiticity_residual(track.hamiltonian(block), track.theta(block))
-    return residuals
+def _quasi_hermiticity(trajectory, block):
+    """||H' Theta - Theta H|| at every point of the block."""
+    return quasi_hermiticity_residual(block.hamiltonian, block.theta)
 
 
-def _isospectrality(trajectory, track):
+def _isospectrality(trajectory, block):
     """Spectra of h = Omega H Omega^-1 and H agree, certified by Gershgorin discs.
 
     The spectrum of H is the track's energies E, validated against H by their
@@ -148,47 +138,42 @@ def _isospectrality(trajectory, track):
     h lies from its own E_i; no eigensolve is needed.  Only where the discs
     overlap (levels closer than 2r) is h eigensolved, and the residual there
     is the largest distance between the (Re, Im)-sorted spectra of h and E.
-    The certificate runs over grid blocks; the points whose discs overlap are
-    eigensolved together afterwards.
     """
-    levels = np.arange(track.dimension)
-    residuals = np.empty(len(track.times))
-    overlap = np.empty(len(track.times), dtype=bool)
-    for block in grid_blocks(len(track.times), track.dimension):
-        h = hermitize(track.omega(block), track.hamiltonian(block), track.omega_inv(block))
-        energies = track.energies[block]
-        h[:, levels, levels] -= energies
-        residuals[block] = np.max(np.sum(np.abs(h), axis=-1), axis=-1)
-        distances = np.abs(energies[:, :, None] - energies[:, None, :])
-        distances[:, levels, levels] = np.inf
-        overlap[block] = ~(residuals[block] < 0.5 * np.min(distances, axis=(-2, -1)))
+    levels = np.arange(block.track.dimension)
+    energies = block.track.energies[block.points]
+    distances = np.abs(energies[:, :, None] - energies[:, None, :])
+    distances[:, levels, levels] = np.inf
+    gaps = np.min(distances, axis=(-2, -1))
+    h = hermitize(block.omega, block.hamiltonian, block.omega_inv)
+    deviation = np.abs(h)
+    deviation[:, levels, levels] = np.abs(h[:, levels, levels] - energies)
+    residuals = np.max(np.sum(deviation, axis=-1), axis=-1)
+    overlap = ~(residuals < 0.5 * gaps)
     if overlap.any():
-        h = hermitize(track.omega(overlap), track.hamiltonian(overlap), track.omega_inv(overlap))
-        spec_h = _lexsorted(np.linalg.eigvals(h))
-        residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(track.energies[overlap])), axis=-1)
+        spec_h = _lexsorted(np.linalg.eigvals(h[overlap]))
+        residuals[overlap] = np.max(np.abs(spec_h - _lexsorted(energies[overlap])), axis=-1)
     return residuals
 
 
-def _observable_reality(trajectory, track):
+def _observable_reality(trajectory, block):
     """Imaginary part of every declared observable's mean value along the run.
 
-    Each observable of ``track.model.a_observables`` is formed per block of
+    Each observable of the model's ``a_observables`` is formed at the block's
     reporting points and must first pass the quasi-Hermiticity residual gate,
     at the default `quasi-hermiticity` threshold, at every reporting point; a
     failed or non-finite gate fails the check outright (the mean value of an
     illegitimate observable has no reality claim).
     """
     gate_threshold = CHECKS["quasi-hermiticity"].threshold
-    residuals = np.zeros(len(trajectory.times))
-    for rows, points in reporting_blocks(track):
-        theta, phi = track.theta(points), trajectory.phi_right[rows]
-        for spec in track.model.a_observables:
-            with np.errstate(over="ignore", invalid="ignore"):  # a NaN gate fails below, as NaN
-                a = track.observable(spec, points)
-                gate = quasi_hermiticity_residual(a, theta)
-                mean = expectation(phi, a, theta, trajectory.times[rows])
-            # not a Theta-observable where the gate fails; report the violation itself
-            residuals[rows] = np.maximum(residuals[rows], np.where(gate <= gate_threshold, np.abs(mean.imag), gate))
+    theta, phi = block.theta[block.coarse], trajectory.phi_right[block.rows]
+    residuals = np.zeros(len(phi))
+    for spec in block.track.model.a_observables:
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN gate fails below, as NaN
+            a = block.observable(spec)
+            gate = quasi_hermiticity_residual(a, theta)
+            mean = expectation(phi, a, theta, trajectory.times[block.rows])
+        # not a Theta-observable where the gate fails; report the violation itself
+        residuals = np.maximum(residuals, np.where(gate <= gate_threshold, np.abs(mean.imag), gate))
     return residuals
 
 
@@ -197,7 +182,7 @@ CHECKS = {
     "theta-norm-conservation": Check(_norm_drift, 1e-8, False),
     "left-right-duality": Check(_duality_drift, 1e-8, False, "left"),
     "state-consistency": Check(_state_consistency, 1e-7, False, "left"),
-    "equivalence": Check(equivalence_residuals, 1e-7, False),
+    "equivalence": Check(_equivalence, 1e-7, False),
     "standard-unitarity": Check(_standard_unitarity, 1e-10, False),
     "propagator-intertwining": Check(_intertwining, 1e-7, False),
     "quasi-hermiticity": Check(_quasi_hermiticity, 1e-9, True),
@@ -225,7 +210,8 @@ def run_standard_checks(
     selection: Sequence[str] | None = None,
     overrides: Mapping[str, float] | None = None,
 ) -> list[InvariantReport]:
-    """Run the named checks (all by default) with optional threshold overrides.
+    """Run the named checks (all by default) with optional threshold overrides,
+    in one pass over the track's blocks that feeds every check each block.
 
     A check whose `unmet_need` is not None is skipped when no selection is
     given, and raises `ScenarioError` when explicitly selected.
@@ -234,18 +220,22 @@ def run_standard_checks(
     for name in [*overrides, *(selection or ())]:
         if name not in CHECKS:
             raise ScenarioError(f"unknown check name {name!r}")
-    reports = []
+    series = []  # (name, check, times, residuals) per check to run
     for name in CHECKS if selection is None else selection:
         check = CHECKS[name]
         problem = check.needs and unmet_need(name, trajectory.pictures, track.model.a_observables)
-        if problem and selection is None:
-            continue
-        if problem:
+        if problem and selection is not None:
             raise ScenarioError(problem)
-        times = track.times if check.on_fine_grid else trajectory.times
-        residuals = check.residuals(trajectory, track)
-        reports.append(InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold)))
-    return reports
+        if not problem:
+            times = track.times if check.on_fine_grid else trajectory.times
+            series.append((name, check, times, np.empty(len(times))))
+    for block in track.blocks():
+        for _, check, _, residuals in series:
+            residuals[block.points if check.on_fine_grid else block.rows] = check.residuals(trajectory, block)
+    return [
+        InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold))
+        for name, check, times, residuals in series
+    ]
 
 
 def _lexsorted(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from qhdyn import DressingTrack
-from qhdyn.dressing import build_generator, dagger
+from qhdyn.dressing import build_generator, build_theta, dagger
 from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, IntegrationError
 from qhdyn.evolution import PICTURES, resolve_initial_state, standard_phases
 from qhdyn.model import HamiltonianModel, _similarity_energies
@@ -160,7 +160,7 @@ def reference_propagate(
     want_left = "left" in pictures
     if want_left:
         gens = np.stack([gens, dagger(gens)], axis=1)
-        state = np.stack([phi0, track.theta(slice(0, 1))[0] @ phi0])
+        state = np.stack([phi0, build_theta(track.omega(0)) @ phi0])
     else:
         gens = gens[:, None]
         state = phi0[None]

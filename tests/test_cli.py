@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from qhdyn.runner import (
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunReport,
+    report_json_dict,
     sweep,
     write_csv,
     write_outputs,
@@ -484,19 +486,49 @@ def _strict_json(text):
 
 
 def test_report_json_is_strict_for_a_non_finite_residual(tmp_path):
-    # observable-reality's residual is NaN: null with a flag, never a bare NaN token;
-    # the NaN of an ignored initial_state.vector in the scenario echo is null too
+    # observable-reality's residual is NaN: null with a flag, never a bare NaN token,
+    # and its worst_t is the first time whose residual is not finite; a NaN in
+    # the scenario echo is null too
     huge = "model.a_observables=[{name: B, matrix_source: user-matrix, data: [[1e308, 1e308], [1e308, 1e308]]}]"
-    ignored = "initial_state.vector=[1, .nan]"
-    argv = ["run", scenario_path("tri_sin_drive"), "--override", huge, "--override", ignored, "--out", str(tmp_path)]
+    argv = ["run", scenario_path("tri_sin_drive"), "--override", huge, "--out", str(tmp_path)]
     assert main(argv) == EXIT_CHECK_FAILED
     report = _strict_json((tmp_path / "tri_sin_drive" / "report.json").read_text())
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["observable-reality"] == {
-        "name": "observable-reality", "max_residual": None, "threshold": 1e-9, "passed": False, "non_finite": True
+        "name": "observable-reality", "max_residual": None, "threshold": 1e-9, "passed": False, "worst_t": 0.0,
+        "non_finite": True,
     }
     assert all("non_finite" not in c for name, c in checks.items() if name != "observable-reality")
-    assert report["scenario"]["initial_state"]["vector"] == [1, None]
+    assert all(0.0 <= c["worst_t"] <= 1.0 for c in checks.values())
+    config = load_scenario("tri_sin_drive")
+    echo = dataclasses.replace(config, raw={"initial_state": {"vector": [1, float("nan")]}})
+    document = report_json_dict(RunReport(echo, (), np.empty((0, 0)), (), 0.0))
+    assert _strict_json(json.dumps(document, allow_nan=False))["scenario"]["initial_state"]["vector"] == [1, None]
+
+
+def test_worst_t_is_where_each_residual_peaks(tmp_path):
+    report = run(load_scenario("exp_metric_drive"))
+    written = _strict_json(json.dumps(report_json_dict(report), allow_nan=False))
+    for check, entry in zip(report.reports, written["checks"]):
+        assert entry["worst_t"] == check.times[np.argmax(check.residuals)]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "mu.0.frequency=1e300",  # an exponential mu
+        "model.h_schedule.c.rate=5",  # a sinusoidal schedule
+        "initial_state.bogus=1",
+        "initial_state.index=99",  # next to preset: uniform
+        "initial_state.vector=[1, .nan]",  # next to preset: uniform
+    ],
+)
+def test_a_key_the_run_would_ignore_exits_two(override, capsys):
+    assert main(["run", scenario_path("tri_sin_drive"), "--override", override]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    key = override.split("=")[0].split(".")[-1]
+    assert f"'{key}'" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("name", ["../../x", "a/b", "a\\b", ".", ".."])

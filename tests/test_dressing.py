@@ -27,7 +27,6 @@ from qhdyn.dressing import (
     grid_blocks,
     omega_inverse,
     quasi_hermiticity_residual,
-    reporting_blocks,
     theta_inner,
 )
 from qhdyn.model import build_hamiltonian, real_gauge
@@ -549,13 +548,16 @@ def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, mo
     track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times, "report")
     whole = build_hamiltonian(model, times)
     fine = grid_blocks(len(times), n)
-    blocks = fine + [points for _, points in reporting_blocks(track)]
+    passes = [list(track.blocks(step)) for step in (1, 2)]
+    blocks = fine + [block.points for blocks in passes for block in blocks]
     assert len(times[fine[0]]) > len(times[fine[-1]])  # a ragged last block
-    # the RK4 blocks' halo slices and an isospectrality mask, too
+    # the RK4 blocks' halo slices and a mask, too
     mask = np.zeros(len(times), dtype=bool)
     mask[[3, 50, 202]] = True
     for points in blocks + [slice(0, 33), slice(32, 65), slice(192, 203), slice(None, None, 2), mask]:
         assert _bits(track.hamiltonian(points)) == _bits(whole[points])
+    for block in passes[0] + passes[1]:
+        assert _bits(block.hamiltonian) == _bits(whole[block.points])
 
 
 @pytest.mark.parametrize("case", ["cubic8", "pt2"])
@@ -566,9 +568,11 @@ def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     product = dagger(omega) @ omega
     whole = 0.5 * (product + dagger(product))
     for block in grid_blocks(len(times), model.dimension):
-        assert _bits(track.theta(block)) == _bits(whole[block])
-    for rows, points in reporting_blocks(track):
-        assert _bits(track.theta(points)) == _bits(whole[points]) == _bits(whole[::2][rows])
+        assert _bits(build_theta(track.omega(block))) == _bits(whole[block])
+    for step in (1, 2):
+        for block in track.blocks(step):
+            assert _bits(block.theta) == _bits(whole[block.points])
+            assert _bits(block.theta[block.coarse]) == _bits(whole[::2][block.rows])
     # Theta's eigenvalues come from the frame, as those of L' |mu|^2 L: a real
     # symmetric matrix for cubic-trunc, Theta itself for pt2's positive mu
     weighted = build_theta(build_omega(track.bras, np.abs(track.mu)))
@@ -581,7 +585,7 @@ def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
 
 def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
     # the whole-reporting-grid stacks the observables were once formed as,
-    # against the accessor over the blocks of reporting points and a mask
+    # against each block of both passes, fine (step 1) and reporting (step 2)
     model, mu, times = _cubic8(203)
     track = build_dressing_track(model, mu, times, "report")
     coarse = slice(None, None, 2)
@@ -593,15 +597,12 @@ def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
         (ObservableSpec("X", "user-matrix", seed), np.broadcast_to(seed, times[coarse].shape + seed.shape)),
         (ObservableSpec("Z", "function-of-frame", seed), track.omega_inv()[coarse] @ seed @ track.omega()[coarse]),
     ]
-    blocks = reporting_blocks(track)
-    sizes = [len(times[points]) for _, points in blocks]
-    assert sizes == [64, 38]  # a ragged last block
-    mask = np.zeros(len(times), dtype=bool)
-    mask[[0, 64, 202]] = True
+    passes = [list(track.blocks(step)) for step in (1, 2)]
+    assert [len(times[block.points]) for block in passes[0]] == [64, 64, 64, 11]  # a ragged last block
+    assert [len(times[block.points]) for block in passes[1]] == [32, 32, 32, 6]
     for spec, stack in whole:
-        for rows, points in blocks:
-            assert _bits(track.observable(spec, points)) == _bits(stack[rows])
-        assert _bits(track.observable(spec, mask)) == _bits(stack[[0, 32, 101]])
+        for block in passes[0] + passes[1]:
+            assert _bits(block.observable(spec)) == _bits(stack[block.rows])
 
 
 def test_a_moving_track_holds_only_the_frame_on_the_grid():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhdyn import ScenarioConfig, ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
-from qhdyn.scenario import load_document, set_by_path
+from qhdyn.scenario import _parse_schedule, load_document, set_by_path
 
 from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
 
@@ -112,6 +112,30 @@ def test_initial_state_forms():
     np.testing.assert_allclose(cfg.initial_state, [1.0 + 0.5j, 0.0 - 0.5j])
     with pytest.raises(ScenarioError, match="initial_state"):
         parse_scenario(MINIMAL + "initial_state: {bogus: 1}\n")
+    # exactly one form, each with only its own keys
+    for entry in ("{preset: uniform, index: 1}", "{preset: uniform, vector: [1, 0]}", "{vector: [1, 0], index: 0}",
+                  "{preset: eigenstate, index: 0, vector: [1, 0]}", "{preset: uniform, bogus: 1}",
+                  "{preset: eigenstate}"):
+        with pytest.raises(ScenarioError, match=r"initial_state \(\w+\) takes the keys"):
+            parse_scenario(MINIMAL + f"initial_state: {entry}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("constant", {"base"}),
+        ("linear-ramp", {"base", "rate"}),
+        ("exponential", {"base", "rate"}),
+        ("sinusoidal", {"base", "amplitude", "frequency", "phase"}),
+    ],
+)
+def test_each_schedule_kind_takes_only_its_own_keys(kind, keys):
+    every = {"base": 1.0, "rate": 0.1, "amplitude": 0.2, "frequency": 1.0, "phase": 0.5}
+    spec = _parse_schedule({"kind": kind, **{key: every[key] for key in keys}}, "mu[0]")
+    assert all(getattr(spec, key) == every[key] for key in keys)
+    for key in every.keys() - keys:
+        with pytest.raises(ScenarioError, match=rf"mu\[0\]: unknown schedule keys \['{key}'\] for kind '{kind}'"):
+            _parse_schedule({"kind": kind, key: every[key]}, "mu[0]")
 
 
 def test_observable_parsing():

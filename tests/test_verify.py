@@ -13,6 +13,8 @@ from qhdyn import (
     run_standard_checks,
     time_grid,
 )
+from qhdyn.dressing import Block
+from qhdyn.scenario import scenario_from_dict
 from qhdyn.verify import unmet_need
 from qhdyn.schedules import ScheduleSpec
 
@@ -258,12 +260,114 @@ def test_observable_reality_needs_declared_observables(generic_run, series):
 
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
-    points = slice(2, 9, 2)
-    hamiltonian = track.observable(ObservableSpec("H", "hamiltonian-itself"), points)
-    np.testing.assert_array_equal(hamiltonian, track.hamiltonian(points))
+    block = Block(track, slice(2, 9, 2), slice(1, 5))  # four reporting points
+    hamiltonian = block.observable(ObservableSpec("H", "hamiltonian-itself"))
+    np.testing.assert_array_equal(hamiltonian, track.hamiltonian(block.points))
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    matrices = track.observable(ObservableSpec("X", "user-matrix", fixed), points)
+    matrices = block.observable(ObservableSpec("X", "user-matrix", fixed))
     assert matrices.shape == (4, 2, 2) and matrices.strides[0] == 0 and not matrices.flags.writeable
     np.testing.assert_array_equal(matrices, np.broadcast_to(fixed, (4, 2, 2)))
-    conjugated = track.observable(ObservableSpec("Z", "function-of-frame", SIGMA_Z), points)
+    conjugated = block.observable(ObservableSpec("Z", "function-of-frame", SIGMA_Z))
+    points = block.points
     np.testing.assert_allclose(conjugated, track.omega_inv()[points] @ SIGMA_Z @ track.omega()[points], atol=1e-14)
+
+
+def test_worst_t_is_the_first_non_finite_else_the_largest_residual():
+    times = [0.0, 0.5, 1.0, 1.5]
+    assert InvariantReport.from_series("x", times, [1e-12, 3e-12, 2e-12, 0.0], 1e-9).worst_t == 0.5
+    assert InvariantReport.from_series("x", times, [1e-12, 5.0, np.inf, np.nan], 1e-9).worst_t == 1.0
+    assert InvariantReport.from_series("x", times, [1e-12, np.nan, np.inf, 0.0], 1e-9).worst_t == 0.5
+
+
+def _document(dimension, t1=0.1):
+    """A moving cubic-trunc document that runs all nine checks, with one observable of each source."""
+    rng = np.random.default_rng(dimension)
+    seed = rng.standard_normal((dimension, dimension))
+    return {
+        "model": {
+            "family": "cubic-trunc",
+            "dimension": dimension,
+            "params": {"g": 0.025},
+            "h_schedule": {"g": {"kind": "sinusoidal", "base": 0.025, "amplitude": 0.3, "frequency": 2.0}},
+            "a_observables": [
+                {"name": "H", "matrix_source": "hamiltonian-itself"},
+                {"name": "Z", "matrix_source": "function-of-frame", "data": (seed + seed.T).tolist()},
+                {"name": "X", "matrix_source": "user-matrix", "data": np.eye(dimension).tolist()},
+            ],
+        },
+        "mu": [{"kind": "exponential", "base": 1.0, "rate": 0.05 * (k - 2)} for k in range(dimension)],
+        "time": {"t0": 0.0, "t1": t1, "dt": 1e-3},
+        "evolution": {"reality": "report"},
+    }
+
+
+def _solved(config):
+    _, fine = time_grid(config.t0, config.t1, config.dt)
+    track = build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
+    return track, propagate_quasi(track, config.initial_state, pictures=config.pictures)
+
+
+@pytest.mark.parametrize("dimension", [5, 6])
+def test_checks_and_csv_do_not_depend_on_the_blocks(dimension, monkeypatch):
+    # 7 points per frame block, odd before the checks' pass rounds it down to 6
+    # fine points (3 reporting rows); the last block of either pass is ragged
+    import qhdyn.dressing
+    from qhdyn.runner import _tabulate
+
+    config = scenario_from_dict(_document(dimension))
+    track, traj = _solved(config)
+    reports = run_standard_checks(traj, track)
+    _, table = _tabulate(config, track, traj)
+    assert len(reports) == 9
+    monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 7 * dimension**2)
+    assert [len(track.times[b.points]) for b in track.blocks()][-2:] == [6, len(track.times) % 6]
+    assert [len(track.times[b.points]) for b in track.blocks(step=2)][-2:] == [3, len(traj.times) % 3]
+    small = run_standard_checks(traj, track)
+    assert [r.name for r in small] == [r.name for r in reports]
+    for report, again in zip(reports, small):
+        assert report.residuals.tobytes() == again.residuals.tobytes(), report.name
+        alone = run_standard_checks(traj, track, selection=[report.name])[0]
+        assert report.residuals.tobytes() == alone.residuals.tobytes(), report.name
+        np.testing.assert_array_equal(report.times, alone.times)
+    assert _tabulate(config, track, traj)[1].tobytes() == table.tobytes()
+
+
+def _moving_cubic8_seed1(monkeypatch):
+    """The moving-cubic8 benchmark workload's document at seed 1."""
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    return importlib.import_module("workloads").WORKLOADS["moving-cubic8"].document(1)
+
+
+@pytest.mark.parametrize("name", ["cubic_osc_drive", "moving-cubic8"])
+def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monkeypatch):
+    # the matrices the four builders return, counted from outside the package:
+    # the checks form each at the M fine points plus t0, the CSV at the K reporting points plus t0
+    import qhdyn.dressing
+    import qhdyn.model
+    from conftest import load_scenario
+    from qhdyn.runner import _tabulate
+
+    config = load_scenario(name) if name == "cubic_osc_drive" else scenario_from_dict(_moving_cubic8_seed1(monkeypatch))
+    track, traj = _solved(config)
+    formed = {}
+
+    def counted(label, build):
+        def wrapper(*args, **kwargs):
+            result = build(*args, **kwargs)
+            formed[label] = formed.get(label, 0) + int(np.prod(np.shape(result)[:-2]))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(qhdyn.model, "build_hamiltonian", counted("H", qhdyn.model.build_hamiltonian))
+    for builder in ("build_theta", "build_omega", "omega_inverse"):
+        monkeypatch.setattr(qhdyn.dressing, builder, counted(builder, getattr(qhdyn.dressing, builder)))
+    labels = {"H", "build_theta", "build_omega", "omega_inverse"}
+    assert len(run_standard_checks(traj, track)) == 9
+    assert set(formed) == labels and max(formed.values()) <= len(track.times) + 1, formed
+    formed.clear()
+    _tabulate(config, track, traj)
+    assert set(formed) == labels and max(formed.values()) <= len(traj.times) + 1, formed
