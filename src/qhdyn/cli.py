@@ -63,7 +63,10 @@ def _load_raw(path: Path, overrides: list[str]) -> dict:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     raw = load_document(text)
     raw.setdefault("name", path.stem)
-    return apply_overrides(raw, overrides)
+    raw = apply_overrides(raw, overrides)
+    if raw["name"] is None:  # a null name counts as absent
+        raw["name"] = path.stem
+    return raw
 
 
 def _cmd_run(args) -> int:

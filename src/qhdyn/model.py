@@ -19,9 +19,10 @@ Four families are provided:
     eigensolver at run time, never assumed.  The matrix is real in the
     phase gauge diag(i^n) (see `real_gauge`).
 
-The family constraints (pt2: s > 0 and |gamma| < s; cubic-trunc: g > 0) are
-checked at the start of the run, ``t0``; the eigensolver's guards take over
-from there.
+`FAMILY_PARAMS` lists the params each family reads; a model takes exactly
+those.  The family constraints (pt2: s > 0 and |gamma| < s; cubic-trunc:
+g > 0) are checked at the start of the run, ``t0``; the eigensolver's guards
+take over from there.
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ import numpy as np
 from .errors import ScenarioError
 from .schedules import ScheduleSpec, eval_schedule
 
-FAMILIES = ("triangular2", "pt2", "similarity-rand", "cubic-trunc")
+# each family's params by kind: "real" or "scalar" (complex allowed), which a
+# schedule may drive; "reals", one real per level; "count", a non-negative
+# integer that defaults to 0
+FAMILY_PARAMS = {
+    "triangular2": {"e1": "real", "e2": "real", "c": "scalar"},
+    "pt2": {"gamma": "real", "s": "real"},
+    "similarity-rand": {"energies": "reals", "seed": "count"},
+    "cubic-trunc": {"g": "real"},
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 OBSERVABLE_SOURCES = ("hamiltonian-itself", "user-matrix", "function-of-frame")
 
@@ -69,6 +79,8 @@ class ObservableSpec:
                 f"expected one of {OBSERVABLE_SOURCES}"
             )
         if self.source == "hamiltonian-itself":
+            if self.data is not None:
+                raise ScenarioError(f"observable {self.name!r}: source 'hamiltonian-itself' takes no matrix")
             return
         if self.data is None:
             raise ScenarioError(f"observable {self.name!r}: source {self.source!r} needs a matrix")
@@ -87,8 +99,8 @@ class ObservableSpec:
 class HamiltonianModel:
     """A parametrized family producing H(t) plus declared observables.
 
-    params holds named scalars (and, for similarity-rand, the energy list and
-    seed); h_schedule attaches a time dependence to any scalar parameter.
+    params holds the family's `FAMILY_PARAMS`; h_schedule attaches a time
+    dependence to a "real" or "scalar" one.
     t0 is the start of the run, where the family constraints are checked.
     """
 
@@ -108,9 +120,6 @@ class HamiltonianModel:
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "h_schedule", dict(self.h_schedule))
         object.__setattr__(self, "a_observables", tuple(self.a_observables))
-        for key in self.h_schedule:
-            if key not in self.params:
-                raise ScenarioError(f"schedule refers to unknown parameter {key!r}")
         n, names = self.dimension, [obs.name for obs in self.a_observables]
         for obs in self.a_observables:
             if names.count(obs.name) > 1:
@@ -119,6 +128,7 @@ class HamiltonianModel:
                 raise ScenarioError(
                     f"observable {obs.name!r}: matrix must be {n}x{n}, got shape {obs.data.shape}"
                 )
+        _validate_params(self)
         _validate_family(self)
 
     @property
@@ -131,8 +141,6 @@ class HamiltonianModel:
         elementwise for an array of times, a scalar when unscheduled)."""
         if name in self.h_schedule:
             return eval_schedule(self.h_schedule[name], t)
-        if name not in self.params:
-            raise ScenarioError(f"family {self.family!r} needs parameter {name!r}")
         try:
             return complex(self.params[name])
         except TypeError:
@@ -173,8 +181,8 @@ def build_hamiltonian(model: HamiltonianModel, t: float | np.ndarray) -> np.ndar
         h[..., 1, 1] = -1j * gamma
         return h
     if model.family == "similarity-rand":
-        energies = _similarity_energies(model)
-        s_mat, s_inv = _similarity_matrix(n, int(model.params.get("seed", 0)))
+        energies = np.asarray(model.params["energies"], dtype=float)
+        s_mat, s_inv = _similarity_matrix(n, int(model.params["seed"]))
         return np.broadcast_to((s_mat * energies) @ s_inv, shape)  # one H for every t, read-only
     # cubic-trunc, over flattened matrices (numpy broadcasts over one trailing axis faster)
     g = np.broadcast_to(model.real_param("g", t), np.shape(t))
@@ -195,21 +203,6 @@ def real_gauge(model: HamiltonianModel) -> np.ndarray | None:
     if model.family != "cubic-trunc":
         return None
     return np.array([1, 1j, -1, -1j])[np.arange(model.dimension) % 4]
-
-
-def _similarity_energies(model: HamiltonianModel) -> np.ndarray:
-    raw = model.params.get("energies")
-    if raw is None:
-        raise ScenarioError("family 'similarity-rand' needs parameter 'energies'")
-    try:
-        energies = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        energies = None
-    if energies is None or energies.shape != (model.dimension,):
-        raise ScenarioError(
-            f"'energies' must list {model.dimension} real values, got {raw!r}"
-        )
-    return energies
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,15 +237,42 @@ def _oscillator_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p2, x3
 
 
+def _validate_params(model: HamiltonianModel):
+    """The family's params, each of its kind at t0, and no other; schedules only on scalars."""
+    kinds = FAMILY_PARAMS[model.family]
+    if unknown := model.params.keys() - kinds.keys():
+        raise ScenarioError(
+            f"family {model.family!r} takes no parameter {sorted(unknown, key=str)}; it takes {sorted(kinds)}"
+        )
+    for key in model.h_schedule:
+        if kinds.get(key) not in ("real", "scalar"):
+            raise ScenarioError(f"schedule refers to {key!r}, not a scalar parameter of family {model.family!r}")
+    for name, kind in kinds.items():
+        if kind == "count":
+            value = model.params.setdefault(name, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0 or value % 1:
+                raise ScenarioError(f"{name!r} must be a non-negative integer, got {value!r}")
+        elif name not in model.params:
+            raise ScenarioError(f"family {model.family!r} needs parameter {name!r}")
+        elif kind == "reals":
+            values = model.params[name]
+            try:
+                shape = np.asarray(values, dtype=float).shape
+            except (TypeError, ValueError):
+                shape = None
+            if shape != (model.dimension,):
+                raise ScenarioError(f"{name!r} must list {model.dimension} real values, got {values!r}")
+        elif kind == "real":
+            model.real_param(name, model.t0)
+        else:
+            model.param(name, model.t0)
+
+
 def _validate_family(model: HamiltonianModel):
     n, t0 = model.dimension, model.t0
     if model.family in ("triangular2", "pt2") and n != 2:
         raise ScenarioError(f"family {model.family!r} is two-dimensional, got N={n}")
-    if model.family == "triangular2":
-        model.param("c", t0)
-        model.real_param("e1", t0)
-        model.real_param("e2", t0)
-    elif model.family == "pt2":
+    if model.family == "pt2":
         gamma = model.real_param("gamma", t0)
         s = model.real_param("s", t0)
         if s <= 0.0:
@@ -261,15 +281,7 @@ def _validate_family(model: HamiltonianModel):
             raise ScenarioError(
                 f"family 'pt2': |gamma|={abs(gamma)} >= s={s}, spectrum not real at t={t0:g}"
             )
-    elif model.family == "similarity-rand":
-        _similarity_energies(model)
-        if model.h_schedule:
-            raise ScenarioError("family 'similarity-rand' does not take schedules")
-        seed = model.params.get("seed", 0)
-        integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
-        if isinstance(seed, bool) or not integral or seed < 0:
-            raise ScenarioError(f"'seed' must be a non-negative integer, got {seed!r}")
-    else:  # cubic-trunc
+    elif model.family == "cubic-trunc":
         g = model.real_param("g", t0)
         if g <= 0.0:
             raise ScenarioError(f"family 'cubic-trunc': coupling g must be positive, got {g} at t={t0:g}")

@@ -17,6 +17,15 @@ A scenario is a YAML document with these top-level keys (normative):
     outputs        observable names to add as expectation-value CSV columns
                    (default: all declared observables)
 
+`SCHEMA` gives the keys of every mapping in a document, which are required
+and the type of each: the top level, `time`, `model`, `evolution`, an
+observable, a check entry, each schedule kind and each initial_state form.
+`model.params` holds exactly its family's `model.FAMILY_PARAMS`, which
+`HamiltonianModel` checks.  Any other key, a missing required key, and a
+value of the wrong type raise `ScenarioError`; a null value counts as
+absent, so a null section takes its default.  A check, picture or output
+listed twice raises too.
+
 Every number must be finite.  Parsing rejects, before any numerics, a
 schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
 can vanish there (`schedules.schedule_bounds`), and a selected check whose
@@ -31,27 +40,37 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import ScenarioError
 from .evolution import PICTURES, time_grid, validate_pictures
-from .model import HamiltonianModel, ObservableSpec
-from .schedules import ScheduleSpec, validate_bounded, validate_nonvanishing
+from .model import FAMILY_PARAMS, HamiltonianModel, ObservableSpec
+from .schedules import SCHEDULE_KINDS, ScheduleSpec, validate_bounded, validate_nonvanishing
 from .verify import DEFAULT_THRESHOLDS, unmet_need
 
-# the keys of each schedule kind besides "kind", and of each initial_state form
-_SCHEDULE_KEYS = {"constant": {"base"}, "linear-ramp": {"base", "rate"}, "exponential": {"base", "rate"},
-                  "sinusoidal": {"base", "amplitude", "frequency", "phase"}}
-_INITIAL_STATE_KEYS = {"uniform": {"preset"}, "eigenstate": {"preset", "index"}, "vector": {"vector"}}
-_TOP_KEYS = {"name", "model", "mu", "time", "initial_state", "pictures", "checks",
-             "evolution", "outputs"}
-_TIME_KEYS = {"t0", "t1", "dt"}
-_MODEL_KEYS = {"family", "dimension", "params", "h_schedule", "a_observables"}
-_EVOLUTION_KEYS = {"generator", "reality"}
-_OBSERVABLE_KEYS = {"name", "matrix_source", "data"}
+# The keys of every mapping in a document, as (required, optional) dicts of key: type.  A float,
+# int or complex value is read by `_real`, `_integer` or `_scalar`, and a str one by str(); a
+# dict or list section must be a mapping or a list; a tuple lists a choice key's values, the
+# first its default.  A schedule takes its kind's row, an initial_state its form's.
+SCHEMA = {
+    "scenario": ({"model": dict, "mu": list, "time": dict}, {"name": str, "initial_state": dict,
+                 "pictures": list, "checks": list, "evolution": dict, "outputs": list}),
+    "time": ({"t0": float, "t1": float, "dt": float}, {}),
+    "model": ({"family": str, "dimension": int}, {"params": dict, "h_schedule": dict, "a_observables": list}),
+    "evolution": ({}, {"generator": ("hgen", "h-only"), "reality": ("assert", "report")}),
+    "observable": ({"matrix_source": str}, {"name": str, "data": list}),
+    "check": ({"name": str}, {"threshold": float}),
+    "constant": ({"kind": str}, {"base": complex}),
+    "linear-ramp": ({"kind": str}, {"base": complex, "rate": float}),
+    "exponential": ({"kind": str}, {"base": complex, "rate": float}),
+    "sinusoidal": ({"kind": str}, {"base": complex, "amplitude": float, "frequency": float, "phase": float}),
+    "uniform": ({"preset": str}, {}),
+    "eigenstate": ({"preset": str, "index": int}, {}),
+    "vector": ({"vector": list}, {}),
+}
 
 
 @dataclass(frozen=True)
@@ -143,64 +162,38 @@ def plain_name(name) -> str:
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     raw = copy.deepcopy(raw)
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    name = plain_name(raw.get("name", name))
+    doc = _read(raw, "scenario")
+    name = plain_name(doc.get("name", name))
 
-    model_doc = _require(raw, "model", dict)
-    time_doc = _require(raw, "time", dict)
-    mu_doc = _require(raw, "mu", list)
-    _reject_unknown(time_doc, _TIME_KEYS, "time")
-    _reject_unknown(model_doc, _MODEL_KEYS, "model")
-
-    t0 = _number(time_doc, "time.t0")
-    t1 = _number(time_doc, "time.t1")
-    dt = _number(time_doc, "time.dt")
+    time = _read(doc["time"], "time")
+    t0, t1, dt = time["t0"], time["t1"], time["dt"]
     time_grid(t0, t1, dt)  # validates the sign of dt, divisibility and the step count
 
-    model = _parse_model(model_doc, t0)
+    model = _parse_model(doc["model"], t0)
     for key, spec in model.h_schedule.items():
         validate_bounded(spec, t0, t1, label=f"model.h_schedule.{key}")
 
-    if len(mu_doc) != model.dimension:
+    if len(doc["mu"]) != model.dimension:
         raise ScenarioError(
-            f"mu lists {len(mu_doc)} schedules but the model dimension is {model.dimension}"
+            f"mu lists {len(doc['mu'])} schedules but the model dimension is {model.dimension}"
         )
-    mu = tuple(_parse_schedule(entry, f"mu[{k}]") for k, entry in enumerate(mu_doc))
+    mu = tuple(_parse_schedule(entry, f"mu[{k}]") for k, entry in enumerate(doc["mu"]))
     for k, spec in enumerate(mu):
         validate_nonvanishing(spec, t0, t1, label=f"mu[{k}]")
 
-    initial_state = _parse_initial_state(raw.get("initial_state", {"preset": "uniform"}))
+    initial_state = _parse_initial_state(doc.get("initial_state", {"preset": "uniform"}))
+    pictures = _unique(validate_pictures(doc.get("pictures", PICTURES)), "pictures")
 
-    pictures = raw.get("pictures", list(PICTURES))
-    if not isinstance(pictures, list):
-        raise ScenarioError(f"pictures must be a list, got {pictures!r}")
-    pictures = validate_pictures(pictures)
-
-    selection, overrides = _parse_checks(raw.get("checks"))
+    selection, overrides = _parse_checks(doc.get("checks"))
     for check in selection or ():
         problem = unmet_need(check, pictures, model.a_observables)
         if problem:
             raise ScenarioError(problem)
 
-    evo = raw.get("evolution", {}) or {}
-    if not isinstance(evo, dict):
-        raise ScenarioError("evolution must be a mapping")
-    _reject_unknown(evo, _EVOLUTION_KEYS, "evolution")
-    generator = str(evo.get("generator", "hgen"))
-    if generator not in ("hgen", "h-only"):
-        raise ScenarioError(f"evolution.generator must be 'hgen' or 'h-only', got {generator!r}")
-    reality_policy = str(evo.get("reality", "assert"))
-    if reality_policy not in ("assert", "report"):
-        raise ScenarioError(f"evolution.reality must be 'assert' or 'report', got {reality_policy!r}")
+    evolution = _read(doc.get("evolution", {}), "evolution")
 
     declared = [obs.name for obs in model.a_observables]
-    outputs = raw.get("outputs")
-    if outputs is None:
-        outputs = declared
-    if not isinstance(outputs, list):
-        raise ScenarioError("outputs must be a list of observable names")
+    outputs = _unique(doc.get("outputs", declared), "outputs")
     for out in outputs:
         if out not in declared:
             raise ScenarioError(f"outputs names unknown observable {out!r} (declared: {declared})")
@@ -216,8 +209,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         pictures=pictures,
         check_selection=selection,
         check_overrides=overrides,
-        generator=generator,
-        reality_policy=reality_policy,
+        generator=evolution["generator"],
+        reality_policy=evolution["reality"],
         outputs=tuple(str(o) for o in outputs),
         raw=raw,
     )
@@ -297,26 +290,48 @@ def _index(key: str, node: list, path: str) -> int:
     return idx
 
 
-def _reject_unknown(doc: dict, allowed: set, label: str):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown {label} keys: {sorted(unknown)}")
+def _read(doc: dict, row: str, label: str | None = None) -> dict:
+    """The entries of mapping ``doc`` (at path ``label``, by default the row's name) under its
+    `SCHEMA` row, each read by its type, with every choice key's default.  A null entry counts
+    as absent."""
+    label = label or row
+    _typed(doc, dict, label)
+    required, optional = SCHEMA[row]
+    if unknown := doc.keys() - required.keys() - optional.keys():
+        takes = sorted(required | optional)
+        raise ScenarioError(f"unknown {label} keys: {sorted(unknown, key=str)}; {row} takes {takes}")
+    fields = {}
+    for key, kind in (required | optional).items():
+        path = key if row == "scenario" else f"{label}.{key}"
+        value = doc.get(key)
+        if value is None and isinstance(kind, tuple):
+            value = kind[0]
+        if value is not None:
+            fields[key] = _typed(value, kind, path)
+        elif key in required:
+            raise ScenarioError(f'missing required key "{path}"')
+    return fields
 
 
-def _require(raw: dict, key: str, kind) -> Any:
-    if key not in raw:
-        raise ScenarioError(f'missing required key "{key}"')
-    value = raw[key]
-    if not isinstance(value, kind):
-        raise ScenarioError(f'key "{key}" must be a {kind.__name__}')
-    return value
+def _typed(value, kind, path: str):
+    """``value`` read as a `SCHEMA` type."""
+    if isinstance(kind, tuple):
+        if str(value) not in kind:
+            raise ScenarioError(f"{path} must be one of {kind}, got {value!r}")
+        return str(value)
+    if kind in (dict, list):
+        if not isinstance(value, kind):
+            raise ScenarioError(f"{path} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
+        return value
+    return str(value) if kind is str else {float: _real, int: _integer, complex: _scalar}[kind](value, path)
 
 
-def _number(doc: dict, dotted: str) -> float:
-    key = dotted.split(".")[-1]
-    if key not in doc:
-        raise ScenarioError(f'missing required key "{dotted}"')
-    return _real(doc[key], f'key "{dotted}"')
+def _unique(entries, label: str) -> tuple:
+    """``entries`` as a tuple, if none is listed twice."""
+    for k, entry in enumerate(entries):
+        if entry in entries[:k]:
+            raise ScenarioError(f"{label} lists {entry!r} more than once")
+    return tuple(entries)
 
 
 def _real(value, label: str) -> float:
@@ -339,47 +354,29 @@ def _integer(value, label: str) -> int:
 
 
 def _parse_model(doc: dict, t0: float) -> HamiltonianModel:
-    if "family" not in doc:
-        raise ScenarioError('missing required key "model.family"')
-    if "dimension" not in doc:
-        raise ScenarioError('missing required key "model.dimension"')
-    params = doc.get("params", {}) or {}
-    if not isinstance(params, dict):
-        raise ScenarioError("model.params must be a mapping")
-    params = {k: _param(k, v, f"model.params.{k}") for k, v in params.items()}
-
-    schedules = doc.get("h_schedule", {}) or {}
-    if not isinstance(schedules, dict):
-        raise ScenarioError("model.h_schedule must be a mapping")
-    h_schedule = {k: _parse_schedule(v, f"model.h_schedule.{k}") for k, v in schedules.items()}
-
-    entries = doc.get("a_observables", []) or []
-    if not isinstance(entries, list):
-        raise ScenarioError("model.a_observables must be a list")
-    observables = [_parse_observable(entry, k) for k, entry in enumerate(entries)]
-
+    fields = _read(doc, "model")
+    kinds = FAMILY_PARAMS.get(fields["family"], {})
+    params = {k: _param(v, kinds.get(k), f"model.params.{k}") for k, v in fields.get("params", {}).items()}
+    schedules = fields.get("h_schedule", {})
+    observables = fields.get("a_observables", [])
     return HamiltonianModel(
-        dimension=_integer(doc["dimension"], "model.dimension"),
-        family=str(doc["family"]),
+        dimension=fields["dimension"],
+        family=fields["family"],
         params=params,
-        h_schedule=h_schedule,
-        a_observables=tuple(observables),
+        h_schedule={k: _parse_schedule(v, f"model.h_schedule.{k}") for k, v in schedules.items()},
+        a_observables=tuple(_parse_observable(entry, k) for k, entry in enumerate(observables)),
         t0=t0,
     )
 
 
 def _parse_observable(entry, index: int) -> ObservableSpec:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"a_observables[{index}] must be a mapping")
-    _reject_unknown(entry, _OBSERVABLE_KEYS, f"a_observables[{index}]")
-    name = str(entry.get("name", f"A{index}"))
-    source = entry.get("matrix_source")
-    if source is None:
-        raise ScenarioError(f"observable {name!r}: missing 'matrix_source'")
-    data = entry.get("data")
+    label = f"model.a_observables[{index}]"
+    fields = _read(entry, "observable", label)
+    name = fields.get("name", f"A{index}")
+    data = fields.get("data")
     if data is not None:
         data = _complex_matrix(data, f"observable {name!r} data")
-    return ObservableSpec(name=name, source=str(source), data=data)
+    return ObservableSpec(name=name, source=fields["matrix_source"], data=data)
 
 
 def _parse_schedule(entry, label: str) -> ScheduleSpec:
@@ -387,16 +384,8 @@ def _parse_schedule(entry, label: str) -> ScheduleSpec:
         return ScheduleSpec(kind="constant", base=_real(entry, label))
     if not isinstance(entry, dict):
         raise ScenarioError(f"{label}: schedule must be a mapping or a number")
-    if "kind" not in entry:
-        raise ScenarioError(f'{label}: missing required key "kind"')
-    spec = ScheduleSpec(kind=str(entry["kind"]))  # rejects an unknown kind
-    unknown = set(entry) - {"kind"} - _SCHEDULE_KEYS[spec.kind]
-    if unknown:
-        raise ScenarioError(f"{label}: unknown schedule keys {sorted(unknown)} for kind {spec.kind!r}")
-    kwargs = {key: _real(entry[key], f"{label}.{key}") for key in sorted(set(entry) - {"kind", "base"})}
-    if "base" in entry:
-        kwargs["base"] = _scalar(entry["base"], f"{label}.base")
-    return replace(spec, **kwargs)
+    kind = _typed(entry.get("kind"), SCHEDULE_KINDS, f"{label}.kind")
+    return ScheduleSpec(**_read(entry, kind, label))
 
 
 def _scalar(value, label: str) -> float | complex:
@@ -407,19 +396,15 @@ def _scalar(value, label: str) -> float | complex:
     return value
 
 
-def _param(key: str, value, label: str):
-    """A model parameter: a scalar, or a list of finite reals (list-valued
-    parameters such as similarity-rand energies; checked by the family).
-
-    `energies` is always such a list; any other two-element list is an
-    [re, im] pair."""
-    if isinstance(value, list) and (key == "energies" or len(value) != 2):
+def _param(value, kind: str | None, label: str):
+    """A model parameter: a list of finite reals for a "reals" kind, else a scalar."""
+    if kind == "reals" and isinstance(value, list):
         return [_real(v, f"{label}[{k}]") for k, v in enumerate(value)]
     return _scalar(value, label)
 
 
 def _complex_matrix(data, label: str) -> np.ndarray:
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+    if not all(isinstance(row, list) for row in data):
         raise ScenarioError(f"{label}: expected a nested list matrix, got {data!r}")
     rows = [[_scalar(v, label) for v in row] for row in data]
     if len({len(row) for row in rows}) > 1:
@@ -427,21 +412,18 @@ def _complex_matrix(data, label: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_initial_state(entry):
+def _parse_initial_state(entry: dict):
     """Exactly one of the three forms, each with only its own keys."""
-    form = str(entry.get("preset", "vector")) if isinstance(entry, dict) and entry else None
-    if form not in _INITIAL_STATE_KEYS:
-        raise ScenarioError("initial_state takes {preset: uniform}, {preset: eigenstate, index: k} or {vector: [...]}")
-    if set(entry) != (keys := _INITIAL_STATE_KEYS[form]):
-        raise ScenarioError(f"initial_state ({form}) takes the keys {sorted(keys)}, got {sorted(entry)}")
+    form = "vector"
+    if "preset" in entry:
+        form = _typed(entry["preset"], ("uniform", "eigenstate"), "initial_state.preset")
+    fields = _read(entry, form, "initial_state")
     if form == "uniform":
         return "uniform"
     if form == "eigenstate":
-        return ("eigenstate", _integer(entry["index"], "initial_state.index"))
-    vector = entry["vector"]
-    if not isinstance(vector, list):
-        raise ScenarioError(f"initial_state.vector must be a list, got {vector!r}")
-    vector = np.array([_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(vector)], dtype=complex)
+        return ("eigenstate", fields["index"])
+    vector = [_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(fields["vector"])]
+    vector = np.array(vector, dtype=complex)
     with np.errstate(over="ignore"):
         if not np.isfinite(np.linalg.norm(vector)):
             raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
@@ -450,26 +432,25 @@ def _parse_initial_state(entry):
     return vector
 
 
-def _parse_checks(entry):
-    if entry is None:
+def _parse_checks(entries):
+    """The selected check names, each once, and their threshold overrides."""
+    if entries is None:
         return None, {}
-    if not isinstance(entry, list):
-        raise ScenarioError("checks must be a list")
     selection = []
     overrides = {}
-    for item in entry:
+    for k, item in enumerate(entries):
         if isinstance(item, str):
-            name = item
-        elif isinstance(item, dict) and "name" in item:
-            name = str(item["name"])
-            if "threshold" in item:
-                thr = _real(item["threshold"], f"check {name!r}: threshold")
-                if thr <= 0:
-                    raise ScenarioError(f"check {name!r}: threshold must be a positive number")
-                overrides[name] = thr
+            item = {"name": item}
+        elif isinstance(item, dict):
+            item = _read(item, "check", f"checks[{k}]")
         else:
             raise ScenarioError(f"checks entries must be names or {{name, threshold}}: {item!r}")
+        name = item["name"]
         if name not in DEFAULT_THRESHOLDS:
             raise ScenarioError(f"unknown check name {name!r}")
+        if "threshold" in item:
+            if item["threshold"] <= 0:
+                raise ScenarioError(f"check {name!r}: threshold must be a positive number")
+            overrides[name] = item["threshold"]
         selection.append(name)
-    return tuple(selection), overrides
+    return _unique(selection, "checks"), overrides

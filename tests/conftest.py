@@ -22,13 +22,11 @@ SHIPPED_SCENARIOS = (
 
 
 def load_scenario(name, **replacements):
-    """Parse a shipped scenario, optionally overriding dotted config paths."""
-    import yaml
-
+    """Parse a shipped scenario as the command line reads it, optionally overriding dotted config paths."""
     from qhdyn import scenario_from_dict
-    from qhdyn.scenario import set_by_path
+    from qhdyn.scenario import load_document, set_by_path
 
-    raw = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
+    raw = load_document((SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
     for key, value in replacements.items():
         set_by_path(raw, key, value)
     return scenario_from_dict(raw, name=name)

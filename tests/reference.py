@@ -21,7 +21,7 @@ from qhdyn import DressingTrack
 from qhdyn.dressing import build_generator, build_theta, dagger
 from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, IntegrationError
 from qhdyn.evolution import PICTURES, resolve_initial_state, standard_phases
-from qhdyn.model import HamiltonianModel, _similarity_energies
+from qhdyn.model import HamiltonianModel
 from qhdyn.spectral import (
     BiorthogonalFrame,
     _BIORTHO_TOL,
@@ -209,5 +209,5 @@ def spectrum_closed_form(model: HamiltonianModel, t: float) -> np.ndarray | None
         root = np.sqrt(disc)
         return np.array([-root, root])
     if model.family == "similarity-rand":
-        return np.sort(_similarity_energies(model))
+        return np.sort(np.asarray(model.params["energies"], dtype=float))
     return None

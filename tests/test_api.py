@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import qhdyn
+from qhdyn.model import FAMILY_PARAMS
+from qhdyn.scenario import SCHEMA, load_document
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +47,14 @@ def test_readme_scenario_example_parses_and_passes():
     report = qhdyn.run(config)
     assert [r.name for r in report.reports] == ["theta-norm-conservation", "equivalence"]
     assert report.passed
+    # the block shows every key of these rows, and the families table every family's params
+    doc = load_document(text)
+    for row, mapping in [("scenario", doc), ("model", doc["model"]), ("time", doc["time"]),
+                         ("evolution", doc["evolution"])]:
+        required, optional = SCHEMA[row]
+        assert set(mapping) == required.keys() | optional.keys(), row
+    table = section.split("Built-in Hamiltonian families:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` +\|([^|]*)\|", table, re.M)
+    assert {family: set(re.findall(r"`(\w+)`", params)) for family, params in rows} == {
+        family: set(params) for family, params in FAMILY_PARAMS.items()
+    }

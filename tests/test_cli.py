@@ -108,6 +108,11 @@ _REJECTED_BEFORE_NUMERICS = [
     ["evolution.omega_dot=analytic-mu-only"],  # a retired key, whatever its value
     ["pictures=[right]", "checks=[state-consistency]"],
     ["model.a_observables=[]", "checks=[observable-reality]"],
+    # a section of the wrong type, a key a check entry or an observable does not read, a duplicate
+    ["model.h_schedule=0"],
+    ["checks=[{name: equivalence, bogus: 1}]"],
+    ["model.a_observables.0.data=[[1,0],[0,1]]"],
+    ["outputs=[H,H]"],
 ]
 
 
@@ -127,7 +132,8 @@ def test_misconfiguration_exits_two_before_any_eigensolve(overrides, monkeypatch
     for item in overrides:
         argv += ["--override", item]
     assert main(argv) == EXIT_CONFIG_ERROR
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
     assert solves == []
     raw = yaml.safe_load((SCENARIO_DIR / "cubic_osc_drive.yaml").read_text(encoding="utf-8"))
     with pytest.raises(ScenarioError):
@@ -520,6 +526,8 @@ def test_worst_t_is_where_each_residual_peaks(tmp_path):
         "model.h_schedule.c.rate=5",  # a sinusoidal schedule
         "initial_state.bogus=1",
         "initial_state.index=99",  # next to preset: uniform
+        "model.params.zzz=5",
+        "model.params.seed=3",  # similarity-rand's, not triangular2's
         "initial_state.vector=[1, .nan]",  # next to preset: uniform
     ],
 )
@@ -529,6 +537,16 @@ def test_a_key_the_run_would_ignore_exits_two(override, capsys):
     assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
     key = override.split("=")[0].split(".")[-1]
     assert f"'{key}'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["document", "override"])
+def test_a_null_name_takes_the_file_stem(where, tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    text = (SCENARIO_DIR / "static_hermitian.yaml").read_text()
+    path.write_text(text.replace("name: static_hermitian", "name: null") if where == "document" else text)
+    override = ["--override", "name=null"] if where == "override" else []
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *override]) == EXIT_OK
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["doc"]
 
 
 @pytest.mark.parametrize("name", ["../../x", "a/b", "a\\b", ".", ".."])

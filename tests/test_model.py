@@ -117,16 +117,39 @@ def test_cubic_coupling_validated_at_t0():
 def test_missing_parameter_named():
     with pytest.raises(ScenarioError, match="'c'"):
         HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0})
+    with pytest.raises(ScenarioError, match="needs parameter 'energies'"):
+        HamiltonianModel(2, "similarity-rand", {"seed": 1})
+
+
+@pytest.mark.parametrize("family, params", [
+    ("triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0, "seed": 3}),
+    ("pt2", {"gamma": 0.0, "s": 1.0, "zzz": 5}),
+    ("similarity-rand", {"energies": [1.0, 2.0], "g": 0.1}),
+    ("cubic-trunc", {"g": 0.1, "energies": [1.0, 2.0]}),
+])
+def test_a_parameter_the_family_does_not_read_is_rejected(family, params):
+    with pytest.raises(ScenarioError, match=rf"family '{family}' takes no parameter \['\w+'\]; it takes"):
+        HamiltonianModel(2, family, params)
+
+
+def test_seed_defaults_to_zero():
+    model = HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0]})
+    assert model.params["seed"] == 0
+    explicit = HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0], "seed": 0})
+    assert build_hamiltonian(model, 0.0).tobytes() == build_hamiltonian(explicit, 0.0).tobytes()
 
 
 def test_schedule_must_reference_existing_parameter():
-    with pytest.raises(ScenarioError, match="unknown parameter"):
+    with pytest.raises(ScenarioError, match="'kappa', not a scalar parameter of family 'triangular2'"):
         HamiltonianModel(
             2,
             "triangular2",
             {"e1": 1.0, "e2": 2.0, "c": 1.0},
             {"kappa": ScheduleSpec("constant", base=1.0)},
         )
+    # similarity-rand has no scalar parameter to schedule
+    with pytest.raises(ScenarioError, match="'seed', not a scalar parameter of family 'similarity-rand'"):
+        HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0]}, {"seed": ScheduleSpec("constant", base=1.0)})
 
 
 def test_dimension_constraints():
@@ -202,6 +225,8 @@ def test_observable_spec_validation():
         ObservableSpec("A", "frobnicate")
     with pytest.raises(ScenarioError, match="needs a matrix"):
         ObservableSpec("A", "user-matrix")
+    with pytest.raises(ScenarioError, match="source 'hamiltonian-itself' takes no matrix"):
+        ObservableSpec("H", "hamiltonian-itself", data=np.eye(2))
     with pytest.raises(ScenarioError, match="Hermitian"):
         ObservableSpec("A", "function-of-frame", data=np.array([[0.0, 1.0], [0.0, 0.0]]))
     spec = ObservableSpec("A", "function-of-frame", data=np.array([[1.0, 0.0], [0.0, -1.0]]))

@@ -2,6 +2,8 @@ import copy
 import functools
 import json
 import operator
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhdyn import ScenarioConfig, ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
-from qhdyn.scenario import _parse_schedule, load_document, set_by_path
+from qhdyn.model import FAMILY_PARAMS
+from qhdyn.scenario import SCHEMA, _parse_schedule, load_document, set_by_path
 
 from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
 
@@ -87,7 +90,7 @@ def test_bad_time_grids_rejected():
 def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown scenario keys"):
         parse_scenario(MINIMAL + "\nbanana: 1\n")
-    with pytest.raises(ScenarioError, match="unknown schedule keys"):
+    with pytest.raises(ScenarioError, match=r"unknown mu\[0\] keys: \['slope'\]; constant takes \['base', 'kind'\]"):
         parse_scenario(MINIMAL.replace("{kind: constant, base: 1.0}", "{kind: constant, slope: 1.0}", 1))
 
 
@@ -113,10 +116,16 @@ def test_initial_state_forms():
     with pytest.raises(ScenarioError, match="initial_state"):
         parse_scenario(MINIMAL + "initial_state: {bogus: 1}\n")
     # exactly one form, each with only its own keys
-    for entry in ("{preset: uniform, index: 1}", "{preset: uniform, vector: [1, 0]}", "{vector: [1, 0], index: 0}",
-                  "{preset: eigenstate, index: 0, vector: [1, 0]}", "{preset: uniform, bogus: 1}",
-                  "{preset: eigenstate}"):
-        with pytest.raises(ScenarioError, match=r"initial_state \(\w+\) takes the keys"):
+    for entry, message in [
+        ("{preset: uniform, index: 1}", r"\['index'\]; uniform takes \['preset'\]"),
+        ("{preset: uniform, vector: [1, 0]}", r"\['vector'\]; uniform takes"),
+        ("{vector: [1, 0], index: 0}", r"\['index'\]; vector takes \['vector'\]"),
+        ("{preset: eigenstate, index: 0, vector: [1, 0]}", r"\['vector'\]; eigenstate takes \['index', 'preset'\]"),
+        ("{preset: uniform, bogus: 1}", r"\['bogus'\]; uniform takes"),
+        ("{preset: eigenstate}", 'missing required key "initial_state.index"'),
+        ("{preset: vector, vector: [1, 0]}", r"initial_state.preset must be one of \('uniform', 'eigenstate'\)"),
+    ]:
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(MINIMAL + f"initial_state: {entry}\n")
 
 
@@ -134,7 +143,7 @@ def test_each_schedule_kind_takes_only_its_own_keys(kind, keys):
     spec = _parse_schedule({"kind": kind, **{key: every[key] for key in keys}}, "mu[0]")
     assert all(getattr(spec, key) == every[key] for key in keys)
     for key in every.keys() - keys:
-        with pytest.raises(ScenarioError, match=rf"mu\[0\]: unknown schedule keys \['{key}'\] for kind '{kind}'"):
+        with pytest.raises(ScenarioError, match=rf"unknown mu\[0\] keys: \['{key}'\]; {kind} takes"):
             _parse_schedule({"kind": kind, key: every[key]}, "mu[0]")
 
 
@@ -156,7 +165,7 @@ def test_observable_parsing():
     with pytest.raises(ScenarioError, match="unknown observable"):
         parse_scenario(MINIMAL + "outputs: [phantom]\n")
     # one spelling of the source key
-    with pytest.raises(ScenarioError, match=r"unknown a_observables\[0\] keys: \['source'\]"):
+    with pytest.raises(ScenarioError, match=r"unknown model\.a_observables\[0\] keys: \['source'\]"):
         parse_scenario(doc.replace("{name: H, matrix_source:", "{name: H, source:"))
 
 
@@ -335,3 +344,94 @@ def test_scenario_from_dict_fuzz(data):
     except ScenarioError:
         return
     assert isinstance(config, ScenarioConfig)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("model.h_schedule", 0, "model.h_schedule must be a mapping, got 0"),
+        ("model.h_schedule", False, "model.h_schedule must be a mapping, got False"),
+        ("model.a_observables", 0, "model.a_observables must be a list, got 0"),
+        ("model.params", [], r"model.params must be a mapping, got \[\]"),
+        ("evolution", 0, "evolution must be a mapping, got 0"),
+        ("pictures", "right", "pictures must be a list, got 'right'"),
+        ("initial_state", "uniform", "initial_state must be a mapping, got 'uniform'"),
+        ("time", None, 'missing required key "time"'),
+        ("model.h_schedule", None, None),
+        ("model.a_observables", None, None),
+        ("evolution", None, None),
+        ("pictures", None, None),
+        ("initial_state", None, None),
+        ("checks", None, None),
+        ("outputs", None, None),
+    ],
+)
+def test_a_section_is_its_own_type_or_null_for_absent(path, value, message):
+    raw = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    raw["evolution"] = {"reality": "report"}
+    set_by_path(raw, path, value)
+    if message is not None:
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(raw)
+        return
+    absent = copy.deepcopy(raw)
+    *parents, key = path.split(".")
+    del functools.reduce(operator.getitem, parents, absent)[key]
+    assert repr(replace(scenario_from_dict(raw), raw={})) == repr(replace(scenario_from_dict(absent), raw={}))
+
+
+@pytest.mark.parametrize(
+    "key, value, entry",
+    [
+        ("checks", ["equivalence", "equivalence"], "equivalence"),
+        ("checks", [{"name": "equivalence", "threshold": 1.0}, "equivalence"], "equivalence"),
+        ("outputs", ["H", "H"], "H"),
+        ("pictures", ["right", "right"], "right"),
+    ],
+)
+def test_an_entry_listed_twice_is_rejected(key, value, entry):
+    raw = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    raw[key] = value
+    with pytest.raises(ScenarioError, match=f"^{key} lists '{entry}' more than once$"):
+        scenario_from_dict(raw)
+
+
+README = SCENARIO_DIR.parent / "README.md"
+
+# the shipped scenarios and the README's example, which adds a check entry and `evolution`
+_ACCEPTED = [load_document(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.yaml"))] + [
+    load_document(re.search(r"```yaml\n(.*?)```", README.read_text().split("## Scenario files", 1)[1], re.S).group(1))
+]
+# every key a mapping of a document can take
+_KNOWN_KEYS = {key for required, optional in SCHEMA.values() for key in required | optional}
+_KNOWN_KEYS |= {param for params in FAMILY_PARAMS.values() for param in params}
+
+
+def _mappings(node, path=()):
+    """The path of every mapping in a document."""
+    if isinstance(node, dict):
+        yield path
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+        yield from _mappings(child, path + (key,))
+
+
+@given(st.data())
+def test_a_key_outside_the_schema_is_rejected(data):
+    """Metamorphic: an accepted document with one more key, in any mapping, is rejected."""
+    raw = copy.deepcopy(data.draw(st.sampled_from(_ACCEPTED)))
+    path = data.draw(st.sampled_from(list(_mappings(raw))))
+    key = data.draw((st.sampled_from(_WORDS) | st.text(max_size=6) | st.integers()).filter(lambda k: k not in _KNOWN_KEYS))
+    functools.reduce(operator.getitem, path, raw)[key] = data.draw(_leaves)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(raw)
+
+
+def test_every_shipped_and_workload_document_is_accepted(monkeypatch):
+    for raw in _ACCEPTED:
+        scenario_from_dict(raw)
+    monkeypatch.syspath_prepend(str(SCENARIO_DIR.parent / "benchmarks"))
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        for seed in range(200):
+            scenario_from_dict(workload.document(seed))
