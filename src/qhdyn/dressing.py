@@ -13,6 +13,8 @@ Whether H moves is the model's to say (`HamiltonianModel.is_time_dependent`).
 A static H is solved once, and dOmega/dt is the exact mu derivative times
 its constant left bras; a moving H is solved at every grid point, and
 dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
+Every solved point must have a real spectrum (`spectral.eig_biorthogonal`
+aborts at the first that has not), so the frame of a real gauge stays real.
 
 The track is one set of stacked arrays over the time grid: every matrix
 quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
@@ -304,7 +306,7 @@ def _gauged(hams: np.ndarray, gauge: np.ndarray | None) -> np.ndarray:
     return gauged if np.any(gauged.imag) else gauged.real.copy()
 
 
-def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_policy: str):
+def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int):
     """Solve H at ``times`` in blocks of at most `_FRAME_ENTRIES` entries,
     each tracked on from the block before, and yield (grid slice, tracked
     frame) per block; ``hamiltonian`` maps a block of times to its stack.
@@ -318,11 +320,11 @@ def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_poli
         k = block.start
         hams = hamiltonian(times[block])
         try:
-            raw = eig_biorthogonal(hams, reality_policy=reality_policy, t=times[block])
+            raw = eig_biorthogonal(hams, t=times[block])
         except NumericalDomainError as exc:
             j = int(np.searchsorted(times[block], exc.t))
             if j > 0:
-                prefix = eig_biorthogonal(hams[:j], reality_policy=reality_policy, t=times[k : k + j])
+                prefix = eig_biorthogonal(hams[:j], t=times[k : k + j])
                 track_continuity(prefix, carry)
             raise
         frame = track_continuity(raw, carry)
@@ -332,10 +334,7 @@ def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int, reality_poli
 
 
 def build_dressing_track(
-    model: HamiltonianModel,
-    mu_schedules: Sequence[ScheduleSpec],
-    times: np.ndarray,
-    reality_policy: str = "assert",
+    model: HamiltonianModel, mu_schedules: Sequence[ScheduleSpec], times: np.ndarray
 ) -> DressingTrack:
     """Assemble frames and dressing maps along a uniform time grid.
 
@@ -345,7 +344,7 @@ def build_dressing_track(
     continuity-tracked block by block, so the sampled Omega(t) lies on one
     smooth curve, and dOmega/dt is taken by 4th-order stencils over it.
     What is solved is G = D* H D in the model's real gauge (real for cubic-trunc, to
-    Theta's eigenvalues); a complex block upcasts the stored frame once.
+    Theta's eigenvalues); a complex pair of a real G aborts the run, so the stored frame stays real.
     """
     times = np.asarray(times, dtype=float)
     if len(mu_schedules) != model.dimension:
@@ -358,7 +357,7 @@ def build_dressing_track(
     mu = mu_series(mu_schedules, times)
     gauge = real_gauge(model)
     hamiltonian = lambda t: _gauged(build_hamiltonian(model, t), gauge)
-    for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension, reality_policy):
+    for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension):
         if block.start == 0:  # allocated once the first block's raw frame is freed
             initial = _point(frame, 0, frame.t)
             if gauge is not None:  # H's frame: kets D R diag(z), bras diag(z*) L D*, z* = d_p
@@ -369,8 +368,6 @@ def build_dressing_track(
             kets = np.empty(solved.shape + frame.right_kets.shape[1:], dtype=frame.right_kets.dtype)
             bras = np.empty_like(kets)
             energies = np.empty(solved.shape + mu.shape[-1:], dtype=kets.dtype)
-        if np.iscomplexobj(frame.right_kets) and not np.iscomplexobj(kets):  # a complex block after real ones
-            kets, bras, energies = (a.astype(complex) for a in (kets, bras, energies))
         kets[block], bras[block], energies[block] = frame.right_kets, frame.left_bras, frame.energies
     # read-only (M, ...) views: one solve of a static H stands for every point
     kets, bras, energies = (np.broadcast_to(a, times.shape + a.shape[1:]) for a in (kets, bras, energies))

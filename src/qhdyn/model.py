@@ -15,7 +15,7 @@ Four families are provided:
     N x N truncation of p^2 + i g x^3 in the harmonic-oscillator basis
     (omega = 1 convention, x = (a + a')/sqrt(2), p = i(a' - a)/sqrt(2)).
     Matrix elements are the exact infinite-basis ones restricted to the
-    first N levels; spectral reality of the truncation is reported by the
+    first N levels; spectral reality of the truncation is checked by the
     eigensolver at run time, never assumed.  The matrix is real in the
     phase gauge diag(i^n) (see `real_gauge`).
 
@@ -136,20 +136,21 @@ class HamiltonianModel:
         """True when some parameter genuinely varies in time."""
         return any(not s.is_static for s in self.h_schedule.values())
 
-    def param(self, name: str, t: float | np.ndarray) -> complex | np.ndarray:
+    def param(self, name: str, t: float | np.ndarray | None) -> complex | np.ndarray:
         """Parameter value at time ``t`` (schedule applied when attached;
-        elementwise for an array of times, a scalar when unscheduled)."""
-        if name in self.h_schedule:
+        elementwise for an array of times, a scalar when unscheduled); with
+        ``t`` None, the params entry itself, scheduled or not."""
+        if name in self.h_schedule and t is not None:
             return eval_schedule(self.h_schedule[name], t)
         try:
             return complex(self.params[name])
-        except TypeError:
+        except (TypeError, ValueError):
             raise ScenarioError(
                 f"parameter {name!r} of family {self.family!r} must be a number, "
                 f"got {self.params[name]!r}"
             ) from None
 
-    def real_param(self, name: str, t: float | np.ndarray) -> float | np.ndarray:
+    def real_param(self, name: str, t: float | np.ndarray | None) -> float | np.ndarray:
         value = self.param(name, t)
         bad = np.any(np.imag(value)) and np.abs(np.imag(value)) > _REAL_PARAM_TOL * (1.0 + np.abs(value))
         if np.any(bad):
@@ -238,7 +239,8 @@ def _oscillator_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_params(model: HamiltonianModel):
-    """The family's params, each of its kind at t0, and no other; schedules only on scalars."""
+    """The family's params, each of its kind (a scheduled one too, and also at t0), and no
+    other; schedules only on scalars."""
     kinds = FAMILY_PARAMS[model.family]
     if unknown := model.params.keys() - kinds.keys():
         raise ScenarioError(
@@ -263,9 +265,10 @@ def _validate_params(model: HamiltonianModel):
             if shape != (model.dimension,):
                 raise ScenarioError(f"{name!r} must list {model.dimension} real values, got {values!r}")
         elif kind == "real":
+            model.real_param(name, None)
             model.real_param(name, model.t0)
         else:
-            model.param(name, model.t0)
+            model.param(name, None)
 
 
 def _validate_family(model: HamiltonianModel):

@@ -51,7 +51,7 @@ def run(config: ScenarioConfig) -> RunReport:
     """
     started = _time.perf_counter()
     _, fine = time_grid(config.t0, config.t1, config.dt)
-    track = build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
+    track = build_dressing_track(config.model, config.mu, fine)
     trajectory = propagate_quasi(
         track,
         config.initial_state,
@@ -115,7 +115,7 @@ def summary_text(report: RunReport) -> str:
         f"scenario: {cfg.name}",
         f"family: {cfg.model.family}  N={cfg.model.dimension}",
         f"grid: t0={cfg.t0:g} t1={cfg.t1:g} dt={cfg.dt:g} steps={cfg.steps}",
-        f"generator: {cfg.generator}  reality: {cfg.reality_policy}",
+        f"generator: {cfg.generator}",
         "",
     ]
     for r in report.reports:

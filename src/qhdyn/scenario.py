@@ -12,8 +12,9 @@ A scenario is a YAML document with these top-level keys (normative):
                    all; 'standard' is accepted but always computed)
     checks         list of check names or {name, threshold} entries
                    (default: every applicable check)
-    evolution      generator: hgen | h-only; reality: assert | report
-                   (both optional)
+    evolution      generator: hgen | h-only (optional); reality: assert |
+                   report is accepted and changes nothing: every run
+                   rejects a complex spectrum (exit 3)
     outputs        observable names to add as expectation-value CSV columns
                    (default: all declared observables)
 
@@ -46,7 +47,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .evolution import PICTURES, time_grid, validate_pictures
+from .evolution import PICTURES, initial_vector, time_grid, validate_pictures
 from .model import FAMILY_PARAMS, HamiltonianModel, ObservableSpec
 from .schedules import SCHEDULE_KINDS, ScheduleSpec, validate_bounded, validate_nonvanishing
 from .verify import DEFAULT_THRESHOLDS, unmet_need
@@ -88,7 +89,6 @@ class ScenarioConfig:
     check_selection: tuple[str, ...] | None
     check_overrides: Mapping[str, float]
     generator: str
-    reality_policy: str
     outputs: tuple[str, ...]
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -210,7 +210,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         check_selection=selection,
         check_overrides=overrides,
         generator=evolution["generator"],
-        reality_policy=evolution["reality"],
         outputs=tuple(str(o) for o in outputs),
         raw=raw,
     )
@@ -423,13 +422,7 @@ def _parse_initial_state(entry: dict):
     if form == "eigenstate":
         return ("eigenstate", fields["index"])
     vector = [_scalar(v, f"initial_state.vector[{k}]") for k, v in enumerate(fields["vector"])]
-    vector = np.array(vector, dtype=complex)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.linalg.norm(vector)):
-            raise ScenarioError("initial_state.vector is too large: its squared norm overflows")
-    if np.linalg.norm(vector) ** 2 < np.finfo(float).tiny:
-        raise ScenarioError("initial_state.vector is too small: its squared norm is not a normal double")
-    return vector
+    return initial_vector(vector, "initial_state.vector")
 
 
 def _parse_checks(entries):

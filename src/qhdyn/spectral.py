@@ -6,6 +6,10 @@ with completeness sum_n |n><<n| = I.  Near an exceptional point a left-right
 pair becomes orthogonal and the construction degenerates; that is detected via
 the raw overlap magnitude, not via Jordan-form analysis.
 
+H_gen exists only while H is quasi-Hermitian, so `eig_biorthogonal` rejects a
+complex spectrum (|Im E| >= `REALITY_TOL`) at its first grid point, saying
+that an exceptional point was crossed at or before it.
+
 Both entry points work on a block of grid points at once: `eig_biorthogonal`
 takes an (M, N, N) stack of matrices and returns a frame of stacked arrays,
 and `track_continuity` aligns every point of such a stack with its predecessor.
@@ -82,9 +86,9 @@ def _raise_earliest(failures: list[_Failure]):
 def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
     """Max-norm residuals of a frame stack, all formed in one product buffer:
     the (M,) biorthonormality and completeness residuals ||<<m|n> - I|| and
-    ||sum_n |n><<n| - I||, then, with ``matrix``, the (M, N) right and left
-    eigen-residuals of each pair."""
-    product = np.empty(kets.shape, dtype=np.result_type(kets, bras, energies, *([] if matrix is None else [matrix])))
+    ||sum_n |n><<n| - I||, then the (M, N) right and left eigen-residuals of
+    each pair against the ``matrix`` stack."""
+    product = np.empty(kets.shape, dtype=np.result_type(kets, bras, energies, matrix))
 
     def worst(a, b, minus, axis):
         np.matmul(a, b, out=product)
@@ -93,16 +97,27 @@ def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
 
     eye = np.eye(kets.shape[-1])
     with np.errstate(invalid="ignore", over="ignore"):
-        residuals = [worst(bras, kets, eye, (-2, -1)), worst(kets, bras, eye, (-2, -1))]
-        if matrix is not None:
-            residuals.append(worst(matrix, kets, kets * energies[:, None, :], -2))
-            residuals.append(worst(bras, matrix, energies[:, :, None] * bras, -1))
-    return residuals
+        return [
+            worst(bras, kets, eye, (-2, -1)),
+            worst(kets, bras, eye, (-2, -1)),
+            worst(matrix, kets, kets * energies[:, None, :], -2),
+            worst(bras, matrix, energies[:, :, None] * bras, -1),
+        ]
 
 
 def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
-    bi_res, complete_res, *eigen = _frame_residuals(kets, bras, energies, matrix)
-    failures: list[_Failure] = [(
+    bi_res, complete_res, right, left = _frame_residuals(kets, bras, energies, matrix)
+    bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
+
+    def residual_error(k):
+        j = int(np.argmax(bad[k]))
+        return ExceptionalPointError(
+            f"eigenpair {j} residual too large at t={times[k]:g} "
+            f"(right {right[k, j]:.3e}, left {left[k, j]:.3e})",
+            t=float(times[k]),
+        )
+
+    return [(
         (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL),
         lambda k: ExceptionalPointError(
             f"biorthogonal frame validation failed at t={times[k]:g} "
@@ -110,21 +125,7 @@ def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
             f"{complete_res[k]:.3e}); eigenvector system is numerically degenerate",
             t=float(times[k]),
         ),
-    )]
-    if eigen:
-        right, left = eigen
-        bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
-
-        def residual_error(k):
-            j = int(np.argmax(bad[k]))
-            return ExceptionalPointError(
-                f"eigenpair {j} residual too large at t={times[k]:g} "
-                f"(right {right[k, j]:.3e}, left {left[k, j]:.3e})",
-                t=float(times[k]),
-            )
-
-        failures.append((bad.any(axis=-1), residual_error))
-    return failures
+    ), (bad.any(axis=-1), residual_error)]
 
 
 def _inverse(kets: np.ndarray) -> np.ndarray:
@@ -142,19 +143,15 @@ def _inverse(kets: np.ndarray) -> np.ndarray:
         return bras
 
 
-def eig_biorthogonal(
-    H: np.ndarray,
-    reality_policy: str = "report",
-    t: float | np.ndarray = 0.0,
-) -> BiorthogonalFrame:
+def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> BiorthogonalFrame:
     """Biorthogonal eigendecomposition of one square matrix, or of an
     (M, N, N) stack of them taken at the (M,) times ``t``.
 
     One batched `np.linalg.eig` gives the right kets; the left bras are the
     rows of inv(R), biorthonormal by construction.  Every step follows the
-    dtype of the input: a real stack with a real spectrum is sorted,
-    normalized, inverted and validated in real arithmetic, giving a real
-    frame; a complex stack, or a complex pair anywhere, gives a complex one.
+    dtype of the input: a real stack is sorted, normalized, inverted and
+    validated in real arithmetic, giving a real frame (a complex pair of it
+    is rejected below); a complex stack gives a complex one.
 
     Normalization convention: unit-norm |n> with its largest-magnitude
     component real and positive, and <<n|n> = 1, for the matrix handed in
@@ -164,18 +161,16 @@ def eig_biorthogonal(
 
     Per point, in this order: raises `ExceptionalPointError` when an
     exceptional-point margin 1 / (||<<n|| ||n>||) falls below 1e-8 (defective
-    or near-defective input, including a singular R); with reality_policy
-    'assert', `ComplexSpectrumError` when any |Im E_n| >= 1e-10 ('report'
-    leaves reality to the caller); then
-    `ExceptionalPointError` when the frame fails validation.  The earliest
-    failing point of a stack is the one reported.
+    or near-defective input, including a singular R); `ComplexSpectrumError`
+    when any |Im E_n| >= 1e-10, saying that an exceptional point was crossed
+    at or before that point; then `ExceptionalPointError` when the frame
+    fails validation.  The earliest failing point of a stack is the one
+    reported.
     """
     H = np.asarray(H)
     H = H.astype(np.result_type(H, float), copy=False)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
-    if reality_policy not in ("assert", "report"):
-        raise ValueError(f"unknown reality_policy {reality_policy!r}")
     n = H.shape[-1]
     stack = H.reshape(-1, n, n)
     times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
@@ -192,7 +187,7 @@ def eig_biorthogonal(
     with np.errstate(over="ignore", invalid="ignore"):
         margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
 
-    worst = margins.min(axis=-1)
+    worst, worst_im = margins.min(axis=-1), np.max(np.abs(w.imag), axis=-1)
     failures: list[_Failure] = [(
         worst < EP_OVERLAP_TOL,
         lambda k: ExceptionalPointError(
@@ -200,17 +195,14 @@ def eig_biorthogonal(
             "matrix is defective or near an exceptional point",
             t=float(times[k]),
         ),
+    ), (
+        worst_im >= REALITY_TOL,
+        lambda k: ComplexSpectrumError(
+            f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g}; "
+            "an exceptional point was crossed at or before this grid point",
+            t=float(times[k]),
+        ),
     )]
-    if reality_policy == "assert":
-        worst_im = np.max(np.abs(w.imag), axis=-1)
-        failures.append((
-            worst_im >= REALITY_TOL,
-            lambda k: ComplexSpectrumError(
-                f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g} "
-                "under reality_policy='assert'",
-                t=float(times[k]),
-            ),
-        ))
     failures += _frame_failures(kets, bras, w, times, stack)
     _raise_earliest(failures)
 
@@ -261,9 +253,9 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
 
     Raises `AmbiguousMatchError` at the earliest point where the assignment
     is not a unique permutation (two candidate overlaps within 1e-6 of each
-    other, or two rows claiming the same column).  When the spectrum is real
-    at the previous point and not at that point, the message says that an
-    exceptional point was crossed between the two.
+    other, or two rows claiming the same column).  Every frame it is handed
+    has a real spectrum (`eig_biorthogonal` rejects any other), so such a
+    point is a near-degeneracy of the eigenvectors, not a reality loss.
     """
     kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
     m, n = energies.shape
@@ -284,26 +276,17 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     perm = branch_permutations(best[:s], start.perm)
     if bad.size:
         k, rows = first + s, perm[s]
-        before_t, before_e = (times[k - 1], energies[k - 1]) if k else (start.point.t, start.point.energies)
-        worst_im = np.max(np.abs(np.stack([before_e, energies[k]]).imag), axis=-1)
-        crossing = ""
-        if worst_im[0] < REALITY_TOL <= worst_im[1]:
-            crossing = (
-                f"; the spectrum left the real axis between t={before_t:g} and t={times[k]:g}, "
-                f"so an exceptional point was crossed between grid points (max |Im E| = "
-                f"{worst_im[1]:.3e} at t={times[k]:g})"
-            )
         if ambiguous[s, rows].any():
             j = int(np.argmax(ambiguous[s, rows]))
             i = rows[j]
             raise AmbiguousMatchError(
                 f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
-                f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e}){crossing}",
+                f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e})",
                 t=float(times[k]),
             )
         raise AmbiguousMatchError(
             f"continuity matching at t={times[k]:g} is not a permutation: "
-            f"{best[s, rows].tolist()}{crossing}",
+            f"{best[s, rows].tolist()}",
             t=float(times[k]),
         )
 

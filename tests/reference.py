@@ -32,7 +32,7 @@ from qhdyn.spectral import (
 )
 
 
-def reference_eig(H: np.ndarray, reality_policy: str = "report", t: float = 0.0) -> BiorthogonalFrame:
+def reference_eig(H: np.ndarray, t: float = 0.0) -> BiorthogonalFrame:
     """Biorthogonal frame of one matrix via left and right LAPACK eigenvectors."""
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -41,7 +41,7 @@ def reference_eig(H: np.ndarray, reality_policy: str = "report", t: float = 0.0)
     worst = np.min(np.abs(raw))
     if worst < EP_OVERLAP_TOL:
         raise ExceptionalPointError(f"raw left-right overlap {worst:.3e} at t={t:g}")
-    if reality_policy == "assert" and np.max(np.abs(w.imag)) >= REALITY_TOL:
+    if np.max(np.abs(w.imag)) >= REALITY_TOL:
         raise ComplexSpectrumError(f"complex spectrum at t={t:g}")
 
     order = np.lexsort((w.imag, w.real))
@@ -95,11 +95,11 @@ def reference_continuity(prev: BiorthogonalFrame, cur: BiorthogonalFrame) -> Bio
     return BiorthogonalFrame(cur.t, cur.energies[perm], kets, bras, cur.raw_overlaps[perm])
 
 
-def reference_track(hams, times, reality_policy: str = "report") -> list[BiorthogonalFrame]:
+def reference_track(hams, times) -> list[BiorthogonalFrame]:
     """Solve and align the grid one point at a time."""
     frames: list[BiorthogonalFrame] = []
     for H, t in zip(hams, times):
-        frame = reference_eig(H, reality_policy, t)
+        frame = reference_eig(H, t)
         frames.append(frame if not frames else reference_continuity(frames[-1], frame))
     return frames
 

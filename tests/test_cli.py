@@ -149,21 +149,58 @@ def test_exceptional_point_scenario_exit_three(capsys):
     assert "t=0.8" in err and "|Im E|" not in err
 
 
+# runs that leave the real phase: (scenario, overrides, the grid time of the abort)
+ABORT_PROBES = {
+    # the 4 x 4 truncation turns a real pair complex between t = 2.598 and 2.5985
+    "cubic-ramp-late": (
+        "cubic_osc_drive",
+        ["time.t0=2.0", "time.t1=3.0", "model.h_schedule={g: {kind: linear-ramp, base: -0.1, rate: 0.1}}"],
+        "2.5985",
+    ),
+    "cubic-ramp-early": ("cubic_osc_drive", ["model.h_schedule={g: {kind: linear-ramp, base: 0.1, rate: 0.5}}"], "0.12"),
+    # pt2 reaches gamma = s on a grid point: the exceptional point itself
+    "ep-crossing": ("ep_crossing", [], "0.8"),
+}
+
+
+def _probe_argv(probe, *overrides):
+    name, probe_overrides, _ = ABORT_PROBES[probe]
+    argv = ["run", scenario_path(name)]
+    for item in [*probe_overrides, *overrides]:
+        argv += ["--override", item]
+    return argv
+
+
 def test_exceptional_point_between_grid_points_is_named(capsys):
-    # the 4 x 4 truncation turns a real pair complex between two grid points,
-    # where continuity matching finds two equally good candidates
-    code = main([
-        "run", scenario_path("cubic_osc_drive"),
-        "--override", "time.t0=2.0",
-        "--override", "time.t1=3.0",
-        "--override", "model.h_schedule={g: {kind: linear-ramp, base: -0.1, rate: 0.1}}",
-    ])
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL_ERROR
-    assert "continuity match for eigenpair 0 at t=2.5985 is ambiguous" in err
-    assert "the spectrum left the real axis between t=2.598 and t=2.5985" in err
-    assert "an exceptional point was crossed between grid points" in err
-    assert re.search(r"max \|Im E\| = \d\.\d{3}e-0\d at t=2\.5985\)", err)
+    # the first grid point past the crossing has a complex pair: the run
+    # aborts there and says an exceptional point was crossed
+    assert main(_probe_argv("cubic-ramp-late")) == EXIT_NUMERICAL_ERROR
+    assert capsys.readouterr().err == (
+        "numerical-domain error: spectrum has |Im E| = 6.870e-03 >= 1e-10 at t=2.5985; "
+        "an exceptional point was crossed at or before this grid point\n"
+    )
+
+
+@pytest.mark.parametrize("probe", ABORT_PROBES)
+def test_every_reality_value_aborts_alike(probe, capsys):
+    # evolution.reality is accepted and changes nothing: absent, assert and
+    # report end in the same single line, at the same grid time
+    lines = []
+    for extra in ([], ["evolution.reality=assert"], ["evolution.reality=report"]):
+        assert main(_probe_argv(probe, *extra)) == EXIT_NUMERICAL_ERROR
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == lines[2]
+    assert lines[0].count("\n") == 1 and f"at t={ABORT_PROBES[probe][2]}" in lines[0]
+
+
+def test_moving_cubic8_document_runs_with_reality_report(monkeypatch):
+    # the benchmark's document still sets reality: report; it parses and passes
+    monkeypatch.syspath_prepend(str(SCENARIO_DIR.parent / "benchmarks"))
+    from workloads import WORKLOADS
+
+    doc = WORKLOADS["moving-cubic8"].document(1)
+    assert doc["evolution"] == {"reality": "report"}
+    assert run(scenario_from_dict(doc)).passed
 
 
 @pytest.mark.parametrize("override", ["time.dt=.nan", "time.t1=.inf", "time.dt=1e-300"])
@@ -212,7 +249,7 @@ def test_cubic_coupling_checked_at_t0(capsys):
     assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_NUMERICAL_ERROR
     err = capsys.readouterr().err
     assert "must be positive" not in err
-    assert "ambiguous" in err and "t=2.5985" in err
+    assert "|Im E|" in err and "t=2.5985" in err
     # g(2) = -0.1: rejected at the start of the run
     ramp = "model.h_schedule={g: {kind: linear-ramp, base: 0.1, rate: -0.1}}"
     assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_CONFIG_ERROR

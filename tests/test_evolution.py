@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from qhdyn import (
-    ComplexSpectrumError,
     ConditioningError,
     DressingTrack,
     HamiltonianModel,
@@ -30,9 +29,9 @@ EXP_MU2 = (
 )
 
 
-def _track(model, mu, t0=0.0, t1=1.0, dt=1e-3, **kw):
+def _track(model, mu, t0=0.0, t1=1.0, dt=1e-3):
     _, fine = time_grid(t0, t1, dt)
-    return build_dressing_track(model, mu, fine, **kw)
+    return build_dressing_track(model, mu, fine)
 
 
 def _standard_propagator(track):
@@ -61,13 +60,6 @@ def test_standard_propagator_unitary_for_scheduled_energies():
     track = _track(model, CONST_MU2, dt=1e-2)
     u = _standard_propagator(track)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-
-
-def test_standard_propagator_rejects_complex_energies():
-    model = HamiltonianModel(4, "cubic-trunc", {"g": 0.5})  # broken-reality regime
-    track = _track(model, tuple(CONST_MU2) * 2, dt=0.1, reality_policy="report")
-    with pytest.raises(ComplexSpectrumError, match="mid-run"):
-        standard_phases(track)
 
 
 def _inject_hamiltonian(monkeypatch, matrix):
@@ -223,6 +215,9 @@ def test_initial_state_resolution_errors():
         propagate_quasi(track, np.zeros(2))
     with pytest.raises(ScenarioError, match="not a normal double"):
         propagate_quasi(track, np.array([1e-200, 1e-200]))
+    # the document's rule: a squared norm that overflows is rejected before any step
+    with pytest.raises(ScenarioError, match="initial state is too large: its squared norm overflows"):
+        propagate_quasi(track, np.array([1e200, 1e200]))
     with pytest.raises(ScenarioError, match="components"):
         propagate_quasi(track, np.ones(3))
 
@@ -248,7 +243,7 @@ def test_expectation_cases(hand_frame, hand_matrix):
 
 def _config_track(config):
     _, fine = time_grid(config.t0, config.t1, config.dt)
-    return build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
+    return build_dressing_track(config.model, config.mu, fine)
 
 
 @pytest.mark.parametrize("generator", ["hgen", "h-only"])
@@ -334,7 +329,7 @@ def test_propagate_transient_is_bounded_at_n8():
     g = ScheduleSpec("sinusoidal", base=0.025, amplitude=0.3, frequency=2.0)
     model = HamiltonianModel(8, "cubic-trunc", {"g": 0.025}, {"g": g})
     mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.05 * (k - 4)) for k in range(8))
-    track = _track(model, mu, t1=0.25, reality_policy="report")
+    track = _track(model, mu, t1=0.25)
     assert _propagate_transient(track, pictures=("right", "left")) <= 0.5
 
 

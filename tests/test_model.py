@@ -132,6 +132,19 @@ def test_a_parameter_the_family_does_not_read_is_rejected(family, params):
         HamiltonianModel(2, family, params)
 
 
+@pytest.mark.parametrize("schedule", [False, True], ids=["static", "scheduled"])
+def test_a_parameter_of_the_wrong_kind_is_rejected_scheduled_or_not(schedule):
+    # a schedule replaces a parameter's value in time, but its params entry is still checked
+    constant = ScheduleSpec("constant", base=0.1)
+    cases = [
+        (2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": "abc"}, "c", "'c' of family 'triangular2' must be a number"),
+        (2, "pt2", {"gamma": 0.5j, "s": 1.0}, "gamma", r"'gamma' of family 'pt2' must be real, got 0\.5j"),
+    ]
+    for n, family, params, key, message in cases:
+        with pytest.raises(ScenarioError, match=message):
+            HamiltonianModel(n, family, params, {key: constant} if schedule else {})
+
+
 def test_seed_defaults_to_zero():
     model = HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0]})
     assert model.params["seed"] == 0

@@ -37,7 +37,6 @@ def test_minimal_document_fills_defaults():
     assert cfg.pictures == ("right", "left", "standard")
     assert cfg.check_selection is None  # all applicable checks
     assert cfg.generator == "hgen"
-    assert cfg.reality_policy == "assert"
     assert cfg.steps == 100
 
 
@@ -170,9 +169,12 @@ def test_observable_parsing():
 
 
 def test_evolution_block_validation():
-    cfg = parse_scenario(MINIMAL + "evolution: {generator: h-only, reality: report}\n")
+    cfg = parse_scenario(MINIMAL + "evolution: {generator: h-only}\n")
     assert cfg.generator == "h-only"
-    assert cfg.reality_policy == "report"
+    # reality is accepted with either value and changes nothing: every run rejects a complex spectrum
+    for value in ("assert", "report"):
+        same = parse_scenario(MINIMAL + f"evolution: {{generator: h-only, reality: {value}}}\n")
+        assert repr(replace(same, raw={})) == repr(replace(cfg, raw={}))
     # the model decides how dOmega/dt is obtained; the key that chose it is gone
     with pytest.raises(ScenarioError, match=r"unknown evolution keys: \['omega_dot'\]"):
         parse_scenario(MINIMAL + "evolution: {omega_dot: auto}\n")

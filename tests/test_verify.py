@@ -303,7 +303,7 @@ def _document(dimension, t1=0.1):
 
 def _solved(config):
     _, fine = time_grid(config.t0, config.t1, config.dt)
-    track = build_dressing_track(config.model, config.mu, fine, reality_policy=config.reality_policy)
+    track = build_dressing_track(config.model, config.mu, fine)
     return track, propagate_quasi(track, config.initial_state, pictures=config.pictures)
 
 
