@@ -17,18 +17,8 @@ import sys
 from pathlib import Path
 
 from .errors import NumericalDomainError, ScenarioError
-from .runner import (
-    EXIT_CHECK_FAILED,
-    EXIT_CONFIG_ERROR,
-    EXIT_INTERNAL_ERROR,
-    EXIT_NUMERICAL_ERROR,
-    EXIT_OK,
-    run,
-    summary_text,
-    sweep,
-    sweep_summary_text,
-    write_outputs,
-)
+from .runner import (EXIT_CHECK_FAILED, EXIT_INTERNAL_ERROR, EXIT_OK, run, summary_text, sweep, sweep_summary_text,
+                     write_outputs)
 from .scenario import apply_overrides, load_document, parse_scalar_text, scenario_from_dict
 
 
@@ -107,12 +97,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except ScenarioError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except NumericalDomainError as exc:
-        print(f"numerical-domain error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
+    except (ScenarioError, NumericalDomainError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

@@ -10,8 +10,8 @@ operator that actually moves kets in time is
     H_gen(t) = H(t) - i Omega^-1(t) dOmega/dt.
 
 Whether H moves is the model's to say (`HamiltonianModel.is_time_dependent`).
-A static H is solved once, and dOmega/dt is the exact mu derivative times
-its constant left bras; a moving H is solved at every grid point, and
+A static H is solved once, and dOmega/dt is `build_omega` of its constant left
+bras and the exact mu derivatives; a moving H is solved at every grid point, and
 dOmega/dt is taken by 4th-order finite differences of the tracked Omega(t).
 Every solved point must have a real spectrum (`spectral.eig_biorthogonal`
 aborts at the first that has not), so the frame of a real gauge stays real.
@@ -21,17 +21,19 @@ quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
 or such a stack alike.  The track holds the frame, not the dressing map:
 the tracked kets and bras of D* H D in the model's real gauge D (real for
-cubic-trunc), mu(t), the energies and Theta's eigenvalues.  Omega, Omega^-1,
-H, Theta, dOmega/dt, the observables and every other product over the grid
-(a moving H's frames, H_gen, the check residuals) are formed over blocks of
-`_FRAME_ENTRIES` entries: no temporary the size of the track outlives one expression.
-The checks and the CSV each make one pass of `DressingTrack.blocks`, sharing each block's matrices.
+cubic-trunc), mu(t), the energies and Theta's eigenvalues; the frame at t0 is
+its row 0, with no copy of its own.  Omega, Omega^-1, H, Theta, dOmega/dt, the
+observables and every other product over the grid (a moving H's frames, H_gen,
+the check residuals) are formed over the blocks of `grid_blocks`, of at most
+`_FRAME_ENTRIES` entries: no temporary the size of the track outlives one
+expression.  The checks and the CSV each make one pass of
+`DressingTrack.blocks`, on those blocks, sharing each block's matrices.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -41,7 +43,7 @@ from . import model as _models
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
 from .model import HamiltonianModel, ObservableSpec, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
-from .spectral import BiorthogonalFrame, _point, eig_biorthogonal, track_continuity
+from .spectral import eig_biorthogonal, track_continuity
 
 # metric conditioning guard: warn above the first bound, abort above the second
 THETA_COND_WARN = 1e8
@@ -62,11 +64,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def build_omega(bras: np.ndarray, mu: Sequence[complex], gauge: np.ndarray | None = None) -> np.ndarray:
     """Omega = diag(mu) L D*: row n is mu_n times the left bra <<n| of L, the
-    bras of D* H D for the phases ``gauge`` = diag(D) (of H without them)."""
-    mu = np.asarray(mu)
-    if np.any(mu == 0):
-        raise ScenarioError("mu coefficients must be nonzero")
-    omega = np.multiply(mu[..., :, None], bras, dtype=None if gauge is None else complex)
+    bras of D* H D for the phases ``gauge`` = diag(D) (of H without them).
+    With dmu/dt in place of mu, a static H's dOmega/dt."""
+    omega = np.multiply(np.asarray(mu)[..., :, None], bras, dtype=None if gauge is None else complex)
     return omega if gauge is None else np.multiply(omega, np.conj(gauge), out=omega)
 
 
@@ -77,9 +77,10 @@ def omega_inverse(kets: np.ndarray, mu: Sequence[complex], gauge: np.ndarray | N
 
 
 def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
-    """Slices covering ``count`` grid points of N x N matrices in blocks of `_FRAME_ENTRIES`
-    entries and at most ``most`` points (more only raises the memory peak at N = 2)."""
-    size = max(1, min(most, _FRAME_ENTRIES // n**2))
+    """Slices covering ``count`` grid points of N x N matrices in blocks of an even number of
+    points, at most `_FRAME_ENTRIES` entries and ``most`` points (more only raises the memory
+    peak at N = 2)."""
+    size = max(2, min(most, _FRAME_ENTRIES // n**2) // 2 * 2)
     return [slice(k, k + size) for k in range(0, count, size)]
 
 
@@ -205,13 +206,13 @@ class DressingTrack:
     mu                  (M, N)     metric coefficients mu_n(t) times conj(z_n), see below
     energies            (M, N)     tracked E_n(t)
     theta_eigs          (M, N)     ascending eigenvalues of the metric Omega' Omega
-    initial_frame                  H's tracked frame at t0 (kets D R diag(z), bras diag(z*) L D*)
-    mu_dot              (M, N)     exact dmu/dt for a static H; None if H moves
+    mu_dot              (M, N)     exact dmu/dt times conj(z_n) for a static H; None if H moves
     model                          the model: H(t) and the declared observables
 
     The pivot convention holds for G's kets, so H's kets D R differ from H's own by a
     constant phase z_n = conj(d_p) per branch, p its largest component at t0; with z* in
     mu, Omega = diag(mu) L D* and Omega^-1 = D R diag(1/mu) are those of H's own frame.
+    H's kets at t0 are D R diag(z) (`initial_ket`), and its bras diag(z*) L D*.
     `omega`, `omega_inv`, `omega_dot` and `hamiltonian` form Omega, Omega^-1, dOmega/dt and H at
     the points asked for; `blocks` walks the grid once, in `Block`s that form each of H, Theta, Omega
     and Omega^-1 at most once.  kets, bras and energies are read-only; for a static H, one solve.
@@ -223,7 +224,6 @@ class DressingTrack:
     mu: np.ndarray
     energies: np.ndarray
     theta_eigs: np.ndarray
-    initial_frame: BiorthogonalFrame
     mu_dot: np.ndarray | None
     model: HamiltonianModel
 
@@ -234,6 +234,11 @@ class DressingTrack:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def initial_ket(self, n: int) -> np.ndarray:
+        """H's tracked ket n at t0, D R_n conj(d_p) with p the largest component of R_n."""
+        ket, gauge = self.kets[0][:, n], real_gauge(self.model)
+        return ket.copy() if gauge is None else gauge * ket * np.conj(gauge[np.argmax(np.abs(ket))])
 
     def omega(self, points=slice(None)) -> np.ndarray:
         """Omega at the grid points ``points`` (a slice, mask, index array or one index)."""
@@ -253,21 +258,18 @@ class DressingTrack:
         static H; for a moving one, 4th-order stencils over Omega formed on the
         points plus a two-point halo, the same bits as over the whole grid."""
         if self.mu_dot is not None:
-            return self.mu_dot[points][:, :, None] * self.initial_frame.left_bras
+            return build_omega(self.bras[points], self.mu_dot[points], real_gauge(self.model))
         lo, hi, _ = points.indices(m := len(self.times))
         start, stop = min(max(lo - 2, 0), m - 5), max(min(hi + 2, m), 5)
         return differentiate_samples(self.omega(slice(start, stop)), self.step, slice(lo - start, hi - start))
 
     def blocks(self, step: int = 1) -> Iterator[Block]:
-        """The `Block`s of one pass over the grid, in order.  With ``step`` 1 a block is a run
-        of fine points from an even index, of an even size (at most `_FRAME_ENTRIES` entries),
-        so its reporting points are its even ones; with ``step`` 2, only those points."""
-        count = (len(self.times) + 1) // 2  # reporting points
-        size = max(1, min(256, _FRAME_ENTRIES // self.dimension**2) // 2)  # rows per block, either step
-        origin = Block(self, slice(0, 1, 1), slice(0, 1))
-        for start in range(0, count, size):
-            rows = slice(start, min(start + size, count))
-            yield Block(self, slice(2 * start, min(2 * rows.stop, len(self.times)), step), rows, origin)
+        """The `Block`s of one pass over the grid, in order: with ``step`` 1 the runs of fine
+        points of `grid_blocks`, each from an even index, so its reporting points are its even
+        ones; with ``step`` 2, only those points."""
+        origin, m = Block(self, slice(0, 1, 1), slice(0, 1)), len(self.times)
+        for start, stop in ((s.start, min(s.stop, m)) for s in grid_blocks(m, self.dimension)):
+            yield Block(self, slice(start, stop, step), slice(start // 2, (stop + 1) // 2), origin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,16 +357,18 @@ def build_dressing_track(
     solved = times if moving else times[:1]
 
     mu = mu_series(mu_schedules, times)
+    if np.any(mu == 0):
+        raise ScenarioError("mu coefficients must be nonzero")
+    mu_dot = None if moving else mu_series(mu_schedules, times, eval_schedule_derivative)
     gauge = real_gauge(model)
     hamiltonian = lambda t: _gauged(build_hamiltonian(model, t), gauge)
     for block, frame in _tracked_blocks(hamiltonian, solved, model.dimension):
         if block.start == 0:  # allocated once the first block's raw frame is freed
-            initial = _point(frame, 0, frame.t)
             if gauge is not None:  # H's frame: kets D R diag(z), bras diag(z*) L D*, z* = d_p
-                z_conj = gauge[np.argmax(np.abs(initial.right_kets), axis=0)]
-                mu *= z_conj  # mu_series gives a fresh complex stack
-                initial = replace(initial, right_kets=gauge[:, None] * initial.right_kets * np.conj(z_conj),
-                                  left_bras=z_conj[:, None] * initial.left_bras * np.conj(gauge))
+                z_conj = gauge[np.argmax(np.abs(frame.right_kets[0]), axis=0)]
+                mu *= z_conj  # mu_series gives fresh complex stacks
+                if mu_dot is not None:
+                    mu_dot *= z_conj
             kets = np.empty(solved.shape + frame.right_kets.shape[1:], dtype=frame.right_kets.dtype)
             bras = np.empty_like(kets)
             energies = np.empty(solved.shape + mu.shape[-1:], dtype=kets.dtype)
@@ -387,7 +391,6 @@ def build_dressing_track(
         mu=mu,
         energies=energies,
         theta_eigs=theta_eigs,
-        initial_frame=initial,
-        mu_dot=None if moving else mu_series(mu_schedules, times, eval_schedule_derivative),
+        mu_dot=mu_dot,
         model=model,
     )

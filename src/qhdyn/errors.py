@@ -1,4 +1,5 @@
-"""Exception hierarchy and warning categories shared across the package."""
+"""Exception hierarchy and warning categories shared across the package.  The two error
+families a run can end in carry the CLI's exit code and its stderr label (``label: message``)."""
 
 from __future__ import annotations
 
@@ -8,18 +9,17 @@ class QhdynError(Exception):
 
 
 class ScenarioError(QhdynError, ValueError):
-    """Invalid scenario document, model description, or parameter domain.
+    """Invalid scenario document, model description, or parameter domain."""
 
-    Maps to CLI exit code 2.
-    """
+    exit_code = 2
+    label = "configuration error"
 
 
 class NumericalDomainError(QhdynError, RuntimeError):
-    """Computation left its numerical domain of validity.
+    """Computation left its numerical domain of validity at grid time ``t``, when known."""
 
-    ``t`` is the grid time at which it did, when known.  Maps to CLI exit
-    code 3.
-    """
+    exit_code = 3
+    label = "numerical-domain error"
 
     def __init__(self, message: str, t: float | None = None):
         super().__init__(message)

@@ -32,15 +32,17 @@ for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
 25.0, off the fourth-order value of 16.
 
 A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
-arrays and the standard propagator is stored as its (K, N) phases.  H, the
-generator and dOmega/dt are never held for the whole track; each block of
-steps forms its generator samples, for every picture, in one array of about
-a frame block's entries.
+arrays and the standard propagator is stored as its (K, N) phases, with its
+diagonals u = exp(-i phases) formed once, on first use.  H, the generator and
+dOmega/dt are never held for the whole track; each block of steps forms its
+generator samples, for every picture, in one array of about a frame block's
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,8 +52,8 @@ from .errors import ConditioningError, IntegrationError, ScenarioError
 
 PICTURES = ("right", "left", "standard")
 
-# the track holds 2 * steps + 1 samples of every N x N matrix, so the step
-# count is capped where those stacks would outgrow a desk machine
+# the track holds its frame (kets and bras) at 2 * steps + 1 fine points, so
+# the step count is capped where those stacks would outgrow a desk machine
 MAX_STEPS = 100_000
 
 
@@ -64,6 +66,7 @@ class Trajectory:
     phi_left      (K, N) left kets |Phi(t_k)>>, None when not integrated
     phases        (K, N) u(t_k) = diag(exp(-i phases[k])); the standard ket
                   is u(t_k) Omega(0) |Phi(0)>
+    u             (K, N) diagonals of u(t_k), formed on first use and kept
     """
 
     times: np.ndarray
@@ -72,9 +75,7 @@ class Trajectory:
     phases: np.ndarray
     pictures: tuple[str, ...]
 
-    def u_diagonals(self, rows=slice(None)) -> np.ndarray:
-        """(K, N) diagonals of the standard-space propagators u(t_k), at the reporting ``rows``."""
-        return np.exp(-1j * self.phases[rows])
+    u = cached_property(lambda self: np.exp(-1j * self.phases))
 
 
 def time_grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +174,7 @@ def resolve_initial_state(spec, track: DressingTrack) -> np.ndarray:
         k = int(spec[1])
         if not 0 <= k < n:
             raise ScenarioError(f"eigenstate index {k} out of range for N={n}")
-        return track.initial_frame.right_kets[:, k].copy()
+        return track.initial_ket(k)
     vec = np.asarray(spec, dtype=complex)
     if vec.shape != (n,):
         raise ScenarioError(f"initial state must have {n} components, got shape {vec.shape}")

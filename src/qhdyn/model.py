@@ -20,7 +20,8 @@ Four families are provided:
     phase gauge diag(i^n) (see `real_gauge`).
 
 `FAMILY_PARAMS` lists the params each family reads; a model takes exactly
-those.  The family constraints (pt2: s > 0 and |gamma| < s; cubic-trunc:
+those, each a finite number (`schedules.finite_number`: never a str or a
+bool).  The family constraints (pt2: s > 0 and |gamma| < s; cubic-trunc:
 g > 0) are checked at the start of the run, ``t0``; the eigensolver's guards
 take over from there.
 """
@@ -34,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .schedules import ScheduleSpec, eval_schedule
+from .schedules import ScheduleSpec, eval_schedule, finite_number
 
 # each family's params by kind: "real" or "scalar" (complex allowed), which a
 # schedule may drive; "reals", one real per level; "count", a non-negative
@@ -60,7 +61,7 @@ _REAL_PARAM_TOL = 1e-12
 class ObservableSpec:
     """A declared observable A_j(t), formed per block of grid points by `dressing.Block.observable`.
 
-    source selects the construction:
+    name heads CSV columns, so it holds no ',', '\\n' or '\\r'; source selects the construction:
       hamiltonian-itself   A(t) = H(t)
       user-matrix          A(t) = data (fixed complex N x N matrix)
       function-of-frame    A(t) = Omega^-1(t) . data . Omega(t) with a
@@ -73,6 +74,8 @@ class ObservableSpec:
     data: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or any(c in self.name for c in ",\n\r"):
+            raise ScenarioError(f"observable name {self.name!r} must be a string with no ',', '\\n' or '\\r'")
         if self.source not in OBSERVABLE_SOURCES:
             raise ScenarioError(
                 f"observable {self.name!r}: unknown source {self.source!r}; "
@@ -142,13 +145,7 @@ class HamiltonianModel:
         ``t`` None, the params entry itself, scheduled or not."""
         if name in self.h_schedule and t is not None:
             return eval_schedule(self.h_schedule[name], t)
-        try:
-            return complex(self.params[name])
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"parameter {name!r} of family {self.family!r} must be a number, "
-                f"got {self.params[name]!r}"
-            ) from None
+        return complex(self.params[name])
 
     def real_param(self, name: str, t: float | np.ndarray | None) -> float | np.ndarray:
         value = self.param(name, t)
@@ -252,23 +249,23 @@ def _validate_params(model: HamiltonianModel):
     for name, kind in kinds.items():
         if kind == "count":
             value = model.params.setdefault(name, 0)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0 or value % 1:
+            if not finite_number(value, real=True) or value < 0 or value % 1:
                 raise ScenarioError(f"{name!r} must be a non-negative integer, got {value!r}")
         elif name not in model.params:
             raise ScenarioError(f"family {model.family!r} needs parameter {name!r}")
         elif kind == "reals":
             values = model.params[name]
-            try:
-                shape = np.asarray(values, dtype=float).shape
-            except (TypeError, ValueError):
-                shape = None
-            if shape != (model.dimension,):
+            listed = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1
+            if not (listed and len(values) == model.dimension and all(finite_number(v, real=True) for v in values)):
                 raise ScenarioError(f"{name!r} must list {model.dimension} real values, got {values!r}")
+        elif not finite_number(value := model.params[name]):
+            raise ScenarioError(
+                f"parameter {name!r} of family {model.family!r} must be a number (finite, not a str or bool), "
+                f"got {value!r}"
+            )
         elif kind == "real":
             model.real_param(name, None)
             model.real_param(name, model.t0)
-        else:
-            model.param(name, None)
 
 
 def _validate_family(model: HamiltonianModel):

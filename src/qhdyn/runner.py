@@ -25,8 +25,8 @@ from .verify import CHECKS, InvariantReport, run_standard_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_CONFIG_ERROR = 2
-EXIT_NUMERICAL_ERROR = 3
+EXIT_CONFIG_ERROR = ScenarioError.exit_code
+EXIT_NUMERICAL_ERROR = NumericalDomainError.exit_code
 EXIT_INTERNAL_ERROR = 4
 
 
@@ -183,10 +183,8 @@ def _sweep_one(args) -> SweepPoint:
         report = run(config)
         code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
         return SweepPoint(value=value, report=report, error=None, exit_code=code)
-    except ScenarioError as exc:
-        return SweepPoint(value=value, report=None, error=str(exc), exit_code=EXIT_CONFIG_ERROR)
-    except NumericalDomainError as exc:
-        return SweepPoint(value=value, report=None, error=str(exc), exit_code=EXIT_NUMERICAL_ERROR)
+    except (ScenarioError, NumericalDomainError) as exc:
+        return SweepPoint(value=value, report=None, error=str(exc), exit_code=exc.exit_code)
 
 
 def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "scenario") -> list[SweepPoint]:
@@ -216,11 +214,13 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
 
 def sweep_summary_text(param_path: str, points: list[SweepPoint]) -> str:
     lines = [f"sweep over {param_path}", ""]
+    # the worst check: a non-finite residual ranks first, as in `InvariantReport.worst_t`
+    ratio = lambda r: np.nan_to_num(r.max_residual / r.threshold, nan=np.inf, posinf=np.inf)
     for p in points:
         if p.report is None:
             lines.append(f"{p.value!r:>16}  ERROR({p.exit_code}): {p.error}")
             continue
-        worst = max(p.report.reports, key=lambda r: r.max_residual / r.threshold, default=None)
+        worst = max(p.report.reports, key=ratio, default=None)
         status = "PASS" if p.report.passed else "FAIL"
         if worst is None:
             lines.append(f"{p.value!r:>16}  {status}")

@@ -53,9 +53,9 @@ from .schedules import SCHEDULE_KINDS, ScheduleSpec, validate_bounded, validate_
 from .verify import DEFAULT_THRESHOLDS, unmet_need
 
 # The keys of every mapping in a document, as (required, optional) dicts of key: type.  A float,
-# int or complex value is read by `_real`, `_integer` or `_scalar`, and a str one by str(); a
-# dict or list section must be a mapping or a list; a tuple lists a choice key's values, the
-# first its default.  A schedule takes its kind's row, an initial_state its form's.
+# int or complex value is read by `_real`, `_integer` or `_scalar`; a str, dict or list one must
+# be a string, a mapping or a list; a tuple lists a choice key's values, the first its default.
+# A schedule takes its kind's row, an initial_state its form's.
 SCHEMA = {
     "scenario": ({"model": dict, "mu": list, "time": dict}, {"name": str, "initial_state": dict,
                  "pictures": list, "checks": list, "evolution": dict, "outputs": list}),
@@ -154,9 +154,9 @@ def _json_object(text: str) -> dict | None:
 
 
 def plain_name(name) -> str:
-    """``name`` as a string, if it names a directory right under the output directory."""
-    if (name := str(name)) in (".", "..") or "/" in name or "\\" in name:
-        raise ScenarioError(f"name {name!r} must be a plain file name (no path separator, not '.' or '..')")
+    """``name``, if it is a string naming a directory right under the output directory."""
+    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(f"name {name!r} must be a plain file name (a string, no path separator, not '.' or '..')")
     return name
 
 
@@ -210,7 +210,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         check_selection=selection,
         check_overrides=overrides,
         generator=evolution["generator"],
-        outputs=tuple(str(o) for o in outputs),
+        outputs=outputs,
         raw=raw,
     )
 
@@ -315,14 +315,15 @@ def _read(doc: dict, row: str, label: str | None = None) -> dict:
 def _typed(value, kind, path: str):
     """``value`` read as a `SCHEMA` type."""
     if isinstance(kind, tuple):
-        if str(value) not in kind:
+        if value not in kind:
             raise ScenarioError(f"{path} must be one of {kind}, got {value!r}")
-        return str(value)
-    if kind in (dict, list):
-        if not isinstance(value, kind):
-            raise ScenarioError(f"{path} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
         return value
-    return str(value) if kind is str else {float: _real, int: _integer, complex: _scalar}[kind](value, path)
+    if kind in (dict, list, str):
+        if not isinstance(value, kind):
+            what = {dict: "mapping", list: "list", str: "string"}[kind]
+            raise ScenarioError(f"{path} must be a {what}, got {value!r}")
+        return value
+    return {float: _real, int: _integer, complex: _scalar}[kind](value, path)
 
 
 def _unique(entries, label: str) -> tuple:

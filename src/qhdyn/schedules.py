@@ -2,7 +2,8 @@
 
 Every built-in kind is smooth with an analytic derivative, so exact-derivative
 oracles are available wherever a time derivative of a scheduled quantity is
-needed.  Every schedule must stay finite on the run interval, and metric
+needed.  Every field of a schedule is a finite number (`ScheduleSpec` rejects
+any other).  Every schedule must stay finite on the run interval, and metric
 coefficients must also stay away from zero there.  `validate_bounded` and
 `validate_nonvanishing` enforce that at configuration time, with no sampling,
 from the one closed-form dispatch over the kinds, `schedule_bounds`: a lower
@@ -11,6 +12,7 @@ and an upper bound on |value(t)| and an upper bound on |d value/dt|.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,14 @@ _ROOT_SLACK = 1e-12
 _MIN_NORMAL = float(np.finfo(float).tiny)
 
 
+def finite_number(value, real: bool = False) -> bool:
+    """True for a finite int or float, or complex unless ``real`` (numpy's too); never a str or bool."""
+    kinds = (int, float, np.integer, np.floating) + (() if real else (complex, np.complexfloating))
+    big = sys.float_info.max  # a Python float: an int is compared exactly, never converted
+    kind = isinstance(value, kinds) and not isinstance(value, bool)
+    return kind and abs(value.real) <= big and abs(value.imag) <= big
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     """One scheduled scalar: value(t) in closed form.
@@ -38,6 +48,8 @@ class ScheduleSpec:
     amplitude   relative amplitude for `sinusoidal`
     frequency   angular frequency for `sinusoidal`
     phase       phase offset for `sinusoidal`
+
+    Every field must be a finite number (`finite_number`), real but for base.
     """
 
     kind: str
@@ -52,6 +64,9 @@ class ScheduleSpec:
             raise ScenarioError(
                 f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}"
             )
+        reals = (self.rate, self.amplitude, self.frequency, self.phase)
+        if not finite_number(self.base) or not all(finite_number(v, real=True) for v in reals):
+            raise ScenarioError(f"schedule fields must be finite numbers (all but base real), got {self}")
 
     @property
     def is_static(self) -> bool:
@@ -136,12 +151,9 @@ def validate_bounded(spec: ScheduleSpec, t0: float, t1: float, label: str) -> fl
     """Reject schedules whose value or time derivative can overflow on [t0, t1],
     and return the lower bound on |value(t)| there.
 
-    Every field must be finite, and so must the upper bound and the slope of
-    `schedule_bounds`.  Raises `ScenarioError` otherwise.
+    The upper bound and the slope of `schedule_bounds` must be finite (its
+    fields are, by construction).  Raises `ScenarioError` otherwise.
     """
-    fields = (spec.base, spec.rate, spec.amplitude, spec.frequency, spec.phase)
-    if not np.isfinite(fields).all():
-        raise ScenarioError(f"{label}: schedule fields must be finite, got {spec}")
     lower, value, rate = schedule_bounds(spec, t0, t1)
     if not (value < np.inf and rate < np.inf):
         raise ScenarioError(

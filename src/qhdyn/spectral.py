@@ -62,9 +62,9 @@ class BiorthogonalFrame:
 
 
 class Continuation(NamedTuple):
-    """A tracked block's last raw point, branch labels and unnormalized phases."""
+    """A tracked block's last raw bras (N, N), branch labels and unnormalized phases."""
 
-    point: BiorthogonalFrame
+    bras: np.ndarray
     perm: np.ndarray
     phases: np.ndarray
 
@@ -206,8 +206,9 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> Biorthogonal
     failures += _frame_failures(kets, bras, w, times, stack)
     _raise_earliest(failures)
 
-    frame = BiorthogonalFrame(times.copy(), w, kets, bras, margins)
-    return _point(frame, 0, times) if H.ndim == 2 else frame
+    if H.ndim == 2:
+        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0], margins[0])
+    return BiorthogonalFrame(times.copy(), w, kets, bras, margins)
 
 
 def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
@@ -229,12 +230,6 @@ def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np
         start = k
     perm[start:] = current
     return perm
-
-
-def _point(frame: BiorthogonalFrame, k: int, times: np.ndarray) -> BiorthogonalFrame:
-    """Point k of a frame stack as a one-point frame of its own."""
-    arrays = (frame.energies, frame.right_kets, frame.left_bras, frame.raw_overlaps)
-    return BiorthogonalFrame(float(times[k]), *(a[k].copy() for a in arrays))
 
 
 def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None) -> BiorthogonalFrame:
@@ -261,9 +256,9 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     m, n = energies.shape
     times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
     first = int(start is None)  # the first point matched to a predecessor
-    start = start or Continuation(_point(frame, 0, times), np.arange(n), np.ones(n))
+    start = start or Continuation(bras[0], np.arange(n), np.ones(n))
     # [s, i, j] = <<i|j> from the raw point before point first + s to that point
-    overlaps = np.concatenate([start.point.left_bras @ kets[first : first + 1], bras[first:-1] @ kets[first + 1 :]])
+    overlaps = np.concatenate([start.bras @ kets[first : first + 1], bras[first:-1] @ kets[first + 1 :]])
     mags = np.abs(overlaps)
     best = np.argmax(mags, axis=-1)
     ranked = np.sort(mags, axis=-1)
@@ -293,7 +288,7 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
     del overlaps, mags, ranked  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
-    continuation = Continuation(_point(frame, m - 1, times), perm[-1].copy(), phases[-1].copy())
+    continuation = Continuation(bras[-1].copy(), perm[-1].copy(), phases[-1].copy())
     phases /= np.abs(phases)
     perm, phases = perm[1 - first :], phases[1 - first :]  # the rows of this frame's points
     tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)

@@ -95,14 +95,14 @@ def _equivalence(trajectory, block):
     Omega^-1(t) u(t) Omega(0) Phi(0)."""
     phi0 = trajectory.phi_right[0]
     seed = block.origin.omega[0] @ phi0
-    oracle = (block.omega_inv[block.coarse] @ (trajectory.u_diagonals(block.rows) * seed)[..., None])[..., 0]
+    oracle = (block.omega_inv[block.coarse] @ (trajectory.u[block.rows] * seed)[..., None])[..., 0]
     return np.linalg.norm(trajectory.phi_right[block.rows] - oracle, axis=-1) / float(np.linalg.norm(phi0))
 
 
 def _standard_unitarity(trajectory, block):
     """||u' u - I|| over the standard-space propagators (diagonal, so only
     the diagonal of u' u can differ from I)."""
-    u = trajectory.u_diagonals(block.rows)
+    u = trajectory.u[block.rows]
     return np.max(np.abs(np.conj(u) * u - 1.0), axis=-1)
 
 
@@ -114,7 +114,7 @@ def _intertwining(trajectory, block):
     is the pulled-back left action.
     """
     omega0, inv0 = block.origin.omega[0], dagger(block.origin.omega_inv[0])
-    u = trajectory.u_diagonals(block.rows)[:, None, :]
+    u = trajectory.u[block.rows, None, :]
     u_right = (block.omega_inv[block.coarse] * u) @ omega0
     u_left = dagger((dagger(block.omega[block.coarse]) * u) @ inv0)
     return np.max(np.abs(u_left @ u_right - np.eye(len(omega0))), axis=(-2, -1))

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import qhdyn.dressing
-from qhdyn import ScenarioError, run
+from qhdyn import NumericalDomainError, ScenarioError, run
 from qhdyn.cli import main
-from qhdyn.scenario import apply_overrides, scenario_from_dict
+from qhdyn.scenario import apply_overrides, load_document, scenario_from_dict
 from qhdyn.runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -606,6 +606,33 @@ def test_a_name_that_is_not_a_plain_file_name_exits_two(name, where, command, tm
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("model.a_observables.0.name=[1, 2]", "model.a_observables[0].name"),
+        ("name={x: 1}", "name"),
+        ("name=3", "name"),
+        ("model.family=1", "model.family"),
+        ("model.a_observables.0.name=a,b", "observable name"),
+        ('model.a_observables.0.name="a\\nb"', "observable name"),
+        ('model.a_observables.0.name="a\\rb"', "observable name"),
+    ],
+)
+def test_a_string_key_takes_only_a_string(command, override, key, tmp_path, capsys):
+    # once str() of anything: a list name split the CSV header, a mapping name named the output directory
+    argv = [command, scenario_path("tri_sin_drive"), "--override", override, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--param", "time.dt", "--values", "0.01"]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    if command == "run" or key == "name":
+        assert captured.err.startswith(f"configuration error: {key}") and captured.err.count("\n") == 1
+    else:  # a sweep point's error
+        assert f"ERROR({EXIT_CONFIG_ERROR}): {key}" in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == EXIT_CONFIG_ERROR
 
@@ -662,6 +689,37 @@ def test_sweep_dt_halving_ratio(capsys):
     assert all(p.exit_code == EXIT_OK for p in points)
     drifts = [{r.name: r.max_residual for r in p.report.reports}["theta-norm-conservation"] for p in points]
     assert 10.0 < drifts[0] / drifts[1] < 22.0
+
+
+def test_sweep_summary_ranks_a_non_finite_residual_first(capsys):
+    # observable-reality is NaN; the passing theta-norm drift once ranked as the worst check
+    observables = (
+        "model.a_observables=[{name: H, matrix_source: hamiltonian-itself}, {name: B, matrix_source: user-matrix, "
+        "data: [[1.7e308, -1.7e308], [1.7e308, 1.7e308]]}]"
+    )
+    document = [scenario_path("tri_sin_drive"), "--override", "time.t1=0.1", "--override", observables]
+    assert main(["run", *document]) == EXIT_CHECK_FAILED
+    assert re.search(r"FAIL  observable-reality +max residual nan", capsys.readouterr().out)
+    assert main(["sweep", *document, "--param", "time.dt", "--values", "1e-3,5e-4"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == 2 and all(line.endswith("FAIL  worst observable-reality max residual nan") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "error, scenario, override",
+    [(ScenarioError, "tri_sin_drive", "time.dt=0.3"), (NumericalDomainError, "ep_crossing", "time.dt=0.01")],
+)
+def test_each_error_class_carries_its_exit_code_and_label(error, scenario, override, capsys):
+    # `qhdyn run` and a sweep point both read the code (and the CLI the label) from the class
+    assert (ScenarioError.exit_code, NumericalDomainError.exit_code) == (EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR)
+    key, value = override.split("=")
+    assert main(["run", scenario_path(scenario), "--override", override]) == error.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error.label}: ") and err.count("\n") == 1
+    assert main(["sweep", scenario_path(scenario), "--param", key, "--values", value]) == error.exit_code
+    assert f"ERROR({error.exit_code}): {err[len(error.label) + 2:]}" in capsys.readouterr().out
+    (point,) = sweep(load_document(Path(scenario_path(scenario)).read_text()), key, [float(value)], name=scenario)
+    assert (point.exit_code, point.report, point.error + "\n") == (error.exit_code, None, err[len(error.label) + 2:])
 
 
 def test_sweep_empty_values_and_bad_path():

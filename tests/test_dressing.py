@@ -56,9 +56,15 @@ def test_omega_rows_are_scaled_left_bras(hand_frame):
     np.testing.assert_allclose(scaled, [[2.0, -2.0], [0.0, 1.0]], atol=1e-14)
 
 
-def test_zero_mu_rejected(hand_frame):
+def test_zero_mu_rejected(monkeypatch):
+    # the track rejects a vanishing mu once, before any eigensolve
+    import qhdyn.dressing
+
+    monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", lambda *args, **kwargs: pytest.fail("solved"))
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.5})
     with pytest.raises(ScenarioError, match="nonzero"):
-        build_omega(hand_frame.left_bras, [1.0, 0.0])
+        build_dressing_track(model, (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=0.0)),
+                             np.linspace(0.0, 1.0, 5))
 
 
 def test_omega_inverse_is_frame_exact(hand_frame):
@@ -395,12 +401,14 @@ def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
     np.testing.assert_array_equal(track.omega_inv(), omega_inverse(whole.right_kets, mus * z_conj, gauge))
     np.testing.assert_array_equal(track.energies, whole.energies)
     kets0 = whole.right_kets[0] if gauge is None else gauge[:, None] * whole.right_kets[0] * np.conj(z_conj)
-    np.testing.assert_array_equal(track.initial_frame.right_kets, kets0)
-    # H's own frame, tracked point by point: its kets at t0, Omega and Omega^-1
+    initial_kets = np.stack([track.initial_ket(k) for k in range(model.dimension)], axis=-1)
+    np.testing.assert_array_equal(initial_kets, kets0)
+    # H's own frame, tracked point by point: its kets and bras at t0, Omega and Omega^-1
     reference = reference_track(build_hamiltonian(model, times), times)
     np.testing.assert_allclose(track.energies, [f.energies for f in reference], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(track.initial_frame.right_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(track.initial_frame.left_bras, reference[0].left_bras, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(initial_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
+    initial_bras = track.omega(0) / mus[0][:, None]  # diag(z*) L D* at t0
+    np.testing.assert_allclose(initial_bras, reference[0].left_bras, rtol=0.0, atol=1e-12)
     bras = np.array([f.left_bras for f in reference])
     kets = np.array([f.right_kets for f in reference])
     np.testing.assert_allclose(track.omega(), build_omega(bras, mus), rtol=0.0, atol=1e-12)
@@ -434,7 +442,8 @@ def test_static_track_repeats_one_frame():
     reference = reference_track(hams, fine)
     expected = np.array([f.energies for f in reference])
     np.testing.assert_allclose(track.energies, expected, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(track.initial_frame.right_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
+    initial_kets = np.stack([track.initial_ket(k) for k in range(4)], axis=-1)
+    np.testing.assert_allclose(initial_kets, reference[0].right_kets, rtol=0.0, atol=1e-12)
 
 
 def test_static_hamiltonian_is_built_once(monkeypatch):
@@ -560,6 +569,23 @@ def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, mo
         assert _bits(block.hamiltonian) == _bits(whole[block.points])
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8])
+def test_the_passes_cut_the_grid_as_grid_blocks_does(n):
+    # even blocks of fine points (so every block starts at a reporting point),
+    # the last one cut at the end of the grid; the reporting pass takes their even points
+    model = HamiltonianModel(n, "similarity-rand", {"energies": list(np.arange(1.0, n + 1.0))})
+    times = np.linspace(0.0, 1.0, 2 * 301 + 1)
+    track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times)
+    cut = [(s.start, min(s.stop, len(times))) for s in grid_blocks(len(times), n)]
+    size = cut[0][1]
+    assert size % 2 == 0 and [start for start, _ in cut] == list(range(0, len(times), size))
+    assert cut[-1][1] == len(times) and cut[-1][1] - cut[-1][0] < size
+    for step in (1, 2):
+        blocks = list(track.blocks(step))
+        assert [(b.points.start, b.points.stop, b.points.step) for b in blocks] == [(*s, step) for s in cut]
+        assert [(b.rows.start, b.rows.stop) for b in blocks] == [(start // 2, (stop + 1) // 2) for start, stop in cut]
+
+
 @pytest.mark.parametrize("case", ["cubic8", "pt2"])
 def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     model, mu, times = (_cubic8 if case == "cubic8" else _pt2)(203)
@@ -611,6 +637,8 @@ def test_a_moving_track_holds_only_the_frame_on_the_grid():
     grid_stacks = [name for name, value in vars(track).items() if np.shape(value) == (len(times), 8, 8)]
     assert grid_stacks == ["kets", "bras"]
     assert track.mu_dot is None
+    # t0 is row 0 of the stacks: no field holds a frame of its own
+    assert [name for name, value in vars(track).items() if not isinstance(value, np.ndarray)] == ["mu_dot", "model"]
     # no field holds a matrix of H or of an observable: the model gives them per block
     assert not any(np.shape(value)[-2:] == (8, 8) for name, value in vars(track).items() if name not in grid_stacks)
 

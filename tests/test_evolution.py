@@ -106,11 +106,27 @@ def test_static_scenario_generator_equals_hamiltonian():
     np.testing.assert_array_equal(gens, track.hamiltonian())
 
 
+def test_the_standard_propagator_is_formed_once():
+    # the checks and the CSV read one (K, N) stack of u's diagonals, formed on first use
+    from qhdyn.runner import _tabulate
+
+    config = load_scenario("tri_sin_drive")
+    track = _track(config.model, config.mu)
+    traj = propagate_quasi(track, config.initial_state)
+    assert "u" not in vars(traj)
+    run_standard_checks(traj, track)
+    u = traj.u
+    assert traj.u is u and u.shape == traj.phases.shape
+    assert u.tobytes() == np.exp(-1j * traj.phases).tobytes()
+    _tabulate(config, track, traj)
+    assert traj.u is u
+
+
 def test_stationary_eigenstate_evolution():
     model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
     track = _track(model, CONST_MU2)
     traj = propagate_quasi(track, ("eigenstate", 0))
-    phi0 = track.initial_frame.right_kets[:, 0]
+    phi0 = track.initial_ket(0)
     for t, phi in zip(traj.times, traj.phi_right):
         np.testing.assert_allclose(phi, np.exp(-1j * t) * phi0, atol=1e-9)
     drift = _check("theta-norm-conservation", traj, track)

@@ -145,6 +145,40 @@ def test_a_parameter_of_the_wrong_kind_is_rejected_scheduled_or_not(schedule):
             HamiltonianModel(n, family, params, {key: constant} if schedule else {})
 
 
+@pytest.mark.parametrize(
+    "params, schedules, message",
+    [
+        ({"e1": "1.0", "e2": "2", "c": "0.5"}, {}, "'e1' .* must be a number"),
+        ({"e1": True, "e2": 2.0, "c": 0.5}, {}, "'e1' .* must be a number"),
+        ({"e1": np.nan, "e2": 2.0, "c": 0.5}, {}, "'e1' .* must be a number"),
+        ({"e1": 1.0, "e2": np.inf, "c": 0.5}, {}, "'e2' .* must be a number"),
+        ({"e1": 1.0, "e2": 2.0, "c": complex(0.5, np.nan)}, {}, "'c' .* must be a number"),
+        ({"e1": 1.0, "e2": 2.0, "c": 10**400}, {}, "'c' .* must be a number"),
+        ({"e1": 1.0, "e2": 2.0, "c": 0.5}, {"amplitude": np.inf}, "schedule fields must be finite"),
+    ],
+)
+def test_the_api_takes_only_finite_numbers(params, schedules, message):
+    # the number rule of scenario documents: no str, bool, NaN or infinity (each
+    # once ended in a LinAlgError traceback or ran), before any H is built
+    with pytest.raises(ScenarioError, match=message):
+        c = {"c": ScheduleSpec("sinusoidal", base=1.0, frequency=1.0, **schedules)} if schedules else {}
+        HamiltonianModel(2, "triangular2", params, c)
+
+
+@pytest.mark.parametrize("energies", [["1.0", 2.0], [True, 2.0], [np.nan, 2.0], [1.0, np.inf], [1.0, 2j], "12"])
+def test_energies_take_only_finite_reals(energies):
+    with pytest.raises(ScenarioError, match="'energies' must list 2 real values"):
+        HamiltonianModel(2, "similarity-rand", {"energies": energies})
+    for listed in ([1, 2.0], (1.0, 2.0), np.array([1.0, 2.0])):
+        assert HamiltonianModel(2, "similarity-rand", {"energies": listed}).params["energies"] is listed
+
+
+@pytest.mark.parametrize("name", [1, "a,b", "a\nb", "a\rb"])
+def test_an_observable_name_is_a_csv_header_field(name):
+    with pytest.raises(ScenarioError, match="must be a string with no ','"):
+        ObservableSpec(name, "hamiltonian-itself")
+
+
 def test_seed_defaults_to_zero():
     model = HamiltonianModel(2, "similarity-rand", {"energies": [1.0, 2.0]})
     assert model.params["seed"] == 0

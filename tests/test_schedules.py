@@ -129,11 +129,19 @@ def test_complex_ramp_with_real_axis_root_accepted():
 
 
 @pytest.mark.parametrize("field", ["base", "rate", "amplitude", "frequency", "phase"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, "0.5", True])
 def test_non_finite_field_rejected(field, value):
-    spec = ScheduleSpec("sinusoidal", **{"base": 1.0, "amplitude": 0.5, field: value})
+    # at construction, so no schedule that reaches the bounds has one
     with pytest.raises(ScenarioError, match="finite"):
-        validate_nonvanishing(spec, 0.0, 1.0)
+        ScheduleSpec("sinusoidal", **{"base": 1.0, "amplitude": 0.5, field: value})
+
+
+@pytest.mark.parametrize("field", ["rate", "amplitude", "frequency", "phase"])
+def test_only_the_base_may_be_complex(field):
+    # a document reads these as reals; a complex rate once reached the bounds and raised TypeError
+    with pytest.raises(ScenarioError, match="all but base real"):
+        ScheduleSpec("sinusoidal", **{"base": 1.0, field: 0.5j})
+    assert ScheduleSpec("sinusoidal", base=1.0 + 0.5j, **{field: 0.5}).base == 1.0 + 0.5j
 
 
 _reals = st.floats(-10.0, 10.0)

@@ -147,6 +147,23 @@ def _pt2_frames(gammas):
     return track_continuity(eig_biorthogonal(np.array(hams), t=np.arange(len(gammas), dtype=float)))
 
 
+def test_a_continuation_carries_the_last_raw_bras_alone():
+    # what the next block's first match reads, copied out of this block's stacks
+    gammas = [0.0, 0.1, 0.2, 0.3]
+    raw = eig_biorthogonal(np.array([[[1j * g, 1.0], [1.0, -1j * g]] for g in gammas]), t=np.arange(4.0))
+    whole = track_continuity(raw)
+    carried = whole.continuation
+    assert carried._fields == ("bras", "perm", "phases")
+    np.testing.assert_array_equal(carried.bras, raw.left_bras[-1])
+    assert carried.bras.shape == (2, 2) and carried.bras.base is None
+    # a block tracked on from it is the grid tracked in one call
+    head, tail = (eig_biorthogonal(np.array([[[1j * g, 1.0], [1.0, -1j * g]] for g in part]), t=times)
+                  for part, times in ((gammas[:2], np.arange(2.0)), (gammas[2:], np.arange(2.0, 4.0))))
+    rest = track_continuity(tail, track_continuity(head).continuation)
+    np.testing.assert_array_equal(rest.right_kets, whole.right_kets[2:])
+    np.testing.assert_array_equal(rest.left_bras, whole.left_bras[2:])
+
+
 def test_pt2_sweep_tracks_two_branches():
     gammas = np.linspace(0.0, 0.9, 101)
     frames = _pt2_frames(gammas)
