@@ -32,8 +32,8 @@ for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
 25.0, off the fourth-order value of 16.
 
 A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
-arrays and the standard propagator is stored as its (K, N) phases, with its
-diagonals u = exp(-i phases) formed once, on first use.  H, the generator and
+arrays and the standard propagator is stored as its (K, N) diagonals
+u = exp(-i phases), formed once.  H, the generator and
 dOmega/dt are never held for the whole track; each block of steps forms its
 generator samples, for every picture, in one array of about a frame block's
 entries.
@@ -42,7 +42,6 @@ entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,18 +63,14 @@ class Trajectory:
     times         (K,) reporting grid
     phi_right     (K, N) right kets |Phi(t_k)>
     phi_left      (K, N) left kets |Phi(t_k)>>, None when not integrated
-    phases        (K, N) u(t_k) = diag(exp(-i phases[k])); the standard ket
-                  is u(t_k) Omega(0) |Phi(0)>
-    u             (K, N) diagonals of u(t_k), formed on first use and kept
+    u             (K, N) diagonals of u(t_k) = diag(exp(-i `standard_phases`[k]));
+                  the standard ket is u(t_k) Omega(0) |Phi(0)>
     """
 
     times: np.ndarray
     phi_right: np.ndarray
     phi_left: np.ndarray | None
-    phases: np.ndarray
-    pictures: tuple[str, ...]
-
-    u = cached_property(lambda self: np.exp(-1j * self.phases))
+    u: np.ndarray
 
 
 def time_grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +209,6 @@ def propagate_quasi(
     pictures = validate_pictures(pictures)
     phi0 = resolve_initial_state(initial_state, track)
     want_left = "left" in pictures
-    phases = standard_phases(track)
 
     # the integrated kets as one (pictures, N) state: right, then left
     state = np.stack([phi0, build_theta(track.omega(0)) @ phi0]) if want_left else phi0[None]
@@ -255,8 +249,7 @@ def propagate_quasi(
         times=coarse,
         phi_right=kets[:, 0],
         phi_left=kets[:, 1] if want_left else None,
-        phases=phases,
-        pictures=pictures,
+        u=np.exp(-1j * standard_phases(track)),
     )
 
 

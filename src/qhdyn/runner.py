@@ -25,8 +25,6 @@ from .verify import CHECKS, InvariantReport, run_standard_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_CONFIG_ERROR = ScenarioError.exit_code
-EXIT_NUMERICAL_ERROR = NumericalDomainError.exit_code
 EXIT_INTERNAL_ERROR = 4
 
 

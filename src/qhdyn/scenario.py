@@ -29,7 +29,8 @@ listed twice raises too.
 
 Every number must be finite.  Parsing rejects, before any numerics, a
 schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
-can vanish there (`schedules.schedule_bounds`), and a selected check whose
+can vanish there (`schedules.schedule_bounds`), a sinusoid that the grid
+cannot sample (`schedules.validate_resolved`), and a selected check whose
 input is missing (`verify.unmet_need`).  PyYAML is imported only by the
 functions that parse YAML text, so building a config from a dict, or reading
 a JSON document or JSON values, never loads it.  YAML is read with YAML 1.2's
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -49,7 +49,8 @@ import numpy as np
 from .errors import ScenarioError
 from .evolution import PICTURES, initial_vector, time_grid, validate_pictures
 from .model import FAMILY_PARAMS, HamiltonianModel, ObservableSpec
-from .schedules import SCHEDULE_KINDS, ScheduleSpec, validate_bounded, validate_nonvanishing
+from .schedules import (SCHEDULE_KINDS, ScheduleSpec, finite_number, validate_bounded, validate_nonvanishing,
+                        validate_resolved)
 from .verify import DEFAULT_THRESHOLDS, unmet_need
 
 # The keys of every mapping in a document, as (required, optional) dicts of key: type.  A float,
@@ -172,6 +173,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     model = _parse_model(doc["model"], t0)
     for key, spec in model.h_schedule.items():
         validate_bounded(spec, t0, t1, label=f"model.h_schedule.{key}")
+        validate_resolved(spec, dt, label=f"model.h_schedule.{key}")
 
     if len(doc["mu"]) != model.dimension:
         raise ScenarioError(
@@ -180,13 +182,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     mu = tuple(_parse_schedule(entry, f"mu[{k}]") for k, entry in enumerate(doc["mu"]))
     for k, spec in enumerate(mu):
         validate_nonvanishing(spec, t0, t1, label=f"mu[{k}]")
+        validate_resolved(spec, dt, label=f"mu[{k}]")
 
     initial_state = _parse_initial_state(doc.get("initial_state", {"preset": "uniform"}))
     pictures = _unique(validate_pictures(doc.get("pictures", PICTURES)), "pictures")
 
     selection, overrides = _parse_checks(doc.get("checks"))
     for check in selection or ():
-        problem = unmet_need(check, pictures, model.a_observables)
+        problem = unmet_need(check, "left" in pictures, model.a_observables)
         if problem:
             raise ScenarioError(problem)
 
@@ -335,16 +338,10 @@ def _unique(entries, label: str) -> tuple:
 
 
 def _real(value, label: str) -> float:
-    """A finite real number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{label} must be a real number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ScenarioError(f"{label} must be finite, got {number}")
-    return number
+    """A finite real number (`schedules.finite_number`), as a float."""
+    if not finite_number(value, real=True):
+        raise ScenarioError(f"{label} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, label: str) -> int:
@@ -380,7 +377,7 @@ def _parse_observable(entry, index: int) -> ObservableSpec:
 
 
 def _parse_schedule(entry, label: str) -> ScheduleSpec:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+    if isinstance(entry, (int, float, np.number)) and not isinstance(entry, bool):
         return ScheduleSpec(kind="constant", base=_real(entry, label))
     if not isinstance(entry, dict):
         raise ScenarioError(f"{label}: schedule must be a mapping or a number")

@@ -7,7 +7,8 @@ any other).  Every schedule must stay finite on the run interval, and metric
 coefficients must also stay away from zero there.  `validate_bounded` and
 `validate_nonvanishing` enforce that at configuration time, with no sampling,
 from the one closed-form dispatch over the kinds, `schedule_bounds`: a lower
-and an upper bound on |value(t)| and an upper bound on |d value/dt|.
+and an upper bound on |value(t)| and an upper bound on |d value/dt|; and
+`validate_resolved` rejects a sinusoid the reporting grid cannot sample.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def finite_number(value, real: bool = False) -> bool:
     kinds = (int, float, np.integer, np.floating) + (() if real else (complex, np.complexfloating))
     big = sys.float_info.max  # a Python float: an int is compared exactly, never converted
     kind = isinstance(value, kinds) and not isinstance(value, bool)
+    value = value.item() if isinstance(value, np.generic) else value  # big overflows a float32
     return kind and abs(value.real) <= big and abs(value.imag) <= big
 
 
@@ -180,4 +182,14 @@ def validate_nonvanishing(spec: ScheduleSpec, t0: float, t1: float, label: str =
         raise ScenarioError(
             f"{label}: {spec.kind} schedule crosses zero or underflows on "
             f"[{t0:g}, {t1:g}] (lower bound on |value|: {bound:.3g})"
+        )
+
+
+def validate_resolved(spec: ScheduleSpec, dt: float, label: str):
+    """Reject a moving sinusoid that a grid of spacing ``dt`` samples at or below its Nyquist
+    rate, |frequency| dt >= pi: the frame and the RK4 steps would follow an aliased schedule."""
+    if spec.kind == "sinusoidal" and spec.amplitude != 0.0 and abs(spec.frequency) * dt >= np.pi:
+        raise ScenarioError(
+            f"{label}: sinusoidal frequency is not resolved by the reporting grid "
+            f"(|frequency| * dt = {abs(spec.frequency) * dt:.6g} >= pi)"
         )

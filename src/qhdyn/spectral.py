@@ -47,9 +47,6 @@ class BiorthogonalFrame:
     energies      (..., N) eigenvalues E_n (real, like the kets and bras, for a real frame)
     right_kets    (..., N, N), column n is |n>
     left_bras     (..., N, N), row n is <<n|
-    raw_overlaps  (..., N) exceptional-point margins 1 / (||<<n|| ||n>||)
-                  (the pre-normalization left-right overlap magnitude; 1 for
-                  a Hermitian matrix, -> 0 at an exceptional point)
     continuation  what `track_continuity` needs to go on past the last point
     """
 
@@ -57,7 +54,6 @@ class BiorthogonalFrame:
     energies: np.ndarray
     right_kets: np.ndarray
     left_bras: np.ndarray
-    raw_overlaps: np.ndarray
     continuation: Continuation | None = field(default=None, compare=False, repr=False)
 
 
@@ -207,8 +203,8 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> Biorthogonal
     _raise_earliest(failures)
 
     if H.ndim == 2:
-        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0], margins[0])
-    return BiorthogonalFrame(times.copy(), w, kets, bras, margins)
+        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0])
+    return BiorthogonalFrame(times.copy(), w, kets, bras)
 
 
 def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
@@ -300,6 +296,5 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
         energies=np.take_along_axis(energies, perm, axis=-1),
         right_kets=tracked_kets,
         left_bras=tracked_bras,
-        raw_overlaps=np.take_along_axis(frame.raw_overlaps, perm, axis=-1),
         continuation=continuation,
     )

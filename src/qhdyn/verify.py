@@ -193,11 +193,11 @@ CHECKS = {
 DEFAULT_THRESHOLDS = {name: check.threshold for name, check in CHECKS.items()}
 
 
-def unmet_need(name: str, pictures: Sequence[str], observables) -> str | None:
-    """Why check ``name`` cannot run with these pictures and observables (any
-    collection, empty or None when none are declared), or None when it can."""
+def unmet_need(name: str, left: bool, observables) -> str | None:
+    """Why check ``name`` cannot run with (``left``) or without the left ket and with these
+    observables (any collection, empty or None when none are declared), or None when it can."""
     needs = CHECKS[name].needs
-    if needs == "left" and "left" not in pictures:
+    if needs == "left" and not left:
         return "check needs the 'left' picture, which was not integrated"
     if needs == "observables" and not observables:
         return f"{name} requested but no observables declared"
@@ -223,7 +223,7 @@ def run_standard_checks(
     series = []  # (name, check, times, residuals) per check to run
     for name in CHECKS if selection is None else selection:
         check = CHECKS[name]
-        problem = check.needs and unmet_need(name, trajectory.pictures, track.model.a_observables)
+        problem = check.needs and unmet_need(name, trajectory.phi_left is not None, track.model.a_observables)
         if problem and selection is not None:
             raise ScenarioError(problem)
         if not problem:

@@ -42,7 +42,6 @@ def hand_frame():
         energies=np.array([1.0 + 0.0j, 2.0 + 0.0j]),
         right_kets=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
         left_bras=np.array([[1.0, -1.0], [0.0, 1.0]], dtype=complex),
-        raw_overlaps=np.array([1.0, 1.0]),
     )
 
 

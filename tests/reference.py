@@ -10,9 +10,13 @@ one step at a time, with a finiteness check after every step.
 `reference_frame_residuals` forms the frame validation residuals point by
 point.  `theta_spectral` and `spectrum_closed_form` are independent oracles
 for the metric and for the spectra of the families that have one.
+`closed_form_track` writes out the whole track of `triangular2` with a real
+c(t): frame, dressing map, metric, generator and the exact right ket.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +26,7 @@ from qhdyn.dressing import build_generator, build_theta, dagger
 from qhdyn.errors import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, IntegrationError
 from qhdyn.evolution import PICTURES, resolve_initial_state, standard_phases
 from qhdyn.model import HamiltonianModel
+from qhdyn.schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
 from qhdyn.spectral import (
     BiorthogonalFrame,
     _BIORTHO_TOL,
@@ -92,7 +97,7 @@ def reference_continuity(prev: BiorthogonalFrame, cur: BiorthogonalFrame) -> Bio
         kets[:, m] *= z
         bras[m, :] *= np.conj(z)
         bras[m, :] /= bras[m, :] @ kets[:, m]
-    return BiorthogonalFrame(cur.t, cur.energies[perm], kets, bras, cur.raw_overlaps[perm])
+    return BiorthogonalFrame(cur.t, cur.energies[perm], kets, bras)
 
 
 def reference_track(hams, times) -> list[BiorthogonalFrame]:
@@ -181,7 +186,6 @@ def stack_frames(*frames: BiorthogonalFrame) -> BiorthogonalFrame:
         energies=np.stack([f.energies for f in frames]),
         right_kets=np.stack([f.right_kets for f in frames]),
         left_bras=np.stack([f.left_bras for f in frames]),
-        raw_overlaps=np.stack([f.raw_overlaps for f in frames]),
     )
 
 
@@ -211,3 +215,78 @@ def spectrum_closed_form(model: HamiltonianModel, t: float) -> np.ndarray | None
     if model.family == "similarity-rand":
         return np.sort(np.asarray(model.params["energies"], dtype=float))
     return None
+
+
+class ClosedFormTrack(NamedTuple):
+    """The track of `closed_form_track`: (M,) times, (M, 2) energies and (M, 2, 2) stacks."""
+
+    times: np.ndarray
+    energies: np.ndarray
+    kets: np.ndarray
+    bras: np.ndarray
+    omega: np.ndarray
+    omega_inv: np.ndarray
+    theta: np.ndarray
+    omega_dot: np.ndarray
+    generator: np.ndarray
+
+    def right_ket(self, phi0) -> np.ndarray:
+        """(M, 2) exact right kets Phi_R(t) = Omega^-1(t) u(t) Omega(0) Phi(0), with the
+        standard propagator u(t) = diag(exp(-i E_n (t - t0))) of the constant energies."""
+        u = np.exp(-1j * self.energies * (self.times - self.times[0])[:, None])
+        return (self.omega_inv @ (u * (self.omega[0] @ phi0))[..., None])[..., 0]
+
+
+def closed_form_track(model: HamiltonianModel, mu_schedules, times) -> ClosedFormTrack:
+    """The track of triangular2 [[e1, c(t)], [0, e2]] with constant e1 < e2 and a
+    real c(t), in closed form at the (M,) ``times``.
+
+    With d = e2 - e1 > 0 and n = ||(c, d)||, the kets are (1, 0) and
+    s (c, d) / n, and the bras the rows of L = R^-1 = [[1, -c/d], [0, s n/d]].
+    The sign s is that of ket 2's largest component at t0 (d on a tie, the
+    tracker's pivot rule); ket 2's second component s d / n never changes
+    sign, so s holds for every t, and each ket's overlap with its
+    predecessor stays real and positive (the tracker's continuity rule).
+    Omega = diag(mu) L, Theta = Omega' Omega, dOmega/dt = diag(dmu/dt) L +
+    diag(mu) dL/dt from the exact dc/dt and dmu/dt, and
+    H_gen = H - i Omega^-1 dOmega/dt.
+    """
+    assert model.family == "triangular2" and not {"e1", "e2"} & model.h_schedule.keys()
+    times = np.asarray(times, dtype=float)
+    e1, e2 = model.real_param("e1", None), model.real_param("e2", None)
+    assert e1 < e2
+
+    def series(schedules, evaluate):  # (M, len(schedules))
+        return np.stack([np.broadcast_to(evaluate(m, times), times.shape) for m in schedules], axis=-1)
+
+    spec = model.h_schedule.get("c", ScheduleSpec("constant", base=model.params["c"]))
+    (c,), (c_dot,) = series([spec], eval_schedule).T, series([spec], eval_schedule_derivative).T
+    assert not np.any(c.imag) and not np.any(c_dot.imag)
+    c, c_dot = c.real, c_dot.real
+    d = e2 - e1
+    n = np.hypot(c, d)
+    sign = np.sign(c[0]) if abs(c[0]) > d else 1.0
+    zero, one = np.zeros(times.shape), np.ones(times.shape)
+
+    def stack(a, b, e, f):  # (M, 2, 2) of [[a, b], [e, f]]
+        return np.stack([np.stack([a, b], axis=-1), np.stack([e, f], axis=-1)], axis=-2)
+
+    kets = stack(one, sign * c / n, zero, sign * d / n)
+    bras = stack(one, -c / d, zero, sign * n / d)
+    bras_dot = stack(zero, -c_dot / d, zero, sign * c * c_dot / (n * d))
+    mu, mu_dot = series(mu_schedules, eval_schedule), series(mu_schedules, eval_schedule_derivative)
+    omega = mu[..., :, None] * bras
+    omega_inv = kets / mu[..., None, :]
+    omega_dot = mu_dot[..., :, None] * bras + mu[..., :, None] * bras_dot
+    hams = stack(e1 * one, c, zero, e2 * one)
+    return ClosedFormTrack(
+        times=times,
+        energies=np.stack([e1 * one, e2 * one], axis=-1),
+        kets=kets,
+        bras=bras,
+        omega=omega,
+        omega_inv=omega_inv,
+        theta=dagger(omega) @ omega,
+        omega_dot=omega_dot,
+        generator=hams - 1j * (omega_inv @ omega_dot),
+    )

@@ -24,7 +24,6 @@ from qhdyn.dressing import (
     quasi_hermiticity_residual,
 )
 from qhdyn.evolution import expectation
-from qhdyn.runner import EXIT_NUMERICAL_ERROR
 from qhdyn.spectral import BiorthogonalFrame, _frame_failures, _raise_earliest, eig_biorthogonal
 
 from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS, load_scenario
@@ -116,7 +115,6 @@ def test_criterion_5_exact_fixtures():
         energies=np.array([1.0 + 0j, 2.0 + 0j]),
         right_kets=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
         left_bras=np.array([[1.0, -1.0], [0.0, 1.0]], dtype=complex),
-        raw_overlaps=np.array([1.0, 1.0]),
     )
     # raises unless biorthonormality, completeness and the eigen-residuals hold
     _raise_earliest(_frame_failures(
@@ -194,7 +192,7 @@ def test_criterion_7_error_paths():
         details.append("cond blowup: no error")
     except ConditioningError:
         cond_ok = True
-        details.append(f"cond blowup: ConditioningError (exit code {EXIT_NUMERICAL_ERROR})")
+        details.append(f"cond blowup: ConditioningError (exit code {ConditioningError.exit_code})")
 
     _report("7 error paths", ep_ok and mu_ok and cond_ok, "; ".join(details))
 

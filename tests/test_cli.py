@@ -16,9 +16,7 @@ from qhdyn.cli import main
 from qhdyn.scenario import apply_overrides, load_document, scenario_from_dict
 from qhdyn.runner import (
     EXIT_CHECK_FAILED,
-    EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
-    EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunReport,
     report_json_dict,
@@ -131,7 +129,7 @@ def test_misconfiguration_exits_two_before_any_eigensolve(overrides, monkeypatch
     argv = ["run", scenario_path("cubic_osc_drive")]
     for item in overrides:
         argv += ["--override", item]
-    assert main(argv) == EXIT_CONFIG_ERROR
+    assert main(argv) == ScenarioError.exit_code
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
     assert solves == []
@@ -143,7 +141,7 @@ def test_misconfiguration_exits_two_before_any_eigensolve(overrides, monkeypatch
 def test_exceptional_point_scenario_exit_three(capsys):
     code = main(["run", scenario_path("ep_crossing")])
     err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL_ERROR
+    assert code == NumericalDomainError.exit_code
     assert "exceptional point" in err
     # the EP margin is checked before reality at the same grid point
     assert "t=0.8" in err and "|Im E|" not in err
@@ -174,7 +172,7 @@ def _probe_argv(probe, *overrides):
 def test_exceptional_point_between_grid_points_is_named(capsys):
     # the first grid point past the crossing has a complex pair: the run
     # aborts there and says an exceptional point was crossed
-    assert main(_probe_argv("cubic-ramp-late")) == EXIT_NUMERICAL_ERROR
+    assert main(_probe_argv("cubic-ramp-late")) == NumericalDomainError.exit_code
     assert capsys.readouterr().err == (
         "numerical-domain error: spectrum has |Im E| = 6.870e-03 >= 1e-10 at t=2.5985; "
         "an exceptional point was crossed at or before this grid point\n"
@@ -187,7 +185,7 @@ def test_every_reality_value_aborts_alike(probe, capsys):
     # report end in the same single line, at the same grid time
     lines = []
     for extra in ([], ["evolution.reality=assert"], ["evolution.reality=report"]):
-        assert main(_probe_argv(probe, *extra)) == EXIT_NUMERICAL_ERROR
+        assert main(_probe_argv(probe, *extra)) == NumericalDomainError.exit_code
         lines.append(capsys.readouterr().err)
     assert lines[0] == lines[1] == lines[2]
     assert lines[0].count("\n") == 1 and f"at t={ABORT_PROBES[probe][2]}" in lines[0]
@@ -206,7 +204,7 @@ def test_moving_cubic8_document_runs_with_reality_report(monkeypatch):
 @pytest.mark.parametrize("override", ["time.dt=.nan", "time.t1=.inf", "time.dt=1e-300"])
 def test_bad_time_grid_exit_two(override, capsys):
     code = main(["run", scenario_path("exp_metric_drive"), "--override", override])
-    assert code == EXIT_CONFIG_ERROR
+    assert code == ScenarioError.exit_code
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -224,7 +222,7 @@ def test_bad_time_grid_exit_two(override, capsys):
 def test_bad_number_exit_two(override, capsys):
     code = main(["run", scenario_path("exp_metric_drive"), "--override", override])
     err = capsys.readouterr().err
-    assert code == EXIT_CONFIG_ERROR
+    assert code == ScenarioError.exit_code
     assert "configuration error" in err
     assert "Traceback" not in err
 
@@ -237,7 +235,7 @@ def test_family_constraints_checked_at_t0(capsys):
     assert "all checks passed" in capsys.readouterr().out
     # gamma(2) = s: still rejected at the start of the run
     ramp = "model.h_schedule={gamma: {kind: linear-ramp, base: 0.0, rate: 0.5}}"
-    assert main(["run", scenario_path("pt2_gamma_ramp"), *shifted, "--override", ramp]) == EXIT_CONFIG_ERROR
+    assert main(["run", scenario_path("pt2_gamma_ramp"), *shifted, "--override", ramp]) == ScenarioError.exit_code
     assert "spectrum not real at t=2" in capsys.readouterr().err
 
 
@@ -246,13 +244,14 @@ def test_cubic_coupling_checked_at_t0(capsys):
     # 4x4 truncation leaves its real phase there, which the runtime guards report
     shifted = ["--override", "time.t0=2.0", "--override", "time.t1=3.0"]
     ramp = "model.h_schedule={g: {kind: linear-ramp, base: -0.1, rate: 0.1}}"
-    assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_NUMERICAL_ERROR
+    code = main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp])
+    assert code == NumericalDomainError.exit_code
     err = capsys.readouterr().err
     assert "must be positive" not in err
     assert "|Im E|" in err and "t=2.5985" in err
     # g(2) = -0.1: rejected at the start of the run
     ramp = "model.h_schedule={g: {kind: linear-ramp, base: 0.1, rate: -0.1}}"
-    assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == EXIT_CONFIG_ERROR
+    assert main(["run", scenario_path("cubic_osc_drive"), *shifted, "--override", ramp]) == ScenarioError.exit_code
     assert "coupling g must be positive, got -0.1 at t=2" in capsys.readouterr().err
 
 
@@ -272,9 +271,29 @@ def test_overflowing_schedule_exit_two(override, capsys, tmp_path):
         warnings.simplefilter("error")
         code = main(["run", scenario_path("exp_metric_drive"), "--override", override, "--out", str(tmp_path)])
     err = capsys.readouterr().err
-    assert code == EXIT_CONFIG_ERROR
+    assert code == ScenarioError.exit_code
     assert "configuration error" in err and "overflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scenario, override, path",
+    [
+        ("rand4_metric_sin", "mu.0.frequency=1e300", "mu[0]"),  # aborted at t=0 with non-finite kets
+        ("tri_sin_drive", "model.h_schedule.c.frequency=1e6", "model.h_schedule.c"),  # a non-permutation match
+        ("tri_sin_drive", "model.h_schedule.c.frequency=5000", "model.h_schedule.c"),  # frequency * dt = 5
+    ],
+)
+def test_a_sinusoid_the_grid_cannot_sample_exits_two(scenario, override, path, capsys):
+    assert main(["run", scenario_path(scenario), "--override", override]) == ScenarioError.exit_code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {path}: sinusoidal frequency is not resolved")
+
+
+def test_a_sinusoid_below_the_nyquist_rate_runs(capsys):
+    # frequency * dt = 3 < pi: the run ends with failed checks, an honest outcome
+    override = "model.h_schedule.c.frequency=3000"
+    assert main(["run", scenario_path("tri_sin_drive"), "--override", override]) == EXIT_CHECK_FAILED
 
 
 @pytest.mark.parametrize(
@@ -292,7 +311,7 @@ def test_huge_finite_schedule_aborts_without_warnings(override, capsys, tmp_path
         warnings.simplefilter("error")
         code = main(["run", scenario_path("exp_metric_drive"), "--override", override, "--out", str(tmp_path)])
     err = capsys.readouterr().err.splitlines()
-    assert code == EXIT_NUMERICAL_ERROR
+    assert code == NumericalDomainError.exit_code
     assert len(err) == 1 and err[0].startswith("numerical-domain error:")
 
 
@@ -304,7 +323,7 @@ def test_overflowing_metric_aborts_naming_the_time(base, capsys):
         warnings.simplefilter("error")
         code = main(["run", scenario_path("cubic_osc_drive"), "--override", f"mu.0.base={base}"])
     err = capsys.readouterr().err.splitlines()
-    assert code == EXIT_NUMERICAL_ERROR
+    assert code == NumericalDomainError.exit_code
     assert len(err) == 1 and err[0].startswith("numerical-domain error: metric Theta = Omega' Omega is not finite")
     assert "at t=0;" in err[0]
 
@@ -314,7 +333,7 @@ def test_metric_singular_to_rounding_is_a_conditioning_abort(capsys):
     # which is conditioning, not a broken dressing map
     code = main(["run", scenario_path("static_hermitian"), "--override", "mu.0.base=1e154"])
     err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL_ERROR
+    assert code == NumericalDomainError.exit_code
     assert "cond(Theta) is beyond double precision" in err and "at t=0;" in err
     assert "positive definiteness" not in err
 
@@ -456,7 +475,7 @@ def test_config_error_exit_two(tmp_path, capsys):
         .replace("dt: 0.001", "dt: -1.0")
     )
     code = main(["run", str(bad)])
-    assert code == EXIT_CONFIG_ERROR
+    assert code == ScenarioError.exit_code
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -477,7 +496,7 @@ def test_bad_command_line_value_exit_two(command, extra, capsys):
     # errors, reported with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, scenario_path("tri_sin_drive")] + extra) == EXIT_CONFIG_ERROR
+        assert main([command, scenario_path("tri_sin_drive")] + extra) == ScenarioError.exit_code
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("error") == 1 and captured.out == ""
@@ -487,9 +506,9 @@ def test_bad_command_line_value_exit_two(command, extra, capsys):
     "overrides, code",
     [
         (["mu.0.base=1e-151", "mu.1.base=1e-151"], EXIT_OK),
-        (["mu.0.base=1e-155", "mu.1.base=1e-155"], EXIT_NUMERICAL_ERROR),
-        (["initial_state={vector: [1e-160, 0]}"], EXIT_CONFIG_ERROR),
-        (["initial_state={vector: [1e-200, 1e-200]}"], EXIT_CONFIG_ERROR),
+        (["mu.0.base=1e-155", "mu.1.base=1e-155"], NumericalDomainError.exit_code),
+        (["initial_state={vector: [1e-160, 0]}"], ScenarioError.exit_code),
+        (["initial_state={vector: [1e-200, 1e-200]}"], ScenarioError.exit_code),
     ],
 )
 def test_tiny_inputs_end_in_one_clean_outcome(overrides, code, capsys):
@@ -569,7 +588,7 @@ def test_worst_t_is_where_each_residual_peaks(tmp_path):
     ],
 )
 def test_a_key_the_run_would_ignore_exits_two(override, capsys):
-    assert main(["run", scenario_path("tri_sin_drive"), "--override", override]) == EXIT_CONFIG_ERROR
+    assert main(["run", scenario_path("tri_sin_drive"), "--override", override]) == ScenarioError.exit_code
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
     key = override.split("=")[0].split(".")[-1]
@@ -600,7 +619,7 @@ def test_a_name_that_is_not_a_plain_file_name_exits_two(name, where, command, tm
     argv = [command, str(path), "--out", str(out)] + (["--override", f"name={name}"] if where == "override" else [])
     if command == "sweep":
         argv += ["--param", "time.dt", "--values", "0.01,0.02"]
-    assert main(argv) == EXIT_CONFIG_ERROR
+    assert main(argv) == ScenarioError.exit_code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be a plain file name" in err
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
@@ -624,17 +643,17 @@ def test_a_string_key_takes_only_a_string(command, override, key, tmp_path, caps
     argv = [command, scenario_path("tri_sin_drive"), "--override", override, "--out", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--param", "time.dt", "--values", "0.01"]
-    assert main(argv) == EXIT_CONFIG_ERROR
+    assert main(argv) == ScenarioError.exit_code
     captured = capsys.readouterr()
     if command == "run" or key == "name":
         assert captured.err.startswith(f"configuration error: {key}") and captured.err.count("\n") == 1
     else:  # a sweep point's error
-        assert f"ERROR({EXIT_CONFIG_ERROR}): {key}" in captured.out
+        assert f"ERROR({ScenarioError.exit_code}): {key}" in captured.out
     assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_exit_two(capsys):
-    assert main(["run", "no_such_scenario.yaml"]) == EXIT_CONFIG_ERROR
+    assert main(["run", "no_such_scenario.yaml"]) == ScenarioError.exit_code
 
 
 def test_check_failure_exit_one(capsys):
@@ -663,7 +682,7 @@ def test_conditioning_abort_exit_three(capsys):
         ]
     )
     err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL_ERROR
+    assert code == NumericalDomainError.exit_code
     assert "cond" in err
 
 
@@ -711,7 +730,7 @@ def test_sweep_summary_ranks_a_non_finite_residual_first(capsys):
 )
 def test_each_error_class_carries_its_exit_code_and_label(error, scenario, override, capsys):
     # `qhdyn run` and a sweep point both read the code (and the CLI the label) from the class
-    assert (ScenarioError.exit_code, NumericalDomainError.exit_code) == (EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR)
+    assert (ScenarioError.exit_code, NumericalDomainError.exit_code) == (2, 3)
     key, value = override.split("=")
     assert main(["run", scenario_path(scenario), "--override", override]) == error.exit_code
     err = capsys.readouterr().err
@@ -729,10 +748,10 @@ def test_sweep_empty_values_and_bad_path():
     assert sweep(raw, "time.dt", []) == []
     # descending into a scalar cannot resolve
     points = sweep(raw, "time.t0.deep", [1.0])
-    assert points[0].exit_code == EXIT_CONFIG_ERROR
+    assert points[0].exit_code == ScenarioError.exit_code
     # a typo key is caught by config validation
     points = sweep(raw, "time.bogus", [1.0])
-    assert points[0].exit_code == EXIT_CONFIG_ERROR
+    assert points[0].exit_code == ScenarioError.exit_code
 
 
 def test_sweep_cli_gamma_below_threshold(capsys):
@@ -815,7 +834,7 @@ def test_sweep_rejects_fewer_than_one_job(jobs, recording_pool, capsys):
         "sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
         "--jobs", jobs,
     ])
-    assert code == EXIT_CONFIG_ERROR
+    assert code == ScenarioError.exit_code
     assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     assert recording_pool == []
 
@@ -827,5 +846,5 @@ def test_sweep_captures_numerical_errors():
     # rate 1.25 drives the ramp through the exceptional point mid-run
     points = sweep(raw, "model.h_schedule.gamma.rate", [0.5, 1.25], name="pt2_gamma_ramp")
     assert points[0].exit_code == EXIT_OK
-    assert points[1].exit_code == EXIT_NUMERICAL_ERROR
+    assert points[1].exit_code == NumericalDomainError.exit_code
     assert "exceptional point" in points[1].error

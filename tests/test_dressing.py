@@ -252,7 +252,6 @@ def test_gauge_confined_to_normalization_convention(hand_matrix):
         energies=frame.energies.copy(),
         right_kets=frame.right_kets * z,
         left_bras=frame.left_bras * np.conj(z),
-        raw_overlaps=frame.raw_overlaps.copy(),
     )
     tracked = track_continuity(stack_frames(frame, rotated))
     theta_again = build_theta(build_omega(tracked.left_bras, np.stack([mu, mu]))[1])

@@ -86,6 +86,24 @@ def test_bad_time_grids_rejected():
         parse_scenario(MINIMAL.replace("t1: 1.0", "t1: -1.0"))
 
 
+@pytest.mark.parametrize("value", [True, "0.01", np.nan, np.inf, -np.inf, 10**400, np.float32(np.nan)])
+def test_a_document_number_must_be_finite_and_real(value):
+    raw = load_document(MINIMAL)
+    raw["time"]["dt"] = value
+    with pytest.raises(ScenarioError, match=r"^time\.dt must be a finite real number, got "):
+        scenario_from_dict(raw)
+
+
+def test_numpy_scalars_in_a_dict_are_read_as_numbers():
+    # the rule of the Python API (`schedules.finite_number`); a float32 raises no warning
+    raw = load_document(MINIMAL)
+    raw["time"]["dt"], raw["model"]["dimension"] = np.float32(0.25), np.int64(2)
+    raw["mu"] = [{"kind": "exponential", "base": 1.0, "rate": np.float64(0.5)}, np.float32(2.0)]
+    config = scenario_from_dict(raw)
+    assert (config.dt, config.model.dimension, config.mu[0].rate, config.mu[1].base) == (0.25, 2, 0.5, 2.0)
+    assert type(config.dt) is float and type(config.model.dimension) is int
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown scenario keys"):
         parse_scenario(MINIMAL + "\nbanana: 1\n")

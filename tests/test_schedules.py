@@ -10,6 +10,7 @@ from qhdyn.schedules import (
     schedule_bounds,
     validate_bounded,
     validate_nonvanishing,
+    validate_resolved,
 )
 
 ALL_KINDS = [
@@ -194,6 +195,25 @@ def test_validator_agrees_with_dense_scan(spec, t0, width):
 def test_overflowing_schedule_rejected(spec, message):
     with pytest.raises(ScenarioError, match=message):
         validate_bounded(spec, 0.0, 2.0, "model.h_schedule.c")
+
+
+@pytest.mark.parametrize("frequency", [np.pi / 1e-3, -np.pi / 1e-3, 1e300])
+def test_a_sinusoid_at_or_above_the_nyquist_rate_is_rejected(frequency):
+    spec = ScheduleSpec("sinusoidal", base=1.0, amplitude=0.5, frequency=frequency)
+    with pytest.raises(ScenarioError, match=r"^mu\[1\]: sinusoidal frequency is not resolved .* >= pi\)$"):
+        validate_resolved(spec, 1e-3, "mu[1]")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScheduleSpec("sinusoidal", base=1.0, amplitude=0.5, frequency=np.nextafter(np.pi / 1e-3, 0.0)),
+        ScheduleSpec("sinusoidal", base=1.0, amplitude=0.0, frequency=1e300),  # a constant
+        ScheduleSpec("exponential", base=1.0, rate=1e4),  # the bound is for sinusoids only
+    ],
+)
+def test_a_resolved_or_static_schedule_passes(spec):
+    validate_resolved(spec, 1e-3, "mu[1]")
 
 
 def test_upper_bounds_per_kind():

@@ -109,7 +109,6 @@ def test_track_undoes_index_swap(hand_matrix):
         energies=frame.energies[swap],
         right_kets=frame.right_kets[:, swap],
         left_bras=frame.left_bras[swap, :],
-        raw_overlaps=frame.raw_overlaps[swap],
     )
     tracked = track_continuity(stack_frames(frame, swapped))
     np.testing.assert_allclose(tracked.energies[1], frame.energies, atol=1e-14)
@@ -125,7 +124,6 @@ def test_track_fixes_phases():
         energies=frame.energies.copy(),
         right_kets=frame.right_kets * z,
         left_bras=frame.left_bras * np.conj(z),
-        raw_overlaps=frame.raw_overlaps.copy(),
     )
     tracked = track_continuity(stack_frames(frame, rotated))
     for k in range(2):
@@ -192,7 +190,6 @@ def test_ambiguous_match_rejected():
         energies=np.array([1.0 + 0j, 2.0 + 0j]),
         right_kets=np.eye(2, dtype=complex),
         left_bras=np.eye(2, dtype=complex),
-        raw_overlaps=np.array([1.0, 1.0]),
     )
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     cur = BiorthogonalFrame(
@@ -200,7 +197,6 @@ def test_ambiguous_match_rejected():
         energies=np.array([1.0 + 0j, 2.0 + 0j]),
         right_kets=had.astype(complex),
         left_bras=had.astype(complex).T,
-        raw_overlaps=np.array([1.0, 1.0]),
     )
     with pytest.raises(AmbiguousMatchError):
         track_continuity(stack_frames(prev, cur))
@@ -212,7 +208,6 @@ def test_validate_rejects_broken_frame(hand_frame, hand_matrix):
         energies=hand_frame.energies,
         right_kets=hand_frame.right_kets,
         left_bras=hand_frame.left_bras * 1.5,
-        raw_overlaps=hand_frame.raw_overlaps,
     )
     with pytest.raises(ExceptionalPointError, match="frame validation failed"):
         _raise_earliest(_frame_failures(
@@ -250,7 +245,7 @@ def test_stacked_track_matches_sequential_reference(model):
     hams = _stack_along(model, times)
     tracked = track_continuity(eig_biorthogonal(hams, t=times))
     reference = reference_track(hams, times)
-    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+    for field in ("energies", "right_kets", "left_bras"):
         expected = np.array([getattr(f, field) for f in reference])
         np.testing.assert_allclose(getattr(tracked, field), expected, rtol=0.0, atol=1e-12)
 
@@ -369,7 +364,7 @@ def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     assert solved == [np.float64, np.complex128]
     # a real spectrum comes out of the real solve with no imaginary rounding,
     # and the whole frame of G = D* H D stays real
-    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+    for field in ("energies", "right_kets", "left_bras"):
         assert getattr(real, field).dtype == np.float64
     # H's frame is D R and L D*.  The pivot convention holds for G's kets, so
     # each branch differs from H's own convention by the constant phase
@@ -377,8 +372,7 @@ def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     z = np.conj(d[np.argmax(np.abs(real.right_kets[0]), axis=0)])
     kets = d[:, None] * real.right_kets * z
     bras = real.left_bras * np.conj(d) * np.conj(z)[:, None]
-    for got, field in ((real.energies, "energies"), (kets, "right_kets"), (bras, "left_bras"),
-                       (real.raw_overlaps, "raw_overlaps")):
+    for got, field in ((real.energies, "energies"), (kets, "right_kets"), (bras, "left_bras")):
         np.testing.assert_allclose(got, getattr(full, field), rtol=0.0, atol=1e-12)
 
 
@@ -393,11 +387,10 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
         assert gauged.tobytes() == (stack * (np.conj(d)[:, None] * d)).tobytes()
         frame, plain = eig_biorthogonal(gauged), eig_biorthogonal(stack)
         # a complex frame of G, which the gauge and each branch's pivot phase
-        # z = conj(d_p) map onto H's: same spectrum, margins, kets and bras.
+        # z = conj(d_p) map onto H's: same spectrum, kets and bras.
         # LAPACK solves G and H as two different inputs, so they agree to
         # rounding (1.7e-15 for this cubic stack), not bit for bit
         np.testing.assert_allclose(frame.energies, plain.energies, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(frame.raw_overlaps, plain.raw_overlaps, rtol=0.0, atol=1e-12)
         z = np.conj(d[np.argmax(np.abs(frame.right_kets), axis=-2)])
         kets = d[:, None] * frame.right_kets * z[..., None, :]
         bras = np.conj(z)[..., :, None] * frame.left_bras * np.conj(d)
@@ -458,7 +451,7 @@ def test_moving_track_is_the_tracked_frame_itself(monkeypatch):
     assert len(blocks) == 3 and [frame for _, frame in blocks] == returned
     assert all(a is b for (_, a), b in zip(blocks, returned))
     reference = reference_track(hams, times)
-    for field in ("energies", "right_kets", "left_bras", "raw_overlaps"):
+    for field in ("energies", "right_kets", "left_bras"):
         expected = np.array([getattr(f, field) for f in reference])
         got = np.concatenate([getattr(frame, field) for _, frame in blocks])
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)

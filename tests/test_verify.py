@@ -252,7 +252,7 @@ def test_checks_skip_left_picture_when_absent():
 def test_observable_reality_needs_declared_observables(generic_run, series):
     # the model declares none: an absent and an empty list are both unmet
     track, traj = generic_run
-    assert unmet_need("observable-reality", traj.pictures, series).endswith("no observables declared")
+    assert unmet_need("observable-reality", traj.phi_left is not None, series).endswith("no observables declared")
     assert "observable-reality" not in {r.name for r in run_standard_checks(traj, track)}
     with pytest.raises(ScenarioError, match="no observables declared"):
         run_standard_checks(traj, track, selection=["observable-reality"])
