@@ -94,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        existing = args.out and next(path for path in (args.out, *args.out.parents) if path.exists())
+        if existing and not existing.is_dir():  # before any run
+            raise ScenarioError(f"--out {args.out} is not a usable directory: {existing} exists and is not a directory")
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)

@@ -309,8 +309,8 @@ def _gauged(hams: np.ndarray, gauge: np.ndarray | None) -> np.ndarray:
 
 
 def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int):
-    """Solve H at ``times`` in blocks of at most `_FRAME_ENTRIES` entries,
-    each tracked on from the block before, and yield (grid slice, tracked
+    """Solve H at ``times`` in blocks of at most `_FRAME_ENTRIES` entries, each refined (N >= 3)
+    and tracked on from the `Continuation` of the block before, and yield (grid slice, tracked
     frame) per block; ``hamiltonian`` maps a block of times to its stack.
 
     A point-by-point sweep would match point j against j - 1 before solving
@@ -322,11 +322,11 @@ def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int):
         k = block.start
         hams = hamiltonian(times[block])
         try:
-            raw = eig_biorthogonal(hams, t=times[block])
+            raw = eig_biorthogonal(hams, t=times[block], start=carry)
         except NumericalDomainError as exc:
             j = int(np.searchsorted(times[block], exc.t))
             if j > 0:
-                prefix = eig_biorthogonal(hams[:j], t=times[k : k + j])
+                prefix = eig_biorthogonal(hams[:j], t=times[k : k + j], start=carry)
                 track_continuity(prefix, carry)
             raise
         frame = track_continuity(raw, carry)

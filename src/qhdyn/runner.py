@@ -151,16 +151,19 @@ def report_json_dict(report: RunReport) -> dict:
 
 
 def write_outputs(report: RunReport, out_dir: Path) -> Path:
-    """Write timeseries.csv, summary.txt, and report.json under out_dir/<name>."""
+    """Write timeseries.csv, summary.txt, and report.json under out_dir/<name> (`ScenarioError` if unwritable)."""
     import json
 
     run_dir = Path(out_dir) / report.scenario.name
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(report, run_dir / "timeseries.csv")
-    (run_dir / "summary.txt").write_text(summary_text(report), encoding="utf-8")
-    (run_dir / "report.json").write_text(
-        json.dumps(report_json_dict(report), indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(report, run_dir / "timeseries.csv")
+        (run_dir / "summary.txt").write_text(summary_text(report), encoding="utf-8")
+        (run_dir / "report.json").write_text(
+            json.dumps(report_json_dict(report), indent=2, allow_nan=False) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise ScenarioError(f"cannot write outputs under {out_dir}: {exc}") from exc
     return run_dir
 
 
@@ -190,7 +193,7 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
 
     Each point gets a deep-copied document; points run in parallel in up to
     ``jobs`` worker processes, never more than there are points.  Errors are
-    captured per point, not raised; ``jobs`` < 1 raises `ScenarioError`.
+    captured per point, not raised; ``jobs`` < 1 or two values of one label raise `ScenarioError`.
     """
     import copy as _copy
 
@@ -200,6 +203,8 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
     tasks = []
     for value in values:
         label = f"{name}__{param_path.replace('.', '_')}={value}"
+        if any(label == task[-1] for task in tasks):
+            raise ScenarioError(f"two sweep values share the label {label!r}, and so one output directory")
         tasks.append((_copy.deepcopy(raw), param_path, value, label))
     workers = min(jobs, len(tasks))
     if workers > 1:

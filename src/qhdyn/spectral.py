@@ -15,6 +15,8 @@ takes an (M, N, N) stack of matrices and returns a frame of stacked arrays,
 and `track_continuity` aligns every point of such a stack with its predecessor.
 Failures are reported for the earliest grid point that has one, so a stack
 raises the same error a point-by-point sweep of the grid would raise first.
+A moving H of N >= 3 goes to LAPACK at its first point alone: each later
+block is refined from the raw frame before it, or solved by LAPACK if not.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ AMBIGUITY_TOL = 1e-6
 _BIORTHO_TOL = 1e-10
 _EIGEN_RESIDUAL_TOL = 1e-9
 
+# Newton refinement: sweep until no ket moves by more than rounding, or give up after this many
+_REFINE_TOL = 64 * np.finfo(float).eps
+_REFINE_SWEEPS = 6
+
 
 @dataclass(frozen=True)
 class BiorthogonalFrame:
@@ -58,8 +64,9 @@ class BiorthogonalFrame:
 
 
 class Continuation(NamedTuple):
-    """A tracked block's last raw bras (N, N), branch labels and unnormalized phases."""
+    """A tracked block's last raw kets and bras (N, N), branch labels and unnormalized phases."""
 
+    kets: np.ndarray
     bras: np.ndarray
     perm: np.ndarray
     phases: np.ndarray
@@ -102,6 +109,11 @@ def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
 
 
 def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
+    # per point, in this order: the exceptional-point margin, a complex energy, the frame residuals;
+    # infinite bras of a singular R, or norms that overflow, give margin 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
+    worst, worst_im = margins.min(axis=-1), np.max(np.abs(energies.imag), axis=-1)
     bi_res, complete_res, right, left = _frame_residuals(kets, bras, energies, matrix)
     bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
 
@@ -114,6 +126,20 @@ def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
         )
 
     return [(
+        worst < EP_OVERLAP_TOL,
+        lambda k: ExceptionalPointError(
+            f"raw left-right overlap {worst[k]:.3e} below {EP_OVERLAP_TOL:.0e} at t={times[k]:g}: "
+            "matrix is defective or near an exceptional point",
+            t=float(times[k]),
+        ),
+    ), (
+        worst_im >= REALITY_TOL,
+        lambda k: ComplexSpectrumError(
+            f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g}; "
+            "an exceptional point was crossed at or before this grid point",
+            t=float(times[k]),
+        ),
+    ), (
         (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL),
         lambda k: ExceptionalPointError(
             f"biorthogonal frame validation failed at t={times[k]:g} "
@@ -139,21 +165,25 @@ def _inverse(kets: np.ndarray) -> np.ndarray:
         return bras
 
 
-def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> BiorthogonalFrame:
+def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
+                     start: Continuation | None = None) -> BiorthogonalFrame:
     """Biorthogonal eigendecomposition of one square matrix, or of an
     (M, N, N) stack of them taken at the (M,) times ``t``.
 
-    One batched `np.linalg.eig` gives the right kets; the left bras are the
-    rows of inv(R), biorthonormal by construction.  Every step follows the
-    dtype of the input: a real stack is sorted, normalized, inverted and
-    validated in real arithmetic, giving a real frame (a complex pair of it
-    is rejected below); a complex stack gives a complex one.
+    One batched `np.linalg.eig` gives the right kets and inv(R) the left bras
+    (LAPACK), unless a stack of N >= 3 is refined (`_refined`) from ``start``,
+    the `continuation` of the block before, or else from LAPACK's frame of its
+    first point; a refined stack that is not at rounding after
+    `_REFINE_SWEEPS` sweeps, or fails a check below, goes to LAPACK in the
+    same call.  Every step follows the dtype of the input: a real stack gives
+    a real frame (a complex pair of it is rejected below), a complex stack a
+    complex one.
 
-    Normalization convention: unit-norm |n> with its largest-magnitude
-    component real and positive, and <<n|n> = 1, for the matrix handed in
-    (`dressing.build_dressing_track` hands in D* H D and carries the
-    convention back to H).  Eigenpairs are ordered by (Re E, Im E)
-    ascending; continuity tracking may reorder them later.
+    Normalization convention: unit-norm |n> and <<n|n> = 1, for the matrix
+    handed in (`dressing.build_dressing_track` hands in D* H D and carries the
+    convention back to H).  LAPACK's |n> has its largest component real and
+    positive, in (Re E, Im E) ascending order; refined kets keep the start's
+    raw order and phases.  Continuity tracking may reorder them later.
 
     Per point, in this order: raises `ExceptionalPointError` when an
     exceptional-point margin 1 / (||<<n|| ||n>||) falls below 1e-8 (defective
@@ -161,7 +191,7 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> Biorthogonal
     when any |Im E_n| >= 1e-10, saying that an exceptional point was crossed
     at or before that point; then `ExceptionalPointError` when the frame
     fails validation.  The earliest failing point of a stack is the one
-    reported.
+    reported, always from the LAPACK route: a refined stack never raises.
     """
     H = np.asarray(H)
     H = H.astype(np.result_type(H, float), copy=False)
@@ -171,40 +201,52 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0) -> Biorthogonal
     stack = H.reshape(-1, n, n)
     times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
 
+    solved = None
+    if H.ndim == 3 and n >= 3 and len(stack) > (start is None):
+        if start is None:  # LAPACK's frame of the first point, and the rest refined from it
+            head = _lapack(stack[:1], times[:1])
+            rest = _refined(stack[1:], times[1:], head[0][0], head[1][0])
+            solved = rest and tuple(map(np.concatenate, zip(head, rest)))
+        else:
+            solved = _refined(stack, times, start.kets, start.bras)
+    kets, bras, w = solved or _lapack(stack, times)
+
+    if H.ndim == 2:
+        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0])
+    return BiorthogonalFrame(times.copy(), w, kets, bras)
+
+
+def _lapack(stack: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kets, bras, energies) of a stack by one batched `np.linalg.eig`; raises at its earliest failing point."""
     w, vr = np.linalg.eig(stack)
     order = np.lexsort((w.imag, w.real), axis=-1)
     w = np.take_along_axis(w, order, axis=-1)
     vr = np.take_along_axis(vr, order[:, None, :], axis=-1)
     pivot = np.take_along_axis(vr, np.argmax(np.abs(vr), axis=-2)[:, None, :], axis=-2)
     vr *= np.abs(pivot) / pivot
-    kets = vr
-    bras = _inverse(kets)
-    # infinite bras of a singular R, or norms that overflow, give margin 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
+    bras = _inverse(vr)
+    _raise_earliest(_frame_failures(vr, bras, w, times, stack))
+    return vr, bras, w
 
-    worst, worst_im = margins.min(axis=-1), np.max(np.abs(w.imag), axis=-1)
-    failures: list[_Failure] = [(
-        worst < EP_OVERLAP_TOL,
-        lambda k: ExceptionalPointError(
-            f"raw left-right overlap {worst[k]:.3e} below {EP_OVERLAP_TOL:.0e} at t={times[k]:g}: "
-            "matrix is defective or near an exceptional point",
-            t=float(times[k]),
-        ),
-    ), (
-        worst_im >= REALITY_TOL,
-        lambda k: ComplexSpectrumError(
-            f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g}; "
-            "an exceptional point was crossed at or before this grid point",
-            t=float(times[k]),
-        ),
-    )]
-    failures += _frame_failures(kets, bras, w, times, stack)
-    _raise_earliest(failures)
 
-    if H.ndim == 2:
-        return BiorthogonalFrame(float(times[0]), w[0], kets[0], bras[0])
-    return BiorthogonalFrame(times.copy(), w, kets, bras)
+def _refined(stack: np.ndarray, times: np.ndarray, kets: np.ndarray, bras: np.ndarray):
+    """(kets, bras, energies) of a stack refined from the frame (N, N) of a nearby matrix, or None if a
+    ket still moves by more than `_REFINE_TOL` after `_REFINE_SWEEPS` sweeps or a point fails a check.
+    One sweep over the stack G: X = L G R, E = diag X, P_mn = X_mn / (E_n - E_m) (P_nn = 0),
+    R <- R + R P, L <- L - P L, and L <- 2L - L R L keeps L = R^-1 without an inverse."""
+    off = ~np.eye(stack.shape[-1], dtype=bool)
+    kets, bras = np.broadcast_to(kets, stack.shape), np.broadcast_to(bras, stack.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_REFINE_SWEEPS):
+            x = bras @ stack @ kets
+            w = np.diagonal(x, axis1=-2, axis2=-1)
+            p = np.where(off, x / (w[..., None, :] - w[..., :, None]), 0.0)
+            if np.max(np.abs(p)) <= _REFINE_TOL:
+                norms = np.linalg.norm(kets, axis=-2)
+                solved = kets / norms[..., None, :], bras * norms[..., :, None], w.copy()
+                return None if any(flags.any() for flags, _ in _frame_failures(*solved, times, stack)) else solved
+            kets, bras = kets + kets @ p, bras - p @ bras
+            bras = 2.0 * bras - bras @ kets @ bras
 
 
 def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
@@ -252,7 +294,7 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     m, n = energies.shape
     times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
     first = int(start is None)  # the first point matched to a predecessor
-    start = start or Continuation(bras[0], np.arange(n), np.ones(n))
+    start = start or Continuation(kets[0], bras[0], np.arange(n), np.ones(n))
     # [s, i, j] = <<i|j> from the raw point before point first + s to that point
     overlaps = np.concatenate([start.bras @ kets[first : first + 1], bras[first:-1] @ kets[first + 1 :]])
     mags = np.abs(overlaps)
@@ -284,7 +326,7 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
     del overlaps, mags, ranked  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
-    continuation = Continuation(bras[-1].copy(), perm[-1].copy(), phases[-1].copy())
+    continuation = Continuation(kets[-1].copy(), bras[-1].copy(), perm[-1].copy(), phases[-1].copy())
     phases /= np.abs(phases)
     perm, phases = perm[1 - first :], phases[1 - first :]  # the rows of this frame's points
     tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)

@@ -32,6 +32,19 @@ def load_scenario(name, **replacements):
     return scenario_from_dict(raw, name=name)
 
 
+def spy_on_eig(monkeypatch) -> list:
+    """Record the dtype and the number of matrices of every stack `np.linalg.eig` solves."""
+    solved = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        solved.append((a.dtype, len(a)))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return solved
+
+
 @pytest.fixture(scope="session")
 def hand_frame():
     """Hand-verified biorthogonal frame of [[1, 1], [0, 2]]."""

@@ -11,7 +11,8 @@ one step at a time, with a finiteness check after every step.
 point.  `theta_spectral` and `spectrum_closed_form` are independent oracles
 for the metric and for the spectra of the families that have one.
 `closed_form_track` writes out the whole track of `triangular2` with a real
-c(t): frame, dressing map, metric, generator and the exact right ket.
+c(t), and of `pt2` with a constant s and a ramped gamma(t): frame, dressing
+map, metric, generator and the exact right ket.
 """
 
 from __future__ import annotations
@@ -218,10 +219,12 @@ def spectrum_closed_form(model: HamiltonianModel, t: float) -> np.ndarray | None
 
 
 class ClosedFormTrack(NamedTuple):
-    """The track of `closed_form_track`: (M,) times, (M, 2) energies and (M, 2, 2) stacks."""
+    """The track of `closed_form_track`: (M,) times, (M, 2) energies and their integrals
+    from t0, and (M, 2, 2) stacks."""
 
     times: np.ndarray
     energies: np.ndarray
+    phases: np.ndarray
     kets: np.ndarray
     bras: np.ndarray
     omega: np.ndarray
@@ -232,56 +235,112 @@ class ClosedFormTrack(NamedTuple):
 
     def right_ket(self, phi0) -> np.ndarray:
         """(M, 2) exact right kets Phi_R(t) = Omega^-1(t) u(t) Omega(0) Phi(0), with the
-        standard propagator u(t) = diag(exp(-i E_n (t - t0))) of the constant energies."""
-        u = np.exp(-1j * self.energies * (self.times - self.times[0])[:, None])
+        standard propagator u(t) = diag(exp(-i integral_{t0}^t E_n))."""
+        u = np.exp(-1j * self.phases)
         return (self.omega_inv @ (u * (self.omega[0] @ phi0))[..., None])[..., 0]
 
 
-def closed_form_track(model: HamiltonianModel, mu_schedules, times) -> ClosedFormTrack:
-    """The track of triangular2 [[e1, c(t)], [0, e2]] with constant e1 < e2 and a
-    real c(t), in closed form at the (M,) ``times``.
+def _stack(a, b, e, f):
+    """(M, 2, 2) of [[a, b], [e, f]]."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([e, f], axis=-1)], axis=-2)
 
-    With d = e2 - e1 > 0 and n = ||(c, d)||, the kets are (1, 0) and
+
+def _series(schedules, times, evaluate) -> np.ndarray:
+    """(M, len(schedules)) values of ``schedules`` at ``times``."""
+    return np.stack([np.broadcast_to(evaluate(m, times), times.shape) for m in schedules], axis=-1)
+
+
+def _triangular2(model: HamiltonianModel, times):
+    """H, energies, their integrals, kets, bras and d(bras)/dt of triangular2 with constant e1 < e2
+    and a real c(t).  With d = e2 - e1 > 0 and n = ||(c, d)||, the kets are (1, 0) and
     s (c, d) / n, and the bras the rows of L = R^-1 = [[1, -c/d], [0, s n/d]].
     The sign s is that of ket 2's largest component at t0 (d on a tie, the
     tracker's pivot rule); ket 2's second component s d / n never changes
     sign, so s holds for every t, and each ket's overlap with its
-    predecessor stays real and positive (the tracker's continuity rule).
-    Omega = diag(mu) L, Theta = Omega' Omega, dOmega/dt = diag(dmu/dt) L +
-    diag(mu) dL/dt from the exact dc/dt and dmu/dt, and
-    H_gen = H - i Omega^-1 dOmega/dt.
-    """
-    assert model.family == "triangular2" and not {"e1", "e2"} & model.h_schedule.keys()
-    times = np.asarray(times, dtype=float)
+    predecessor stays real and positive (the tracker's continuity rule)."""
+    assert not {"e1", "e2"} & model.h_schedule.keys()
     e1, e2 = model.real_param("e1", None), model.real_param("e2", None)
     assert e1 < e2
-
-    def series(schedules, evaluate):  # (M, len(schedules))
-        return np.stack([np.broadcast_to(evaluate(m, times), times.shape) for m in schedules], axis=-1)
-
     spec = model.h_schedule.get("c", ScheduleSpec("constant", base=model.params["c"]))
-    (c,), (c_dot,) = series([spec], eval_schedule).T, series([spec], eval_schedule_derivative).T
+    (c,), (c_dot,) = _series([spec], times, eval_schedule).T, _series([spec], times, eval_schedule_derivative).T
     assert not np.any(c.imag) and not np.any(c_dot.imag)
     c, c_dot = c.real, c_dot.real
     d = e2 - e1
     n = np.hypot(c, d)
     sign = np.sign(c[0]) if abs(c[0]) > d else 1.0
     zero, one = np.zeros(times.shape), np.ones(times.shape)
+    energies = np.stack([e1 * one, e2 * one], axis=-1)
+    return (
+        _stack(e1 * one, c, zero, e2 * one),
+        energies,
+        energies * (times - times[0])[:, None],
+        _stack(one, sign * c / n, zero, sign * d / n),
+        _stack(one, -c / d, zero, sign * n / d),
+        _stack(zero, -c_dot / d, zero, sign * c * c_dot / (n * d)),
+    )
 
-    def stack(a, b, e, f):  # (M, 2, 2) of [[a, b], [e, f]]
-        return np.stack([np.stack([a, b], axis=-1), np.stack([e, f], axis=-1)], axis=-2)
 
-    kets = stack(one, sign * c / n, zero, sign * d / n)
-    bras = stack(one, -c / d, zero, sign * n / d)
-    bras_dot = stack(zero, -c_dot / d, zero, sign * c * c_dot / (n * d))
-    mu, mu_dot = series(mu_schedules, eval_schedule), series(mu_schedules, eval_schedule_derivative)
+def _pt2(model: HamiltonianModel, times):
+    """The same for pt2 [[i g, s], [s, -i g]] with a constant s > 0 and a constant or
+    linear-ramp g(t), |g| < s.  With l = sqrt(s^2 - g^2), branch n = 0, 1 has the energy
+    E = sigma l, sigma = -1, +1 (LAPACK's ascending order at t0), the unit ket
+    (s, sigma l - i g) / (sqrt(2) s) and the bra (l + i sigma g, sigma s) / (sqrt(2) l), so
+    <<n|n> = 1.  The ket's two components tie in magnitude, so at t0 the tracker's pivot is
+    component 0, already real and positive.  From there the tracker's continuity rule rotates
+    each ket by the phase that makes its overlap with its predecessor real and positive: the
+    product of conj(o) / |o| over the closed-form consecutive overlaps o, renormalized.  Those
+    phases are exp(i theta) with theta = sigma (arcsin(g/s) - arcsin(g(t0)/s)) / 2, whose rate
+    sigma g' / (2 l) makes Im <<n|d/dt|n> zero and enters d(bras)/dt."""
+    assert "s" not in model.h_schedule
+    spec = model.h_schedule.get("gamma", ScheduleSpec("constant", base=model.params["gamma"]))
+    assert spec.kind in ("constant", "linear-ramp")
+    s = model.real_param("s", None)
+    g = _series([spec], times, eval_schedule)[:, 0].real
+    g_dot = _series([spec], times, eval_schedule_derivative)[:, 0].real
+    l = np.sqrt(s * s - g * g)
+    sigma = np.array([-1.0, 1.0])
+    G, L, G_dot = g[:, None], l[:, None], g_dot[:, None]
+    root2 = np.sqrt(2.0)
+    ket_0, ket_1 = np.full((len(times), 2), 1.0 / root2), (sigma * L - 1j * G) / (root2 * s)
+    bra_0, bra_1 = (L + 1j * sigma * G) / (root2 * L), sigma * s / (root2 * L)
+    kets = np.stack([ket_0, ket_1], axis=-2)  # component i of ket n at [i, n]
+    bras = np.stack([bra_0, bra_1], axis=-1)  # component i of bra n at [n, i]
+    rate = sigma * s * G_dot / (root2 * L**3)
+    bras_dot = np.stack([1j * s * rate, G * rate], axis=-1)
+    overlaps = np.einsum("kni,kin->kn", bras[:-1], kets[1:])
+    phases = np.cumprod(np.concatenate([np.ones((1, 2)), np.conj(overlaps) / np.abs(overlaps)]), axis=0)
+    phases /= np.abs(phases)
+    theta_dot = sigma * G_dot / (2.0 * L)
+    # integral of l dt for g = g0 + g' (t - t0); a constant g gives l (t - t0)
+    F = lambda x: 0.5 * (x * np.sqrt(s * s - x * x) + s * s * np.arcsin(x / s))
+    integral = (F(g) - F(g[0])) / g_dot if np.all(g_dot) else l * (times - times[0])
+    return (
+        _stack(1j * g, np.full(times.shape, s), np.full(times.shape, s), -1j * g),
+        sigma * L,
+        sigma * integral[:, None],
+        kets * phases[:, None, :],
+        bras * np.conj(phases)[:, :, None],
+        np.conj(phases)[:, :, None] * (bras_dot - 1j * theta_dot[:, :, None] * bras),
+    )
+
+
+def closed_form_track(model: HamiltonianModel, mu_schedules, times) -> ClosedFormTrack:
+    """The track of triangular2 (`_triangular2`) or pt2 (`_pt2`) in closed form at the
+    (M,) ``times``: frame, Omega = diag(mu) L, Theta = Omega' Omega, dOmega/dt =
+    diag(dmu/dt) L + diag(mu) dL/dt from the exact derivatives, and
+    H_gen = H - i Omega^-1 dOmega/dt.
+    """
+    times = np.asarray(times, dtype=float)
+    family = {"triangular2": _triangular2, "pt2": _pt2}[model.family]
+    hams, energies, phases, kets, bras, bras_dot = family(model, times)
+    mu, mu_dot = _series(mu_schedules, times, eval_schedule), _series(mu_schedules, times, eval_schedule_derivative)
     omega = mu[..., :, None] * bras
     omega_inv = kets / mu[..., None, :]
     omega_dot = mu_dot[..., :, None] * bras + mu[..., :, None] * bras_dot
-    hams = stack(e1 * one, c, zero, e2 * one)
     return ClosedFormTrack(
         times=times,
-        energies=np.stack([e1 * one, e2 * one], axis=-1),
+        energies=energies,
+        phases=phases,
         kets=kets,
         bras=bras,
         omega=omega,

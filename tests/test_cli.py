@@ -656,6 +656,63 @@ def test_missing_file_exit_two(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == ScenarioError.exit_code
 
 
+def _counting_solves(monkeypatch):
+    solves, solve = [], qhdyn.dressing.eig_biorthogonal
+    monkeypatch.setattr(qhdyn.dressing, "eig_biorthogonal", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    return solves
+
+
+_SWEEP = ["--param", "time.dt", "--values", "4e-3,2e-3"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_an_out_that_is_or_lies_under_a_file_exits_two_before_any_eigensolve(
+    command, under, tmp_path, monkeypatch, capsys
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / under if under else blocker
+    solves = _counting_solves(monkeypatch)
+    argv = [command, scenario_path("tri_sin_drive"), "--out", str(out)] + (_SWEEP if command == "sweep" else [])
+    assert main(argv) == ScenarioError.exit_code
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: --out {out} is not a usable directory: "
+                            f"{blocker} exists and is not a directory\n")
+    assert solves == [] and captured.out == "" and blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_outputs_that_cannot_be_written_exit_two_naming_the_path(command, tmp_path, capsys):
+    # --out is a directory, but a file holds the name of the run's own directory in it
+    doc = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    doc["name"] = "taken"
+    doc["time"]["dt"] = 4e-3
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ("taken__time_dt=0.004" if command == "sweep" else "taken")).write_text("")
+    argv = [command, str(path), "--out", str(out)]
+    argv += ["--param", "time.dt", "--values", "4e-3"] if command == "sweep" else []
+    assert main(argv) == ScenarioError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write outputs under {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values", ["2e-3,2e-3", "2e-3,0.002"])
+def test_sweep_values_that_share_an_output_directory_exit_two_before_any_run(values, tmp_path, monkeypatch, capsys):
+    solves = _counting_solves(monkeypatch)
+    argv = ["sweep", scenario_path("tri_sin_drive"), "--param", "time.dt", "--values", values]
+    argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == ScenarioError.exit_code
+    assert capsys.readouterr().err == (
+        "configuration error: two sweep values share the label 'tri_sin_drive__time_dt=0.002', "
+        "and so one output directory\n"
+    )
+    assert solves == [] and not (tmp_path / "out").exists()
+
+
 def test_check_failure_exit_one(capsys):
     code = main(
         [

@@ -33,7 +33,7 @@ from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import eig_biorthogonal, track_continuity
 
-from conftest import SHIPPED_SCENARIOS, load_scenario
+from conftest import SHIPPED_SCENARIOS, load_scenario, spy_on_eig
 from reference import reference_track, stack_frames, theta_spectral
 
 EXP_MU = (
@@ -378,7 +378,9 @@ def _pt2(points):
 
 
 # cubic-trunc is solved in its real gauge, where every continuity phase is
-# +-1; pt2 is complex, so its blocks must carry nontrivial phases bitwise
+# +-1; pt2 is complex, so its blocks must carry nontrivial phases bitwise.
+# At N >= 3 the blocks are refined from the frame before them, so they match
+# the LAPACK route to rounding; at N = 2 both are LAPACK, bit for bit
 @pytest.mark.parametrize("case, entries", [(_cubic8, None), (_pt2, 4 * 64)])
 def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
     import qhdyn.dressing
@@ -389,16 +391,22 @@ def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
     track = build_dressing_track(model, mu, times)
     gauge = real_gauge(model)
     solved = _gauged(build_hamiltonian(model, times), gauge)
-    # the grid solved and tracked in one call
-    whole = track_continuity(eig_biorthogonal(solved, times))
+    # the grid solved by LAPACK (one matrix at a time takes no other route) and tracked in one call
+    whole = track_continuity(stack_frames(*map(eig_biorthogonal, solved, times)))
+    if model.dimension == 2:
+        assert_same = np.testing.assert_array_equal
+    else:
+        def assert_same(actual, desired):
+            np.testing.assert_allclose(actual, desired, rtol=0.0, atol=1e-12)
     mus = mu_series(mu, times)
     # each branch's phase conj(z) = d_p at its largest component p at t0
     z_conj = np.ones(model.dimension) if gauge is None else gauge[np.argmax(np.abs(whole.right_kets[0]), axis=0)]
-    np.testing.assert_array_equal(track.kets, whole.right_kets)
-    np.testing.assert_array_equal(track.bras, whole.left_bras)
-    np.testing.assert_array_equal(track.omega(), build_omega(whole.left_bras, mus * z_conj, gauge))
-    np.testing.assert_array_equal(track.omega_inv(), omega_inverse(whole.right_kets, mus * z_conj, gauge))
-    np.testing.assert_array_equal(track.energies, whole.energies)
+    assert_same(track.kets, whole.right_kets)
+    assert_same(track.bras, whole.left_bras)
+    assert_same(track.omega(), build_omega(whole.left_bras, mus * z_conj, gauge))
+    assert_same(track.omega_inv(), omega_inverse(whole.right_kets, mus * z_conj, gauge))
+    assert_same(track.energies, whole.energies)
+    # the grid's first point is LAPACK's on either route
     kets0 = whole.right_kets[0] if gauge is None else gauge[:, None] * whole.right_kets[0] * np.conj(z_conj)
     initial_kets = np.stack([track.initial_ket(k) for k in range(model.dimension)], axis=-1)
     np.testing.assert_array_equal(initial_kets, kets0)
@@ -412,6 +420,56 @@ def test_blocked_track_equals_the_whole_grid_solve(case, entries, monkeypatch):
     kets = np.array([f.right_kets for f in reference])
     np.testing.assert_allclose(track.omega(), build_omega(bras, mus), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(track.omega_inv(), omega_inverse(kets, mus), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_refined_track_matches_the_pointwise_reference(n, monkeypatch):
+    # a random moving cubic-trunc model in its real phase (below g = 0.0485 at N = 8), on a
+    # benchmark-like fine grid of 501 points: one block at N = 3, eight at N = 8
+    rng = np.random.default_rng(n)
+    g = ScheduleSpec("sinusoidal", base=rng.uniform(0.01, 0.03), amplitude=rng.uniform(0.1, 0.4),
+                     frequency=rng.uniform(1.0, 3.0), phase=rng.uniform(0.0, 2.0 * np.pi))
+    model = HamiltonianModel(n, "cubic-trunc", {"g": g.base}, {"g": g})
+    mu = tuple(ScheduleSpec("exponential", base=1.0, rate=rng.uniform(-0.3, 0.3)) for _ in range(n))
+    times = np.linspace(0.0, 0.25, 501)
+    solved = spy_on_eig(monkeypatch)
+    track = build_dressing_track(model, mu, times)
+    assert solved == [(np.float64, 1)]  # LAPACK at t0 alone: no block fell back
+    reference = reference_track(build_hamiltonian(model, times), times)
+    mus = mu_series(mu, times)
+    np.testing.assert_allclose(track.energies, [f.energies for f in reference], rtol=0.0, atol=1e-12)
+    bras = np.array([f.left_bras for f in reference])
+    kets = np.array([f.right_kets for f in reference])
+    np.testing.assert_allclose(track.omega(), build_omega(bras, mus), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(track.omega_inv(), omega_inverse(kets, mus), rtol=0.0, atol=1e-12)
+
+
+def test_a_refinement_that_does_not_converge_falls_back_to_lapack(monkeypatch):
+    import qhdyn.spectral
+
+    ramp = {"g": ScheduleSpec("linear-ramp", base=0.02, rate=0.5)}  # leaves the real phase at t = 0.049
+    model = HamiltonianModel(8, "cubic-trunc", {"g": 0.02}, ramp)
+    mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.1 * (k - 4)) for k in range(8))
+    _, fine = time_grid(0.0, 0.25, 1e-3)
+    with pytest.raises(ComplexSpectrumError) as refined:
+        build_dressing_track(model, mu, fine)
+    cubic8, cubic8_mu, times = _cubic8(201)
+    converged = build_dressing_track(cubic8, cubic8_mu, times)
+    # one sweep never reaches rounding on a moving H: every block goes to LAPACK whole
+    monkeypatch.setattr(qhdyn.spectral, "_REFINE_SWEEPS", 1)
+    solved = spy_on_eig(monkeypatch)
+    with pytest.raises(ComplexSpectrumError) as fallen_back:
+        build_dressing_track(model, mu, fine)
+    assert str(fallen_back.value) == str(refined.value) and fallen_back.value.t == refined.value.t
+    solved.clear()
+    track = build_dressing_track(cubic8, cubic8_mu, times)
+    assert [points for _, points in solved] == [1, 64, 64, 64, 9]
+    # the LAPACK route of the grid in one call, bit for bit, and the refined track to rounding
+    whole = track_continuity(eig_biorthogonal(_gauged(build_hamiltonian(cubic8, times), real_gauge(cubic8)), times))
+    np.testing.assert_array_equal(track.kets, whole.right_kets)
+    np.testing.assert_array_equal(track.bras, whole.left_bras)
+    for field in ("kets", "bras", "energies"):
+        np.testing.assert_allclose(getattr(track, field), getattr(converged, field), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("points", [slice(0, 1), slice(0, 5), slice(1, 3), slice(60, 70), slice(196, 201), slice(None)])

@@ -333,7 +333,7 @@ def _propagate_transient(track, **kwargs):
 
 def test_propagate_transient_is_bounded_at_n8():
     # N = 8 cubic-trunc as in the moving-cubic8 benchmark, 250 steps with the
-    # left picture: the kets and phases are 0.1 MiB, and a 16-step block's
+    # left picture: the kets and u are 0.1 MiB, and a 16-step block's
     # generator samples and RK4 stages about 0.2 MiB (64-step blocks took
     # the transient to 0.96 MiB)
     g = ScheduleSpec("sinusoidal", base=0.025, amplitude=0.3, frequency=2.0)
@@ -344,7 +344,7 @@ def test_propagate_transient_is_bounded_at_n8():
 
 
 def test_propagate_transient_is_bounded_at_n4():
-    # N = 4 over 1000 steps: the kets and phases are 0.15 MiB, and the
+    # N = 4 over 1000 steps: the kets and u are 0.15 MiB, and the
     # 64-step blocks are as long as before the blocks were sized by entries
     config = load_scenario("cubic_osc_drive")
     track = _config_track(config)

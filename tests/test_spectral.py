@@ -15,6 +15,7 @@ from qhdyn.spectral import (
     track_continuity,
 )
 
+from conftest import spy_on_eig
 from reference import reference_frame_residuals, reference_permutations, reference_track, stack_frames
 
 
@@ -145,15 +146,17 @@ def _pt2_frames(gammas):
     return track_continuity(eig_biorthogonal(np.array(hams), t=np.arange(len(gammas), dtype=float)))
 
 
-def test_a_continuation_carries_the_last_raw_bras_alone():
-    # what the next block's first match reads, copied out of this block's stacks
+def test_a_continuation_carries_the_last_raw_frame_alone():
+    # what the next block is refined from and its first match reads, copied out of this block's stacks
     gammas = [0.0, 0.1, 0.2, 0.3]
     raw = eig_biorthogonal(np.array([[[1j * g, 1.0], [1.0, -1j * g]] for g in gammas]), t=np.arange(4.0))
     whole = track_continuity(raw)
     carried = whole.continuation
-    assert carried._fields == ("bras", "perm", "phases")
+    assert carried._fields == ("kets", "bras", "perm", "phases")
+    np.testing.assert_array_equal(carried.kets, raw.right_kets[-1])
     np.testing.assert_array_equal(carried.bras, raw.left_bras[-1])
-    assert carried.bras.shape == (2, 2) and carried.bras.base is None
+    for a in (carried.kets, carried.bras):
+        assert a.shape == (2, 2) and a.base is None
     # a block tracked on from it is the grid tracked in one call
     head, tail = (eig_biorthogonal(np.array([[[1j * g, 1.0], [1.0, -1j * g]] for g in part]), t=times)
                   for part, times in ((gammas[:2], np.arange(2.0)), (gammas[2:], np.arange(2.0, 4.0))))
@@ -255,10 +258,9 @@ def test_branch_crossing_in_energy_keeps_identity():
     s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     times = np.linspace(0.0, 1.0, 20)  # E_1 = 2t crosses E_2 = 1 between grid points
     hams = np.array([s @ np.diag([2.0 * t, 1.0, 3.0]) @ np.linalg.inv(s) for t in times])
-    raw = eig_biorthogonal(hams, t=times)
-    # the solver orders by energy, so the two branches trade places
-    np.testing.assert_allclose(raw.energies[-1].real, [1.0, 2.0, 3.0], atol=1e-10)
-    tracked = track_continuity(raw)
+    # LAPACK orders by energy, so the two branches trade places
+    np.testing.assert_allclose(eig_biorthogonal(hams[-1]).energies.real, [1.0, 2.0, 3.0], atol=1e-10)
+    tracked = track_continuity(eig_biorthogonal(hams, t=times))
     np.testing.assert_allclose(tracked.energies[:, 0].real, 2.0 * times, atol=1e-10)
     np.testing.assert_allclose(tracked.energies[:, 1].real, 1.0, atol=1e-10)
     # each tracked ket stays on its own eigenvector line, the column of S
@@ -337,19 +339,6 @@ def test_branch_permutations_of_random_matches():
     np.testing.assert_array_equal(branch_permutations(best[:0]), [np.arange(n)])
 
 
-def _spy_on_eig(monkeypatch):
-    """Record the dtype of every stack `np.linalg.eig` solves."""
-    solved = []
-    eig = np.linalg.eig
-
-    def spy(a):
-        solved.append(a.dtype)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", spy)
-    return solved
-
-
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     model = HamiltonianModel(
@@ -358,10 +347,12 @@ def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     times = np.linspace(0.0, 1.0, 201)
     hams = build_hamiltonian(model, times)
     d = real_gauge(model)
-    solved = _spy_on_eig(monkeypatch)
+    solved = spy_on_eig(monkeypatch)
     real = track_continuity(eig_biorthogonal(_gauged(hams, d), t=times))
     full = track_continuity(eig_biorthogonal(hams, t=times))
-    assert solved == [np.float64, np.complex128]
+    # at N >= 3 LAPACK solves the first point alone, and the rest is refined from it
+    points = len(times) if n == 2 else 1
+    assert solved == [(np.float64, points), (np.complex128, points)]
     # a real spectrum comes out of the real solve with no imaginary rounding,
     # and the whole frame of G = D* H D stays real
     for field in ("energies", "right_kets", "left_bras"):
@@ -381,7 +372,7 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
     hams = build_hamiltonian(cubic, np.zeros(3))
     hams[1, 2, 0] += 1e-13j  # even offset: stays imaginary under the gauge
     pt2 = build_hamiltonian(HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}), np.zeros(1))
-    solved = _spy_on_eig(monkeypatch)
+    solved = spy_on_eig(monkeypatch)
     for stack, d in ((hams, real_gauge(cubic)), (pt2, 1j ** np.arange(2))):
         gauged = _gauged(stack, d)
         assert gauged.tobytes() == (stack * (np.conj(d)[:, None] * d)).tobytes()
@@ -396,7 +387,26 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
         bras = np.conj(z)[..., :, None] * frame.left_bras * np.conj(d)
         np.testing.assert_allclose(kets, plain.right_kets, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(bras, plain.left_bras, rtol=0.0, atol=1e-12)
-    assert solved == [np.complex128] * 4
+    # the N = 4 stacks go to LAPACK at their first point alone
+    assert solved == [(np.complex128, 1)] * 4
+
+
+def test_a_refined_stack_that_fails_a_check_falls_back_to_lapack(monkeypatch):
+    # fixed eigenvectors, so the refinement converges at once; from t = 3 one energy
+    # leaves the real axis, which only the check on |Im E| catches
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    times = np.arange(6.0)
+    hams = np.array([s @ np.diag([1.0, 2.0 + (1e-6j if t >= 3 else 0.0), 3.0]) @ np.linalg.inv(s) for t in times])
+    solved = spy_on_eig(monkeypatch)
+    with pytest.raises(ComplexSpectrumError, match=r"\|Im E\| = 1\.000e-06 >= 1e-10 at t=3;"):
+        eig_biorthogonal(hams, t=times)
+    assert solved == [(np.complex128, 1), (np.complex128, 6)]  # the first point, then the whole stack
+    start = track_continuity(eig_biorthogonal(hams[:3], t=times[:3])).continuation
+    solved.clear()
+    with pytest.raises(ComplexSpectrumError, match=r"at t=3;"):
+        eig_biorthogonal(hams[3:], t=times[3:], start=start)
+    assert solved == [(np.complex128, 3)]
 
 
 def test_a_real_stack_with_a_complex_pair_is_rejected():
