@@ -13,6 +13,7 @@ line on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -108,5 +109,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def entry() -> int:
+    """`main` for the console script and ``python -m qhdyn``: a process that is ending anyway freezes its
+    objects (`gc.freeze`), so that the interpreter's shutdown does not walk them in full collections."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

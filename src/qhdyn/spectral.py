@@ -22,7 +22,7 @@ block is refined from the raw frame before it, or solved by LAPACK if not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,20 +72,6 @@ class Continuation(NamedTuple):
     phases: np.ndarray
 
 
-# (per-point failure flags, error for a failing point index), in priority order
-_Failure = tuple[np.ndarray, Callable[[int], NumericalDomainError]]
-
-
-def _raise_earliest(failures: list[_Failure]):
-    """Raise the error of the earliest flagged grid point; at one point the
-    first entry of ``failures`` that flags it wins."""
-    flags = np.array([f for f, _ in failures])
-    hit = np.flatnonzero(flags.any(axis=0))
-    if hit.size:
-        k = int(hit[0])
-        raise failures[int(np.argmax(flags[:, k]))][1](k)
-
-
 def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
     """Max-norm residuals of a frame stack, all formed in one product buffer:
     the (M,) biorthonormality and completeness residuals ||<<m|n> - I|| and
@@ -108,46 +94,37 @@ def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
         ]
 
 
-def _frame_failures(kets, bras, energies, times, matrix) -> list[_Failure]:
-    # per point, in this order: the exceptional-point margin, a complex energy, the frame residuals;
-    # infinite bras of a singular R, or norms that overflow, give margin 0
+def _frame_error(kets, bras, energies, times, matrix) -> NumericalDomainError | None:
+    """The error of the earliest point of a frame stack that fails a check, or None.  At one point the first
+    failing check wins, in this order: the exceptional-point margin, a complex energy, biorthonormality and
+    completeness, the eigen-residuals.  Infinite bras of a singular R, or norms that overflow, give margin 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
     worst, worst_im = margins.min(axis=-1), np.max(np.abs(energies.imag), axis=-1)
     bi_res, complete_res, right, left = _frame_residuals(kets, bras, energies, matrix)
     bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
-
-    def residual_error(k):
-        j = int(np.argmax(bad[k]))
+    near_ep, complex_energy = worst < EP_OVERLAP_TOL, worst_im >= REALITY_TOL
+    degenerate = (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL)
+    hit = np.flatnonzero(near_ep | complex_energy | degenerate | bad.any(axis=-1))
+    if not hit.size:
+        return None
+    k = int(hit[0])
+    t = float(times[k])
+    if near_ep[k]:
         return ExceptionalPointError(
-            f"eigenpair {j} residual too large at t={times[k]:g} "
-            f"(right {right[k, j]:.3e}, left {left[k, j]:.3e})",
-            t=float(times[k]),
-        )
-
-    return [(
-        worst < EP_OVERLAP_TOL,
-        lambda k: ExceptionalPointError(
-            f"raw left-right overlap {worst[k]:.3e} below {EP_OVERLAP_TOL:.0e} at t={times[k]:g}: "
-            "matrix is defective or near an exceptional point",
-            t=float(times[k]),
-        ),
-    ), (
-        worst_im >= REALITY_TOL,
-        lambda k: ComplexSpectrumError(
-            f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={times[k]:g}; "
-            "an exceptional point was crossed at or before this grid point",
-            t=float(times[k]),
-        ),
-    ), (
-        (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL),
-        lambda k: ExceptionalPointError(
-            f"biorthogonal frame validation failed at t={times[k]:g} "
-            f"(biorthonormality residual {bi_res[k]:.3e}, completeness residual "
-            f"{complete_res[k]:.3e}); eigenvector system is numerically degenerate",
-            t=float(times[k]),
-        ),
-    ), (bad.any(axis=-1), residual_error)]
+            f"raw left-right overlap {worst[k]:.3e} below {EP_OVERLAP_TOL:.0e} at t={t:g}: "
+            "matrix is defective or near an exceptional point", t=t)
+    if complex_energy[k]:
+        return ComplexSpectrumError(
+            f"spectrum has |Im E| = {worst_im[k]:.3e} >= {REALITY_TOL:.0e} at t={t:g}; "
+            "an exceptional point was crossed at or before this grid point", t=t)
+    if degenerate[k]:
+        return ExceptionalPointError(
+            f"biorthogonal frame validation failed at t={t:g} (biorthonormality residual {bi_res[k]:.3e}, "
+            f"completeness residual {complete_res[k]:.3e}); eigenvector system is numerically degenerate", t=t)
+    j = int(np.argmax(bad[k]))
+    return ExceptionalPointError(
+        f"eigenpair {j} residual too large at t={t:g} (right {right[k, j]:.3e}, left {left[k, j]:.3e})", t=t)
 
 
 def _inverse(kets: np.ndarray) -> np.ndarray:
@@ -225,7 +202,9 @@ def _lapack(stack: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarra
     pivot = np.take_along_axis(vr, np.argmax(np.abs(vr), axis=-2)[:, None, :], axis=-2)
     vr *= np.abs(pivot) / pivot
     bras = _inverse(vr)
-    _raise_earliest(_frame_failures(vr, bras, w, times, stack))
+    error = _frame_error(vr, bras, w, times, stack)
+    if error is not None:
+        raise error
     return vr, bras, w
 
 
@@ -244,7 +223,7 @@ def _refined(stack: np.ndarray, times: np.ndarray, kets: np.ndarray, bras: np.nd
             if np.max(np.abs(p)) <= _REFINE_TOL:
                 norms = np.linalg.norm(kets, axis=-2)
                 solved = kets / norms[..., None, :], bras * norms[..., :, None], w.copy()
-                return None if any(flags.any() for flags, _ in _frame_failures(*solved, times, stack)) else solved
+                return solved if _frame_error(*solved, times, stack) is None else None
             kets, bras = kets + kets @ p, bras - p @ bras
             bras = 2.0 * bras - bras @ kets @ bras
 

@@ -362,13 +362,32 @@ def test_unexpected_exception_exit_four(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _fresh_interpreter(probe: str, stdin: str = "") -> str:
+def _child(*argv: str, stdin: str = "") -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], input=stdin, env=env, capture_output=True, text=True, timeout=60, check=True
-    )
+    return subprocess.run([sys.executable, *argv], input=stdin, env=env, capture_output=True, text=True, timeout=60)
+
+
+def _fresh_interpreter(probe: str, stdin: str = "") -> str:
+    result = _child("-c", probe, stdin=stdin)
+    result.check_returncode()
     return result.stdout.strip()
+
+
+def test_the_module_entry_exits_with_each_outcome(tmp_path):
+    done = _child("-m", "qhdyn", "run", scenario_path("tri_sin_drive"), "--out", str(tmp_path / "out"))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert sorted(p.name for p in (tmp_path / "out" / "tri_sin_drive").iterdir()) == [
+        "report.json", "summary.txt", "timeseries.csv"
+    ]
+    aborted = _child("-m", "qhdyn", "run", scenario_path("ep_crossing"))
+    assert aborted.returncode == NumericalDomainError.exit_code
+    assert aborted.stderr.startswith("numerical-domain error: ") and aborted.stderr.count("\n") == 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    refused = _child("-m", "qhdyn", "run", scenario_path("tri_sin_drive"), "--out", str(blocker / "sub"))
+    assert refused.returncode == ScenarioError.exit_code
+    assert refused.stderr.startswith("configuration error: --out ") and refused.stderr.count("\n") == 1
 
 
 def test_json_document_runs_without_yaml(tmp_path):

@@ -7,9 +7,8 @@ from qhdyn.model import build_hamiltonian, real_gauge
 from qhdyn.schedules import ScheduleSpec
 from qhdyn.spectral import (
     BiorthogonalFrame,
-    _frame_failures,
+    _frame_error,
     _frame_residuals,
-    _raise_earliest,
     branch_permutations,
     eig_biorthogonal,
     track_continuity,
@@ -212,10 +211,11 @@ def test_validate_rejects_broken_frame(hand_frame, hand_matrix):
         right_kets=hand_frame.right_kets,
         left_bras=hand_frame.left_bras * 1.5,
     )
-    with pytest.raises(ExceptionalPointError, match="frame validation failed"):
-        _raise_earliest(_frame_failures(
-            broken.right_kets[None], broken.left_bras[None], broken.energies[None], np.zeros(1), hand_matrix[None]
-        ))
+    error = _frame_error(
+        broken.right_kets[None], broken.left_bras[None], broken.energies[None], np.zeros(1), hand_matrix[None]
+    )
+    assert isinstance(error, ExceptionalPointError)
+    assert "frame validation failed" in str(error)
 
 
 OK2 = np.diag([1.0, 2.0]).astype(complex)
@@ -292,6 +292,47 @@ def test_exceptional_point_outranks_complex_spectrum_at_one_point():
     defective_complex = np.array([[1.0 + 1.0j, 1.0], [0.0, 1.0 + 1.0j]])
     with pytest.raises(ExceptionalPointError, match="t=0.5"):
         eig_biorthogonal(np.array([OK2, defective_complex]), t=[0.0, 0.5])
+
+
+# (fault, error class, message) in the order the gate ranks them at one point
+_RANKED_FAULTS = [
+    ("ep-margin", ExceptionalPointError, "raw left-right overlap"),
+    ("complex-energy", ComplexSpectrumError, "spectrum has |Im E|"),
+    ("biorthonormality", ExceptionalPointError, "biorthogonal frame validation failed"),
+    ("eigen-residual", ExceptionalPointError, "eigenpair 0 residual too large"),
+]
+
+
+def _faulty_point(frame, matrix, faults):
+    """(kets, bras, energies, matrix) of the hand frame with each named fault put in."""
+    kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
+    if "ep-margin" in faults:
+        bras = bras * 1e9  # margin 1 / (||<<n|| ||n>||) < 1e-9
+    if "complex-energy" in faults:
+        energies = energies + 1e-6j
+    if "biorthonormality" in faults:
+        bras = bras * 1.5
+    if "eigen-residual" in faults:
+        matrix = matrix + 1e-6 * np.eye(2)
+    return kets, bras, energies, matrix
+
+
+@pytest.mark.parametrize("rank", range(len(_RANKED_FAULTS)), ids=[f for f, _, _ in _RANKED_FAULTS])
+def test_frame_error_ranks_the_checks_at_one_point_and_reports_the_earliest(rank, hand_frame, hand_matrix):
+    # the point fails this check and every lower-ranked one
+    point = _faulty_point(hand_frame, hand_matrix, {fault for fault, _, _ in _RANKED_FAULTS[rank:]})
+    _, cls, message = _RANKED_FAULTS[rank]
+    clean = _faulty_point(hand_frame, hand_matrix, set())
+    kets, bras, energies, matrix = map(np.stack, zip(clean, point))
+    error = _frame_error(kets, bras, energies, np.array([0.0, 2.0]), matrix)
+    assert type(error) is cls and error.t == 2.0
+    assert str(error).startswith(message) and "t=2" in str(error)
+    # a point before it that fails only the lowest-ranked check is reported instead
+    early = _faulty_point(hand_frame, hand_matrix, {"eigen-residual"})
+    kets, bras, energies, matrix = map(np.stack, zip(clean, early, point))
+    error = _frame_error(kets, bras, energies, np.array([0.0, 1.0, 2.0]), matrix)
+    assert type(error) is ExceptionalPointError and error.t == 1.0
+    assert str(error).startswith("eigenpair 0 residual too large at t=1 ")
 
 
 def test_singular_eigenvector_matrix_is_an_exceptional_point():
