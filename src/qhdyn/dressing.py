@@ -28,6 +28,9 @@ the check residuals) are formed over the blocks of `grid_blocks`, of at most
 `_FRAME_ENTRIES` entries: no temporary the size of the track outlives one
 expression.  The checks and the CSV each make one pass of
 `DressingTrack.blocks`, on those blocks, sharing each block's matrices.
+Those products, and RK4's, go through `spectral.matmul`: at N = 2 a complex
+stack is multiplied by broadcast arithmetic, not by one BLAS call per matrix;
+a real one, or any at N >= 3, by `np.matmul`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from . import model as _models
 from .errors import ConditioningError, ConditioningWarning, MetricPositivityError, NumericalDomainError, ScenarioError
 from .model import HamiltonianModel, ObservableSpec, build_hamiltonian, real_gauge
 from .schedules import ScheduleSpec, eval_schedule, eval_schedule_derivative
-from .spectral import eig_biorthogonal, track_continuity
+from .spectral import eig_biorthogonal, matmul, track_continuity
 
 # metric conditioning guard: warn above the first bound, abort above the second
 THETA_COND_WARN = 1e8
@@ -87,31 +90,31 @@ def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
 def build_theta(omega: np.ndarray) -> np.ndarray:
     """Metric Theta = Omega' Omega; Hermitian positive definite by construction.
     A stack's temporaries span it: pass one block of points at a time."""
-    product = dagger(omega) @ omega
+    product = matmul(dagger(omega), omega)
     return 0.5 * (product + dagger(product))
 
 
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
     """h = Omega H Omega^-1, the Hermitian partner acting in the friendly space."""
-    return omega @ H @ omega_inv
+    return matmul(matmul(omega, H), omega_inv)
 
 
 def quasi_hermiticity_residual(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """max-norm of A' Theta - Theta A (one value per point of a stack, for
     one block of points at a time); zero certifies A as a Theta-observable."""
-    return np.max(np.abs(dagger(A) @ theta - theta @ A), axis=(-2, -1))
+    return np.max(np.abs(matmul(dagger(A), theta) - matmul(theta, A)), axis=(-2, -1))
 
 
 def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray, out=None) -> np.ndarray:
     """H_gen = H - i Omega^-1 dOmega/dt, formed in ``out`` when given."""
-    out = np.matmul(omega_inv, omega_dot, out=out)
+    out = matmul(omega_inv, omega_dot, out=out)
     np.multiply(1j, out, out=out)
     return np.subtract(H, out, out=out)
 
 
 def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Metric inner product <a|Theta|b> (one value per point of a stack)."""
-    return np.sum(np.conj(a) * (theta @ b[..., None])[..., 0], axis=-1)
+    return np.sum(np.conj(a) * matmul(theta, b[..., None])[..., 0], axis=-1)
 
 
 def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
@@ -297,7 +300,7 @@ class Block:
             return self.hamiltonian[self.coarse]
         if spec.source == "user-matrix":
             return np.broadcast_to(spec.data, (self.rows.stop - self.rows.start,) + spec.data.shape)
-        return self.omega_inv[self.coarse] @ spec.data @ self.omega[self.coarse]
+        return matmul(matmul(self.omega_inv[self.coarse], spec.data), self.omega[self.coarse])
 
 
 def _gauged(hams: np.ndarray, gauge: np.ndarray | None) -> np.ndarray:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, build_theta, theta_inner
 from .errors import ConditioningError, IntegrationError, ScenarioError
+from .spectral import matmul
 
 PICTURES = ("right", "left", "standard")
 
@@ -125,10 +126,10 @@ def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: floa
     # stage is dropped once the sum has taken it
     a = (-1j * dt) * begin
     m = (-1j * dt) * mid
-    k2 = m @ a
+    k2 = matmul(m, a)
     k2 *= 0.5
     k2 += m
-    k3 = m @ k2
+    k3 = matmul(m, k2)
     k3 *= 0.5
     k3 += m
     del m
@@ -136,7 +137,7 @@ def rk4_increments(begin: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: floa
     a += k2
     del k2
     c = (-1j * dt) * end
-    k4 = c @ k3
+    k4 = matmul(c, k3)
     k4 += c
     del c
     k3 *= 2.0
@@ -264,4 +265,4 @@ def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray, times=None):
         t = None if times is None else float(np.ravel(times)[np.argmax(small)])
         where = "" if t is None else f" at t={t:g}"
         raise ConditioningError(f"Theta-norm of the state is below the normal double range{where}; no mean values", t=t)
-    return theta_inner(phi, (A @ phi[..., None])[..., 0], theta) / norm
+    return theta_inner(phi, matmul(A, phi[..., None])[..., 0], theta) / norm

@@ -427,6 +427,8 @@ def _parse_checks(entries):
     """The selected check names, each once, and their threshold overrides."""
     if entries is None:
         return None, {}
+    if not entries:
+        raise ScenarioError("checks names no check; omit the key or set it to null to run every applicable check")
     selection = []
     overrides = {}
     for k, item in enumerate(entries):

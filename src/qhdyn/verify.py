@@ -20,6 +20,7 @@ import numpy as np
 from .dressing import Block, DressingTrack, dagger, hermitize, quasi_hermiticity_residual, theta_inner
 from .errors import ScenarioError
 from .evolution import Trajectory, expectation
+from .spectral import matmul
 
 
 class Check(NamedTuple):
@@ -86,7 +87,7 @@ def _duality_drift(trajectory, block):
 
 def _state_consistency(trajectory, block):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    expected = (block.theta[block.coarse] @ trajectory.phi_right[block.rows][..., None])[..., 0]
+    expected = matmul(block.theta[block.coarse], trajectory.phi_right[block.rows][..., None])[..., 0]
     return np.linalg.norm(trajectory.phi_left[block.rows] - expected, axis=-1)
 
 
@@ -95,7 +96,7 @@ def _equivalence(trajectory, block):
     Omega^-1(t) u(t) Omega(0) Phi(0)."""
     phi0 = trajectory.phi_right[0]
     seed = block.origin.omega[0] @ phi0
-    oracle = (block.omega_inv[block.coarse] @ (trajectory.u[block.rows] * seed)[..., None])[..., 0]
+    oracle = matmul(block.omega_inv[block.coarse], (trajectory.u[block.rows] * seed)[..., None])[..., 0]
     return np.linalg.norm(trajectory.phi_right[block.rows] - oracle, axis=-1) / float(np.linalg.norm(phi0))
 
 
@@ -115,9 +116,9 @@ def _intertwining(trajectory, block):
     """
     omega0, inv0 = block.origin.omega[0], dagger(block.origin.omega_inv[0])
     u = trajectory.u[block.rows, None, :]
-    u_right = (block.omega_inv[block.coarse] * u) @ omega0
-    u_left = dagger((dagger(block.omega[block.coarse]) * u) @ inv0)
-    return np.max(np.abs(u_left @ u_right - np.eye(len(omega0))), axis=(-2, -1))
+    u_right = matmul(block.omega_inv[block.coarse] * u, omega0)
+    u_left = dagger(matmul(dagger(block.omega[block.coarse]) * u, inv0))
+    return np.max(np.abs(matmul(u_left, u_right) - np.eye(len(omega0))), axis=(-2, -1))
 
 
 def _quasi_hermiticity(trajectory, block):

@@ -3,6 +3,9 @@ dt = 1e-3, double precision).  Each criterion prints its own PASS/FAIL line;
 run with `pytest -s tests/test_acceptance.py` to see them.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,13 @@ from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS, load_scenario
 # drifts below this sit at the rounding floor; a convergence ratio measured
 # there is a ratio of noise, so the order subtest only applies above it
 DRIFT_MEASURABLE_FLOOR = 1e-13
+
+# each check's max residual for every shipped scenario at its shipped dt; a fresh residual
+# matches when it is within a factor of 4 of the file's, or within 4e-15 (18 ulp of 1) of it:
+# rounding passes, and so does any move of a residual at the rounding floor, but a residual
+# above 4.5e-16 that grows tenfold fails, as does one above 4.5e-15 that shrinks tenfold
+GOLDEN = Path(__file__).with_name("golden_residuals.json")
+GOLDEN_FACTOR, GOLDEN_FLOOR = 4.0, 4e-15
 
 
 def _report(criterion, ok, detail=""):
@@ -223,3 +233,27 @@ def test_criterion_8_derivative_oracle():
         ok,
         f"max |H_gen(analytic) - H_gen(fd)| = {gen_diff:.2e}; Richardson ratio {ratio:.1f}",
     )
+
+
+def _residuals(runs):
+    return {name: {r.name: r.max_residual for r in report.reports} for name, report in runs.items()}
+
+
+def test_residuals_match_the_golden_file(shipped_runs):
+    """A change that moves a residual on purpose rewrites the file, by running this module
+    (`PYTHONPATH=src python tests/test_acceptance.py`), and says so."""
+    golden, fresh = json.loads(GOLDEN.read_text(encoding="utf-8")), _residuals(shipped_runs)
+    assert {s: list(c) for s, c in fresh.items()} == {s: list(c) for s, c in golden.items()}
+    moved = [
+        f"{name} {check}: {value:.3e} -> {fresh[name][check]:.3e}"
+        for name, checks in golden.items()
+        for check, value in checks.items()
+        if not (abs(fresh[name][check] - value) <= GOLDEN_FLOOR
+                or value / GOLDEN_FACTOR <= fresh[name][check] <= GOLDEN_FACTOR * value)
+    ]
+    assert not moved, moved
+
+
+if __name__ == "__main__":
+    runs = {name: run(load_scenario(name)) for name in SHIPPED_SCENARIOS}
+    GOLDEN.write_text(json.dumps(_residuals(runs), indent=1) + "\n", encoding="utf-8")

@@ -376,6 +376,7 @@ def test_scenario_from_dict_fuzz(data):
         ("evolution", 0, "evolution must be a mapping, got 0"),
         ("pictures", "right", "pictures must be a list, got 'right'"),
         ("initial_state", "uniform", "initial_state must be a mapping, got 'uniform'"),
+        ("checks", [], "checks names no check; omit the key or set it to null to run every applicable check"),
         ("time", None, 'missing required key "time"'),
         ("model.h_schedule", None, None),
         ("model.a_observables", None, None),

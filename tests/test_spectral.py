@@ -11,6 +11,7 @@ from qhdyn.spectral import (
     _frame_residuals,
     branch_permutations,
     eig_biorthogonal,
+    matmul,
     track_continuity,
 )
 
@@ -506,3 +507,64 @@ def test_moving_track_is_the_tracked_frame_itself(monkeypatch):
         expected = np.array([getattr(f, field) for f in reference])
         got = np.concatenate([getattr(frame, field) for _, frame in blocks])
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def _draw(rng, kind, shape):
+    real = rng.standard_normal(shape)
+    return real + 1j * rng.standard_normal(shape) if kind == "c" else real
+
+
+@pytest.mark.parametrize("kinds", ["cc", "cr", "rc"])
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((64, 2, 2), (64, 2, 2)),  # stack @ stack
+        ((64, 2, 2), (2, 2)),  # stack @ matrix
+        ((2, 2), (64, 2, 2)),  # matrix @ stack
+        ((64, 2, 2), (64, 2, 1)),  # stack @ a stack of columns
+        ((8, 2, 2, 2), (8, 2, 2, 2)),  # RK4's (steps, pictures, N, N) stages
+        ((8, 1, 3, 2), (5, 2, 4)),  # broadcast leading axes, rectangular factors
+    ],
+)
+def test_matmul_of_length_two_matches_numpy_to_a_few_ulp(monkeypatch, a_shape, b_shape, kinds):
+    rng = np.random.default_rng(11)
+    a, b = _draw(rng, kinds[0], a_shape), _draw(rng, kinds[1], b_shape)
+    expected = np.matmul(a, b)
+    bound = 8 * np.finfo(float).eps * np.matmul(np.abs(a), np.abs(b))
+    monkeypatch.setattr(np, "matmul", None)  # the broadcast route calls no matmul
+    got = matmul(a, b)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.all(np.abs(got - expected) <= bound)
+    out = np.full(expected.shape, np.nan, dtype=complex)
+    assert matmul(a, b, out=out) is out
+    assert out.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape, kinds",
+    [
+        ((16, 3, 3), (16, 3, 3), "cc"),  # contraction length 3
+        ((16, 4, 4), (4, 4), "cc"),
+        ((16, 2, 2), (16, 2, 2), "rr"),  # two real factors
+        ((16, 2, 2), (2,), "cc"),  # a vector factor
+        ((2,), (16, 2, 2), "cc"),
+    ],
+)
+def test_matmul_of_any_other_product_is_numpy_bit_for_bit(a_shape, b_shape, kinds):
+    rng = np.random.default_rng(12)
+    a, b = _draw(rng, kinds[0], a_shape), _draw(rng, kinds[1], b_shape)
+    expected = np.matmul(a, b)
+    assert matmul(a, b).tobytes() == expected.tobytes()
+    out = np.empty_like(expected)
+    assert matmul(a, b, out=out) is out and out.tobytes() == expected.tobytes()
+
+
+def test_matmul_of_a_non_finite_entry_is_not_finite():
+    rng = np.random.default_rng(13)
+    a, b = _draw(rng, "c", (6, 2, 2)), _draw(rng, "c", (6, 2, 2))
+    a[1, 0, 1], a[3, 1, 0], b[4, 0, 0] = np.inf, np.nan, -np.inf
+    with np.errstate(all="ignore"):
+        got, expected = matmul(a, b), np.matmul(a, b)
+    assert not np.isfinite(got[1, 0]).any() and not np.isfinite(got[3, 1]).any()
+    assert not np.isfinite(got[4, :, 0]).any()
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(expected))
