@@ -21,13 +21,13 @@ quantity is an (M, N, N) array and every per-level quantity an (M, N) array,
 with the grid index first.  The functions below take a single (N, N) matrix
 or such a stack alike.  The track holds the frame, not the dressing map:
 the tracked kets and bras of D* H D in the model's real gauge D (real for
-cubic-trunc), mu(t), the energies and Theta's eigenvalues; the frame at t0 is
-its row 0, with no copy of its own.  Omega, Omega^-1, H, Theta, dOmega/dt, the
+cubic-trunc), mu(t), the energies and Theta's eigenvalues (`hermitian_eigvals`); t0 is
+row 0, with no copy of its own.  Omega, Omega^-1, H, Theta, dOmega/dt, the
 observables and every other product over the grid (a moving H's frames, H_gen,
 the check residuals) are formed over the blocks of `grid_blocks`, of at most
 `_FRAME_ENTRIES` entries: no temporary the size of the track outlives one
-expression.  The checks and the CSV each make one pass of
-`DressingTrack.blocks`, on those blocks, sharing each block's matrices.
+expression.  The checks, and the CSV with them, make one pass of
+`DressingTrack.blocks`, sharing each block's matrices, norms and mean values.
 Those products, and RK4's, go through `spectral.matmul`: at N = 2 a complex
 stack is multiplied by broadcast arithmetic, not by one BLAS call per matrix;
 a real one, or any at N >= 3, by `np.matmul`.
@@ -94,6 +94,15 @@ def build_theta(omega: np.ndarray) -> np.ndarray:
     return 0.5 * (product + dagger(product))
 
 
+def hermitian_eigvals(theta: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian stack: `np.linalg.eigvalsh`'s, or at N = 2 in closed form,
+    (p + q) / 2 -+ hypot((p - q) / 2, |r|) for [[p, r], [r*, q]]."""
+    if theta.shape[-1] != 2:
+        return np.linalg.eigvalsh(theta)
+    p, q, r = theta[..., 0, 0].real, theta[..., 1, 1].real, np.abs(theta[..., 0, 1])
+    return 0.5 * (p + q)[..., None] + np.hypot(0.5 * (p - q), r)[..., None] * [-1.0, 1.0]
+
+
 def hermitize(omega: np.ndarray, H: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
     """h = Omega H Omega^-1, the Hermitian partner acting in the friendly space."""
     return matmul(matmul(omega, H), omega_inv)
@@ -115,6 +124,20 @@ def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray,
 def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Metric inner product <a|Theta|b> (one value per point of a stack)."""
     return np.sum(np.conj(a) * matmul(theta, b[..., None])[..., 0], axis=-1)
+
+
+def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray, times=None):
+    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of one (N,) ket,
+    or of each ket of a (K, N) stack (with A and theta stacked or broadcast
+    to match).  Raises `ConditioningError` naming the first of the kets' ``times``
+    whose Theta-norm is below the normal double range."""
+    norm = theta_inner(phi, phi, theta)
+    small = np.ravel(np.abs(norm) < np.finfo(float).tiny)
+    if small.any():
+        t = None if times is None else float(np.ravel(times)[np.argmax(small)])
+        where = "" if t is None else f" at t={t:g}"
+        raise ConditioningError(f"Theta-norm of the state is below the normal double range{where}; no mean values", t=t)
+    return theta_inner(phi, matmul(A, phi[..., None])[..., 0], theta) / norm
 
 
 def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
@@ -266,32 +289,45 @@ class DressingTrack:
         start, stop = min(max(lo - 2, 0), m - 5), max(min(hi + 2, m), 5)
         return differentiate_samples(self.omega(slice(start, stop)), self.step, slice(lo - start, hi - start))
 
-    def blocks(self, step: int = 1) -> Iterator[Block]:
-        """The `Block`s of one pass over the grid, in order: with ``step`` 1 the runs of fine
-        points of `grid_blocks`, each from an even index, so its reporting points are its even
-        ones; with ``step`` 2, only those points."""
-        origin, m = Block(self, slice(0, 1, 1), slice(0, 1)), len(self.times)
+    def blocks(self, phi: np.ndarray | None = None) -> Iterator[Block]:
+        """The `Block`s of one pass over the grid, in order: the runs of fine points of `grid_blocks`,
+        each from an even index, so its reporting points are its even ones; each holds its rows of
+        the (K, N) right kets ``phi`` on the reporting grid, when given."""
+        origin, m = Block(self, slice(0, 1), slice(0, 1), None, None if phi is None else phi[:1]), len(self.times)
         for start, stop in ((s.start, min(s.stop, m)) for s in grid_blocks(m, self.dimension)):
-            yield Block(self, slice(start, stop, step), slice(start // 2, (stop + 1) // 2), origin)
+            rows = slice(start // 2, (stop + 1) // 2)
+            yield Block(self, slice(start, stop), rows, origin, None if phi is None else phi[rows])
 
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One block of a `DressingTrack.blocks` pass: the grid slice ``points`` it covers, the
-    reporting ``rows`` at its own ``[coarse]`` points, and ``origin``, the pass's one-point
-    block at t0.  H, Theta, Omega and Omega^-1 at its points are each formed on first use
-    and kept: a consumer forms only what it reads, and every later one reuses it."""
+    """One block of a `DressingTrack.blocks` pass: the grid slice ``points`` it covers from an even
+    index, the reporting ``rows`` at its even (``[coarse]``) points, ``origin``, the pass's one-point
+    block at t0, and the right kets ``phi`` at its rows.  H, Theta, Omega, Omega^-1, phi's Theta-norms
+    and `observed` (name -> quasi-Hermiticity residual and mean in phi, non-finite ones kept, of each
+    declared observable) are each formed on first use and kept: a consumer forms only what it reads."""
 
     track: DressingTrack = field(repr=False)
     points: slice
     rows: slice
     origin: Block | None = field(default=None, repr=False)
+    phi: np.ndarray | None = field(default=None, repr=False)
 
-    coarse = property(lambda self: slice(None, None, 2 // self.points.step))
+    coarse = slice(None, None, 2)
     hamiltonian = cached_property(lambda self: self.track.hamiltonian(self.points))
     omega = cached_property(lambda self: self.track.omega(self.points))
     omega_inv = cached_property(lambda self: self.track.omega_inv(self.points))
     theta = cached_property(lambda self: build_theta(self.omega))
+    norms = cached_property(lambda self: theta_inner(self.phi, self.phi, self.theta[self.coarse]).real)
+
+    @cached_property
+    def observed(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        theta, times, observed = self.theta[self.coarse], self.track.times[self.points][self.coarse], {}
+        for spec in self.track.model.a_observables:
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = self.observable(spec)
+                observed[spec.name] = quasi_hermiticity_residual(a, theta), expectation(self.phi, a, theta, times)
+        return observed
 
     def observable(self, spec: ObservableSpec) -> np.ndarray:
         """The declared observable A(t) at the block's reporting points: H itself,
@@ -384,7 +420,7 @@ def build_dressing_track(
             theta = build_theta(build_omega(bras[block], np.abs(mu[block])))  # L' |mu|^2 L = D* Theta D
         finite = np.isfinite(theta).all(axis=(-2, -1))
         theta[~finite] = 0.0  # eigvalsh rejects inf and NaN; the guard names these points
-        theta_eigs[block] = np.where(finite[:, None], np.linalg.eigvalsh(theta), np.nan)
+        theta_eigs[block] = np.where(finite[:, None], hermitian_eigvals(theta), np.nan)
     _guard_metric(theta_eigs, times)
 
     return DressingTrack(

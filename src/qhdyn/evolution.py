@@ -46,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, build_theta, theta_inner
-from .errors import ConditioningError, IntegrationError, ScenarioError
+from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, build_theta
+from .errors import IntegrationError, ScenarioError
 from .spectral import matmul
 
 PICTURES = ("right", "left", "standard")
@@ -252,17 +252,3 @@ def propagate_quasi(
         phi_left=kets[:, 1] if want_left else None,
         u=np.exp(-1j * standard_phases(track)),
     )
-
-
-def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray, times=None):
-    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of one (N,) ket,
-    or of each ket of a (K, N) stack (with A and theta stacked or broadcast
-    to match).  Raises `ConditioningError` naming the first of the kets' ``times``
-    whose Theta-norm is below the normal double range."""
-    norm = theta_inner(phi, phi, theta)
-    small = np.ravel(np.abs(norm) < np.finfo(float).tiny)
-    if small.any():
-        t = None if times is None else float(np.ravel(times)[np.argmax(small)])
-        where = "" if t is None else f" at t={t:g}"
-        raise ConditioningError(f"Theta-norm of the state is below the normal double range{where}; no mean values", t=t)
-    return theta_inner(phi, matmul(A, phi[..., None])[..., 0], theta) / norm

@@ -4,8 +4,9 @@ One run produces a `RunReport` carrying the per-step CSV rows, the invariant
 reports, and wall-clock metadata.  The CSV layout is fixed (stable plotting
 downstream): t, theta_norm, std_norm, equivalence_residual,
 quasi_hermiticity_residual, theta_min_eig, theta_cond, Re/Im of each tracked
-energy, then Re/Im of each requested expectation value.  Numbers are written
-with 17 significant digits so a reread round-trips the doubles exactly.
+energy, then Re/Im of each requested expectation value; the check pass fills
+the theta_norm, residual and expectation columns, through views of the rows.
+Numbers are written with 17 significant digits so a reread round-trips exactly.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dressing import DressingTrack, build_dressing_track, theta_inner
+from .dressing import DressingTrack, build_dressing_track
 from .errors import NumericalDomainError, ScenarioError
-from .evolution import Trajectory, expectation, propagate_quasi, time_grid
+from .evolution import Trajectory, propagate_quasi, time_grid
 from .scenario import ScenarioConfig, plain_name, scenario_from_dict, set_by_path
-from .verify import CHECKS, InvariantReport, run_standard_checks
+from .verify import InvariantReport, Table, run_standard_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,8 +58,9 @@ def run(config: ScenarioConfig) -> RunReport:
         use_plain_hamiltonian=(config.generator == "h-only"),
     )
 
-    reports = run_standard_checks(trajectory, track, selection=config.check_selection, overrides=config.check_overrides)
-    columns, rows = _tabulate(config, track, trajectory)
+    columns, rows, table = _tabulate(config, track, trajectory)
+    reports = run_standard_checks(trajectory, track, selection=config.check_selection,
+                                  overrides=config.check_overrides, table=table)
     return RunReport(
         scenario=config,
         columns=columns,
@@ -69,6 +71,7 @@ def run(config: ScenarioConfig) -> RunReport:
 
 
 def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
+    """The CSV's columns and rows, and the `Table` of views of them the check pass fills."""
     n = track.dimension
     columns = ["t", "theta_norm", "std_norm", "equivalence_residual", "quasi_hermiticity_residual", "theta_min_eig",
                "theta_cond"]
@@ -76,28 +79,19 @@ def _tabulate(config, track: DressingTrack, trajectory: Trajectory):
     columns += [f"{part}_exp_{name}" for name in config.outputs for part in ("re", "im")]
 
     phi = trajectory.phi_right
-    specs = {spec.name: spec for spec in track.model.a_observables}
     eigs = track.theta_eigs[::2]
     energies = track.energies[::2]
-    table = np.empty((len(phi), len(columns)))
-    table[:, 0] = trajectory.times
-    table[:, 5] = eigs[:, 0]
-    table[:, 6] = eigs[:, -1] / eigs[:, 0]
-    table[:, 7 : 7 + 2 * n : 2] = energies.real
-    table[:, 8 : 8 + 2 * n : 2] = energies.imag
-    # one pass over blocks of reporting points; the residual columns are the checks' own
-    for block in track.blocks(step=2):
-        rows, part, theta = block.rows, phi[block.rows], block.theta
-        table[rows, 1] = theta_inner(part, part, theta).real
-        table[rows, 2] = np.sum(np.conj(part) * part, axis=-1).real
-        table[rows, 3] = CHECKS["equivalence"].residuals(trajectory, block)
-        table[rows, 4] = CHECKS["quasi-hermiticity"].residuals(trajectory, block)
-        for j, name in enumerate(config.outputs):
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing observable fails observable-reality
-                value = expectation(part, block.observable(specs[name]), theta, trajectory.times[rows])
-            table[rows, 7 + 2 * (n + j)] = value.real
-            table[rows, 8 + 2 * (n + j)] = value.imag
-    return tuple(columns), table
+    rows = np.empty((len(phi), len(columns)))
+    rows[:, 0] = trajectory.times
+    rows[:, 2] = np.sum(np.conj(phi) * phi, axis=-1).real
+    rows[:, 5] = eigs[:, 0]
+    rows[:, 6] = eigs[:, -1] / eigs[:, 0]
+    rows[:, 7 : 7 + 2 * n : 2] = energies.real
+    rows[:, 8 : 8 + 2 * n : 2] = energies.imag
+    # each mean value is a complex view of its (re, im) pair of columns
+    means = {name: rows[:, 7 + 2 * (n + j) : 9 + 2 * (n + j)].view(complex)[:, 0]
+             for j, name in enumerate(config.outputs)}
+    return tuple(columns), rows, Table(rows[:, 1], rows[:, 3], rows[:, 4], means)
 
 
 def write_csv(report: RunReport, path: Path):

@@ -15,8 +15,8 @@ takes an (M, N, N) stack of matrices and returns a frame of stacked arrays,
 and `track_continuity` aligns every point of such a stack with its predecessor.
 Failures are reported for the earliest grid point that has one, so a stack
 raises the same error a point-by-point sweep of the grid would raise first.
-A moving H of N >= 3 goes to LAPACK at its first point alone: each later
-block is refined from the raw frame before it, or solved by LAPACK if not.
+A 2 x 2 H is solved in closed form; a moving H of N >= 3 goes to LAPACK at
+its first point alone, and each later block is refined from the frame before.
 """
 
 from __future__ import annotations
@@ -84,17 +84,17 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return product
 
 
-def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
+def _frame_residuals(kets, bras, energies, matrix, whole: bool = False) -> list[np.ndarray]:
     """Max-norm residuals of a frame stack, all formed in one product buffer:
     the (M,) biorthonormality and completeness residuals ||<<m|n> - I|| and
     ||sum_n |n><<n| - I||, then the (M, N) right and left eigen-residuals of
-    each pair against the ``matrix`` stack."""
+    each pair against the ``matrix`` stack; with ``whole``, the four maxima over the stack."""
     product = np.empty(kets.shape, dtype=np.result_type(kets, bras, energies, matrix))
 
     def worst(a, b, minus, axis):
         matmul(a, b, out=product)
         np.subtract(product, minus, out=product)
-        return np.max(np.abs(product), axis=axis)
+        return np.max(np.abs(product), axis=None if whole else axis, initial=0.0)
 
     eye = np.eye(kets.shape[-1])
     with np.errstate(invalid="ignore", over="ignore"):
@@ -109,18 +109,23 @@ def _frame_residuals(kets, bras, energies, matrix) -> list[np.ndarray]:
 def _frame_error(kets, bras, energies, times, matrix) -> NumericalDomainError | None:
     """The error of the earliest point of a frame stack that fails a check, or None.  At one point the first
     failing check wins, in this order: the exceptional-point margin, a complex energy, biorthonormality and
-    completeness, the eigen-residuals.  Infinite bras of a singular R, or norms that overflow, give margin 0."""
+    completeness, the eigen-residuals.  Infinite or NaN bras, or norms that overflow, give margin 0; a NaN
+    energy or residual fails.  The whole stack's maxima are tested first, each point's only if one fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         margins = 1.0 / (np.linalg.norm(bras, axis=-1) * np.linalg.norm(kets, axis=-2))
-    worst, worst_im = margins.min(axis=-1), np.max(np.abs(energies.imag), axis=-1)
+    imag = np.abs(energies.imag)
+    # each comparison is False for NaN, which so fails it
+    if margins.min(initial=np.inf) >= EP_OVERLAP_TOL and imag.max(initial=0.0) < REALITY_TOL:
+        whole = _frame_residuals(kets, bras, energies, matrix, whole=True)
+        if np.all(np.less_equal(whole, [_BIORTHO_TOL, _BIORTHO_TOL, _EIGEN_RESIDUAL_TOL, _EIGEN_RESIDUAL_TOL])):
+            return None
+    worst, worst_im = margins.min(axis=-1), imag.max(axis=-1)
+    worst[np.isnan(worst)] = 0.0
     bi_res, complete_res, right, left = _frame_residuals(kets, bras, energies, matrix)
-    bad = (right > _EIGEN_RESIDUAL_TOL) | (left > _EIGEN_RESIDUAL_TOL)
-    near_ep, complex_energy = worst < EP_OVERLAP_TOL, worst_im >= REALITY_TOL
-    degenerate = (bi_res > _BIORTHO_TOL) | (complete_res > _BIORTHO_TOL)
-    hit = np.flatnonzero(near_ep | complex_energy | degenerate | bad.any(axis=-1))
-    if not hit.size:
-        return None
-    k = int(hit[0])
+    bad = ~(right <= _EIGEN_RESIDUAL_TOL) | ~(left <= _EIGEN_RESIDUAL_TOL)
+    near_ep, complex_energy = worst < EP_OVERLAP_TOL, ~(worst_im < REALITY_TOL)
+    degenerate = ~(bi_res <= _BIORTHO_TOL) | ~(complete_res <= _BIORTHO_TOL)
+    k = int(np.flatnonzero(near_ep | complex_energy | degenerate | bad.any(axis=-1))[0])  # one fails, as a maximum did
     t = float(times[k])
     if near_ep[k]:
         return ExceptionalPointError(
@@ -159,19 +164,17 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
     """Biorthogonal eigendecomposition of one square matrix, or of an
     (M, N, N) stack of them taken at the (M,) times ``t``.
 
-    One batched `np.linalg.eig` gives the right kets and inv(R) the left bras
-    (LAPACK), unless a stack of N >= 3 is refined (`_refined`) from ``start``,
-    the `continuation` of the block before, or else from LAPACK's frame of its
-    first point; a refined stack that is not at rounding after
-    `_REFINE_SWEEPS` sweeps, or fails a check below, goes to LAPACK in the
-    same call.  Every step follows the dtype of the input: a real stack gives
-    a real frame (a complex pair of it is rejected below), a complex stack a
-    complex one.
+    N = 2 is solved in closed form (`_closed_form`), a stack of N >= 3 refined (`_refined`)
+    from ``start``, the `continuation` of the block before, or else from LAPACK's frame of its
+    first point.  The rest, and a stack of either route that fails a check below (or is not at
+    rounding after `_REFINE_SWEEPS` sweeps), go to one batched `np.linalg.eig`, with inv(R) for
+    the bras (LAPACK).  Every step follows the dtype of the input: a real stack gives a real
+    frame (a complex pair of it is rejected below), a complex stack a complex one.
 
     Normalization convention: unit-norm |n> and <<n|n> = 1, for the matrix
     handed in (`dressing.build_dressing_track` hands in D* H D and carries the
-    convention back to H).  LAPACK's |n> has its largest component real and
-    positive, in (Re E, Im E) ascending order; refined kets keep the start's
+    convention back to H).  LAPACK's and the closed form's |n> has its largest component
+    real and positive, in (Re E, Im E) ascending order; refined kets keep the start's
     raw order and phases.  Continuity tracking may reorder them later.
 
     Per point, in this order: raises `ExceptionalPointError` when an
@@ -180,7 +183,7 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
     when any |Im E_n| >= 1e-10, saying that an exceptional point was crossed
     at or before that point; then `ExceptionalPointError` when the frame
     fails validation.  The earliest failing point of a stack is the one
-    reported, always from the LAPACK route: a refined stack never raises.
+    reported, always from the LAPACK route: no other route raises.
     """
     H = np.asarray(H)
     H = H.astype(np.result_type(H, float), copy=False)
@@ -190,7 +193,9 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
     stack = H.reshape(-1, n, n)
     times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
 
-    solved = None
+    solved = _closed_form(stack) if n == 2 else None
+    if solved and _frame_error(*solved, times, stack) is not None:  # as any non-finite entry makes one fail
+        solved = None
     if H.ndim == 3 and n >= 3 and len(stack) > (start is None):
         if start is None:  # LAPACK's frame of the first point, and the rest refined from it
             head = _lapack(stack[:1], times[:1])
@@ -218,6 +223,32 @@ def _lapack(stack: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if error is not None:
         raise error
     return vr, bras, w
+
+
+def _closed_form(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kets, bras, energies) of a 2 x 2 stack in `_lapack`'s convention, unchecked.  For [[a, b], [c, d]],
+    h = (a - d) / 2 and s = sqrt(h^2 + bc) with Re(h* s) >= 0, q = h + s has no cancellation: E = m -+ s
+    about m = (a + d) / 2 have the kets (b, -q) and (q, c); the bras are their exact 2 x 2 inverse."""
+    a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = 0.5 * (a - d)
+        s = np.sqrt(h * h + b * c)
+        s = np.where((np.conj(h) * s).real < 0, -s, s)
+        q, m = h + s, 0.5 * (a + d)
+        # energies, ket and bra components (M, 2), the branches along the last axis in (Re E, Im E) order;
+        # the pivot, the larger ket component (the first on a tie), is made exactly real and positive
+        lo, hi = m - s, m + s
+        swap = (hi.real < lo.real) | ((hi.real == lo.real) & (hi.imag < lo.imag))
+        pair = lambda x, y: np.where(swap[:, None], np.stack([y, x], axis=-1), np.stack([x, y], axis=-1))
+        w, top, bottom = pair(lo, hi), pair(b, q), pair(-q, c)
+        big, small = np.abs(top), np.abs(bottom)
+        first, size, norm = ~(small > big), np.maximum(big, small), np.hypot(big, small)
+        scale = np.conj(np.where(first, top, bottom)) / (size * norm)
+        kets = np.stack([np.where(first, size / norm, top * scale), np.where(first, bottom * scale, size / norm)], -2)
+        # the bras are the adjugate of these kets over their determinant, so that L R = I to rounding
+        bras = np.stack([kets[:, ::-1, 1], kets[:, ::-1, 0]], axis=-2) * [[1.0, -1.0], [-1.0, 1.0]]
+        bras /= (kets[:, 0, 0] * kets[:, 1, 1] - kets[:, 0, 1] * kets[:, 1, 0])[:, None, None]
+    return kets, bras, w
 
 
 def _refined(stack: np.ndarray, times: np.ndarray, kets: np.ndarray, bras: np.ndarray):

@@ -7,7 +7,8 @@ can be overridden per scenario.  Every check is one row of the table
 `CHECKS`: an array expression over one `dressing.Block` and the trajectory rows
 it covers, giving a residual per grid time of the block.  `run_standard_checks`
 feeds each block of one pass over the track to every check, so no temporary
-spans the grid and H, Theta, Omega and Omega^-1 are formed once per block.
+spans the grid and H, Theta, Omega and Omega^-1 are formed once per block; it
+fills the CSV's `Table` from the norms, residuals and means the checks form.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dressing import Block, DressingTrack, dagger, hermitize, quasi_hermiticity_residual, theta_inner
+from .dressing import Block, DressingTrack, dagger, hermitize, quasi_hermiticity_residual
 from .errors import ScenarioError
-from .evolution import Trajectory, expectation
+from .evolution import Trajectory
 from .spectral import matmul
 
 
@@ -71,11 +72,18 @@ class InvariantReport:
         return float(self.times[np.argmax(np.where(np.isfinite(self.residuals), self.residuals, np.inf))])
 
 
+class Table(NamedTuple):
+    """The (K,) CSV columns a check pass fills: Theta-norm, two residuals, each named observable's mean."""
+
+    theta_norm: np.ndarray
+    equivalence: np.ndarray
+    quasi_hermiticity: np.ndarray
+    means: dict[str, np.ndarray]
+
+
 def _norm_drift(trajectory, block):
     """Drift of the metric norm <Phi(t)|Theta(t)|Phi(t)> from its value at t0."""
-    phi, rows = trajectory.phi_right, block.rows
-    norms = theta_inner(phi[rows], phi[rows], block.theta[block.coarse]).real
-    return np.abs(norms - theta_inner(phi[:1], phi[:1], block.origin.theta).real)
+    return np.abs(block.norms - block.origin.norms)
 
 
 def _duality_drift(trajectory, block):
@@ -166,13 +174,8 @@ def _observable_reality(trajectory, block):
     illegitimate observable has no reality claim).
     """
     gate_threshold = CHECKS["quasi-hermiticity"].threshold
-    theta, phi = block.theta[block.coarse], trajectory.phi_right[block.rows]
-    residuals = np.zeros(len(phi))
-    for spec in block.track.model.a_observables:
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN gate fails below, as NaN
-            a = block.observable(spec)
-            gate = quasi_hermiticity_residual(a, theta)
-            mean = expectation(phi, a, theta, trajectory.times[block.rows])
+    residuals = np.zeros(len(block.phi))
+    for gate, mean in block.observed.values():  # a NaN gate fails below, as NaN
         # not a Theta-observable where the gate fails; report the violation itself
         residuals = np.maximum(residuals, np.where(gate <= gate_threshold, np.abs(mean.imag), gate))
     return residuals
@@ -210,32 +213,44 @@ def run_standard_checks(
     track: DressingTrack,
     selection: Sequence[str] | None = None,
     overrides: Mapping[str, float] | None = None,
+    table: Table | None = None,
 ) -> list[InvariantReport]:
     """Run the named checks (all by default) with optional threshold overrides,
     in one pass over the track's blocks that feeds every check each block.
 
     A check whose `unmet_need` is not None is skipped when no selection is
-    given, and raises `ScenarioError` when explicitly selected.
+    given, and raises `ScenarioError` when explicitly selected.  The pass fills
+    ``table`` too: its residuals are `equivalence`'s and `quasi-hermiticity`'s.
     """
     overrides = dict(overrides or {})
     for name in [*overrides, *(selection or ())]:
         if name not in CHECKS:
             raise ScenarioError(f"unknown check name {name!r}")
-    series = []  # (name, check, times, residuals) per check to run
+    checks = {}  # name -> check, of every check to run
     for name in CHECKS if selection is None else selection:
         check = CHECKS[name]
         problem = check.needs and unmet_need(name, trajectory.phi_left is not None, track.model.a_observables)
         if problem and selection is not None:
             raise ScenarioError(problem)
         if not problem:
-            times = track.times if check.on_fine_grid else trajectory.times
-            series.append((name, check, times, np.empty(len(times))))
-    for block in track.blocks():
-        for _, check, _, residuals in series:
-            residuals[block.points if check.on_fine_grid else block.rows] = check.residuals(trajectory, block)
+            checks[name] = check
+    reported = list(checks)
+    if table is not None:  # its residual columns are formed even where these checks do not run
+        checks |= {name: CHECKS[name] for name in ("equivalence", "quasi-hermiticity")}
+    times = {name: track.times if check.on_fine_grid else trajectory.times for name, check in checks.items()}
+    residuals = {name: np.empty(len(grid)) for name, grid in times.items()}
+    for block in track.blocks(getattr(trajectory, "phi_right", None)):  # isospectrality needs no trajectory
+        for name, check in checks.items():
+            residuals[name][block.points if check.on_fine_grid else block.rows] = check.residuals(trajectory, block)
+        if table is not None:
+            table.theta_norm[block.rows] = block.norms
+            for name, mean in table.means.items():
+                mean[block.rows] = block.observed[name][1]
+    if table is not None:
+        table.equivalence[:], table.quasi_hermiticity[:] = residuals["equivalence"], residuals["quasi-hermiticity"][::2]
     return [
-        InvariantReport.from_series(name, times, residuals, overrides.get(name, check.threshold))
-        for name, check, times, residuals in series
+        InvariantReport.from_series(name, times[name], residuals[name], overrides.get(name, checks[name].threshold))
+        for name in reported
     ]
 
 

@@ -45,6 +45,21 @@ def spy_on_eig(monkeypatch) -> list:
     return solved
 
 
+def spy_on_closed_form(monkeypatch) -> list:
+    """Record the dtype and the number of matrices of every 2 x 2 stack `spectral._closed_form` solves."""
+    import qhdyn.spectral
+
+    solved = []
+    closed_form = qhdyn.spectral._closed_form
+
+    def spy(stack):
+        solved.append((stack.dtype, len(stack)))
+        return closed_form(stack)
+
+    monkeypatch.setattr(qhdyn.spectral, "_closed_form", spy)
+    return solved
+
+
 @pytest.fixture(scope="session")
 def hand_frame():
     """Hand-verified biorthogonal frame of [[1, 1], [0, 2]]."""

@@ -23,10 +23,10 @@ from qhdyn.dressing import (
     build_omega,
     build_theta,
     differentiate_samples,
+    expectation,
     hermitize,
     quasi_hermiticity_residual,
 )
-from qhdyn.evolution import expectation
 from qhdyn.spectral import BiorthogonalFrame, _frame_error, eig_biorthogonal
 
 from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS, load_scenario

@@ -22,6 +22,7 @@ from qhdyn.dressing import (
     build_theta,
     dagger,
     differentiate_samples,
+    hermitian_eigvals,
     hermitize,
     mu_series,
     grid_blocks,
@@ -614,15 +615,15 @@ def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, mo
     track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times)
     whole = build_hamiltonian(model, times)
     fine = grid_blocks(len(times), n)
-    passes = [list(track.blocks(step)) for step in (1, 2)]
-    blocks = fine + [block.points for blocks in passes for block in blocks]
+    passes = list(track.blocks())
+    blocks = fine + [block.points for block in passes]
     assert len(times[fine[0]]) > len(times[fine[-1]])  # a ragged last block
     # the RK4 blocks' halo slices and a mask, too
     mask = np.zeros(len(times), dtype=bool)
     mask[[3, 50, 202]] = True
     for points in blocks + [slice(0, 33), slice(32, 65), slice(192, 203), slice(None, None, 2), mask]:
         assert _bits(track.hamiltonian(points)) == _bits(whole[points])
-    for block in passes[0] + passes[1]:
+    for block in passes:
         assert _bits(block.hamiltonian) == _bits(whole[block.points])
 
 
@@ -637,10 +638,9 @@ def test_the_passes_cut_the_grid_as_grid_blocks_does(n):
     size = cut[0][1]
     assert size % 2 == 0 and [start for start, _ in cut] == list(range(0, len(times), size))
     assert cut[-1][1] == len(times) and cut[-1][1] - cut[-1][0] < size
-    for step in (1, 2):
-        blocks = list(track.blocks(step))
-        assert [(b.points.start, b.points.stop, b.points.step) for b in blocks] == [(*s, step) for s in cut]
-        assert [(b.rows.start, b.rows.stop) for b in blocks] == [(start // 2, (stop + 1) // 2) for start, stop in cut]
+    blocks = list(track.blocks())
+    assert [(b.points.start, b.points.stop, b.points.step) for b in blocks] == [(*s, None) for s in cut]
+    assert [(b.rows.start, b.rows.stop) for b in blocks] == [(start // 2, (stop + 1) // 2) for start, stop in cut]
 
 
 @pytest.mark.parametrize("case", ["cubic8", "pt2"])
@@ -652,23 +652,23 @@ def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     whole = 0.5 * (product + dagger(product))
     for block in grid_blocks(len(times), model.dimension):
         assert _bits(build_theta(track.omega(block))) == _bits(whole[block])
-    for step in (1, 2):
-        for block in track.blocks(step):
-            assert _bits(block.theta) == _bits(whole[block.points])
-            assert _bits(block.theta[block.coarse]) == _bits(whole[::2][block.rows])
+    for block in track.blocks():
+        assert _bits(block.theta) == _bits(whole[block.points])
+        assert _bits(block.theta[block.coarse]) == _bits(whole[::2][block.rows])
     # Theta's eigenvalues come from the frame, as those of L' |mu|^2 L: a real
-    # symmetric matrix for cubic-trunc, Theta itself for pt2's positive mu
+    # symmetric matrix for cubic-trunc, Theta itself for pt2's positive mu;
+    # LAPACK's for N = 8, in closed form for N = 2
     weighted = build_theta(build_omega(track.bras, np.abs(track.mu)))
     assert weighted.dtype == (float if case == "cubic8" else complex)
-    assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(weighted))
+    assert _bits(track.theta_eigs) == _bits(hermitian_eigvals(weighted))
     np.testing.assert_allclose(track.theta_eigs, np.linalg.eigvalsh(whole), rtol=1e-13, atol=0.0)
     if case == "pt2":
-        assert _bits(track.theta_eigs) == _bits(np.linalg.eigvalsh(whole))
+        assert _bits(track.theta_eigs) == _bits(hermitian_eigvals(whole))
 
 
 def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
     # the whole-reporting-grid stacks the observables were once formed as,
-    # against each block of both passes, fine (step 1) and reporting (step 2)
+    # against each block of the pass
     model, mu, times = _cubic8(203)
     track = build_dressing_track(model, mu, times)
     coarse = slice(None, None, 2)
@@ -680,11 +680,10 @@ def test_observable_of_a_block_is_that_block_of_the_reporting_grid():
         (ObservableSpec("X", "user-matrix", seed), np.broadcast_to(seed, times[coarse].shape + seed.shape)),
         (ObservableSpec("Z", "function-of-frame", seed), track.omega_inv()[coarse] @ seed @ track.omega()[coarse]),
     ]
-    passes = [list(track.blocks(step)) for step in (1, 2)]
-    assert [len(times[block.points]) for block in passes[0]] == [64, 64, 64, 11]  # a ragged last block
-    assert [len(times[block.points]) for block in passes[1]] == [32, 32, 32, 6]
+    blocks = list(track.blocks())
+    assert [len(times[block.points]) for block in blocks] == [64, 64, 64, 11]  # a ragged last block
     for spec, stack in whole:
-        for block in passes[0] + passes[1]:
+        for block in blocks:
             assert _bits(block.observable(spec)) == _bits(stack[block.rows])
 
 

@@ -14,9 +14,9 @@ from qhdyn import (
     run_standard_checks,
     time_grid,
 )
-from qhdyn.dressing import build_generator, build_theta
+from qhdyn.dressing import build_generator, build_theta, expectation
 from qhdyn.errors import IntegrationError
-from qhdyn.evolution import expectation, rk4_increments, standard_phases
+from qhdyn.evolution import rk4_increments, standard_phases
 from qhdyn.schedules import ScheduleSpec
 
 from conftest import SHIPPED_SCENARIOS, load_scenario

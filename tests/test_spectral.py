@@ -9,13 +9,14 @@ from qhdyn.spectral import (
     BiorthogonalFrame,
     _frame_error,
     _frame_residuals,
+    _lapack,
     branch_permutations,
     eig_biorthogonal,
     matmul,
     track_continuity,
 )
 
-from conftest import spy_on_eig
+from conftest import spy_on_closed_form, spy_on_eig
 from reference import reference_frame_residuals, reference_permutations, reference_track, stack_frames
 
 
@@ -336,6 +337,32 @@ def test_frame_error_ranks_the_checks_at_one_point_and_reports_the_earliest(rank
     assert str(error).startswith("eigenpair 0 residual too large at t=1 ")
 
 
+@pytest.mark.parametrize("field", ["bras", "kets", "energies"])
+def test_frame_error_fails_a_frame_of_nans(field, hand_frame, hand_matrix):
+    # every comparison with NaN is False: a NaN margin counts as margin 0, a NaN energy or residual fails
+    point = {"kets": hand_frame.right_kets, "bras": hand_frame.left_bras, "energies": hand_frame.energies}
+    point[field] = np.full_like(point[field], np.nan)
+    error = _frame_error(point["kets"][None], point["bras"][None], point["energies"][None], np.zeros(1),
+                         hand_matrix[None])
+    assert isinstance(error, ExceptionalPointError) and error.t == 0.0
+    expected = "eigenpair 0 residual too large" if field == "energies" else "raw left-right overlap 0.000e+00"
+    assert str(error).startswith(expected)
+
+
+@pytest.mark.parametrize("rank", range(len(_RANKED_FAULTS)), ids=[f for f, _, _ in _RANKED_FAULTS])
+def test_frame_error_finds_one_failing_point_inside_a_long_stack(rank, hand_frame, hand_matrix):
+    # the whole stack's maxima fail, and the point by point checks name the one point
+    clean = _faulty_point(hand_frame, hand_matrix, set())
+    kets, bras, energies, matrix = (np.array([a] * 600) for a in clean)
+    times = np.linspace(0.0, 6.0, 600)
+    assert _frame_error(kets, bras, energies, times, matrix) is None
+    fault, cls, message = _RANKED_FAULTS[rank]
+    kets[357], bras[357], energies[357], matrix[357] = _faulty_point(hand_frame, hand_matrix, {fault})
+    error = _frame_error(kets, bras, energies, times, matrix)
+    assert type(error) is cls and error.t == times[357]
+    assert str(error).startswith(message) and f"t={times[357]:g}" in str(error)
+
+
 def test_singular_eigenvector_matrix_is_an_exceptional_point():
     # LAPACK returns an exactly singular R for this nilpotent Jordan block
     jordan = np.diag([1.0, 1.0], 1).astype(complex)
@@ -389,12 +416,15 @@ def test_real_gauge_route_matches_complex_route(n, monkeypatch):
     times = np.linspace(0.0, 1.0, 201)
     hams = build_hamiltonian(model, times)
     d = real_gauge(model)
-    solved = spy_on_eig(monkeypatch)
+    solved, closed = spy_on_eig(monkeypatch), spy_on_closed_form(monkeypatch)
     real = track_continuity(eig_biorthogonal(_gauged(hams, d), t=times))
     full = track_continuity(eig_biorthogonal(hams, t=times))
-    # at N >= 3 LAPACK solves the first point alone, and the rest is refined from it
-    points = len(times) if n == 2 else 1
-    assert solved == [(np.float64, points), (np.complex128, points)]
+    # at N = 2 every point is solved in closed form; at N >= 3 LAPACK solves
+    # the first point alone, and the rest is refined from it
+    if n == 2:
+        assert solved == [] and closed == [(np.float64, len(times)), (np.complex128, len(times))]
+    else:
+        assert solved == [(np.float64, 1), (np.complex128, 1)] and closed == []
     # a real spectrum comes out of the real solve with no imaginary rounding,
     # and the whole frame of G = D* H D stays real
     for field in ("energies", "right_kets", "left_bras"):
@@ -414,14 +444,14 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
     hams = build_hamiltonian(cubic, np.zeros(3))
     hams[1, 2, 0] += 1e-13j  # even offset: stays imaginary under the gauge
     pt2 = build_hamiltonian(HamiltonianModel(2, "pt2", {"gamma": 0.3, "s": 1.0}), np.zeros(1))
-    solved = spy_on_eig(monkeypatch)
+    solved, closed = spy_on_eig(monkeypatch), spy_on_closed_form(monkeypatch)
     for stack, d in ((hams, real_gauge(cubic)), (pt2, 1j ** np.arange(2))):
         gauged = _gauged(stack, d)
         assert gauged.tobytes() == (stack * (np.conj(d)[:, None] * d)).tobytes()
         frame, plain = eig_biorthogonal(gauged), eig_biorthogonal(stack)
         # a complex frame of G, which the gauge and each branch's pivot phase
         # z = conj(d_p) map onto H's: same spectrum, kets and bras.
-        # LAPACK solves G and H as two different inputs, so they agree to
+        # G and H are solved as two different inputs, so they agree to
         # rounding (1.7e-15 for this cubic stack), not bit for bit
         np.testing.assert_allclose(frame.energies, plain.energies, rtol=0.0, atol=1e-12)
         z = np.conj(d[np.argmax(np.abs(frame.right_kets), axis=-2)])
@@ -429,8 +459,8 @@ def test_gauge_that_leaves_an_imaginary_part_falls_back(monkeypatch):
         bras = np.conj(z)[..., :, None] * frame.left_bras * np.conj(d)
         np.testing.assert_allclose(kets, plain.right_kets, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(bras, plain.left_bras, rtol=0.0, atol=1e-12)
-    # the N = 4 stacks go to LAPACK at their first point alone
-    assert solved == [(np.complex128, 1)] * 4
+    # the N = 4 stacks go to LAPACK at their first point alone, the N = 2 ones to the closed form
+    assert solved == [(np.complex128, 1)] * 2 and closed == [(np.complex128, 1)] * 2
 
 
 def test_a_refined_stack_that_fails_a_check_falls_back_to_lapack(monkeypatch):
@@ -568,3 +598,100 @@ def test_matmul_of_a_non_finite_entry_is_not_finite():
     assert not np.isfinite(got[1, 0]).any() and not np.isfinite(got[3, 1]).any()
     assert not np.isfinite(got[4, :, 0]).any()
     np.testing.assert_array_equal(np.isfinite(got), np.isfinite(expected))
+
+
+def _random_path(rng, kind, m=201):
+    """A smooth path S(t) diag(E(t)) S(t)^-1 of 2 x 2 matrices with a real spectrum, real or complex
+    with ``kind``, S well conditioned and the two levels apart by at least 1."""
+    t = np.linspace(0.0, 1.0, m)[:, None, None]
+    draw = lambda: rng.standard_normal((2, 2)) + (1j * rng.standard_normal((2, 2)) if kind == "complex" else 0)
+    s = np.eye(2) * 2.0 + 0.5 * draw() + 0.5 * t * draw()
+    energies = np.stack([rng.uniform(-1.0, 0.0) + t[:, 0, 0], rng.uniform(2.0, 3.0) - t[:, 0, 0]], axis=-1)
+    return t[:, 0, 0], (s * energies[:, None, :]) @ np.linalg.inv(s)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_matches_the_lapack_route(kind, seed, monkeypatch):
+    times, hams = _random_path(np.random.default_rng(seed), kind)
+    solved, closed = spy_on_eig(monkeypatch), spy_on_closed_form(monkeypatch)
+    got = track_continuity(eig_biorthogonal(hams, t=times))
+    dtype = np.float64 if kind == "real" else np.complex128
+    assert solved == [] and closed == [(dtype, len(times))]
+    kets, bras, energies = _lapack(hams, times)
+    expected = track_continuity(BiorthogonalFrame(times, energies, kets, bras))
+    for field in ("energies", "right_kets", "left_bras"):
+        assert getattr(got, field).dtype == dtype
+        np.testing.assert_allclose(getattr(got, field), getattr(expected, field), rtol=0.0, atol=1e-13)
+    assert_frame_relations(eig_biorthogonal(hams[0]), hams[0])
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+def test_closed_form_where_the_off_diagonal_passes_through_zero(lower, monkeypatch):
+    # triangular2 with c(t) = 3 t - 1.5, exactly zero at t = 0.5; transposed, the lower triangle.
+    # [[a, b], [c, d]] has the kets (b, E - a) and (E - d, c), which stay eigenvectors where b = 0
+    times = np.linspace(0.0, 1.0, 101)
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": -1.5},
+                             {"c": ScheduleSpec("linear-ramp", base=-1.5, rate=3.0)})
+    hams = build_hamiltonian(model, times)
+    if lower:
+        hams = np.swapaxes(hams, -1, -2).copy()
+    solved, closed = spy_on_eig(monkeypatch), spy_on_closed_form(monkeypatch)
+    frame = eig_biorthogonal(hams, t=times)
+    assert closed == [(np.complex128, len(times))] and solved == []
+    c = hams[:, 1, 0] if lower else hams[:, 0, 1]
+    assert np.flatnonzero(c == 0.0).tolist() == [50]
+    np.testing.assert_array_equal(frame.energies, np.broadcast_to([1.0, 2.0], (len(times), 2)))
+    # the exact kets, unit and with the largest component (the first on a tie) real and positive
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    expected = np.stack([np.stack([one, -c], -1) if lower else np.stack([one, zero], -1),
+                         np.stack([zero, one], -1) if lower else np.stack([c, one], -1)], axis=-1)
+    expected /= np.linalg.norm(expected, axis=-2, keepdims=True)
+    pivot = np.take_along_axis(expected, np.argmax(np.abs(expected), axis=-2)[:, None, :], axis=-2)
+    np.testing.assert_allclose(frame.right_kets, expected * np.conj(pivot) / np.abs(pivot), rtol=0.0, atol=1e-15)
+    kets, bras, energies = _lapack(hams, times)
+    for got, want in ((frame.right_kets, kets), (frame.left_bras, bras), (frame.energies, energies)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_a_scalar_matrix_and_an_exceptional_point_fall_back_to_lapack(monkeypatch):
+    scalar = 1.5 * np.eye(2, dtype=complex)
+    solved, closed = spy_on_eig(monkeypatch), spy_on_closed_form(monkeypatch)
+    frame = eig_biorthogonal(np.array([scalar, OK2]), t=[0.0, 1.0])
+    # H = a I has a double eigenvalue and no closed-form kets: LAPACK solves the whole stack
+    assert closed == [(np.complex128, 2)] and solved == [(np.complex128, 2)]
+    kets, bras, energies = _lapack(np.array([scalar, OK2]), np.array([0.0, 1.0]))
+    for got, want in ((frame.right_kets, kets), (frame.left_bras, bras), (frame.energies, energies)):
+        assert got.tobytes() == want.tobytes()
+    # at pt2's exceptional point (gamma = s) the closed-form bras are not finite; LAPACK raises as before
+    closed.clear()
+    solved.clear()
+    with pytest.raises(ExceptionalPointError) as raised:
+        eig_biorthogonal(np.array([OK2, EP2]), t=[0.0, 0.8])
+    assert closed == [(np.complex128, 2)] and solved == [(np.complex128, 2)]
+    with pytest.raises(ExceptionalPointError) as direct:
+        _lapack(np.array([OK2, EP2]), np.array([0.0, 0.8]))
+    assert str(raised.value) == str(direct.value) and raised.value.t == 0.8
+    assert str(raised.value).startswith("raw left-right overlap") and "at t=0.8:" in str(raised.value)
+
+
+@pytest.mark.parametrize("name", ["tri_sin_drive", "sweep-tri2"])
+def test_a_two_level_run_calls_no_lapack_routine(name, monkeypatch):
+    import importlib
+    from pathlib import Path
+
+    from qhdyn import scenario_from_dict
+    from qhdyn.runner import run
+
+    from conftest import load_scenario
+
+    if name == "sweep-tri2":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        config = scenario_from_dict(importlib.import_module("workloads").WORKLOADS[name].document(1))
+    else:
+        config = load_scenario(name)
+    called = []
+    for routine in ("eig", "eigvals", "eigvalsh", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, routine, lambda *args, routine=routine: called.append(routine))
+    assert run(config).passed
+    assert called == []

@@ -260,15 +260,15 @@ def test_observable_reality_needs_declared_observables(generic_run, series):
 
 def test_realize_observable_sources(generic_run):
     track, traj = generic_run
-    block = Block(track, slice(2, 9, 2), slice(1, 5))  # four reporting points
+    block = Block(track, slice(2, 9), slice(1, 5))  # four reporting points
     hamiltonian = block.observable(ObservableSpec("H", "hamiltonian-itself"))
-    np.testing.assert_array_equal(hamiltonian, track.hamiltonian(block.points))
+    np.testing.assert_array_equal(hamiltonian, track.hamiltonian(slice(2, 9, 2)))
     fixed = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     matrices = block.observable(ObservableSpec("X", "user-matrix", fixed))
     assert matrices.shape == (4, 2, 2) and matrices.strides[0] == 0 and not matrices.flags.writeable
     np.testing.assert_array_equal(matrices, np.broadcast_to(fixed, (4, 2, 2)))
     conjugated = block.observable(ObservableSpec("Z", "function-of-frame", SIGMA_Z))
-    points = block.points
+    points = slice(2, 9, 2)
     np.testing.assert_allclose(conjugated, track.omega_inv()[points] @ SIGMA_Z @ track.omega()[points], atol=1e-14)
 
 
@@ -310,26 +310,35 @@ def _solved(config):
 @pytest.mark.parametrize("dimension", [5, 6])
 def test_checks_and_csv_do_not_depend_on_the_blocks(dimension, monkeypatch):
     # 7 points per frame block, odd before the checks' pass rounds it down to 6
-    # fine points (3 reporting rows); the last block of either pass is ragged
+    # fine points (3 reporting rows); the last block of the pass is ragged
     import qhdyn.dressing
     from qhdyn.runner import _tabulate
 
     config = scenario_from_dict(_document(dimension))
     track, traj = _solved(config)
-    reports = run_standard_checks(traj, track)
-    _, table = _tabulate(config, track, traj)
+
+    def checked(selection=None):
+        """The reports and the CSV rows of one check pass."""
+        _, rows, table = _tabulate(config, track, traj)
+        return run_standard_checks(traj, track, selection=selection, table=table), rows
+
+    reports, rows = checked()
     assert len(reports) == 9
     monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 7 * dimension**2)
     assert [len(track.times[b.points]) for b in track.blocks()][-2:] == [6, len(track.times) % 6]
-    assert [len(track.times[b.points]) for b in track.blocks(step=2)][-2:] == [3, len(traj.times) % 3]
-    small = run_standard_checks(traj, track)
+    small, small_rows = checked()
     assert [r.name for r in small] == [r.name for r in reports]
     for report, again in zip(reports, small):
         assert report.residuals.tobytes() == again.residuals.tobytes(), report.name
-        alone = run_standard_checks(traj, track, selection=[report.name])[0]
-        assert report.residuals.tobytes() == alone.residuals.tobytes(), report.name
-        np.testing.assert_array_equal(report.times, alone.times)
-    assert _tabulate(config, track, traj)[1].tobytes() == table.tobytes()
+        alone, alone_rows = checked([report.name])
+        assert report.residuals.tobytes() == alone[0].residuals.tobytes(), report.name
+        np.testing.assert_array_equal(report.times, alone[0].times)
+        # the CSV does not depend on which checks ran with it
+        assert alone_rows.tobytes() == rows.tobytes(), report.name
+    assert small_rows.tobytes() == rows.tobytes()
+    # without a table the pass forms the same reports
+    for report, plain in zip(reports, run_standard_checks(traj, track)):
+        assert report.residuals.tobytes() == plain.residuals.tobytes(), report.name
 
 
 def _moving_cubic8_seed1(monkeypatch):
@@ -344,7 +353,7 @@ def _moving_cubic8_seed1(monkeypatch):
 @pytest.mark.parametrize("name", ["cubic_osc_drive", "moving-cubic8"])
 def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monkeypatch):
     # the matrices the four builders return, counted from outside the package:
-    # the checks form each at the M fine points plus t0, the CSV at the K reporting points plus t0
+    # the check pass forms each at the M fine points plus t0, and the CSV it fills needs no other
     import qhdyn.dressing
     import qhdyn.model
     from conftest import load_scenario
@@ -366,8 +375,7 @@ def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monk
     for builder in ("build_theta", "build_omega", "omega_inverse"):
         monkeypatch.setattr(qhdyn.dressing, builder, counted(builder, getattr(qhdyn.dressing, builder)))
     labels = {"H", "build_theta", "build_omega", "omega_inverse"}
-    assert len(run_standard_checks(traj, track)) == 9
+    _, _, table = _tabulate(config, track, traj)
+    assert formed == {}
+    assert len(run_standard_checks(traj, track, table=table)) == 9
     assert set(formed) == labels and max(formed.values()) <= len(track.times) + 1, formed
-    formed.clear()
-    _tabulate(config, track, traj)
-    assert set(formed) == labels and max(formed.values()) <= len(traj.times) + 1, formed
