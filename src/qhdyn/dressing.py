@@ -27,7 +27,7 @@ observables and every other product over the grid (a moving H's frames, H_gen,
 the check residuals) are formed over the blocks of `grid_blocks`, of at most
 `_FRAME_ENTRIES` entries: no temporary the size of the track outlives one
 expression.  The checks, and the CSV with them, make one pass of
-`DressingTrack.blocks`, sharing each block's matrices, norms and mean values.
+`DressingTrack.blocks`, sharing each block's matrices, H's residual, norms and means.
 Those products, and RK4's, go through `spectral.matmul`: at N = 2 a complex
 stack is multiplied by broadcast arithmetic, not by one BLAS call per matrix;
 a real one, or any at N >= 3, by `np.matmul`.
@@ -124,20 +124,6 @@ def build_generator(H: np.ndarray, omega_dot: np.ndarray, omega_inv: np.ndarray,
 def theta_inner(a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Metric inner product <a|Theta|b> (one value per point of a stack)."""
     return np.sum(np.conj(a) * matmul(theta, b[..., None])[..., 0], axis=-1)
-
-
-def expectation(phi: np.ndarray, A: np.ndarray, theta: np.ndarray, times=None):
-    """Metric mean value <Phi|Theta A|Phi> / <Phi|Theta|Phi> of one (N,) ket,
-    or of each ket of a (K, N) stack (with A and theta stacked or broadcast
-    to match).  Raises `ConditioningError` naming the first of the kets' ``times``
-    whose Theta-norm is below the normal double range."""
-    norm = theta_inner(phi, phi, theta)
-    small = np.ravel(np.abs(norm) < np.finfo(float).tiny)
-    if small.any():
-        t = None if times is None else float(np.ravel(times)[np.argmax(small)])
-        where = "" if t is None else f" at t={t:g}"
-        raise ConditioningError(f"Theta-norm of the state is below the normal double range{where}; no mean values", t=t)
-    return theta_inner(phi, matmul(A, phi[..., None])[..., 0], theta) / norm
 
 
 def _guard_metric(theta_eigs: np.ndarray, times: np.ndarray):
@@ -303,9 +289,10 @@ class DressingTrack:
 class Block:
     """One block of a `DressingTrack.blocks` pass: the grid slice ``points`` it covers from an even
     index, the reporting ``rows`` at its even (``[coarse]``) points, ``origin``, the pass's one-point
-    block at t0, and the right kets ``phi`` at its rows.  H, Theta, Omega, Omega^-1, phi's Theta-norms
-    and `observed` (name -> quasi-Hermiticity residual and mean in phi, non-finite ones kept, of each
-    declared observable) are each formed on first use and kept: a consumer forms only what it reads."""
+    block at t0, and the right kets ``phi`` at its rows.  H, Theta, Omega, Omega^-1, `h_residual` (max|H'
+    Theta - Theta H| at the points), `theta_phi` (Theta phi), `inner` (<phi|Theta|phi>, `norms` its real
+    part) and `observed` (name -> quasi-Hermiticity residual and mean <phi|Theta A|phi> / `inner` of each
+    declared observable, non-finite ones kept) are each formed on first use and kept for every consumer."""
 
     track: DressingTrack = field(repr=False)
     points: slice
@@ -318,15 +305,26 @@ class Block:
     omega = cached_property(lambda self: self.track.omega(self.points))
     omega_inv = cached_property(lambda self: self.track.omega_inv(self.points))
     theta = cached_property(lambda self: build_theta(self.omega))
-    norms = cached_property(lambda self: theta_inner(self.phi, self.phi, self.theta[self.coarse]).real)
+    h_residual = cached_property(lambda self: quasi_hermiticity_residual(self.hamiltonian, self.theta))
+    theta_phi = cached_property(lambda self: matmul(self.theta[self.coarse], self.phi[..., None])[..., 0])
+    inner = cached_property(lambda self: np.sum(np.conj(self.phi) * self.theta_phi, axis=-1))
+    norms = cached_property(lambda self: self.inner.real)
 
     @cached_property
     def observed(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        theta, times, observed = self.theta[self.coarse], self.track.times[self.points][self.coarse], {}
-        for spec in self.track.model.a_observables:
+        """Raises `ConditioningError` at the first row whose Theta-norm is below the normal double range."""
+        theta, specs, observed = self.theta[self.coarse], self.track.model.a_observables, {}
+        if specs and (small := np.abs(self.inner) < np.finfo(float).tiny).any():
+            t = float(self.track.times[self.points][self.coarse][np.argmax(small)])
+            raise ConditioningError(f"Theta-norm of the state is below the normal double range at t={t:g}; "
+                                    "no mean values", t=t)
+        for spec in specs:
             with np.errstate(over="ignore", invalid="ignore"):
                 a = self.observable(spec)
-                observed[spec.name] = quasi_hermiticity_residual(a, theta), expectation(self.phi, a, theta, times)
+                own = spec.source == "hamiltonian-itself"  # H's gate is the block's own residual, at its rows
+                gate = self.h_residual[self.coarse] if own else quasi_hermiticity_residual(a, theta)
+                mean = theta_inner(self.phi, matmul(a, self.phi[..., None])[..., 0], theta) / self.inner
+                observed[spec.name] = gate, mean
         return observed
 
     def observable(self, spec: ObservableSpec) -> np.ndarray:

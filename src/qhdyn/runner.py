@@ -5,7 +5,8 @@ reports, and wall-clock metadata.  The CSV layout is fixed (stable plotting
 downstream): t, theta_norm, std_norm, equivalence_residual,
 quasi_hermiticity_residual, theta_min_eig, theta_cond, Re/Im of each tracked
 energy, then Re/Im of each requested expectation value; the check pass fills
-the theta_norm, residual and expectation columns, through views of the rows.
+the theta_norm, residual and expectation columns through views of the rows, from
+what its blocks share: only the equivalence residual is formed for the CSV alone.
 Numbers are written with 17 significant digits so a reread round-trips exactly.
 """
 
@@ -217,13 +218,7 @@ def sweep_summary_text(param_path: str, points: list[SweepPoint]) -> str:
         if p.report is None:
             lines.append(f"{p.value!r:>16}  ERROR({p.exit_code}): {p.error}")
             continue
-        worst = max(p.report.reports, key=ratio, default=None)
+        worst = max(p.report.reports, key=ratio)
         status = "PASS" if p.report.passed else "FAIL"
-        if worst is None:
-            lines.append(f"{p.value!r:>16}  {status}")
-        else:
-            lines.append(
-                f"{p.value!r:>16}  {status}  worst {worst.name} "
-                f"max residual {worst.max_residual:.6e}"
-            )
+        lines.append(f"{p.value!r:>16}  {status}  worst {worst.name} max residual {worst.max_residual:.6e}")
     return "\n".join(lines) + "\n"

@@ -7,18 +7,18 @@ can be overridden per scenario.  Every check is one row of the table
 `CHECKS`: an array expression over one `dressing.Block` and the trajectory rows
 it covers, giving a residual per grid time of the block.  `run_standard_checks`
 feeds each block of one pass over the track to every check, so no temporary
-spans the grid and H, Theta, Omega and Omega^-1 are formed once per block; it
-fills the CSV's `Table` from the norms, residuals and means the checks form.
+spans the grid and H, Theta, Omega, Omega^-1 and the `Block` quantities the checks share are
+formed once per block; it fills the CSV's `Table` from the norms, residuals and means they read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dressing import Block, DressingTrack, dagger, hermitize, quasi_hermiticity_residual
+from .dressing import Block, DressingTrack, dagger, hermitize
 from .errors import ScenarioError
 from .evolution import Trajectory
 from .spectral import matmul
@@ -42,29 +42,23 @@ class Check(NamedTuple):
     needs: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantReport:
-    """One check's verdict, with the (K,) residual at each of its K times."""
+    """One check's (K,) residuals at its K times and its threshold, from which its verdict is read:
+    a residual at or above the threshold, or a NaN one, fails the check."""
 
     name: str
-    max_residual: float
+    times: np.ndarray
+    residuals: np.ndarray
     threshold: float
-    passed: bool
-    times: np.ndarray | None = field(default=None, compare=False, repr=False)
-    residuals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def from_series(cls, name, times, residuals, threshold):
-        residuals = np.asarray(residuals, dtype=float)
-        worst = float(np.max(residuals)) if residuals.size else 0.0
-        return cls(
-            name=name,
-            max_residual=worst,
-            threshold=float(threshold),
-            passed=worst < threshold,
-            times=np.asarray(times, dtype=float),
-            residuals=residuals,
-        )
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals))
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual < self.threshold
 
     @property
     def worst_t(self) -> float:
@@ -95,8 +89,7 @@ def _duality_drift(trajectory, block):
 
 def _state_consistency(trajectory, block):
     """||Phi(t)>> - Theta(t)|Phi(t)>|| -- the left ket is a check, not a construction."""
-    expected = matmul(block.theta[block.coarse], trajectory.phi_right[block.rows][..., None])[..., 0]
-    return np.linalg.norm(trajectory.phi_left[block.rows] - expected, axis=-1)
+    return np.linalg.norm(trajectory.phi_left[block.rows] - block.theta_phi, axis=-1)
 
 
 def _equivalence(trajectory, block):
@@ -131,7 +124,7 @@ def _intertwining(trajectory, block):
 
 def _quasi_hermiticity(trajectory, block):
     """||H' Theta - Theta H|| at every point of the block."""
-    return quasi_hermiticity_residual(block.hamiltonian, block.theta)
+    return block.h_residual
 
 
 def _isospectrality(trajectory, block):
@@ -220,7 +213,8 @@ def run_standard_checks(
 
     A check whose `unmet_need` is not None is skipped when no selection is
     given, and raises `ScenarioError` when explicitly selected.  The pass fills
-    ``table`` too: its residuals are `equivalence`'s and `quasi-hermiticity`'s.
+    ``table`` too, from the blocks' `norms`, `observed` means and `h_residual`, and
+    from `equivalence`'s residuals, which alone are formed for it when not selected.
     """
     overrides = dict(overrides or {})
     for name in [*overrides, *(selection or ())]:
@@ -235,8 +229,8 @@ def run_standard_checks(
         if not problem:
             checks[name] = check
     reported = list(checks)
-    if table is not None:  # its residual columns are formed even where these checks do not run
-        checks |= {name: CHECKS[name] for name in ("equivalence", "quasi-hermiticity")}
+    if table is not None:  # its equivalence column is formed even where that check does not run
+        checks |= {"equivalence": CHECKS["equivalence"]}
     times = {name: track.times if check.on_fine_grid else trajectory.times for name, check in checks.items()}
     residuals = {name: np.empty(len(grid)) for name, grid in times.items()}
     for block in track.blocks(getattr(trajectory, "phi_right", None)):  # isospectrality needs no trajectory
@@ -244,12 +238,12 @@ def run_standard_checks(
             residuals[name][block.points if check.on_fine_grid else block.rows] = check.residuals(trajectory, block)
         if table is not None:
             table.theta_norm[block.rows] = block.norms
+            table.quasi_hermiticity[block.rows] = block.h_residual[block.coarse]
+            table.equivalence[block.rows] = residuals["equivalence"][block.rows]
             for name, mean in table.means.items():
                 mean[block.rows] = block.observed[name][1]
-    if table is not None:
-        table.equivalence[:], table.quasi_hermiticity[:] = residuals["equivalence"], residuals["quasi-hermiticity"][::2]
     return [
-        InvariantReport.from_series(name, times[name], residuals[name], overrides.get(name, checks[name].threshold))
+        InvariantReport(name, times[name], residuals[name], float(overrides.get(name, checks[name].threshold)))
         for name in reported
     ]
 

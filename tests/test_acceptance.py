@@ -23,9 +23,9 @@ from qhdyn.dressing import (
     build_omega,
     build_theta,
     differentiate_samples,
-    expectation,
     hermitize,
     quasi_hermiticity_residual,
+    theta_inner,
 )
 from qhdyn.spectral import BiorthogonalFrame, _frame_error, eig_biorthogonal
 
@@ -134,6 +134,7 @@ def test_criterion_5_exact_fixtures():
     theta = build_theta(omega)
     h = hermitize(omega, H, np.linalg.inv(omega))
     cross = theta @ H
+    phi = np.array([1.0, 1.0], dtype=complex)
     checks = {
         "Omega": np.max(np.abs(omega - np.array([[1.0, -1.0], [0.0, 1.0]]))),
         "Theta": np.max(np.abs(theta - np.array([[1.0, -1.0], [-1.0, 2.0]]))),
@@ -141,7 +142,7 @@ def test_criterion_5_exact_fixtures():
         "ThetaH": np.max(np.abs(cross - np.array([[1.0, -1.0], [-1.0, 3.0]]))),
         "HdagTheta": np.max(np.abs(H.conj().T @ theta - cross)),
         "residual": quasi_hermiticity_residual(H, theta),
-        "expectation": abs(expectation(np.array([1.0, 1.0], dtype=complex), H, theta) - 2.0),
+        "expectation": abs(theta_inner(phi, H @ phi, theta) / theta_inner(phi, phi, theta) - 2.0),
     }
     ok = all(v < 1e-12 for v in checks.values())
     _report(

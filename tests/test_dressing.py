@@ -210,6 +210,16 @@ def test_stencils_exact_on_quartics():
         assert d[0, 0] == pytest.approx(4.0 * t**3, rel=1e-10)
 
 
+def test_too_few_samples_or_mu_schedules_are_configuration_errors():
+    with pytest.raises(ScenarioError) as info:
+        differentiate_samples(np.zeros(4), 0.1)
+    assert str(info.value) == "need at least 5 samples for 4th-order differences, got 4"
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0})
+    with pytest.raises(ScenarioError) as info:
+        build_dressing_track(model, (ScheduleSpec("constant", base=1.0),), np.linspace(0.0, 1.0, 5))
+    assert str(info.value) == "need 2 mu schedules, got 1"
+
+
 def test_theta_inner_cases(hand_frame):
     theta = np.array([[1.0, -1.0], [-1.0, 2.0]], dtype=complex)
     a = np.array([1.0, 1.0], dtype=complex)

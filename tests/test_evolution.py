@@ -14,9 +14,10 @@ from qhdyn import (
     run_standard_checks,
     time_grid,
 )
-from qhdyn.dressing import build_generator, build_theta, expectation
+from qhdyn.dressing import Block, build_generator, build_theta
 from qhdyn.errors import IntegrationError
 from qhdyn.evolution import rk4_increments, standard_phases
+from qhdyn.model import ObservableSpec
 from qhdyn.schedules import ScheduleSpec
 
 from conftest import SHIPPED_SCENARIOS, load_scenario
@@ -232,23 +233,45 @@ def test_initial_state_resolution_errors():
         propagate_quasi(track, np.ones(3))
 
 
+def test_time_grid_needs_finite_ends_and_step():
+    with pytest.raises(ScenarioError) as info:
+        time_grid(0, float("nan"), 0.1)
+    assert str(info.value) == "time grid needs finite t0, t1 and dt, got t0=0, t1=nan, dt=0.1"
+
+
+def _hand_block(kets, observables=True):
+    """The `Block` of the right ``kets`` at t = 0 and 0.5 on a grid of step 0.25, for H = [[1, 1], [0, 2]]
+    and mu = (1, 1/sqrt 2), so Theta = [[1, -1], [-1, 2]], declaring I and H as observables when asked."""
+    specs = (ObservableSpec("I", "user-matrix", np.eye(2, dtype=complex)), ObservableSpec("H", "hamiltonian-itself"))
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0}, a_observables=specs * observables)
+    mu = (ScheduleSpec("constant", base=1.0), ScheduleSpec("constant", base=2**-0.5))
+    track = build_dressing_track(model, mu, np.linspace(0.0, 1.0, 5))
+    return Block(track, slice(0, 4), slice(0, 2), phi=np.asarray(kets, dtype=complex))
+
+
 def test_expectation_cases(hand_frame, hand_matrix):
-    theta = np.array([[1.0, -1.0], [-1.0, 2.0]], dtype=complex)
     phi = np.array([1.0, 1.0], dtype=complex)
-    assert expectation(phi, np.eye(2), theta) == pytest.approx(1.0, abs=1e-14)
-    assert expectation(phi, hand_matrix, theta) == pytest.approx(2.0, abs=1e-14)
-    # eigenstate gives the eigenvalue exactly
-    assert expectation(hand_frame.right_kets[:, 1], hand_matrix, theta) == pytest.approx(2.0, abs=1e-12)
-    # a (K, N) stack gives one value per ket
-    stack = np.stack([phi, hand_frame.right_kets[:, 1]])
-    np.testing.assert_allclose(expectation(stack, hand_matrix, theta), [2.0, 2.0], atol=1e-12)
+    block = _hand_block([phi, phi])
+    np.testing.assert_allclose(block.theta[block.coarse], [[[1.0, -1.0], [-1.0, 2.0]]] * 2, atol=1e-14)
+    np.testing.assert_array_equal(block.hamiltonian[block.coarse], [hand_matrix] * 2)
+    means = {name: mean for name, (_, mean) in block.observed.items()}
+    np.testing.assert_allclose(means["I"], [1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(means["H"], [2.0, 2.0], atol=1e-14)
+    # the mean's denominator is the block's <phi|Theta|phi>, whose real part is the norm
+    assert block.inner.tobytes() == np.sum(np.conj(phi) * block.theta_phi, axis=-1).tobytes()
+    np.testing.assert_array_equal(block.norms, block.inner.real)
+    # eigenstate gives the eigenvalue exactly, and a (K, N) stack gives one value per ket
+    eigenstate = hand_frame.right_kets[:, 1]
+    assert _hand_block([eigenstate, phi]).observed["H"][1][0] == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(_hand_block([phi, eigenstate]).observed["H"][1], [2.0, 2.0], atol=1e-12)
     # a Theta-norm below the normal range is a conditioning abort naming its time
-    for tiny in (0.0, 1e-155):
-        with pytest.raises(ConditioningError, match=r"below the normal double range at t=0\.5;") as info:
-            expectation(np.array([phi, tiny * phi]), np.eye(2), theta, np.array([0.0, 0.5]))
-        assert info.value.t == 0.5
-    with pytest.raises(ConditioningError, match=r"below the normal double range;"):
-        expectation(np.zeros(2), np.eye(2), theta)
+    for kets, t in (([phi, 0.0 * phi], 0.5), ([phi, 1e-155 * phi], 0.5), ([np.zeros(2), phi], 0.0)):
+        with pytest.raises(ConditioningError) as info:
+            _hand_block(kets).observed
+        assert str(info.value) == f"Theta-norm of the state is below the normal double range at t={t:g}; no mean values"
+        assert info.value.t == t
+    # with no observable declared, no mean value is formed and nothing aborts
+    assert _hand_block([np.zeros(2), phi], observables=False).observed == {}
 
 
 def _config_track(config):

@@ -366,6 +366,11 @@ def test_scenario_from_dict_fuzz(data):
     assert isinstance(config, ScenarioConfig)
 
 
+def _exact(message):
+    """A pattern that matches ``message`` and nothing longer."""
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -377,6 +382,14 @@ def test_scenario_from_dict_fuzz(data):
         ("pictures", "right", "pictures must be a list, got 'right'"),
         ("initial_state", "uniform", "initial_state must be a mapping, got 'uniform'"),
         ("checks", [], "checks names no check; omit the key or set it to null to run every applicable check"),
+        ("pictures", ["right", "sideways"],
+         _exact("unknown picture 'sideways'; expected a subset of ('right', 'left', 'standard')")),
+        ("model.dimension", 2.5, _exact("model.dimension must be an integer, got 2.5")),
+        ("checks", [5], _exact("checks entries must be names or {name, threshold}: 5")),
+        ("checks", [{"name": "equivalence", "threshold": -1}],
+         _exact("check 'equivalence': threshold must be a positive number")),
+        ("model.a_observables.1.data", [[1.0, 0.0], [0.0]],
+         _exact("observable 'level_imbalance' data: matrix rows differ in length")),
         ("time", None, 'missing required key "time"'),
         ("model.h_schedule", None, None),
         ("model.a_observables", None, None),

@@ -282,6 +282,16 @@ def test_degenerate_match_raises_like_reference():
         reference_track(hams, times)
 
 
+def test_a_match_that_is_not_a_permutation_names_its_time():
+    # both raw kets at t = 1 overlap most with bra 0 at t = 0, each by a clear margin
+    kets = np.array([np.eye(2), [[1.0, 0.5], [0.9, 0.1]]], dtype=complex)
+    frame = BiorthogonalFrame(np.array([0.0, 1.0]), np.array([[1.0, 2.0]] * 2), kets, np.array([np.eye(2)] * 2))
+    with pytest.raises(AmbiguousMatchError) as info:
+        track_continuity(frame)
+    assert str(info.value) == "continuity matching at t=1 is not a permutation: [0, 0]"
+    assert info.value.t == 1.0
+
+
 def test_stack_reports_its_earliest_failing_point():
     times = [0.0, 1.0, 2.0]
     with pytest.raises(ComplexSpectrumError, match="at t=1; an exceptional point was crossed at or before"):

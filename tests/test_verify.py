@@ -59,13 +59,16 @@ def _with_omega_inv(track, stack):
 
 
 def test_report_semantics():
-    passing = InvariantReport.from_series("x", [0.0, 1.0], [1e-12, 5e-11], 1e-9)
+    passing = InvariantReport("x", np.array([0.0, 1.0]), np.array([1e-12, 5e-11]), 1e-9)
     assert passing.passed and passing.max_residual == pytest.approx(5e-11)
-    failing = InvariantReport.from_series("x", [0.0], [2e-9], 1e-9)
+    failing = InvariantReport("x", np.array([0.0]), np.array([2e-9]), 1e-9)
     assert not failing.passed
     # passed <=> max_residual < threshold, strictly
-    edge = InvariantReport.from_series("x", [0.0], [1e-9], 1e-9)
+    edge = InvariantReport("x", np.array([0.0]), np.array([1e-9]), 1e-9)
     assert not edge.passed
+    # a NaN residual makes the maximum NaN, and fails
+    undefined = InvariantReport("x", np.array([0.0, 1.0]), np.array([0.0, np.nan]), 1e-9)
+    assert np.isnan(undefined.max_residual) and not undefined.passed
 
 
 def test_norm_conservation_static_is_tiny():
@@ -273,10 +276,10 @@ def test_realize_observable_sources(generic_run):
 
 
 def test_worst_t_is_the_first_non_finite_else_the_largest_residual():
-    times = [0.0, 0.5, 1.0, 1.5]
-    assert InvariantReport.from_series("x", times, [1e-12, 3e-12, 2e-12, 0.0], 1e-9).worst_t == 0.5
-    assert InvariantReport.from_series("x", times, [1e-12, 5.0, np.inf, np.nan], 1e-9).worst_t == 1.0
-    assert InvariantReport.from_series("x", times, [1e-12, np.nan, np.inf, 0.0], 1e-9).worst_t == 0.5
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    assert InvariantReport("x", times, np.array([1e-12, 3e-12, 2e-12, 0.0]), 1e-9).worst_t == 0.5
+    assert InvariantReport("x", times, np.array([1e-12, 5.0, np.inf, np.nan]), 1e-9).worst_t == 1.0
+    assert InvariantReport("x", times, np.array([1e-12, np.nan, np.inf, 0.0]), 1e-9).worst_t == 0.5
 
 
 def _document(dimension, t1=0.1):
@@ -353,7 +356,9 @@ def _moving_cubic8_seed1(monkeypatch):
 @pytest.mark.parametrize("name", ["cubic_osc_drive", "moving-cubic8"])
 def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monkeypatch):
     # the matrices the four builders return, counted from outside the package:
-    # the check pass forms each at the M fine points plus t0, and the CSV it fills needs no other
+    # the check pass forms each at the M fine points plus t0, and the CSV it fills needs no other;
+    # H's quasi-Hermiticity residual is formed at the M points once, and so is each other
+    # observable's gate at the K reporting points, while <a|Theta|b> is formed for the means alone
     import qhdyn.dressing
     import qhdyn.model
     from conftest import load_scenario
@@ -363,10 +368,11 @@ def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monk
     track, traj = _solved(config)
     formed = {}
 
-    def counted(label, build):
+    def counted(label, build, rank=2):
+        """``build`` counting the points of its result, of a rank-``rank`` value per point."""
         def wrapper(*args, **kwargs):
             result = build(*args, **kwargs)
-            formed[label] = formed.get(label, 0) + int(np.prod(np.shape(result)[:-2]))
+            formed[label] = formed.get(label, 0) + int(np.prod(np.shape(result)[: np.ndim(result) - rank]))
             return result
 
         return wrapper
@@ -374,8 +380,14 @@ def test_each_pass_forms_h_theta_omega_and_its_inverse_once_per_point(name, monk
     monkeypatch.setattr(qhdyn.model, "build_hamiltonian", counted("H", qhdyn.model.build_hamiltonian))
     for builder in ("build_theta", "build_omega", "omega_inverse"):
         monkeypatch.setattr(qhdyn.dressing, builder, counted(builder, getattr(qhdyn.dressing, builder)))
+    for value in ("quasi_hermiticity_residual", "theta_inner"):
+        monkeypatch.setattr(qhdyn.dressing, value, counted(value, getattr(qhdyn.dressing, value), rank=0))
     labels = {"H", "build_theta", "build_omega", "omega_inverse"}
     _, _, table = _tabulate(config, track, traj)
     assert formed == {}
     assert len(run_standard_checks(traj, track, table=table)) == 9
+    observables = config.model.a_observables
+    gates = sum(spec.source != "hamiltonian-itself" for spec in observables)
+    assert formed.pop("quasi_hermiticity_residual") == len(track.times) + gates * len(traj.times)
+    assert formed.pop("theta_inner") == len(observables) * len(traj.times)
     assert set(formed) == labels and max(formed.values()) <= len(track.times) + 1, formed
