@@ -24,9 +24,9 @@ the tracked kets and bras of D* H D in the model's real gauge D (real for
 cubic-trunc), mu(t), the energies and Theta's eigenvalues (`hermitian_eigvals`); t0 is
 row 0, with no copy of its own.  Omega, Omega^-1, H, Theta, dOmega/dt, the
 observables and every other product over the grid (a moving H's frames, H_gen,
-the check residuals) are formed over the blocks of `grid_blocks`, of at most
-`_FRAME_ENTRIES` entries: no temporary the size of the track outlives one
-expression.  The checks, and the CSV with them, make one pass of
+the check residuals, RK4's steps) are formed over the blocks of `grid_blocks`,
+of at most `_FRAME_ENTRIES` entries: no temporary the size of the track outlives
+one expression.  The checks, and the CSV with them, make one pass of
 `DressingTrack.blocks`, sharing each block's matrices, H's residual, norms and means.
 Those products, and RK4's, go through `spectral.matmul`: at N = 2 a complex
 stack is multiplied by broadcast arithmetic, not by one BLAS call per matrix;
@@ -52,11 +52,11 @@ from .spectral import eig_biorthogonal, matmul, track_continuity
 THETA_COND_WARN = 1e8
 THETA_COND_ABORT = 1e12
 
-# matrix entries per block of grid points whose products are formed together
-# (a moving H's frames, Theta, the check residuals): 64 points at N = 8, 1024
-# at N = 2; enough to amortise the batched products, few enough that a
-# block's temporaries stay small next to the track (forming a product over
-# the whole grid at once raises the run's memory high-water mark)
+# matrix entries per block of every walk along the grid (a moving H's frames,
+# Theta's eigenvalues, the check pass, RK4's steps): 64 points or 16 two-picture
+# steps at N = 8, 1024 points or 256 steps at N = 2; enough to amortise the
+# batched products, few enough that a block's temporaries stay small next to the
+# track (a product over the whole grid at once raises the memory high-water mark)
 _FRAME_ENTRIES = 64 * 8 * 8
 
 
@@ -79,12 +79,12 @@ def omega_inverse(kets: np.ndarray, mu: Sequence[complex], gauge: np.ndarray | N
     return inverse if gauge is None else np.multiply(inverse, gauge[:, None], out=inverse)
 
 
-def grid_blocks(count: int, n: int, most: float = 256) -> list[slice]:
-    """Slices covering ``count`` grid points of N x N matrices in blocks of an even number of
-    points, at most `_FRAME_ENTRIES` entries and ``most`` points (more only raises the memory
-    peak at N = 2)."""
-    size = max(2, min(most, _FRAME_ENTRIES // n**2) // 2 * 2)
-    return [slice(k, k + size) for k in range(0, count, size)]
+def grid_blocks(count: int, entries: int) -> list[slice]:
+    """Slices covering ``count`` items of ``entries`` matrix entries each (N^2 for a grid point's
+    matrix, 2 P N^2 for an RK4 step of P pictures), in blocks of an even number of items and at
+    most `_FRAME_ENTRIES` entries, the last one clipped to ``count``: the one block rule of every walk."""
+    size = max(2, _FRAME_ENTRIES // entries // 2 * 2)
+    return [slice(k, min(k + size, count)) for k in range(0, count, size)]
 
 
 def build_theta(omega: np.ndarray) -> np.ndarray:
@@ -279,10 +279,10 @@ class DressingTrack:
         """The `Block`s of one pass over the grid, in order: the runs of fine points of `grid_blocks`,
         each from an even index, so its reporting points are its even ones; each holds its rows of
         the (K, N) right kets ``phi`` on the reporting grid, when given."""
-        origin, m = Block(self, slice(0, 1), slice(0, 1), None, None if phi is None else phi[:1]), len(self.times)
-        for start, stop in ((s.start, min(s.stop, m)) for s in grid_blocks(m, self.dimension)):
-            rows = slice(start // 2, (stop + 1) // 2)
-            yield Block(self, slice(start, stop), rows, origin, None if phi is None else phi[rows])
+        origin = Block(self, slice(0, 1), slice(0, 1), None, None if phi is None else phi[:1])
+        for points in grid_blocks(len(self.times), self.dimension**2):
+            rows = slice(points.start // 2, (points.stop + 1) // 2)
+            yield Block(self, points, rows, origin, None if phi is None else phi[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +355,7 @@ def _tracked_blocks(hamiltonian, times: np.ndarray, dimension: int):
     before k is the error to report.
     """
     carry = None
-    for block in grid_blocks(len(times), dimension, most=np.inf):
+    for block in grid_blocks(len(times), dimension**2):
         k = block.start
         hams = hamiltonian(times[block])
         try:
@@ -413,7 +413,7 @@ def build_dressing_track(
     # read-only (M, ...) views: one solve of a static H stands for every point
     kets, bras, energies = (np.broadcast_to(a, times.shape + a.shape[1:]) for a in (kets, bras, energies))
     theta_eigs = np.empty(mu.shape)
-    for block in grid_blocks(len(times), model.dimension):
+    for block in grid_blocks(len(times), model.dimension**2):
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite Theta
             theta = build_theta(build_omega(bras[block], np.abs(mu[block])))  # L' |mu|^2 L = D* Theta D
         finite = np.isfinite(theta).all(axis=(-2, -1))

@@ -35,8 +35,9 @@ A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
 arrays and the standard propagator is stored as its (K, N) diagonals
 u = exp(-i phases), formed once.  H, the generator and
 dOmega/dt are never held for the whole track; each block of steps forms its
-generator samples, for every picture, in one array of about a frame block's
-entries.
+generator samples, for every picture, in one array: the steps come in the
+blocks of `dressing.grid_blocks`, two samples per picture to a step, like
+every other walk along the grid.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dressing import _FRAME_ENTRIES, DressingTrack, build_generator, build_theta
+from .dressing import DressingTrack, build_generator, build_theta, grid_blocks
 from .errors import IntegrationError, ScenarioError
 from .spectral import matmul
 
@@ -219,13 +220,10 @@ def propagate_quasi(
     steps = len(coarse) - 1
     kets = np.empty((steps + 1,) + state.shape, dtype=complex)
     kets[0] = state
-    # a block's generator samples (all pictures) fill about a frame block, at most 64 steps
     n = track.dimension
-    size = max(1, min(64, _FRAME_ENTRIES // (2 * len(state) * n * n)))
     # a blow-up is reported below, naming the step it happened in
     with np.errstate(all="ignore"):
-        for k0 in range(0, steps, size):
-            k1 = min(k0 + size, steps)
+        for k0, k1 in ((s.start, s.stop) for s in grid_blocks(steps, 2 * len(state) * n * n)):
             span = slice(2 * k0, 2 * k1 + 1)
             block = np.empty((2 * (k1 - k0) + 1, len(state), n, n), dtype=complex)
             if use_plain_hamiltonian:

@@ -111,6 +111,7 @@ _REJECTED_BEFORE_NUMERICS = [
     ["checks=[{name: equivalence, bogus: 1}]"],
     ["model.a_observables.0.data=[[1,0],[0,1]]"],
     ["outputs=[H,H]"],
+    ["=3"],  # no path: "configuration error: empty parameter path"
 ]
 
 
@@ -134,8 +135,9 @@ def test_misconfiguration_exits_two_before_any_eigensolve(overrides, monkeypatch
     assert err.startswith("configuration error") and err.count("\n") == 1
     assert solves == []
     raw = yaml.safe_load((SCENARIO_DIR / "cubic_osc_drive.yaml").read_text(encoding="utf-8"))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as info:
         scenario_from_dict(apply_overrides(raw, overrides))
+    assert err == f"configuration error: {info.value}\n"  # the API's message, word for word
 
 
 def test_exceptional_point_scenario_exit_three(capsys):
@@ -528,11 +530,13 @@ def test_bad_command_line_value_exit_two(command, extra, capsys):
         (["mu.0.base=1e-155", "mu.1.base=1e-155"], NumericalDomainError.exit_code),
         (["initial_state={vector: [1e-160, 0]}"], ScenarioError.exit_code),
         (["initial_state={vector: [1e-200, 1e-200]}"], ScenarioError.exit_code),
+        (["mu.0=1.5"], EXIT_OK),  # a list element set whole: mu[0] is the constant 1.5
     ],
 )
 def test_tiny_inputs_end_in_one_clean_outcome(overrides, code, capsys):
     # a metric of about 1e-302 still runs; a metric or an initial state whose
-    # squared norm is below the normal double range is one clean error line
+    # squared norm is below the normal double range is one clean error line;
+    # a bare number in place of a schedule is a constant one
     argv = ["run", scenario_path("tri_sin_drive")]
     for override in overrides:
         argv += ["--override", override]

@@ -16,7 +16,7 @@ with theta = E/|E| arcsin(gamma / s) / 2.
 
 In both, the frame, the dressing map and the metric are then exact to
 rounding; H_gen carries the 4th-order stencil error of dOmega/dt, and the RK4
-right ket converges to the exact one at 4th order.
+right and left kets converge to the exact ones at 4th order.
 """
 
 import numpy as np
@@ -30,14 +30,14 @@ from reference import closed_form_track
 
 
 def _runs(name):
-    """(track, closed form, RK4 right kets) of the scenario at dt = 1e-3 and 5e-4."""
+    """(track, closed form, RK4 trajectory of both pictures) of the scenario at dt = 1e-3 and 5e-4."""
     result = {}
     for dt in (1e-3, 5e-4):
         config = load_scenario(name, **{"time.dt": dt})
         _, fine = time_grid(config.t0, config.t1, config.dt)
         track = build_dressing_track(config.model, config.mu, fine)
-        trajectory = propagate_quasi(track, config.initial_state, pictures=("right",))
-        result[dt] = track, closed_form_track(config.model, config.mu, fine), trajectory.phi_right
+        trajectory = propagate_quasi(track, config.initial_state, pictures=("right", "left"))
+        result[dt] = track, closed_form_track(config.model, config.mu, fine), trajectory
     return result
 
 
@@ -68,12 +68,15 @@ def _generator_errors(runs) -> list[float]:
     return errors
 
 
-def _right_ket_errors(runs) -> list[float]:
+def _ket_errors(runs, picture) -> list[float]:
+    """Max errors of the RK4 right or left kets against Phi_R(t) or Phi_L(t) = Theta(t) Phi_R(t)."""
     errors = []
     for dt in (1e-3, 5e-4):
-        _, form, phi_right = runs[dt]
-        exact = form.right_ket(phi_right[0])[::2]  # the reporting grid is every second fine point
-        errors.append(np.max(np.abs(phi_right - exact)))
+        _, form, trajectory = runs[dt]
+        exact = form.right_ket(trajectory.phi_right[0])[::2]  # the reporting grid is every second fine point
+        if picture == "left":
+            exact = (form.theta[::2] @ exact[..., None])[..., 0]
+        errors.append(np.max(np.abs(getattr(trajectory, f"phi_{picture}") - exact)))
     return errors
 
 
@@ -84,14 +87,22 @@ def test_frame_metric_and_energies_are_exact(runs):
 
 def test_generator_carries_the_stencil_error(runs):
     errors = _generator_errors(runs)
-    # 4.2e-11 (at the one-sided end stencils) -> 3.3e-12, a ratio of 12.8:
-    # fourth order with a share of rounding; a third-order error falls by 8
+    # 4.2e-11 (at the one-sided end stencils) -> 2.5e-12, a ratio of 16.6:
+    # fourth order; a third-order error falls by 8
     assert errors[0] <= 1e-10 and errors[0] / errors[1] >= 10.0
 
 
 def test_rk4_right_ket_converges_at_fourth_order(runs):
-    errors = _right_ket_errors(runs)
-    # 5.7e-13 -> 3.9e-14, a ratio of 14.8
+    errors = _ket_errors(runs, "right")
+    # 5.7e-13 -> 3.7e-14, a ratio of 15.6
+    assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+@pytest.mark.parametrize("scenario", ["runs", "pt2_runs"], ids=["tri_sin_drive", "pt2_gamma_ramp"])
+def test_rk4_left_ket_converges_at_fourth_order(scenario, request):
+    # integrated by its own equation, with the adjoint generator, against Theta(t) Phi_R(t):
+    # 7.6e-13 -> 5.0e-14 (a ratio of 15.2) and 1.7e-11 -> 1.1e-12 (15.7)
+    errors = _ket_errors(request.getfixturevalue(scenario), "left")
     assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
@@ -106,11 +117,11 @@ def test_pt2_frame_metric_and_energies_are_exact(pt2_runs):
 
 def test_pt2_generator_carries_the_stencil_error(pt2_runs):
     errors = _generator_errors(pt2_runs)
-    # 1.9e-10 -> 1.2e-11, a ratio of 15.7
+    # 1.9e-10 -> 1.4e-11, a ratio of 13.9
     assert errors[0] <= 1e-9 and errors[0] / errors[1] >= 10.0
 
 
 def test_pt2_rk4_right_ket_converges_at_fourth_order(pt2_runs):
-    errors = _right_ket_errors(pt2_runs)
-    # 9.6e-13 -> 6.1e-14, a ratio of 15.9
+    errors = _ket_errors(pt2_runs, "right")
+    # 9.6e-13 -> 5.8e-14, a ratio of 16.6
     assert 12.0 <= errors[0] / errors[1] <= 20.0

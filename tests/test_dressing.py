@@ -334,7 +334,7 @@ def test_earliest_failure_wins_across_block_boundaries(monkeypatch):
     monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 8)  # two points per block at N = 2
     swapped = HAD2 @ OK2 @ HAD2
     times = np.arange(6.0)
-    assert [b for b, _ in _solve_all([OK2] * 5, times[:5])] == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert [b for b, _ in _solve_all([OK2] * 5, times[:5])] == [slice(0, 2), slice(2, 4), slice(4, 5)]
     # a continuity failure inside block 0 beats the solve failure in block 1
     with pytest.raises(AmbiguousMatchError, match="t=1"):
         _solve_all([OK2, swapped, EP2, OK2], times[:4])
@@ -493,7 +493,9 @@ def test_omega_dot_of_a_slice_is_that_slice_of_the_grid(points):
     np.testing.assert_array_equal(static.omega_dot(points), static.omega_dot()[points])
 
 
-def test_static_track_repeats_one_frame():
+def test_static_track_repeats_one_frame(monkeypatch):
+    import qhdyn.dressing
+
     model = HamiltonianModel(4, "similarity-rand", {"energies": [0.5, 1.0, 2.0, 3.5], "seed": 7})
     mu = tuple(ScheduleSpec("sinusoidal", base=1.0, amplitude=0.4, frequency=k + 1.0) for k in range(4))
     _, fine = time_grid(0.0, 1.0, 0.01)
@@ -503,7 +505,8 @@ def test_static_track_repeats_one_frame():
     assert not track.energies.flags.writeable
     # H per block is the one solved matrix, bit for bit
     solved = build_hamiltonian(model, fine[:1])[0]
-    for block in grid_blocks(len(fine), 4, most=40):
+    monkeypatch.setattr(qhdyn.dressing, "_FRAME_ENTRIES", 40 * 4 * 4)  # 40-point blocks at N = 4
+    for block in grid_blocks(len(fine), 4 * 4):
         assert all(_bits(h) == _bits(solved) for h in track.hamiltonian(block))
     # equal to the frame a point-by-point sweep tracks at every point
     hams = build_hamiltonian(model, fine)
@@ -624,7 +627,7 @@ def test_hamiltonian_of_a_block_is_that_block_of_the_whole_grid(family, kind, mo
     times = np.linspace(0.0, 1.0, 203)
     track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times)
     whole = build_hamiltonian(model, times)
-    fine = grid_blocks(len(times), n)
+    fine = grid_blocks(len(times), n * n)
     passes = list(track.blocks())
     blocks = fine + [block.points for block in passes]
     assert len(times[fine[0]]) > len(times[fine[-1]])  # a ragged last block
@@ -642,15 +645,60 @@ def test_the_passes_cut_the_grid_as_grid_blocks_does(n):
     # even blocks of fine points (so every block starts at a reporting point),
     # the last one cut at the end of the grid; the reporting pass takes their even points
     model = HamiltonianModel(n, "similarity-rand", {"energies": list(np.arange(1.0, n + 1.0))})
-    times = np.linspace(0.0, 1.0, 2 * 301 + 1)
+    times = np.linspace(0.0, 1.0, 2 * 701 + 1)  # more than one block at every N, the last one ragged
     track = build_dressing_track(model, (ScheduleSpec("constant", base=1.0),) * n, times)
-    cut = [(s.start, min(s.stop, len(times))) for s in grid_blocks(len(times), n)]
+    cut = [(s.start, s.stop) for s in grid_blocks(len(times), n * n)]
     size = cut[0][1]
     assert size % 2 == 0 and [start for start, _ in cut] == list(range(0, len(times), size))
     assert cut[-1][1] == len(times) and cut[-1][1] - cut[-1][0] < size
     blocks = list(track.blocks())
     assert [(b.points.start, b.points.stop, b.points.step) for b in blocks] == [(*s, None) for s in cut]
     assert [(b.rows.start, b.rows.stop) for b in blocks] == [(start // 2, (stop + 1) // 2) for start, stop in cut]
+
+
+@pytest.mark.parametrize(
+    "name, points, steps",
+    [("static-rand4", 256, 64), ("moving-cubic8", 64, 16), ("sweep-tri2", None, None)],
+)
+def test_every_walk_of_a_run_is_cut_by_grid_blocks(name, points, steps, monkeypatch):
+    # the frame solve, Theta's eigenvalues, RK4 and the check pass (the last walk) of one run,
+    # spied on from outside the package: ``points`` fine points per check block and ``steps``
+    # RK4 steps per block with both pictures, or one block per walk when None
+    import importlib
+    from pathlib import Path
+
+    import qhdyn.dressing
+    import qhdyn.evolution
+    from qhdyn import scenario_from_dict
+    from qhdyn.dressing import _FRAME_ENTRIES
+    from qhdyn.runner import run
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    config = scenario_from_dict(importlib.import_module("workloads").WORKLOADS[name].document(1))
+    walks = []
+
+    def spy(where):
+        def walk(count, entries):
+            blocks = grid_blocks(count, entries)
+            walks.append((where, count, entries, [len(range(count)[b]) for b in blocks]))
+            return blocks
+        return walk
+
+    monkeypatch.setattr(qhdyn.dressing, "grid_blocks", spy("grid"))
+    monkeypatch.setattr(qhdyn.evolution, "grid_blocks", spy("RK4"))
+    assert run(config).passed
+    n, m = config.model.dimension, len(time_grid(config.t0, config.t1, config.dt)[1])
+    assert config.pictures[:2] == ("right", "left")
+    assert [where for where, *_ in walks] == ["grid"] * (len(walks) - 2) + ["RK4", "grid"]
+    for _, count, entries, sizes in walks:
+        assert sum(sizes) == count and max(sizes) * entries <= _FRAME_ENTRIES
+    (_, rk4_steps, rk4_entries, rk4), (_, checked, _, check) = walks[-2:]
+    assert (rk4_steps, rk4_entries, checked) == ((m - 1) // 2, 2 * 2 * n * n, m)
+    if points is None:
+        assert all(len(sizes) == 1 for *_, sizes in walks)
+    else:
+        assert len(check) > 1 and set(check[:-1]) == {points} and len(rk4) > 1 and set(rk4[:-1]) == {steps}
+        assert points == 4 * steps  # an RK4 block's fine points are half a check block
 
 
 @pytest.mark.parametrize("case", ["cubic8", "pt2"])
@@ -660,7 +708,7 @@ def test_theta_of_a_block_is_that_block_of_the_whole_grid(case):
     omega = track.omega()
     product = matmul(dagger(omega), omega)  # build_theta's product, so that each block matches bit for bit
     whole = 0.5 * (product + dagger(product))
-    for block in grid_blocks(len(times), model.dimension):
+    for block in grid_blocks(len(times), model.dimension**2):
         assert _bits(build_theta(track.omega(block))) == _bits(whole[block])
     for block in track.blocks():
         assert _bits(block.theta) == _bits(whole[block.points])

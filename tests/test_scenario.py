@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qhdyn import ScenarioConfig, ScenarioError, apply_overrides, parse_scenario, scenario_from_dict
 from qhdyn.model import FAMILY_PARAMS
+from qhdyn.schedules import ScheduleSpec
 from qhdyn.scenario import SCHEMA, _parse_schedule, load_document, set_by_path
 
 from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
@@ -228,6 +229,12 @@ def test_overrides_and_paths():
         set_by_path(raw, "mu.7.base", 1.0)
     with pytest.raises(ScenarioError, match="list index"):
         set_by_path(raw, "mu.x.base", 1.0)
+    with pytest.raises(ScenarioError, match="^empty parameter path$"):
+        apply_overrides(raw, ["=3"])
+    # a list element as the leaf: the schedule is replaced whole, here by a constant
+    out = apply_overrides(raw, ["mu.0=1.5"])
+    assert out["mu"][0] == 1.5 and out["mu"][1] == raw["mu"][1]
+    assert scenario_from_dict(out).mu[0] == ScheduleSpec("constant", base=1.5)
 
 
 def test_exponent_only_floats_from_command_line():

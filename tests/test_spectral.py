@@ -57,6 +57,13 @@ def test_exceptional_point_raises():
         eig_biorthogonal(H)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3), (2, 2, 2, 2)])
+def test_an_input_that_is_not_a_square_matrix_or_a_stack_of_them_is_rejected(shape):
+    with pytest.raises(ValueError) as info:
+        eig_biorthogonal(np.ones(shape))
+    assert str(info.value) == f"expected a square matrix or a stack of them, got shape {shape}"
+
+
 def _similar_to_real_diagonal(rng, shape):
     """Random S diag(E) S^-1 of the given (..., N, N) shape, complex S and real E: a
     general non-Hermitian matrix with a real spectrum."""
