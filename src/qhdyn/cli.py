@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a scenario over a list of parameter values")
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. time.dt")
     p_sweep.add_argument("--values", required=True, help="comma-separated value list")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="processes at once: this one runs a share of the points, --jobs - 1 forked children "
+                              "the rest (this one all without os.fork); outputs are those of --jobs 1")
     return parser
 
 

@@ -12,6 +12,9 @@ Numbers are written with 17 significant digits so a reread round-trips exactly.
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import time as _time
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,8 +173,7 @@ class SweepPoint:
     exit_code: int
 
 
-def _sweep_one(args) -> SweepPoint:
-    raw, path, value, label = args
+def _sweep_one(raw, path, value, label) -> SweepPoint:
     try:
         set_by_path(raw, path, value)
         raw["name"] = label  # one output directory per sweep point
@@ -184,13 +186,14 @@ def _sweep_one(args) -> SweepPoint:
 
 
 def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "scenario") -> list[SweepPoint]:
-    """Independent runs of one scenario with a config entry swept over values.
+    """Independent runs of one scenario with a config entry swept over values, each on a deep copy.
 
-    Each point gets a deep-copied document; points run in parallel in up to
-    ``jobs`` worker processes, never more than there are points.  Errors are
-    captured per point, not raised; ``jobs`` < 1 or two values of one label raise `ScenarioError`.
+    Point i belongs to share ``i % workers``, with ``workers`` the lesser of ``jobs`` and the point count (1 where
+    there is no `os.fork`): this process runs share 0 and a forked child each other share, and the points are
+    those of ``jobs=1``.  Errors are captured per point; any other exception, here or in a child, stops every
+    child and is raised.  ``jobs`` < 1 or two values of one label raise `ScenarioError`.
     """
-    import copy as _copy
+    import signal  # not on the import path of `qhdyn run`
 
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, got {jobs}")
@@ -200,14 +203,42 @@ def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "
         label = f"{name}__{param_path.replace('.', '_')}={value}"
         if any(label == task[-1] for task in tasks):
             raise ScenarioError(f"two sweep values share the label {label!r}, and so one output directory")
-        tasks.append((_copy.deepcopy(raw), param_path, value, label))
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        tasks.append((copy.deepcopy(raw), param_path, value, label))
+    workers = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
+    points, children = [None] * len(tasks), []  # children: (pid, read end of its pipe) of each forked share
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(tasks[k::workers]))
+        points[::workers] = [_sweep_one(*t) for t in tasks[::workers]]
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:  # each child has reported by now, or is not to be waited for
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for k, payload in enumerate(payloads, start=1):
+        share = pickle.loads(payload) if payload else ChildProcessError("a sweep worker exited without reporting")
+        if isinstance(share, BaseException):
+            raise share
+        points[k::workers] = share
+    return points
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_one, tasks))
-    return [_sweep_one(t) for t in tasks]
+
+def _fork_share(tasks: list) -> tuple:
+    """Fork a child that pickles back the points of tasks, or what stopped them; its pid and the pipe's read end."""
+    read, write = os.pipe()
+    if pid := os.fork():
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:  # the child leaves by os._exit, past the parent's clean-up
+        with os.fdopen(write, "wb") as pipe:
+            try:
+                share = [_sweep_one(*t) for t in tasks]
+            except BaseException as exc:
+                share = exc
+            pipe.write(pickle.dumps(share))
+    finally:
+        os._exit(0)
 
 
 def sweep_summary_text(param_path: str, points: list[SweepPoint]) -> str:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qhdyn.dressing
+import qhdyn.runner
 from qhdyn import NumericalDomainError, ScenarioError, run
 from qhdyn.cli import main
 from qhdyn.scenario import apply_overrides, load_document, scenario_from_dict
@@ -471,9 +472,18 @@ def test_cli_import_does_not_load_scipy():
     assert _fresh_interpreter("import sys, qhdyn.cli; print('scipy' in sys.modules)") == "False"
 
 
-def test_cli_import_does_not_load_process_pool():
+def test_cli_import_does_not_load_process_pool(tmp_path):
     probe = "import sys, qhdyn.cli; print('concurrent.futures.process' in sys.modules)"
     assert _fresh_interpreter(probe) == "False"
+    # nor does a sweep in two processes, up to its exit
+    argv = ["sweep", scenario_path("tri_sin_drive"), "--param", "time.dt", "--values", "4e-3,2e-3", "--jobs", "2",
+            "--out", str(tmp_path)]
+    probe = (
+        f"import sys\nfrom qhdyn.cli import main\ncode = main({argv!r})\n"
+        "print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe).splitlines()[-1] == "0 False False"
+    assert len(list(tmp_path.glob("*/timeseries.csv"))) == 2
 
 
 def test_config_from_dict_loads_neither_yaml_nor_process_pool():
@@ -870,53 +880,155 @@ def test_sweep_cli_parallel_jobs(tmp_path):
     assert len(produced) == 2
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
-
-    def __init__(self, max_workers):
-        _RecordingPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 @pytest.fixture
-def recording_pool(monkeypatch):
-    import concurrent.futures
+def fork_counter(monkeypatch):
+    """Records the process that made each fork; every fork is real."""
+    forks = []
+    real_fork = os.fork
 
-    _RecordingPool.created = []
-    # set in the module's namespace, so the real pool module is never imported
-    monkeypatch.setitem(vars(concurrent.futures), "ProcessPoolExecutor", _RecordingPool)
-    return _RecordingPool.created
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
-def test_sweep_pool_is_capped_at_the_point_count(recording_pool):
+def test_sweep_pool_is_capped_at_the_point_count(fork_counter):
     import yaml
 
     raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
-    points = sweep(raw, "time.dt", [0.01, 0.005], jobs=5000)
-    assert recording_pool == [2]
-    assert [p.exit_code for p in points] == [EXIT_OK, EXIT_OK]
-    # one point never needs a pool
+    points = sweep(raw, "time.dt", [0.01, 0.005, 0.0025], jobs=5000)
+    assert fork_counter == [os.getpid()] * 2  # three processes for three points, this one among them
+    assert [p.exit_code for p in points] == [EXIT_OK] * 3
+    # one point never forks
     assert sweep(raw, "time.dt", [0.01], jobs=4)[0].exit_code == EXIT_OK
-    assert recording_pool == [2]
+    assert len(fork_counter) == 2
+
+
+def test_a_sweep_runs_in_this_process_where_there_is_no_fork(monkeypatch):
+    import yaml
+
+    monkeypatch.delattr(os, "fork")
+    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
+    points = sweep(raw, "time.dt", [0.01, 0.005], jobs=2)
+    assert [(p.value, p.exit_code) for p in points] == [(0.01, EXIT_OK), (0.005, EXIT_OK)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_fewer_than_one_job(jobs, recording_pool, capsys):
+def test_sweep_rejects_fewer_than_one_job(jobs, fork_counter, capsys):
     code = main([
         "sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
         "--jobs", jobs,
     ])
     assert code == ScenarioError.exit_code
     assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert recording_pool == []
+    assert fork_counter == []
+
+
+def _outcome(point, out_dir):
+    """A sweep point as it is written, without the wall clock: value, code, error, CSV, report and summary."""
+    if point.report is None:
+        return point.value, point.exit_code, point.error
+    run_dir = write_outputs(point.report, out_dir)
+    report = json.loads((run_dir / "report.json").read_text())
+    del report["wall_clock_seconds"]
+    summary = [line for line in (run_dir / "summary.txt").read_text().splitlines() if not line.startswith("wall clock")]
+    residuals = [(r.name, r.times.tobytes(), r.residuals.tobytes(), r.threshold) for r in point.report.reports]
+    csv = (run_dir / "timeseries.csv").read_bytes()
+    return point.value, point.exit_code, point.error, csv, report, summary, residuals
+
+
+def test_sweep_points_do_not_depend_on_the_job_count(tmp_path):
+    import yaml
+
+    raw = yaml.safe_load((SCENARIO_DIR / "pt2_gamma_ramp.yaml").read_text())
+    # rate 1.25 crosses the exceptional point (exit 3); "fast" is no number (exit 2)
+    rates = [0.5, 1.25, "fast", 0.25, 0.75]
+    outcomes = {
+        jobs: [_outcome(p, tmp_path / str(jobs))
+               for p in sweep(raw, "model.h_schedule.gamma.rate", rates, jobs=jobs, name="pt2_gamma_ramp")]
+        for jobs in (1, 2, 3, 5000)
+    }
+    assert [o[:2] for o in outcomes[1]] == [(0.5, 0), (1.25, 3), ("fast", 2), (0.25, 0), (0.75, 0)]
+    assert "exceptional point" in outcomes[1][1][2] and "finite real number" in outcomes[1][2][2]
+    for jobs in (2, 3, 5000):
+        assert outcomes[jobs] == outcomes[1]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Turns a sweep that hangs into a failure: SIGALRM raises TimeoutError here after 60 s."""
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+_TWO_POINTS = ["sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
+               "--jobs", "2"]
+
+
+def test_an_exception_in_a_forked_share_exits_four(monkeypatch, capsys, deadline):
+    real_run = qhdyn.runner.run
+
+    def run_failing_at_the_second_point(config):  # point 1 is the forked child's share
+        if config.dt == 0.005:
+            raise RuntimeError("planted in a share")
+        return real_run(config)
+
+    monkeypatch.setattr(qhdyn.runner, "run", run_failing_at_the_second_point)
+    assert main(_TWO_POINTS) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr().err == "internal error: RuntimeError: planted in a share\n"
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_without_reporting_exits_four(monkeypatch, capsys, deadline):
+    real_sweep_one, this_process = qhdyn.runner._sweep_one, os.getpid()
+
+    def sweep_one_dying_in_a_child(raw, path, value, label):
+        if value == 0.005:
+            assert os.getpid() != this_process, "point 1 belongs to a forked child's share"
+            os._exit(1)
+        return real_sweep_one(raw, path, value, label)
+
+    monkeypatch.setattr(qhdyn.runner, "_sweep_one", sweep_one_dying_in_a_child)
+    assert main(_TWO_POINTS) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr().err == "internal error: ChildProcessError: a sweep worker exited without reporting\n"
+    _assert_no_child_left()
+
+
+def test_an_exception_in_this_process_share_stops_and_reaps_every_child(monkeypatch, fork_counter, deadline):
+    import time
+
+    import yaml
+
+    this_process = os.getpid()
+
+    def run_failing_here_and_stalling_in_children(config):
+        if os.getpid() == this_process:
+            raise RuntimeError("planted in this process")
+        time.sleep(120)  # a child's share that would outlast the deadline
+
+    monkeypatch.setattr(qhdyn.runner, "run", run_failing_here_and_stalling_in_children)
+    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match="planted in this process"):
+        sweep(raw, "time.dt", [0.01, 0.005, 0.0025], jobs=3)
+    assert len(fork_counter) == 2
+    assert time.perf_counter() - started < 30
+    _assert_no_child_left()
 
 
 def test_sweep_captures_numerical_errors():
