@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. time.dt")
     p_sweep.add_argument("--values", required=True, help="comma-separated value list")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="processes at once: this one runs a share of the points, --jobs - 1 forked children "
-                              "the rest (this one all without os.fork); outputs are those of --jobs 1")
+                         help="accepted (at least 1) and changes nothing: every point runs in this process, in order")
     return parser
 
 

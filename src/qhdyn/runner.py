@@ -13,8 +13,6 @@ Numbers are written with 17 significant digits so a reread round-trips exactly.
 from __future__ import annotations
 
 import copy
-import os
-import pickle
 import time as _time
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,7 +126,8 @@ def summary_text(report: RunReport) -> str:
 
 def report_json_dict(report: RunReport) -> dict:
     """The report as strict JSON: a non-finite number (a check's max residual, or a scenario
-    entry the run ignored) is null, and a check with a non-finite one has "non_finite": true."""
+    entry the run ignored) is null, a check with a non-finite one has "non_finite": true, and a
+    numpy scalar of the scenario (`scenario_from_dict` reads one as a number) is its Python value."""
     import json
 
     checks = [
@@ -145,7 +144,8 @@ def report_json_dict(report: RunReport) -> dict:
         "rows": len(report.rows),
         "wall_clock_seconds": report.wall_clock_seconds,
     }
-    return json.loads(json.dumps(document), parse_constant=lambda _: None)  # NaN and +-inf become null
+    text = json.dumps(document, default=np.generic.item)  # any other type is a TypeError, as without default
+    return json.loads(text, parse_constant=lambda _: None)  # NaN and +-inf become null
 
 
 def write_outputs(report: RunReport, out_dir: Path) -> Path:
@@ -188,57 +188,17 @@ def _sweep_one(raw, path, value, label) -> SweepPoint:
 def sweep(raw: dict, param_path: str, values: list, jobs: int = 1, name: str = "scenario") -> list[SweepPoint]:
     """Independent runs of one scenario with a config entry swept over values, each on a deep copy.
 
-    Point i belongs to share ``i % workers``, with ``workers`` the lesser of ``jobs`` and the point count (1 where
-    there is no `os.fork`): this process runs share 0 and a forked child each other share, and the points are
-    those of ``jobs=1``.  Errors are captured per point; any other exception, here or in a child, stops every
-    child and is raised.  ``jobs`` < 1 or two values of one label raise `ScenarioError`.
+    Every point runs in this process, in order; ``jobs`` is accepted and changes nothing.  Errors are captured
+    per point, and any other exception is raised.  ``jobs`` < 1 or two values of one label raise `ScenarioError`.
     """
-    import signal  # not on the import path of `qhdyn run`
-
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, got {jobs}")
     plain_name(name)  # every point's label, and so its output directory, starts with it
-    tasks = []
-    for value in values:
-        label = f"{name}__{param_path.replace('.', '_')}={value}"
-        if any(label == task[-1] for task in tasks):
+    labels = [f"{name}__{param_path.replace('.', '_')}={value}" for value in values]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
             raise ScenarioError(f"two sweep values share the label {label!r}, and so one output directory")
-        tasks.append((copy.deepcopy(raw), param_path, value, label))
-    workers = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
-    points, children = [None] * len(tasks), []  # children: (pid, read end of its pipe) of each forked share
-    try:
-        for k in range(1, workers):
-            children.append(_fork_share(tasks[k::workers]))
-        points[::workers] = [_sweep_one(*t) for t in tasks[::workers]]
-        payloads = [pipe.read() for _, pipe in children]
-    finally:
-        for pid, pipe in children:  # each child has reported by now, or is not to be waited for
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for k, payload in enumerate(payloads, start=1):
-        share = pickle.loads(payload) if payload else ChildProcessError("a sweep worker exited without reporting")
-        if isinstance(share, BaseException):
-            raise share
-        points[k::workers] = share
-    return points
-
-
-def _fork_share(tasks: list) -> tuple:
-    """Fork a child that pickles back the points of tasks, or what stopped them; its pid and the pipe's read end."""
-    read, write = os.pipe()
-    if pid := os.fork():
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
-    try:  # the child leaves by os._exit, past the parent's clean-up
-        with os.fdopen(write, "wb") as pipe:
-            try:
-                share = [_sweep_one(*t) for t in tasks]
-            except BaseException as exc:
-                share = exc
-            pipe.write(pickle.dumps(share))
-    finally:
-        os._exit(0)
+    return [_sweep_one(copy.deepcopy(raw), param_path, value, label) for value, label in zip(values, labels)]
 
 
 def sweep_summary_text(param_path: str, points: list[SweepPoint]) -> str:

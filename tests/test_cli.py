@@ -601,6 +601,21 @@ def test_report_json_is_strict_for_a_non_finite_residual(tmp_path):
     assert _strict_json(json.dumps(document, allow_nan=False))["scenario"]["initial_state"]["vector"] == [1, None]
 
 
+def test_report_json_writes_numpy_scalars_of_the_document_as_numbers(tmp_path):
+    # scenario_from_dict reads a numpy scalar as a number, so the scenario echo in report.json holds one
+    raw = load_document((SCENARIO_DIR / "static_hermitian.yaml").read_text())
+    raw["model"]["dimension"], raw["time"]["dt"], raw["mu"][0]["base"] = np.int64(2), np.float32(2**-9), np.float32(1)
+    report = _strict_json((write_outputs(run(scenario_from_dict(raw)), tmp_path) / "report.json").read_text())
+    assert report["passed"] and report["scenario"]["model"]["dimension"] == 2
+    assert (report["scenario"]["time"]["dt"], report["scenario"]["mu"][0]["base"]) == (2**-9, 1.0)
+    # and so does each point of a sweep over numpy values
+    raw = load_document((SCENARIO_DIR / "rand4_metric_sin.yaml").read_text())
+    raw["time"]["t1"] = 0.1
+    for k, point in enumerate(sweep(raw, "model.params.seed", list(np.arange(3)), name="rand4")):
+        report = _strict_json((write_outputs(point.report, tmp_path) / "report.json").read_text())
+        assert report["scenario"]["model"]["params"]["seed"] == k and type(point.value) is np.int64
+
+
 def test_worst_t_is_where_each_residual_peaks(tmp_path):
     report = run(load_scenario("exp_metric_drive"))
     written = _strict_json(json.dumps(report_json_dict(report), allow_nan=False))
@@ -881,49 +896,31 @@ def test_sweep_cli_parallel_jobs(tmp_path):
 
 
 @pytest.fixture
-def fork_counter(monkeypatch):
-    """Records the process that made each fork; every fork is real."""
-    forks = []
-    real_fork = os.fork
+def no_fork(monkeypatch):
+    """Makes every `os.fork` raise, so a sweep that forks fails."""
+    def refused_fork():
+        raise AssertionError("a sweep forked")
 
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+    monkeypatch.setattr(os, "fork", refused_fork)
 
 
-def test_sweep_pool_is_capped_at_the_point_count(fork_counter):
+def test_a_sweep_runs_in_this_process_where_there_is_no_fork(no_fork):
     import yaml
 
     raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
-    points = sweep(raw, "time.dt", [0.01, 0.005, 0.0025], jobs=5000)
-    assert fork_counter == [os.getpid()] * 2  # three processes for three points, this one among them
-    assert [p.exit_code for p in points] == [EXIT_OK] * 3
-    # one point never forks
-    assert sweep(raw, "time.dt", [0.01], jobs=4)[0].exit_code == EXIT_OK
-    assert len(fork_counter) == 2
-
-
-def test_a_sweep_runs_in_this_process_where_there_is_no_fork(monkeypatch):
-    import yaml
-
-    monkeypatch.delattr(os, "fork")
-    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
-    points = sweep(raw, "time.dt", [0.01, 0.005], jobs=2)
-    assert [(p.value, p.exit_code) for p in points] == [(0.01, EXIT_OK), (0.005, EXIT_OK)]
+    for jobs in (1, 2, 5000):
+        points = sweep(raw, "time.dt", [0.01, 0.005, 0.0025], jobs=jobs)
+        assert [(p.value, p.exit_code) for p in points] == [(0.01, EXIT_OK), (0.005, EXIT_OK), (0.0025, EXIT_OK)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_fewer_than_one_job(jobs, fork_counter, capsys):
+def test_sweep_rejects_fewer_than_one_job(jobs, no_fork, capsys):
     code = main([
         "sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
         "--jobs", jobs,
     ])
     assert code == ScenarioError.exit_code
     assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert fork_counter == []
 
 
 def _outcome(point, out_dir):
@@ -956,79 +953,18 @@ def test_sweep_points_do_not_depend_on_the_job_count(tmp_path):
         assert outcomes[jobs] == outcomes[1]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Turns a sweep that hangs into a failure: SIGALRM raises TimeoutError here after 60 s."""
-    import signal
-
-    def expire(signum, frame):
-        raise TimeoutError("the sweep did not end within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-_TWO_POINTS = ["sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005",
-               "--jobs", "2"]
-
-
-def test_an_exception_in_a_forked_share_exits_four(monkeypatch, capsys, deadline):
+def test_an_exception_in_a_sweep_point_exits_four(monkeypatch, capsys):
     real_run = qhdyn.runner.run
 
-    def run_failing_at_the_second_point(config):  # point 1 is the forked child's share
+    def run_failing_at_the_second_point(config):
         if config.dt == 0.005:
-            raise RuntimeError("planted in a share")
+            raise RuntimeError("planted in a sweep point")
         return real_run(config)
 
     monkeypatch.setattr(qhdyn.runner, "run", run_failing_at_the_second_point)
-    assert main(_TWO_POINTS) == EXIT_INTERNAL_ERROR
-    assert capsys.readouterr().err == "internal error: RuntimeError: planted in a share\n"
-    _assert_no_child_left()
-
-
-def test_a_child_that_dies_without_reporting_exits_four(monkeypatch, capsys, deadline):
-    real_sweep_one, this_process = qhdyn.runner._sweep_one, os.getpid()
-
-    def sweep_one_dying_in_a_child(raw, path, value, label):
-        if value == 0.005:
-            assert os.getpid() != this_process, "point 1 belongs to a forked child's share"
-            os._exit(1)
-        return real_sweep_one(raw, path, value, label)
-
-    monkeypatch.setattr(qhdyn.runner, "_sweep_one", sweep_one_dying_in_a_child)
-    assert main(_TWO_POINTS) == EXIT_INTERNAL_ERROR
-    assert capsys.readouterr().err == "internal error: ChildProcessError: a sweep worker exited without reporting\n"
-    _assert_no_child_left()
-
-
-def test_an_exception_in_this_process_share_stops_and_reaps_every_child(monkeypatch, fork_counter, deadline):
-    import time
-
-    import yaml
-
-    this_process = os.getpid()
-
-    def run_failing_here_and_stalling_in_children(config):
-        if os.getpid() == this_process:
-            raise RuntimeError("planted in this process")
-        time.sleep(120)  # a child's share that would outlast the deadline
-
-    monkeypatch.setattr(qhdyn.runner, "run", run_failing_here_and_stalling_in_children)
-    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
-    started = time.perf_counter()
-    with pytest.raises(RuntimeError, match="planted in this process"):
-        sweep(raw, "time.dt", [0.01, 0.005, 0.0025], jobs=3)
-    assert len(fork_counter) == 2
-    assert time.perf_counter() - started < 30
-    _assert_no_child_left()
+    argv = ["sweep", scenario_path("static_hermitian"), "--param", "time.dt", "--values", "0.01,0.005", "--jobs", "2"]
+    assert main(argv) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr().err == "internal error: RuntimeError: planted in a sweep point\n"
 
 
 def test_sweep_captures_numerical_errors():
