@@ -913,6 +913,16 @@ def test_a_sweep_runs_in_this_process_where_there_is_no_fork(no_fork):
         assert [(p.value, p.exit_code) for p in points] == [(0.01, EXIT_OK), (0.005, EXIT_OK), (0.0025, EXIT_OK)]
 
 
+def test_sweep_pool_is_capped_at_the_point_count(no_fork):
+    import yaml
+
+    raw = yaml.safe_load((SCENARIO_DIR / "static_hermitian.yaml").read_text())
+    # more jobs than points start no worker: each point still runs once, in order
+    points = sweep(raw, "time.dt", [0.01, 0.005], jobs=5000)
+    assert [(p.value, p.exit_code) for p in points] == [(0.01, EXIT_OK), (0.005, EXIT_OK)]
+    assert [(p.value, p.exit_code) for p in sweep(raw, "time.dt", [0.01], jobs=4)] == [(0.01, EXIT_OK)]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_fewer_than_one_job(jobs, no_fork, capsys):
     code = main([
