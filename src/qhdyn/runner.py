@@ -206,10 +206,11 @@ def sweep_summary_text(param_path: str, points: list[SweepPoint]) -> str:
     # the worst check: a non-finite residual ranks first, as in `InvariantReport.worst_t`
     ratio = lambda r: np.nan_to_num(r.max_residual / r.threshold, nan=np.inf, posinf=np.inf)
     for p in points:
+        value = p.value.item() if isinstance(p.value, np.generic) else p.value  # np.float64(0.5) reads 0.5
         if p.report is None:
-            lines.append(f"{p.value!r:>16}  ERROR({p.exit_code}): {p.error}")
+            lines.append(f"{value!r:>16}  ERROR({p.exit_code}): {p.error}")
             continue
         worst = max(p.report.reports, key=ratio)
         status = "PASS" if p.report.passed else "FAIL"
-        lines.append(f"{p.value!r:>16}  {status}  worst {worst.name} max residual {worst.max_residual:.6e}")
+        lines.append(f"{value!r:>16}  {status}  worst {worst.name} max residual {worst.max_residual:.6e}")
     return "\n".join(lines) + "\n"

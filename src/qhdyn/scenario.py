@@ -30,10 +30,10 @@ listed twice raises too.
 Every number must be finite.  Parsing rejects, before any numerics, a
 schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
 can vanish there (`schedules.schedule_bounds`), a sinusoid that the grid
-cannot sample (`schedules.validate_resolved`), and a selected check whose
-input is missing (`verify.unmet_need`).  PyYAML is imported only by the
-functions that parse YAML text, so building a config from a dict, or reading
-a JSON document or JSON values, never loads it.  YAML is read with YAML 1.2's
+cannot sample (`schedules.validate_resolved`), and any check setting that
+`verify.select_checks` rejects, as it does for the Python API.  PyYAML is
+imported only by the functions that parse YAML text, so building a config
+from a dict, or reading a JSON document or JSON values, never loads it.  YAML is read with YAML 1.2's
 float rule, so an exponent needs no decimal point and no sign (`dt: 1e-3`).
 """
 
@@ -51,7 +51,7 @@ from .evolution import PICTURES, initial_vector, time_grid, validate_pictures
 from .model import FAMILY_PARAMS, HamiltonianModel, ObservableSpec
 from .schedules import (SCHEDULE_KINDS, ScheduleSpec, finite_number, validate_bounded, validate_nonvanishing,
                         validate_resolved)
-from .verify import DEFAULT_THRESHOLDS, unmet_need
+from .verify import select_checks
 
 # The keys of every mapping in a document, as (required, optional) dicts of key: type.  A float,
 # int or complex value is read by `_real`, `_integer` or `_scalar`; a str, dict or list one must
@@ -188,10 +188,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     pictures = _unique(validate_pictures(doc.get("pictures", PICTURES)), "pictures")
 
     selection, overrides = _parse_checks(doc.get("checks"))
-    for check in selection or ():
-        problem = unmet_need(check, "left" in pictures, model.a_observables)
-        if problem:
-            raise ScenarioError(problem)
+    select_checks(selection, overrides, "left" in pictures, model.a_observables)
 
     evolution = _read(doc.get("evolution", {}), "evolution")
 
@@ -424,13 +421,10 @@ def _parse_initial_state(entry: dict):
 
 
 def _parse_checks(entries):
-    """The selected check names, each once, and their threshold overrides."""
+    """The selected check names and their threshold overrides, as written: `verify.select_checks` judges them."""
     if entries is None:
         return None, {}
-    if not entries:
-        raise ScenarioError("checks names no check; omit the key or set it to null to run every applicable check")
-    selection = []
-    overrides = {}
+    selection, overrides = [], {}
     for k, item in enumerate(entries):
         if isinstance(item, str):
             item = {"name": item}
@@ -438,12 +432,7 @@ def _parse_checks(entries):
             item = _read(item, "check", f"checks[{k}]")
         else:
             raise ScenarioError(f"checks entries must be names or {{name, threshold}}: {item!r}")
-        name = item["name"]
-        if name not in DEFAULT_THRESHOLDS:
-            raise ScenarioError(f"unknown check name {name!r}")
         if "threshold" in item:
-            if item["threshold"] <= 0:
-                raise ScenarioError(f"check {name!r}: threshold must be a positive number")
-            overrides[name] = item["threshold"]
-        selection.append(name)
-    return _unique(selection, "checks"), overrides
+            overrides[item["name"]] = item["threshold"]
+        selection.append(item["name"])
+    return tuple(selection), overrides

@@ -2,8 +2,8 @@
 
 Each check condenses one structural identity of the dressed dynamics into a
 max-norm residual over the run and compares it against a threshold.  The
-defaults target desk scale (N <= 8, dt = 1e-3, T <= 1) and every threshold
-can be overridden per scenario.  Every check is one row of the table
+defaults target desk scale (N <= 8, dt = 1e-3, T <= 1); `select_checks` picks the
+checks of a scenario or an API call, and their thresholds.  Every check is one row of the table
 `CHECKS`: an array expression over one `dressing.Block` and the trajectory rows
 it covers, giving a residual per grid time of the block.  `run_standard_checks`
 feeds each block of one pass over the track to every check, so no temporary
@@ -21,6 +21,7 @@ import numpy as np
 from .dressing import Block, DressingTrack, dagger, hermitize
 from .errors import ScenarioError
 from .evolution import Trajectory
+from .schedules import finite_number
 from .spectral import matmul
 
 
@@ -33,7 +34,7 @@ class Check(NamedTuple):
     on_fine_grid  True when the residuals sit on the track's fine grid, False
                   when they sit on the trajectory's reporting grid
     needs         'left' (the integrated left ket), 'observables' (declared
-                  observables) or None; see `unmet_need`
+                  observables) or None; see `select_checks`
     """
 
     residuals: Callable[[Trajectory, Block], np.ndarray]
@@ -190,15 +191,36 @@ CHECKS = {
 DEFAULT_THRESHOLDS = {name: check.threshold for name, check in CHECKS.items()}
 
 
-def unmet_need(name: str, left: bool, observables) -> str | None:
-    """Why check ``name`` cannot run with (``left``) or without the left ket and with these
-    observables (any collection, empty or None when none are declared), or None when it can."""
-    needs = CHECKS[name].needs
-    if needs == "left" and not left:
-        return "check needs the 'left' picture, which was not integrated"
-    if needs == "observables" and not observables:
-        return f"{name} requested but no observables declared"
-    return None
+def select_checks(selection: Sequence[str] | None, overrides: Mapping[str, float] | None, left: bool,
+                  observables) -> dict[str, float]:
+    """The threshold of each check to run, in order: every check in ``selection``, or when it is None every
+    check whose input exists, the left ket (integrated when ``left``) and the declared ``observables``
+    (any collection, empty or None when none are declared).  Raises `ScenarioError` for an empty selection,
+    an unknown or repeated name, an override that is not a finite positive number, or a selected check
+    whose input is missing; an override of a check outside the selection is checked, then ignored."""
+    if selection is not None and len(selection) == 0:
+        raise ScenarioError("checks names no check; omit the key or set it to null to run every applicable check")
+    overrides = dict(overrides or {})
+    for name in [*overrides, *(selection or ())]:
+        if name not in CHECKS:
+            raise ScenarioError(f"unknown check name {name!r}")
+    for name, threshold in overrides.items():
+        if not finite_number(threshold, real=True):
+            raise ScenarioError(f"check {name!r}: threshold must be a finite real number, got {threshold!r}")
+        if threshold <= 0:
+            raise ScenarioError(f"check {name!r}: threshold must be a positive number")
+    thresholds = {}
+    for name in CHECKS if selection is None else selection:
+        if name in thresholds:
+            raise ScenarioError(f"checks lists {name!r} more than once")
+        needs = CHECKS[name].needs
+        if needs == "left" and not left or needs == "observables" and not observables:
+            if selection is None:
+                continue
+            raise ScenarioError("check needs the 'left' picture, which was not integrated" if needs == "left"
+                                else f"{name} requested but no observables declared")
+        thresholds[name] = float(overrides.get(name, CHECKS[name].threshold))
+    return thresholds
 
 
 def run_standard_checks(
@@ -211,29 +233,18 @@ def run_standard_checks(
     """Run the named checks (all by default) with optional threshold overrides,
     in one pass over the track's blocks that feeds every check each block.
 
-    A check whose `unmet_need` is not None is skipped when no selection is
-    given, and raises `ScenarioError` when explicitly selected.  The pass fills
-    ``table`` too, from the blocks' `norms`, `observed` means and `h_residual`, and
-    from `equivalence`'s residuals, which alone are formed for it when not selected.
+    `select_checks` decides which checks run, at what threshold, and raises `ScenarioError` for a
+    bad setting.  The pass fills ``table`` too, from the blocks' `norms`, `observed` means and
+    `h_residual`, and from `equivalence`'s residuals, which alone are formed for it when not selected.
     """
-    overrides = dict(overrides or {})
-    for name in [*overrides, *(selection or ())]:
-        if name not in CHECKS:
-            raise ScenarioError(f"unknown check name {name!r}")
-    checks = {}  # name -> check, of every check to run
-    for name in CHECKS if selection is None else selection:
-        check = CHECKS[name]
-        problem = check.needs and unmet_need(name, trajectory.phi_left is not None, track.model.a_observables)
-        if problem and selection is not None:
-            raise ScenarioError(problem)
-        if not problem:
-            checks[name] = check
-    reported = list(checks)
+    left = getattr(trajectory, "phi_left", None) is not None  # isospectrality needs no trajectory
+    thresholds = select_checks(selection, overrides, left, track.model.a_observables)
+    checks = {name: CHECKS[name] for name in thresholds}
     if table is not None:  # its equivalence column is formed even where that check does not run
         checks |= {"equivalence": CHECKS["equivalence"]}
     times = {name: track.times if check.on_fine_grid else trajectory.times for name, check in checks.items()}
     residuals = {name: np.empty(len(grid)) for name, grid in times.items()}
-    for block in track.blocks(getattr(trajectory, "phi_right", None)):  # isospectrality needs no trajectory
+    for block in track.blocks(getattr(trajectory, "phi_right", None)):
         for name, check in checks.items():
             residuals[name][block.points if check.on_fine_grid else block.rows] = check.residuals(trajectory, block)
         if table is not None:
@@ -242,10 +253,7 @@ def run_standard_checks(
             table.equivalence[block.rows] = residuals["equivalence"][block.rows]
             for name, mean in table.means.items():
                 mean[block.rows] = block.observed[name][1]
-    return [
-        InvariantReport(name, times[name], residuals[name], float(overrides.get(name, checks[name].threshold)))
-        for name in reported
-    ]
+    return [InvariantReport(name, times[name], residuals[name], threshold) for name, threshold in thresholds.items()]
 
 
 def _lexsorted(values: np.ndarray) -> np.ndarray:

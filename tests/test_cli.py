@@ -815,6 +815,16 @@ def test_sweep_dt_halving_ratio(capsys):
     assert 10.0 < drifts[0] / drifts[1] < 22.0
 
 
+def test_a_numpy_sweep_value_is_printed_as_its_python_value(tmp_path):
+    # the summary once listed np.float64(0.004) where the label and output directory say 0.004
+    raw = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    points = sweep(raw, "time.dt", [np.float64(4e-3), np.float64(2e-3)], name="tri_sin_drive")
+    lines = qhdyn.runner.sweep_summary_text("time.dt", points).splitlines()[2:]
+    assert [line.split()[:2] for line in lines] == [["0.004", "PASS"], ["0.002", "PASS"]]
+    names = ["tri_sin_drive__time_dt=0.004", "tri_sin_drive__time_dt=0.002"]
+    assert [write_outputs(p.report, tmp_path).name for p in points] == names
+
+
 def test_sweep_summary_ranks_a_non_finite_residual_first(capsys):
     # observable-reality is NaN; the passing theta-norm drift once ranked as the worst check
     observables = (

@@ -15,7 +15,7 @@ from qhdyn import (
 )
 from qhdyn.dressing import Block
 from qhdyn.scenario import scenario_from_dict
-from qhdyn.verify import unmet_need
+from qhdyn.verify import select_checks
 from qhdyn.schedules import ScheduleSpec
 
 MU2 = (
@@ -255,10 +255,65 @@ def test_checks_skip_left_picture_when_absent():
 def test_observable_reality_needs_declared_observables(generic_run, series):
     # the model declares none: an absent and an empty list are both unmet
     track, traj = generic_run
-    assert unmet_need("observable-reality", traj.phi_left is not None, series).endswith("no observables declared")
+    with pytest.raises(ScenarioError, match="no observables declared$"):
+        select_checks(["observable-reality"], None, traj.phi_left is not None, series)
     assert "observable-reality" not in {r.name for r in run_standard_checks(traj, track)}
     with pytest.raises(ScenarioError, match="no observables declared"):
         run_standard_checks(traj, track, selection=["observable-reality"])
+
+
+def _tri_sin_drive(**edits):
+    """tri_sin_drive's document at dt = 1e-2, with dotted-path ``edits``."""
+    from conftest import SCENARIO_DIR
+    from qhdyn.scenario import load_document, set_by_path
+
+    raw = load_document((SCENARIO_DIR / "tri_sin_drive.yaml").read_text())
+    raw["time"]["dt"] = 1e-2
+    for path, value in edits.items():
+        set_by_path(raw, path, value)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "checks, edits, message",
+    [
+        (["nonsense"], {}, "unknown check name 'nonsense'"),
+        ([{"name": "equivalence", "threshold": 0}], {}, "check 'equivalence': threshold must be a positive number"),
+        ([{"name": "equivalence", "threshold": -1}], {}, "check 'equivalence': threshold must be a positive number"),
+        ([], {}, "checks names no check; omit the key or set it to null to run every applicable check"),
+        (["equivalence", "equivalence"], {}, "checks lists 'equivalence' more than once"),
+        (["left-right-duality"], {"pictures": ["right"]}, "check needs the 'left' picture, which was not integrated"),
+        (["observable-reality"], {"model.a_observables": []},
+         "observable-reality requested but no observables declared"),
+    ],
+)
+def test_a_bad_check_setting_is_one_error_in_a_document_and_the_api(checks, edits, message):
+    raw = _tri_sin_drive(**edits)
+    with pytest.raises(ScenarioError) as document:
+        scenario_from_dict(raw | {"checks": checks})
+    track, traj = _solved(scenario_from_dict(raw))
+    selection = [entry if isinstance(entry, str) else entry["name"] for entry in checks]
+    overrides = {entry["name"]: entry["threshold"] for entry in checks if isinstance(entry, dict)}
+    with pytest.raises(ScenarioError) as api:
+        run_standard_checks(traj, track, selection=selection, overrides=overrides)
+    assert str(document.value) == str(api.value) == message
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, "1e-7", True])
+def test_a_threshold_that_is_not_a_finite_number_is_rejected(threshold):
+    raw = _tri_sin_drive()
+    with pytest.raises(ScenarioError, match=r"^checks\[0\]\.threshold must be a finite real number"):
+        scenario_from_dict(raw | {"checks": [{"name": "equivalence", "threshold": threshold}]})
+    track, traj = _solved(scenario_from_dict(raw))
+    with pytest.raises(ScenarioError, match="^check 'equivalence': threshold must be a finite real number"):
+        run_standard_checks(traj, track, selection=["equivalence"], overrides={"equivalence": threshold})
+
+
+def test_an_override_outside_the_selection_is_ignored(generic_run):
+    track, traj = generic_run
+    assert select_checks(["equivalence"], {"quasi-hermiticity": 1e-30}, True, ()) == {"equivalence": 1e-7}
+    reports = run_standard_checks(traj, track, selection=["equivalence"], overrides={"quasi-hermiticity": 1e-30})
+    assert [(r.name, r.threshold, r.passed) for r in reports] == [("equivalence", 1e-7, True)]
 
 
 def test_realize_observable_sources(generic_run):
