@@ -49,9 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_raw(path: Path, overrides: list[str]) -> dict:
+    """The document at ``path`` with ``overrides`` applied; its name, when absent or null, is the file stem."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, a directory, text that is not UTF-8
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     raw = load_document(text)
     raw.setdefault("name", path.stem)
@@ -63,7 +64,7 @@ def _load_raw(path: Path, overrides: list[str]) -> dict:
 
 def _cmd_run(args) -> int:
     raw = _load_raw(args.scenario, args.override)
-    config = scenario_from_dict(raw, name=raw.get("name", args.scenario.stem))
+    config = scenario_from_dict(raw)
     report = run(config)
     sys.stdout.write(summary_text(report))
     if args.out is not None:
@@ -82,7 +83,7 @@ def _parse_values(text: str) -> list:
 def _cmd_sweep(args) -> int:
     raw = _load_raw(args.scenario, args.override)
     values = _parse_values(args.values)
-    points = sweep(raw, args.param, values, jobs=args.jobs, name=raw.get("name", args.scenario.stem))
+    points = sweep(raw, args.param, values, jobs=args.jobs, name=raw["name"])
     sys.stdout.write(sweep_summary_text(args.param, points))
     if args.out is not None:
         for p in points:

@@ -177,7 +177,7 @@ def _sweep_one(raw, path, value, label) -> SweepPoint:
     try:
         set_by_path(raw, path, value)
         raw["name"] = label  # one output directory per sweep point
-        config = scenario_from_dict(raw, name=label)
+        config = scenario_from_dict(raw)
         report = run(config)
         code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
         return SweepPoint(value=value, report=report, error=None, exit_code=code)

@@ -31,10 +31,10 @@ Every number must be finite.  Parsing rejects, before any numerics, a
 schedule that can overflow on [t0, t1] or a metric-coefficient schedule that
 can vanish there (`schedules.schedule_bounds`), a sinusoid that the grid
 cannot sample (`schedules.validate_resolved`), and any check setting that
-`verify.select_checks` rejects, as it does for the Python API.  PyYAML is
-imported only by the functions that parse YAML text, so building a config
-from a dict, or reading a JSON document or JSON values, never loads it.  YAML is read with YAML 1.2's
-float rule, so an exponent needs no decimal point and no sign (`dt: 1e-3`).
+`verify.select_checks` rejects, as it does for the Python API.  A document and
+a command-line value are read alike: as JSON when the text is JSON (so a dict or
+JSON text never loads PyYAML), else as YAML with YAML 1.2's float rule (`1e-3` is
+a float); text nested more than `MAX_DEPTH` levels deep is refused.
 """
 
 from __future__ import annotations
@@ -121,37 +121,49 @@ def _yaml_loader():
 
 
 def load_document(text: str) -> dict:
-    """Text of one scenario document as its raw dict (not yet validated): a
-    JSON object is read with `json`, any other text as YAML."""
-    raw = _json_object(text)
-    if raw is None:
-        raw = _load_yaml(text, "scenario document")
+    """Text of one scenario document as its raw dict (not yet validated), read by `_read_text`."""
+    raw = _read_text(text, "scenario document")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping at top level")
     return raw
 
 
-def _load_yaml(text: str, what: str):
-    """``text`` read by the document loader; `ScenarioError` when it is not YAML."""
-    import yaml
-
-    try:
-        return yaml.load(text, Loader=_yaml_loader())
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{what} is not valid YAML: {exc}") from exc
+# The deepest legal value is 7 levels: an observable's data entry [re, im] in a document.
+MAX_DEPTH = 32
 
 
-def _json_object(text: str) -> dict | None:
-    """The JSON object ``text`` holds, or None when it holds none (YAML, or
-    a YAML flow mapping that is not JSON)."""
-    if not text.lstrip().startswith("{"):
-        return None
+def _read_text(text: str, what: str):
+    """``text`` read as JSON when it is JSON (no PyYAML needed), else as YAML with `_yaml_loader`,
+    which gives the same value wherever both accept the text.  Text that neither reads, or that
+    nests lists and mappings more than `MAX_DEPTH` levels deep, raises a one-line `ScenarioError`."""
     import json
 
+    too_deep = ScenarioError(f"{what} nests deeper than {MAX_DEPTH} levels")
     try:
-        return json.loads(text)
-    except ValueError:
-        return None
+        try:
+            value = json.loads(text)
+        except ValueError:
+            import yaml
+
+            try:
+                value = yaml.load(text, Loader=_yaml_loader())
+            except (yaml.YAMLError, ValueError) as exc:  # ValueError: a tagged scalar, say a date, out of range
+                mark = getattr(exc, "problem_mark", None)
+                reason = str(exc).partition("\n")[0]
+                if mark:
+                    reason = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                raise ScenarioError(f"{what} is not valid YAML: {reason}") from exc
+    except RecursionError:
+        raise too_deep from None
+    # each level's distinct containers are walked once, so a YAML alias repeated many times costs nothing;
+    # a tuple is a (key, value) pair of YAML's !!pairs or !!omap
+    level = [value]
+    for _ in range(MAX_DEPTH + 1):
+        nodes = {id(node): node for node in level if isinstance(node, (dict, list, tuple))}
+        if not nodes:
+            return value
+        level = [item for node in nodes.values() for item in (node.values() if isinstance(node, dict) else node)]
+    raise too_deep
 
 
 def plain_name(name) -> str:
@@ -232,16 +244,9 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def parse_scalar_text(text: str):
-    """One command-line value: JSON when it is JSON (no PyYAML needed), else
-    YAML read with the document loader, which gives the same value wherever
-    both accept the text; a string that Python reads as a float (`inf`,
-    `nan`) becomes that float.  Text that neither reads raises `ScenarioError`."""
-    import json
-
-    try:
-        value = json.loads(text)
-    except ValueError:
-        value = _load_yaml(text, f"value {text!r}")
+    """One command-line value, read by `_read_text`; a string that Python reads as a float (`inf`,
+    `nan`) becomes that float."""
+    value = _read_text(text, f"value {text!r}")
     if isinstance(value, str):
         try:
             return float(value)
@@ -251,42 +256,27 @@ def parse_scalar_text(text: str):
 
 
 def set_by_path(raw: dict, path: str, value) -> None:
-    """Set a nested config entry addressed by a dotted path."""
+    """Set a nested config entry addressed by a dotted path; a mapping key missing on the way is
+    added as an empty mapping, and a list element is addressed by its index."""
     parts = [p for p in path.split(".") if p]
     if not parts:
         raise ScenarioError("empty parameter path")
     node = raw
-    for key in parts[:-1]:
-        node = _descend(node, key, path)
+    for k, key in enumerate(parts):
         if not isinstance(node, (dict, list)):
-            raise ScenarioError(f"path {path!r}: {key!r} is not a container")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[_index(leaf, node, path)] = value
-    elif isinstance(node, dict):
-        node[leaf] = value
-    else:
-        raise ScenarioError(f"path {path!r} does not resolve to a settable entry")
-
-
-def _descend(node, key: str, path: str):
-    if isinstance(node, list):
-        return node[_index(key, node, path)]
-    if isinstance(node, dict):
-        if key not in node:
-            node[key] = {}
-        return node[key]
-    raise ScenarioError(f"path {path!r}: cannot descend into {type(node).__name__}")
-
-
-def _index(key: str, node: list, path: str) -> int:
-    try:
-        idx = int(key)
-    except ValueError:
-        raise ScenarioError(f"path {path!r}: {key!r} is not a list index") from None
-    if not 0 <= idx < len(node):
-        raise ScenarioError(f"path {path!r}: index {idx} out of range")
-    return idx
+            raise ScenarioError(f"path {path!r}: {parts[k - 1]!r} is not a container" if k else
+                                "the root of a parameter path must be a mapping or a list")
+        if isinstance(node, list):
+            try:
+                key = int(key)
+            except ValueError:
+                raise ScenarioError(f"path {path!r}: {key!r} is not a list index") from None
+            if not 0 <= key < len(node):
+                raise ScenarioError(f"path {path!r}: index {key} out of range")
+        if k == len(parts) - 1:
+            node[key] = value
+        else:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
 
 
 def _read(doc: dict, row: str, label: str | None = None) -> dict:

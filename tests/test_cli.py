@@ -452,8 +452,8 @@ def test_run_peak_memory_per_fine_point():
 def test_cubic_osc_drive_peak_memory_per_fine_point():
     # N = 4 over M = 2001 fine points: the real frame L and R is 0.25 KiB per
     # point; a moving H's frames are solved in blocks, never for the grid, and
-    # Omega, H and the observables are formed per block (traced peak 0.78 KiB
-    # per point; the bound is that plus 10 %)
+    # Omega, H and the observables are formed per block (traced peak 0.84 KiB
+    # per point; the bound is 0.78 KiB, an earlier peak, plus 10 %)
     import tracemalloc
 
     config = load_scenario("cubic_osc_drive")
@@ -702,6 +702,39 @@ def test_a_string_key_takes_only_a_string(command, override, key, tmp_path, caps
 
 def test_missing_file_exit_two(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == ScenarioError.exit_code
+
+
+_NESTED = "[" * 3000 + "]" * 3000
+_MALFORMED = {  # case: command, the file's bytes or a path under the test's directory, further argv
+    "not UTF-8": ("run", b"\xff", []),
+    "JSON nested 900 levels": ("run", b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}", []),
+    "JSON nested 5000 levels": ("run", b'{"a": ' + b"[" * 5000 + b"]" * 5000 + b"}", []),
+    "YAML nested 900 levels": ("run", b"a: " + b"[" * 900 + b"]" * 900, []),
+    "YAML nested 5000 levels": ("run", b"a: " + b"[" * 5000 + b"]" * 5000, []),
+    "override nested 3000 levels": ("run", scenario_path("tri_sin_drive"), ["--override", f"mu.0={_NESTED}"]),
+    "values nested 3000 levels": ("sweep", scenario_path("tri_sin_drive"), ["--param", "time.dt", "--values", _NESTED]),
+    "unclosed brace": ("run", b"model: {family: triangular2\n", []),
+    "NUL byte": ("run", b"name: a\x00\n", []),
+    "no such date": ("run", scenario_path("tri_sin_drive"), ["--override", "time.t0=2001-13-01"]),
+    "a tagged float that is no float": ("run", scenario_path("tri_sin_drive"), ["--override", "mu.0.base=!!float x"]),
+    "a directory": ("run", ".", []),
+    "a missing file": ("run", "missing.yaml", []),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_text_exits_two_on_one_line(case, tmp_path, capsys):
+    command, source, extra = _MALFORMED[case]
+    path = tmp_path / "doc.yaml"
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        path = tmp_path / source  # a shipped document (an absolute path), the directory itself or no file
+    assert main([command, str(path)] + extra) == ScenarioError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
 
 
 def _counting_solves(monkeypatch):

@@ -303,6 +303,50 @@ def test_flow_mapping_that_is_not_json_is_read_as_yaml():
         load_document('{"time": ')
 
 
+def test_text_nests_at_most_max_depth_levels():
+    from qhdyn.scenario import MAX_DEPTH, parse_scalar_text
+
+    for close in ("", "x"):  # JSON, and YAML that is not JSON
+        deepest = "[" * MAX_DEPTH + close + "]" * MAX_DEPTH
+        assert parse_scalar_text(deepest) == json.loads(deepest.replace("x", '"x"'))
+        with pytest.raises(ScenarioError, match=f"^value '.*' nests deeper than {MAX_DEPTH} levels$"):
+            parse_scalar_text(f"[{deepest}]")
+    with pytest.raises(ScenarioError, match=f"^scenario document nests deeper than {MAX_DEPTH} levels$"):
+        load_document("a: " + "[" * MAX_DEPTH + "]" * MAX_DEPTH)
+    with pytest.raises(ScenarioError, match="nests deeper"):  # a pair of !!pairs is one level too
+        load_document("a: !!pairs [b: " + "[" * (MAX_DEPTH - 2) + "]" * (MAX_DEPTH - 2) + "]")
+    # an alias that refers to itself nests without end
+    with pytest.raises(ScenarioError, match="nests deeper"):
+        load_document("a: &a [*a]")
+    # ten levels of ten aliases each: each level's distinct lists are walked once, not 10**10 leaves
+    laughs = "a: &a [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]\n"
+    laughs += "".join(f"{b}: &{b} [{', '.join(['*' + a] * 10)}]\n" for a, b in zip("abcdefghi", "bcdefghij"))
+    assert load_document(laughs)["j"][9][9][9][9][9][9][9][9][9] == [1] * 10
+
+
+def test_yaml_errors_are_one_line():
+    with pytest.raises(ScenarioError) as unclosed:
+        load_document("model: {family: triangular2\n")
+    assert str(unclosed.value) == ("scenario document is not valid YAML: expected ',' or '}', but got '<stream end>' "
+                                   "at line 2, column 1")
+    with pytest.raises(ScenarioError) as nul:
+        load_document("name: a\x00\n")
+    assert str(nul.value) == ("scenario document is not valid YAML: unacceptable character #x0000: special "
+                              "characters are not allowed")
+
+
+def test_a_root_that_is_not_a_container_is_one_error():
+    from qhdyn.runner import sweep
+
+    with pytest.raises(ScenarioError) as leaf:
+        set_by_path(5, "a", 1)
+    with pytest.raises(ScenarioError) as deep:
+        set_by_path(5, "a.b", 1)
+    assert str(leaf.value) == str(deep.value)
+    (point,) = sweep(5, "a", [1])
+    assert (point.exit_code, point.report, point.error) == (ScenarioError.exit_code, None, str(leaf.value))
+
+
 def test_unknown_subdocument_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown time keys"):
         parse_scenario(MINIMAL.replace("dt: 0.01}", "dt: 0.01, dy: 1}"))
