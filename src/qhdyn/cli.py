@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import reprlib
 import sys
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def _load_raw(path: Path, overrides: list[str]) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a missing file, a directory, text that is not UTF-8
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read scenario file {str(path)!r}: {exc}") from exc
     raw = load_document(text)
     raw.setdefault("name", path.stem)
     raw = apply_overrides(raw, overrides)
@@ -76,7 +77,7 @@ def _cmd_run(args) -> int:
 def _parse_values(text: str) -> list:
     values = [parse_scalar_text(chunk) for chunk in map(str.strip, text.split(",")) if chunk]
     if not values:
-        raise ScenarioError(f"--values {text!r} lists no value")
+        raise ScenarioError(f"--values {reprlib.repr(text)} lists no value")
     return values
 
 
@@ -99,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         existing = args.out and next(path for path in (args.out, *args.out.parents) if path.exists())
         if existing and not existing.is_dir():  # before any run
-            raise ScenarioError(f"--out {args.out} is not a usable directory: {existing} exists and is not a directory")
+            raise ScenarioError(f"--out {str(args.out)!r} is not a usable directory: "
+                                f"{str(existing)!r} exists and is not a directory")
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)

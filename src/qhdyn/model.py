@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .schedules import ScheduleSpec, eval_schedule, finite_number
+from .schedules import ScheduleSpec, eval_schedule, finite_number, schedule_bounds
 
 # each family's params by kind: "real" or "scalar" (complex allowed), which a
 # schedule may drive; "reals", one real per level; "count", a non-negative
@@ -90,11 +90,10 @@ class ObservableSpec:
         data = np.asarray(self.data, dtype=complex)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ScenarioError(f"observable {self.name!r}: matrix must be square")
-        if self.source == "function-of-frame":
-            if np.max(np.abs(data - data.conj().T)) > 1e-12:
-                raise ScenarioError(
-                    f"observable {self.name!r}: function-of-frame seed must be Hermitian"
-                )
+        if not np.isfinite(data).all():
+            raise ScenarioError(f"observable {self.name!r}: matrix entries must be finite")
+        if self.source == "function-of-frame" and np.max(np.abs(data - data.conj().T)) > 1e-12:
+            raise ScenarioError(f"observable {self.name!r}: function-of-frame seed must be Hermitian")
         object.__setattr__(self, "data", data)
 
 
@@ -136,8 +135,9 @@ class HamiltonianModel:
 
     @property
     def is_time_dependent(self) -> bool:
-        """True when some parameter genuinely varies in time."""
-        return any(not s.is_static for s in self.h_schedule.values())
+        """True when some scheduled parameter moves: its derivative bound (`schedule_bounds`) is nonzero.
+        The bound is taken at t = 0, where no exponential underflows."""
+        return any(schedule_bounds(s, 0.0, 0.0)[2] for s in self.h_schedule.values())
 
     def param(self, name: str, t: float | np.ndarray | None) -> complex | np.ndarray:
         """Parameter value at time ``t`` (schedule applied when attached;

@@ -161,7 +161,7 @@ def write_outputs(report: RunReport, out_dir: Path) -> Path:
             json.dumps(report_json_dict(report), indent=2, allow_nan=False) + "\n", encoding="utf-8"
         )
     except OSError as exc:
-        raise ScenarioError(f"cannot write outputs under {out_dir}: {exc}") from exc
+        raise ScenarioError(f"cannot write outputs under {str(out_dir)!r}: {exc}") from exc
     return run_dir
 
 

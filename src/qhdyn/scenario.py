@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -49,14 +50,14 @@ import numpy as np
 from .errors import ScenarioError
 from .evolution import PICTURES, initial_vector, time_grid, validate_pictures
 from .model import FAMILY_PARAMS, HamiltonianModel, ObservableSpec
-from .schedules import (SCHEDULE_KINDS, ScheduleSpec, finite_number, validate_bounded, validate_nonvanishing,
-                        validate_resolved)
+from .schedules import (KIND_FIELDS, SCHEDULE_KINDS, ScheduleSpec, finite_number, validate_bounded,
+                        validate_nonvanishing, validate_resolved)
 from .verify import select_checks
 
 # The keys of every mapping in a document, as (required, optional) dicts of key: type.  A float,
 # int or complex value is read by `_real`, `_integer` or `_scalar`; a str, dict or list one must
 # be a string, a mapping or a list; a tuple lists a choice key's values, the first its default.
-# A schedule takes its kind's row, an initial_state its form's.
+# A schedule takes its kind's row (`schedules.KIND_FIELDS`), an initial_state its form's.
 SCHEMA = {
     "scenario": ({"model": dict, "mu": list, "time": dict}, {"name": str, "initial_state": dict,
                  "pictures": list, "checks": list, "evolution": dict, "outputs": list}),
@@ -65,10 +66,8 @@ SCHEMA = {
     "evolution": ({}, {"generator": ("hgen", "h-only"), "reality": ("assert", "report")}),
     "observable": ({"matrix_source": str}, {"name": str, "data": list}),
     "check": ({"name": str}, {"threshold": float}),
-    "constant": ({"kind": str}, {"base": complex}),
-    "linear-ramp": ({"kind": str}, {"base": complex, "rate": float}),
-    "exponential": ({"kind": str}, {"base": complex, "rate": float}),
-    "sinusoidal": ({"kind": str}, {"base": complex, "amplitude": float, "frequency": float, "phase": float}),
+    **{kind: ({"kind": str}, {f: complex if f == "base" else float for f in fields})
+       for kind, fields in KIND_FIELDS.items()},
     "uniform": ({"preset": str}, {}),
     "eigenstate": ({"preset": str, "index": int}, {}),
     "vector": ({"vector": list}, {}),
@@ -237,7 +236,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     raw = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
-            raise ScenarioError(f"override {item!r} is not of the form key.path=value")
+            raise ScenarioError(f"override {reprlib.repr(item)} is not of the form key.path=value")
         path, _, text = item.partition("=")
         set_by_path(raw, path.strip(), parse_scalar_text(text))
     return raw
@@ -246,7 +245,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def parse_scalar_text(text: str):
     """One command-line value, read by `_read_text`; a string that Python reads as a float (`inf`,
     `nan`) becomes that float."""
-    value = _read_text(text, f"value {text!r}")
+    value = _read_text(text, f"value {reprlib.repr(text)}")
     if isinstance(value, str):
         try:
             return float(value)

@@ -2,13 +2,15 @@
 
 Every built-in kind is smooth with an analytic derivative, so exact-derivative
 oracles are available wherever a time derivative of a scheduled quantity is
-needed.  Every field of a schedule is a finite number (`ScheduleSpec` rejects
-any other).  Every schedule must stay finite on the run interval, and metric
-coefficients must also stay away from zero there.  `validate_bounded` and
-`validate_nonvanishing` enforce that at configuration time, with no sampling,
-from the one closed-form dispatch over the kinds, `schedule_bounds`: a lower
-and an upper bound on |value(t)| and an upper bound on |d value/dt|; and
-`validate_resolved` rejects a sinusoid the reporting grid cannot sample.
+needed.  `KIND_FIELDS` lists the fields each kind reads; every field of a
+schedule is a finite number, and one its kind does not read is zero
+(`ScheduleSpec` rejects any other).  Every schedule must stay finite on the
+run interval, and metric coefficients must also stay away from zero there.
+`validate_bounded` and `validate_nonvanishing` enforce that at configuration
+time, with no sampling, from the one closed-form dispatch over the kinds,
+`schedule_bounds`: a lower and an upper bound on |value(t)| and an upper bound
+on |d value/dt|; and `validate_resolved` rejects a sinusoid the reporting grid
+cannot sample.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import numpy as np
 
 from .errors import ScenarioError
 
-SCHEDULE_KINDS = ("constant", "linear-ramp", "exponential", "sinusoidal")
+# each kind and the fields it reads, in the order a document's keys are read
+KIND_FIELDS = {"constant": ("base",), "linear-ramp": ("base", "rate"), "exponential": ("base", "rate"),
+               "sinusoidal": ("base", "amplitude", "frequency", "phase")}
+SCHEDULE_KINDS = tuple(KIND_FIELDS)
 
 # a real ramp root this close to the run interval (relative to the size of its
 # end points) counts as inside it: the ramp would round to zero there
@@ -51,7 +56,8 @@ class ScheduleSpec:
     frequency   angular frequency for `sinusoidal`
     phase       phase offset for `sinusoidal`
 
-    Every field must be a finite number (`finite_number`), real but for base.
+    Every field must be a finite number (`finite_number`), real but for base,
+    and zero unless its kind reads it (`KIND_FIELDS`).
     """
 
     kind: str
@@ -63,22 +69,12 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ScenarioError(
-                f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}"
-            )
-        reals = (self.rate, self.amplitude, self.frequency, self.phase)
-        if not finite_number(self.base) or not all(finite_number(v, real=True) for v in reals):
+            raise ScenarioError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
+        reals = {f: getattr(self, f) for f in ("rate", "amplitude", "frequency", "phase")}
+        if not finite_number(self.base) or not all(finite_number(v, real=True) for v in reals.values()):
             raise ScenarioError(f"schedule fields must be finite numbers (all but base real), got {self}")
-
-    @property
-    def is_static(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "linear-ramp":
-            return self.rate == 0.0
-        if self.kind == "exponential":
-            return self.rate == 0.0 or self.base == 0.0
-        return self.amplitude == 0.0 or self.frequency == 0.0
+        if unread := [f for f, v in reals.items() if v and f not in KIND_FIELDS[self.kind]]:
+            raise ScenarioError(f"a {self.kind} schedule reads no {unread}; it takes {list(KIND_FIELDS[self.kind])}")
 
 
 def eval_schedule(spec: ScheduleSpec, t: float | np.ndarray) -> complex | np.ndarray:

@@ -719,6 +719,9 @@ _MALFORMED = {  # case: command, the file's bytes or a path under the test's dir
     "a tagged float that is no float": ("run", scenario_path("tri_sin_drive"), ["--override", "mu.0.base=!!float x"]),
     "a directory": ("run", ".", []),
     "a missing file": ("run", "missing.yaml", []),
+    "a missing file with a newline in its name": ("run", "no\nsuch.yaml", []),
+    "an --out with a newline under a file": ("run", scenario_path("tri_sin_drive"),
+                                             ["--out", scenario_path("tri_sin_drive") + "/x\ny"]),
 }
 
 
@@ -734,7 +737,7 @@ def test_malformed_text_exits_two_on_one_line(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith("\n")
+    assert captured.err.endswith("\n") and len(captured.err) < 500  # a path or a value is quoted, a long one cut
 
 
 def _counting_solves(monkeypatch):
@@ -758,8 +761,8 @@ def test_an_out_that_is_or_lies_under_a_file_exits_two_before_any_eigensolve(
     argv = [command, scenario_path("tri_sin_drive"), "--out", str(out)] + (_SWEEP if command == "sweep" else [])
     assert main(argv) == ScenarioError.exit_code
     captured = capsys.readouterr()
-    assert captured.err == (f"configuration error: --out {out} is not a usable directory: "
-                            f"{blocker} exists and is not a directory\n")
+    assert captured.err == (f"configuration error: --out {str(out)!r} is not a usable directory: "
+                            f"{str(blocker)!r} exists and is not a directory\n")
     assert solves == [] and captured.out == "" and blocker.read_text() == "kept\n"
 
 
@@ -778,7 +781,7 @@ def test_outputs_that_cannot_be_written_exit_two_naming_the_path(command, tmp_pa
     argv += ["--param", "time.dt", "--values", "4e-3"] if command == "sweep" else []
     assert main(argv) == ScenarioError.exit_code
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: cannot write outputs under {out}: ") and err.count("\n") == 1
+    assert err.startswith(f"configuration error: cannot write outputs under {str(out)!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("values", ["2e-3,2e-3", "2e-3,0.002"])

@@ -267,6 +267,20 @@ def test_constant_kind_schedule_is_static():
     assert not model.is_time_dependent
 
 
+def test_a_sinusoid_of_base_zero_is_static():
+    # its derivative bound is 0: the value never moves, so H is built and solved once
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 0.0},
+                             {"c": ScheduleSpec("sinusoidal", base=0.0, amplitude=0.5, frequency=2.0)})
+    assert not model.is_time_dependent
+
+
+def test_an_exponential_far_before_zero_still_moves():
+    # its bound at t0 = -1000, exp(0.8 * t0) = 0, underflows; the one at t = 0 does not
+    model = HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0},
+                             {"c": ScheduleSpec("exponential", base=1.0, rate=0.8)}, t0=-1000.0)
+    assert model.is_time_dependent
+
+
 def test_observable_spec_validation():
     with pytest.raises(ScenarioError, match="unknown source"):
         ObservableSpec("A", "frobnicate")
@@ -278,6 +292,11 @@ def test_observable_spec_validation():
         ObservableSpec("A", "function-of-frame", data=np.array([[0.0, 1.0], [0.0, 0.0]]))
     spec = ObservableSpec("A", "function-of-frame", data=np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert spec.data.dtype == complex
+    # a non-finite entry is refused before the Hermiticity check, so that check never sees inf - inf
+    for source in ("user-matrix", "function-of-frame"):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ScenarioError, match="^observable 'A': matrix entries must be finite$"):
+                ObservableSpec("A", source, data=[[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(ScenarioError, match="must be 2x2"):
         HamiltonianModel(2, "triangular2", {"e1": 1.0, "e2": 2.0, "c": 1.0},
                          a_observables=(ObservableSpec("A", "user-matrix", data=np.eye(3)),))

@@ -1,11 +1,13 @@
 """Properties of randomly drawn runs through the whole pipeline.
 
-Two strategies draw the model, each mu sinusoidal or exponential and moving, at 200 steps of dt = 1e-3:
+Three strategies draw the model, each mu sinusoidal or exponential and moving, at 200 steps of dt = 1e-3:
 `similarity_rand`, a static H with N in [2, 6], energies in [-3, 3] with gaps of at least 0.1 and a seed below
-1000; and `moving_two_level`, a pt2 model whose gain/loss gamma(t) ramps with |gamma| below s, or a triangular2
+1000; `moving_two_level`, a pt2 model whose gain/loss gamma(t) ramps with |gamma| below s, or a triangular2
 model whose complex coupling c(t) oscillates, so that a moving complex frame carries its phases from one block of
-the grid to the next.  Nothing here depends on a run's verdict, so the strategies leave out no draw whose run
-would fail a check.
+the grid to the next; and `moving_cubic`, a cubic-trunc model with N in [3, 8] whose coupling g(t) oscillates
+where the truncation keeps a real spectrum, so that a frame of N >= 3 is refined from one block of the grid to
+the next.  Nothing here depends on a run's verdict, so the strategies leave out no
+draw whose run would fail a check.
 """
 
 import copy
@@ -77,6 +79,21 @@ def moving_two_level(draw) -> dict:
     }
 
 
+@st.composite
+def moving_cubic(draw) -> dict:
+    n = draw(st.integers(3, 8))
+    # g(t) stays in [0.017, 0.0322], about moving-cubic8's band; each truncation up to N = 8 is real below g = 0.044
+    g = {"kind": "sinusoidal", "base": draw(st.floats(0.02, 0.028)), "amplitude": draw(st.floats(0.05, 0.15)),
+         "frequency": draw(st.floats(0.5, 20.0)), "phase": draw(st.floats(0.0, 2 * np.pi))}
+    return {
+        "name": "moving_cubic",
+        "model": {"family": "cubic-trunc", "dimension": n, "params": {"g": g["base"]}, "h_schedule": {"g": g},
+                  "a_observables": [{"name": "H", "matrix_source": "hamiltonian-itself"}]},
+        "mu": [_moving(draw, draw(st.floats(0.5, 2.0))) for _ in range(n)],
+        "time": {"t0": 0.0, "t1": 0.2, "dt": 1e-3},
+    }
+
+
 def _csv(report) -> str:
     with tempfile.TemporaryDirectory() as out:
         write_csv(report, Path(out) / "timeseries.csv")
@@ -114,9 +131,10 @@ def test_a_constant_phase_of_mu_moves_no_residual(document, alpha):
         assert abs(after.max_residual - before.max_residual) <= 1e-12 + before.max_residual / 4, before.name
 
 
-# the largest move of a CSV column between block sizes at N >= 3, relative to the column's largest magnitude: a
-# moving N = 8 run moved by at most 2.1e-14 (a value) and 8.3e-14 (a residual); over 200 draws of these static
-# models no column moved at all
+# the largest move of a CSV column between block sizes at N >= 3, relative to the larger of 1 and the column's
+# largest magnitude (every value here is O(1); a column of rounding, such as im_exp_H of a real cubic-trunc run,
+# is not its own scale): a moving N = 8 run moved by at most 2.1e-14 (a value) and 8.3e-14 (a residual); over 200
+# draws of moving_cubic by at most 3.9e-14 and 9.0e-14; over 200 draws of the static models no column moved at all
 VALUE_BOUND = 1e-13
 RESIDUAL_BOUND = 4e-13
 
@@ -128,7 +146,7 @@ def _assert_block_size_free(document):
     entries = qhdyn.dressing._FRAME_ENTRIES
     plain = run(scenario_from_dict(document))
     bound = np.where([c.endswith("_residual") for c in plain.columns], RESIDUAL_BOUND, VALUE_BOUND)
-    scale = np.max(np.abs(plain.rows), axis=0)
+    scale = np.maximum(np.max(np.abs(plain.rows), axis=0), 1.0)
     for size in (entries // 4, entries * 4):
         with mock.patch.object(qhdyn.dressing, "_FRAME_ENTRIES", size):
             other = run(scenario_from_dict(document))
@@ -149,6 +167,13 @@ def test_a_static_run_does_not_depend_on_the_block_size(document):
 @given(moving_two_level())
 def test_a_moving_two_level_run_does_not_depend_on_the_block_size(document):
     # at a quarter of the entries the 401-point frame is tracked in two blocks, through `spectral.Continuation`
+    _assert_block_size_free(document)
+
+
+@GRIDS
+@given(moving_cubic())
+def test_a_moving_cubic_run_does_not_depend_on_the_block_size(document):
+    # a moving frame of N >= 3 meets `spectral.Continuation` and the refined route at each block boundary
     _assert_block_size_free(document)
 
 

@@ -4,7 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qhdyn import ScenarioError, ScheduleSpec
+from qhdyn.scenario import _parse_schedule
 from qhdyn.schedules import (
+    KIND_FIELDS,
+    SCHEDULE_KINDS,
     eval_schedule,
     eval_schedule_derivative,
     schedule_bounds,
@@ -142,7 +145,22 @@ def test_only_the_base_may_be_complex(field):
     # a document reads these as reals; a complex rate once reached the bounds and raised TypeError
     with pytest.raises(ScenarioError, match="all but base real"):
         ScheduleSpec("sinusoidal", **{"base": 1.0, field: 0.5j})
-    assert ScheduleSpec("sinusoidal", base=1.0 + 0.5j, **{field: 0.5}).base == 1.0 + 0.5j
+    kind = "exponential" if field == "rate" else "sinusoidal"  # a kind that reads the field
+    assert ScheduleSpec(kind, base=1.0 + 0.5j, **{field: 0.5}).base == 1.0 + 0.5j
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+@pytest.mark.parametrize("field", ["rate", "amplitude", "frequency", "phase"])
+def test_a_nonzero_field_the_kind_does_not_read_is_rejected(kind, field):
+    # the Python API and a document refuse the same fields; a zero one is the API's default, and accepted
+    if field in KIND_FIELDS[kind]:
+        assert _parse_schedule({"kind": kind, field: 0.3}, "s") == ScheduleSpec(kind, **{field: 0.3})
+    else:
+        with pytest.raises(ScenarioError, match=f"^a {kind} schedule reads no \\['{field}'\\]; it takes "):
+            ScheduleSpec(kind, **{field: 0.3})
+        with pytest.raises(ScenarioError, match=f"^unknown s keys: \\['{field}'\\]; {kind} takes "):
+            _parse_schedule({"kind": kind, field: 0.3}, "s")
+        assert getattr(ScheduleSpec(kind, **{field: 0.0}), field) == 0.0
 
 
 _reals = st.floats(-10.0, 10.0)
