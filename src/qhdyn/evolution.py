@@ -23,13 +23,15 @@ matrix D_k built from the three generator samples of step k alone
 (`rk4_increments`).  The increment matrices of a block of steps, for the
 right and the left picture together, come from a few batched matrix
 products; only the matrix-vector chain v_{k+1} = v_k + D_k v_k runs step by
-step.  The step is kept in this increment form rather than as one propagator
-P_k = I + D_k: adding the small increment D_k v to v rounds like the
-textbook k1..k4 update, while forming I + D_k first rounds every D_k against
-the unit diagonal.  That rounding is not negligible next to the RK4 error:
-for exp_metric_drive it moves the Theta-norm drift at dt = 1e-3 from
-1.34e-13 to 8.75e-14 and the drift ratio under step halving from 16.1 to
-25.0, off the fourth-order value of 16.
+step, on the kets held as columns: D_k v_k is formed in the row of v_{k+1}
+and v_k added to it there, with no temporary.  The step is kept in this
+increment form rather than as one propagator P_k = I + D_k: adding the
+small increment D_k v to v rounds like the textbook k1..k4 update, while
+forming I + D_k first rounds every D_k against the unit diagonal.  That
+rounding is not negligible next to the RK4 error: for exp_metric_drive it
+moves the Theta-norm drift at dt = 1e-3 from 1.34e-13 to 8.75e-14 and the
+drift ratio under step halving from 16.1 to 25.0, off the fourth-order
+value of 16.
 
 A run is kept as stacked arrays: the kets on the reporting grid are (K, N)
 arrays and the standard propagator is stored as its (K, N) diagonals
@@ -218,8 +220,8 @@ def propagate_quasi(
     coarse = track.times[::2]
     dt = float(coarse[1] - coarse[0])
     steps = len(coarse) - 1
-    kets = np.empty((steps + 1,) + state.shape, dtype=complex)
-    kets[0] = state
+    kets = np.empty((steps + 1,) + state.shape + (1,), dtype=complex)
+    kets[0, ..., 0] = state
     n = track.dimension
     # a blow-up is reported below, naming the step it happened in
     with np.errstate(all="ignore"):
@@ -233,9 +235,10 @@ def propagate_quasi(
             if want_left:
                 np.conj(np.swapaxes(block[:, 0], -1, -2), out=block[:, 1])
             increments = rk4_increments(block[:-2:2], block[1::2], block[2::2], dt)
-            for k in range(k0, k1):
-                kets[k + 1] = kets[k] + (increments[k - k0] @ kets[k][..., None])[..., 0]
+            for d, v, after in zip(increments, kets[k0:k1], kets[k0 + 1 : k1 + 1]):
+                np.add(v, np.matmul(d, v, out=after), out=after)
             del block, increments  # freed before the next block forms its own
+    kets = kets[..., 0]
     finite = np.isfinite(kets).all(axis=(1, 2))
     if not finite.all():
         t = coarse[max(int(np.argmin(finite)) - 1, 0)]

@@ -29,6 +29,7 @@ take over from there.
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -115,7 +116,7 @@ class HamiltonianModel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ScenarioError(f"unknown family tag {self.family!r}; expected one of {FAMILIES}")
+            raise ScenarioError(f"unknown family tag {reprlib.repr(self.family)}; expected one of {FAMILIES}")
         if int(self.dimension) != self.dimension or self.dimension < 2:
             raise ScenarioError(f"dimension must be an integer >= 2, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
@@ -241,7 +242,8 @@ def _validate_params(model: HamiltonianModel):
     kinds = FAMILY_PARAMS[model.family]
     if unknown := model.params.keys() - kinds.keys():
         raise ScenarioError(
-            f"family {model.family!r} takes no parameter {sorted(unknown, key=str)}; it takes {sorted(kinds)}"
+            f"family {model.family!r} takes no parameter {reprlib.repr(sorted(unknown, key=str))}; "
+            f"it takes {sorted(kinds)}"
         )
     for key in model.h_schedule:
         if kinds.get(key) not in ("real", "scalar"):
@@ -250,18 +252,18 @@ def _validate_params(model: HamiltonianModel):
         if kind == "count":
             value = model.params.setdefault(name, 0)
             if not finite_number(value, real=True) or value < 0 or value % 1:
-                raise ScenarioError(f"{name!r} must be a non-negative integer, got {value!r}")
+                raise ScenarioError(f"{name!r} must be a non-negative integer, got {reprlib.repr(value)}")
         elif name not in model.params:
             raise ScenarioError(f"family {model.family!r} needs parameter {name!r}")
         elif kind == "reals":
             values = model.params[name]
             listed = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1
             if not (listed and len(values) == model.dimension and all(finite_number(v, real=True) for v in values)):
-                raise ScenarioError(f"{name!r} must list {model.dimension} real values, got {values!r}")
+                raise ScenarioError(f"{name!r} must list {model.dimension} real values, got {reprlib.repr(values)}")
         elif not finite_number(value := model.params[name]):
             raise ScenarioError(
                 f"parameter {name!r} of family {model.family!r} must be a number (finite, not a str or bool), "
-                f"got {value!r}"
+                f"got {reprlib.repr(value)}"
             )
         elif kind == "real":
             model.real_param(name, None)

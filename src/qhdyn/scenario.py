@@ -168,7 +168,8 @@ def _read_text(text: str, what: str):
 def plain_name(name) -> str:
     """``name``, if it is a string naming a directory right under the output directory."""
     if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
-        raise ScenarioError(f"name {name!r} must be a plain file name (a string, no path separator, not '.' or '..')")
+        raise ScenarioError(
+            f"name {reprlib.repr(name)} must be a plain file name (a string, no path separator, not '.' or '..')")
     return name
 
 
@@ -305,12 +306,12 @@ def _typed(value, kind, path: str):
     """``value`` read as a `SCHEMA` type."""
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ScenarioError(f"{path} must be one of {kind}, got {value!r}")
+            raise ScenarioError(f"{path} must be one of {kind}, got {reprlib.repr(value)}")
         return value
     if kind in (dict, list, str):
         if not isinstance(value, kind):
             what = {dict: "mapping", list: "list", str: "string"}[kind]
-            raise ScenarioError(f"{path} must be a {what}, got {value!r}")
+            raise ScenarioError(f"{path} must be a {what}, got {reprlib.repr(value)}")
         return value
     return {float: _real, int: _integer, complex: _scalar}[kind](value, path)
 
@@ -326,13 +327,13 @@ def _unique(entries, label: str) -> tuple:
 def _real(value, label: str) -> float:
     """A finite real number (`schedules.finite_number`), as a float."""
     if not finite_number(value, real=True):
-        raise ScenarioError(f"{label} must be a finite real number, got {value!r}")
+        raise ScenarioError(f"{label} must be a finite real number, got {reprlib.repr(value)}")
     return float(value)
 
 
 def _integer(value, label: str) -> int:
     if not _real(value, label).is_integer():
-        raise ScenarioError(f"{label} must be an integer, got {value!r}")
+        raise ScenarioError(f"{label} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -388,7 +389,7 @@ def _param(value, kind: str | None, label: str):
 
 def _complex_matrix(data, label: str) -> np.ndarray:
     if not all(isinstance(row, list) for row in data):
-        raise ScenarioError(f"{label}: expected a nested list matrix, got {data!r}")
+        raise ScenarioError(f"{label}: expected a nested list matrix, got {reprlib.repr(data)}")
     rows = [[_scalar(v, label) for v in row] for row in data]
     if len({len(row) for row in rows}) > 1:
         raise ScenarioError(f"{label}: matrix rows differ in length")
@@ -420,7 +421,7 @@ def _parse_checks(entries):
         elif isinstance(item, dict):
             item = _read(item, "check", f"checks[{k}]")
         else:
-            raise ScenarioError(f"checks entries must be names or {{name, threshold}}: {item!r}")
+            raise ScenarioError(f"checks entries must be names or {{name, threshold}}: {reprlib.repr(item)}")
         if "threshold" in item:
             overrides[item["name"]] = item["threshold"]
         selection.append(item["name"])

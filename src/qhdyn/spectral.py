@@ -304,7 +304,10 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     per-step permutations and phases are composed along the grid afterwards.
     The first point keeps its raw order and phases, unless ``start`` (the
     `continuation` of the block before) gives its predecessor; a grid tracked
-    block by block is then the grid tracked in one call, bit for bit.
+    block by block is then the grid tracked in one call, bit for bit.  A block
+    in which every raw point keeps the raw order of the point before (each
+    diagonal |overlap| beats the rest of its row by 1e-6, as in a refined
+    block) keeps the carried labels, with no sort and no composition.
 
     Raises `AmbiguousMatchError` at the earliest point where the assignment
     is not a unique permutation (two candidate overlaps within 1e-6 of each
@@ -320,44 +323,53 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     # [s, i, j] = <<i|j> from the raw point before point first + s to that point
     overlaps = np.concatenate([matmul(start.bras, kets[first : first + 1]), matmul(bras[first:-1], kets[first + 1 :])])
     mags = np.abs(overlaps)
-    best = np.argmax(mags, axis=-1)
-    ranked = np.sort(mags, axis=-1)
-    runner_up = ranked[..., -2] if n > 1 else np.zeros_like(ranked[..., 0])
-    ambiguous = ranked[..., -1] - runner_up < AMBIGUITY_TOL
-    not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
-    bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
-
-    s = int(bad[0]) if bad.size else m - first
-    perm = branch_permutations(best[:s], start.perm)
-    if bad.size:
-        k, rows = first + s, perm[s]
-        if ambiguous[s, rows].any():
-            j = int(np.argmax(ambiguous[s, rows]))
-            i = rows[j]
+    # each raw point matched to the same raw index before it by the full match's margin (a NaN fails; as
+    # rounding is monotone, d - m >= tol for every off-diagonal m of a row is d - max(m) >= tol): the
+    # carried labels then hold for the whole block, as the full match below would find
+    if np.all((np.diagonal(mags, axis1=-2, axis2=-1)[..., None] - mags >= AMBIGUITY_TOL) | np.eye(n, dtype=bool)):
+        chosen, perm = overlaps[:, start.perm, start.perm], start.perm[None]
+    else:
+        best = np.argmax(mags, axis=-1)
+        ranked = np.sort(mags, axis=-1)
+        runner_up = ranked[..., -2] if n > 1 else np.zeros_like(ranked[..., 0])
+        ambiguous = ranked[..., -1] - runner_up < AMBIGUITY_TOL
+        not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
+        bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
+        s = int(bad[0]) if bad.size else m - first
+        perm = branch_permutations(best[:s], start.perm)
+        if bad.size:
+            k, rows = first + s, perm[s]
+            if ambiguous[s, rows].any():
+                j = int(np.argmax(ambiguous[s, rows]))
+                i = rows[j]
+                raise AmbiguousMatchError(
+                    f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
+                    f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e})",
+                    t=float(times[k]),
+                )
             raise AmbiguousMatchError(
-                f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
-                f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e})",
+                f"continuity matching at t={times[k]:g} is not a permutation: "
+                f"{best[s, rows].tolist()}",
                 t=float(times[k]),
             )
-        raise AmbiguousMatchError(
-            f"continuity matching at t={times[k]:g} is not a permutation: "
-            f"{best[s, rows].tolist()}",
-            t=float(times[k]),
-        )
-
-    chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
-    del overlaps, mags, ranked  # free the overlap stacks before the frame is re-ordered
+        chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
+    del overlaps, mags  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
     continuation = Continuation(kets[-1].copy(), bras[-1].copy(), perm[-1].copy(), phases[-1].copy())
     phases /= np.abs(phases)
-    perm, phases = perm[1 - first :], phases[1 - first :]  # the rows of this frame's points
-    tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)
+    phases = phases[1 - first :]  # the rows of this frame's points
+    if len(perm) == 1:  # one order for every point, gathered by plain indexing
+        tracked = [np.take(x, perm[0], axis) for x, axis in ((kets, -1), (bras, -2), (energies, -1))]
+    else:
+        perm = perm[1 - first :]
+        tracked = [np.take_along_axis(x, index, axis) for x, index, axis in
+                   ((kets, perm[:, None, :], -1), (bras, perm[:, :, None], -2), (energies, perm, -1))]
+    tracked_kets, tracked_bras, energies = tracked
     tracked_kets *= phases[:, None, :]
-    tracked_bras = np.take_along_axis(bras, perm[:, :, None], axis=-2)
     tracked_bras *= np.conj(phases)[:, :, None]
     return BiorthogonalFrame(
         t=frame.t,
-        energies=np.take_along_axis(energies, perm, axis=-1),
+        energies=energies,
         right_kets=tracked_kets,
         left_bras=tracked_bras,
         continuation=continuation,

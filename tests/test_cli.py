@@ -705,6 +705,7 @@ def test_missing_file_exit_two(capsys):
 
 
 _NESTED = "[" * 3000 + "]" * 3000
+_LONG_LIST = "[" + ",".join(["1"] * 3000) + "]"
 _MALFORMED = {  # case: command, the file's bytes or a path under the test's directory, further argv
     "not UTF-8": ("run", b"\xff", []),
     "JSON nested 900 levels": ("run", b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}", []),
@@ -722,6 +723,11 @@ _MALFORMED = {  # case: command, the file's bytes or a path under the test's dir
     "a missing file with a newline in its name": ("run", "no\nsuch.yaml", []),
     "an --out with a newline under a file": ("run", scenario_path("tri_sin_drive"),
                                              ["--out", scenario_path("tri_sin_drive") + "/x\ny"]),
+    "a name of 3000 list entries": ("run", scenario_path("tri_sin_drive"), ["--override", f"name={_LONG_LIST}"]),
+    "a dt of 3000 list entries": ("run", scenario_path("tri_sin_drive"), ["--override", f"time.dt={_LONG_LIST}"]),
+    "a param of 3000 list entries": ("run", scenario_path("tri_sin_drive"),
+                                     ["--override", f"model.params.e1={_LONG_LIST}"]),
+    "a family of 5000 letters": ("run", scenario_path("tri_sin_drive"), ["--override", "model.family=" + "a" * 5000]),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qhdyn.evolution
 from qhdyn import (
     ConditioningError,
     DressingTrack,
@@ -337,6 +338,31 @@ def test_increments_accumulate_as_the_stage_expressions():
     k4 = c + c @ k3
     expected = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     assert rk4_increments(begin, mid, end, dt).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_the_kets_step_as_v_plus_d_v(n, monkeypatch):
+    # each step adds the increment D_k v to v, bit for bit, from the very increments the run formed
+    blocks, increments = [], qhdyn.evolution.rk4_increments
+
+    def spy(*args):
+        blocks.append(increments(*args))
+        return blocks[-1].copy()
+
+    monkeypatch.setattr(qhdyn.evolution, "rk4_increments", spy)
+    if n == 2:
+        track = _track(HamiltonianModel(2, "pt2", {"gamma": 0.5, "s": 1.0}), EXP_MU2, t1=0.3)
+    else:
+        g = ScheduleSpec("sinusoidal", base=0.025, amplitude=0.3, frequency=2.0)
+        mu = tuple(ScheduleSpec("exponential", base=1.0, rate=0.05 * (k - 4)) for k in range(8))
+        track = _track(HamiltonianModel(8, "cubic-trunc", {"g": 0.025}, {"g": g}), mu, t1=0.25)
+    traj = propagate_quasi(track, "uniform", pictures=("right", "left"))
+    got = np.stack([traj.phi_right, traj.phi_left], axis=1)
+    assert len(blocks) > 1
+    expected = [got[0]]
+    for d in np.concatenate(blocks):
+        expected.append(expected[-1] + (d @ expected[-1][..., None])[..., 0])
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def _propagate_transient(track, **kwargs):

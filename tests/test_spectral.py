@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qhdyn.spectral
 from qhdyn import AmbiguousMatchError, ComplexSpectrumError, ExceptionalPointError, HamiltonianModel
 from qhdyn.dressing import _gauged
 from qhdyn.model import build_hamiltonian, real_gauge
@@ -413,6 +414,43 @@ def test_branch_permutations_equal_stepwise_composition(crossing):
     # the tracked frame is the raw frame relabelled by exactly this perm
     tracked = track_continuity(raw)
     np.testing.assert_array_equal(tracked.energies, np.take_along_axis(raw.energies, expected, axis=-1))
+
+
+def test_a_block_that_keeps_its_order_tracks_on_from_a_crossing_bit_for_bit(monkeypatch):
+    # LAPACK orders each point by energy, so the raw labels swap where E_1 = 1.52 - 2t crosses E_2 = 1
+    # (t = 0.26, in the first block) and keep their order after it: the later blocks carry that swap
+    times = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(6)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    hams = np.array([s @ np.diag([1.52 - 2.0 * t, 1.0, 3.0]) @ np.linalg.inv(s) for t in times])
+    kets, bras, energies = _lapack(hams, times)
+    whole = track_continuity(BiorthogonalFrame(times, energies, kets, bras))
+    composed, carried = [], None
+    monkeypatch.setattr(qhdyn.spectral, "branch_permutations", lambda *a: composed.append(a) or branch_permutations(*a))
+    for part in (slice(0, 16), slice(16, 28), slice(28, 41)):
+        frame = track_continuity(BiorthogonalFrame(times[part], energies[part], kets[part], bras[part]), carried)
+        for field in ("energies", "right_kets", "left_bras"):
+            assert getattr(frame, field).tobytes() == getattr(whole, field)[part].tobytes()
+        carried = frame.continuation
+    assert len(composed) == 1  # the crossing block alone is matched in full
+    np.testing.assert_array_equal(carried.perm, [1, 0, 2])
+    for got, expected in zip(carried, whole.continuation):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["ambiguous", "nan"])
+def test_a_bad_point_inside_an_order_keeping_block_raises_as_the_full_match(bad):
+    # nine points keep their order but the sixth, whose overlaps with the fifth tie or are NaN
+    kets = np.array([np.eye(2)] * 9, dtype=complex)
+    kets[5] = HADAMARD if bad == "ambiguous" else np.nan
+    frame = BiorthogonalFrame(np.arange(9) / 8, np.array([[1.0, 2.0]] * 9), kets, np.conj(np.swapaxes(kets, -1, -2)))
+    with pytest.raises(AmbiguousMatchError) as info:
+        track_continuity(frame)
+    assert str(info.value) == {
+        "ambiguous": "continuity match for eigenpair 0 at t=0.625 is ambiguous (best 7.071e-01 vs runner-up 7.071e-01)",
+        "nan": "continuity matching at t=0.625 is not a permutation: [0, 0]",
+    }[bad]
+    assert info.value.t == 0.625
 
 
 def test_branch_permutations_of_random_matches():
