@@ -327,7 +327,7 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     # rounding is monotone, d - m >= tol for every off-diagonal m of a row is d - max(m) >= tol): the
     # carried labels then hold for the whole block, as the full match below would find
     if np.all((np.diagonal(mags, axis1=-2, axis2=-1)[..., None] - mags >= AMBIGUITY_TOL) | np.eye(n, dtype=bool)):
-        chosen, perm = overlaps[:, start.perm, start.perm], start.perm[None]
+        chosen, perm = overlaps[:, start.perm, start.perm], np.broadcast_to(start.perm, (m - first + 1, n))
     else:
         best = np.argmax(mags, axis=-1)
         ranked = np.sort(mags, axis=-1)
@@ -353,23 +353,19 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
                 t=float(times[k]),
             )
         chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
+        del ranked
     del overlaps, mags  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
     continuation = Continuation(kets[-1].copy(), bras[-1].copy(), perm[-1].copy(), phases[-1].copy())
     phases /= np.abs(phases)
-    phases = phases[1 - first :]  # the rows of this frame's points
-    if len(perm) == 1:  # one order for every point, gathered by plain indexing
-        tracked = [np.take(x, perm[0], axis) for x, axis in ((kets, -1), (bras, -2), (energies, -1))]
-    else:
-        perm = perm[1 - first :]
-        tracked = [np.take_along_axis(x, index, axis) for x, index, axis in
-                   ((kets, perm[:, None, :], -1), (bras, perm[:, :, None], -2), (energies, perm, -1))]
-    tracked_kets, tracked_bras, energies = tracked
+    perm, phases = perm[1 - first :], phases[1 - first :]  # the rows of this frame's points
+    tracked_kets = np.take_along_axis(kets, perm[:, None, :], axis=-1)
     tracked_kets *= phases[:, None, :]
+    tracked_bras = np.take_along_axis(bras, perm[:, :, None], axis=-2)
     tracked_bras *= np.conj(phases)[:, :, None]
     return BiorthogonalFrame(
         t=frame.t,
-        energies=energies,
+        energies=np.take_along_axis(energies, perm, axis=-1),
         right_kets=tracked_kets,
         left_bras=tracked_bras,
         continuation=continuation,
