@@ -3,9 +3,20 @@ families a run can end in carry the CLI's exit code and its stderr label (``labe
 
 from __future__ import annotations
 
+import re
+
+_LONG_RUN = re.compile(r"\S{161,}")  # a quoted name or a list printed whole
+
 
 class QhdynError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  Its message is one line of at most 400 characters: CR and LF
+    are escaped, a run of more than 160 non-space characters is cut to its first and last 70, and a
+    message still too long to its first and last 195, around ``" ... "``."""
+
+    def __init__(self, message: str):
+        message = message.replace("\r", "\\r").replace("\n", "\\n")
+        message = _LONG_RUN.sub(lambda run: f"{run[0][:70]}...{run[0][-70:]}", message)
+        super().__init__(message if len(message) <= 400 else f"{message[:195]} ... {message[-195:]}")
 
 
 class ScenarioError(QhdynError, ValueError):

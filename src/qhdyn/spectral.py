@@ -166,10 +166,11 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
 
     N = 2 is solved in closed form (`_closed_form`), a stack of N >= 3 refined (`_refined`)
     from ``start``, the `continuation` of the block before, or else from LAPACK's frame of its
-    first point.  The rest, and a stack of either route that fails a check below (or is not at
-    rounding after `_REFINE_SWEEPS` sweeps), go to one batched `np.linalg.eig`, with inv(R) for
-    the bras (LAPACK).  Every step follows the dtype of the input: a real stack gives a real
-    frame (a complex pair of it is rejected below), a complex stack a complex one.
+    first point.  Either route's stack passes one gate, the checks below (`_frame_error`).  The
+    rest, and a stack that fails the gate (or a refinement not at rounding after `_REFINE_SWEEPS`
+    sweeps), go to one batched `np.linalg.eig`, with inv(R) for the bras (LAPACK).  Every step
+    follows the dtype of the input: a real stack gives a real frame (a complex pair of it is
+    rejected below), a complex stack a complex one.
 
     Normalization convention: unit-norm |n> and <<n|n> = 1, for the matrix
     handed in (`dressing.build_dressing_track` hands in D* H D and carries the
@@ -194,15 +195,15 @@ def eig_biorthogonal(H: np.ndarray, t: float | np.ndarray = 0.0,
     times = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
 
     solved = _closed_form(stack) if n == 2 else None
-    if solved and _frame_error(*solved, times, stack) is not None:  # as any non-finite entry makes one fail
-        solved = None
     if H.ndim == 3 and n >= 3 and len(stack) > (start is None):
         if start is None:  # LAPACK's frame of the first point, and the rest refined from it
             head = _lapack(stack[:1], times[:1])
-            rest = _refined(stack[1:], times[1:], head[0][0], head[1][0])
+            rest = _refined(stack[1:], head[0][0], head[1][0])
             solved = rest and tuple(map(np.concatenate, zip(head, rest)))
         else:
-            solved = _refined(stack, times, start.kets, start.bras)
+            solved = _refined(stack, start.kets, start.bras)
+    if solved and _frame_error(*solved, times, stack) is not None:  # as any non-finite entry makes one fail
+        solved = None
     kets, bras, w = solved or _lapack(stack, times)
 
     if H.ndim == 2:
@@ -251,9 +252,9 @@ def _closed_form(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return kets, bras, w
 
 
-def _refined(stack: np.ndarray, times: np.ndarray, kets: np.ndarray, bras: np.ndarray):
-    """(kets, bras, energies) of a stack refined from the frame (N, N) of a nearby matrix, or None if a
-    ket still moves by more than `_REFINE_TOL` after `_REFINE_SWEEPS` sweeps or a point fails a check.
+def _refined(stack: np.ndarray, kets: np.ndarray, bras: np.ndarray):
+    """(kets, bras, energies) of a stack refined from the frame (N, N) of a nearby matrix, unchecked, or
+    None if a ket still moves by more than `_REFINE_TOL` after `_REFINE_SWEEPS` sweeps.
     One sweep over the stack G: X = L G R, E = diag X, P_mn = X_mn / (E_n - E_m) (P_nn = 0),
     R <- R + R P, L <- L - P L, and L <- 2L - L R L keeps L = R^-1 without an inverse."""
     off = ~np.eye(stack.shape[-1], dtype=bool)
@@ -265,31 +266,38 @@ def _refined(stack: np.ndarray, times: np.ndarray, kets: np.ndarray, bras: np.nd
             p = np.where(off, x / (w[..., None, :] - w[..., :, None]), 0.0)
             if np.max(np.abs(p)) <= _REFINE_TOL:
                 norms = np.linalg.norm(kets, axis=-2)
-                solved = kets / norms[..., None, :], bras * norms[..., :, None], w.copy()
-                return solved if _frame_error(*solved, times, stack) is None else None
+                return kets / norms[..., None, :], bras * norms[..., :, None], w.copy()
             kets, bras = kets + kets @ p, bras - p @ bras
             bras = 2.0 * bras - bras @ kets @ bras
 
 
-def branch_permutations(best: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
-    """Compose per-step matches into branch labels along the grid.
-
-    ``best[k - 1, i]`` is the raw index at point k matched to raw index i at
-    point k - 1.  Returns ``perm`` of shape (len(best) + 1, N) with
-    perm[k, m] = raw index at point k of the branch that starts as m, i.e.
-    perm[0] = ``first`` (or identity) and perm[k] = best[k - 1, perm[k - 1]].
-    perm only changes where best[k - 1] is not the identity, so only those
-    steps are composed one by one; the runs between them are filled by slices.
-    """
-    identity = np.arange(best.shape[-1])
-    perm = np.empty((len(best) + 1, len(identity)), dtype=int)
-    current, start = identity if first is None else first, 0
-    for k in np.flatnonzero(np.any(best != identity, axis=-1)) + 1:
-        perm[start:k] = current
-        current = best[k - 1, current]
-        start = k
-    perm[start:] = current
-    return perm
+def _full_match(overlaps: np.ndarray, mags: np.ndarray, labels: np.ndarray, times: np.ndarray):
+    """Branch labels (S + 1, N), from ``labels`` on, and the chosen overlaps (S, N) of S steps matched point
+    by point.  Each row goes to its largest |overlap| in ``mags``, which is zeroed there in place, so the
+    row's runner-up is its largest remaining entry.  Raises at the first step, of the ``times`` matched,
+    where a best is within `AMBIGUITY_TOL` of its runner-up or two rows claim one column (a NaN row has no
+    margin to fail, and claims its first NaN)."""
+    best = np.argmax(mags, axis=-1)
+    top = np.take_along_axis(mags, best[..., None], axis=-1)[..., 0]
+    np.put_along_axis(mags, best[..., None], 0.0, axis=-1)
+    other = mags.max(axis=-1)
+    ambiguous = top - other < AMBIGUITY_TOL
+    not_perm = np.any(np.sort(best, axis=-1) != np.arange(best.shape[-1]), axis=-1)
+    bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
+    perm = [labels.tolist()]
+    for row in best[: bad[0] if bad.size else len(best)].tolist():
+        perm.append([row[i] for i in perm[-1]])
+    if bad.size:
+        s, rows = bad[0], perm[-1]
+        t = float(times[s])
+        if ambiguous[s, rows].any():
+            j = int(np.argmax(ambiguous[s, rows]))
+            raise AmbiguousMatchError(
+                f"continuity match for eigenpair {j} at t={t:g} is ambiguous "
+                f"(best {top[s, rows[j]]:.3e} vs runner-up {other[s, rows[j]]:.3e})", t=t)
+        raise AmbiguousMatchError(f"continuity matching at t={t:g} is not a permutation: {best[s, rows].tolist()}", t=t)
+    perm = np.array(perm)
+    return perm, overlaps[np.arange(len(best))[:, None], perm[:-1], perm[1:]]
 
 
 def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None) -> BiorthogonalFrame:
@@ -301,13 +309,14 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     branches may cross in E without losing their identity.  All consecutive
     overlaps of the raw frames come from one batched product; re-ordering
     and re-phasing a point only permutes and rotates those overlaps, so the
-    per-step permutations and phases are composed along the grid afterwards.
+    labels of a block that reorders are matched point by point from them
+    (`_full_match`), and the phases are one cumulative product along the grid.
     The first point keeps its raw order and phases, unless ``start`` (the
     `continuation` of the block before) gives its predecessor; a grid tracked
     block by block is then the grid tracked in one call, bit for bit.  A block
     in which every raw point keeps the raw order of the point before (each
     diagonal |overlap| beats the rest of its row by 1e-6, as in a refined
-    block) keeps the carried labels, with no sort and no composition.
+    block) keeps the carried labels, with no point-by-point match.
 
     Raises `AmbiguousMatchError` at the earliest point where the assignment
     is not a unique permutation (two candidate overlaps within 1e-6 of each
@@ -317,7 +326,6 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     """
     kets, bras, energies = frame.right_kets, frame.left_bras, frame.energies
     m, n = energies.shape
-    times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
     first = int(start is None)  # the first point matched to a predecessor
     start = start or Continuation(kets[0], bras[0], np.arange(n), np.ones(n))
     # [s, i, j] = <<i|j> from the raw point before point first + s to that point
@@ -325,35 +333,12 @@ def track_continuity(frame: BiorthogonalFrame, start: Continuation | None = None
     mags = np.abs(overlaps)
     # each raw point matched to the same raw index before it by the full match's margin (a NaN fails; as
     # rounding is monotone, d - m >= tol for every off-diagonal m of a row is d - max(m) >= tol): the
-    # carried labels then hold for the whole block, as the full match below would find
+    # carried labels then hold for the whole block, as the full match would find
     if np.all((np.diagonal(mags, axis1=-2, axis2=-1)[..., None] - mags >= AMBIGUITY_TOL) | np.eye(n, dtype=bool)):
         chosen, perm = overlaps[:, start.perm, start.perm], np.broadcast_to(start.perm, (m - first + 1, n))
     else:
-        best = np.argmax(mags, axis=-1)
-        ranked = np.sort(mags, axis=-1)
-        runner_up = ranked[..., -2] if n > 1 else np.zeros_like(ranked[..., 0])
-        ambiguous = ranked[..., -1] - runner_up < AMBIGUITY_TOL
-        not_perm = np.any(np.sort(best, axis=-1) != np.arange(n), axis=-1)
-        bad = np.flatnonzero(ambiguous.any(axis=-1) | not_perm)
-        s = int(bad[0]) if bad.size else m - first
-        perm = branch_permutations(best[:s], start.perm)
-        if bad.size:
-            k, rows = first + s, perm[s]
-            if ambiguous[s, rows].any():
-                j = int(np.argmax(ambiguous[s, rows]))
-                i = rows[j]
-                raise AmbiguousMatchError(
-                    f"continuity match for eigenpair {j} at t={times[k]:g} is ambiguous "
-                    f"(best {ranked[s, i, -1]:.3e} vs runner-up {runner_up[s, i]:.3e})",
-                    t=float(times[k]),
-                )
-            raise AmbiguousMatchError(
-                f"continuity matching at t={times[k]:g} is not a permutation: "
-                f"{best[s, rows].tolist()}",
-                t=float(times[k]),
-            )
-        chosen = overlaps[np.arange(m - first)[:, None], perm[:-1], perm[1:]]
-        del ranked
+        times = np.broadcast_to(np.asarray(frame.t, dtype=float), (m,))
+        perm, chosen = _full_match(overlaps, mags, start.perm, times[first:])
     del overlaps, mags  # free the overlap stacks before the frame is re-ordered
     phases = np.cumprod(np.concatenate([start.phases[None], np.conj(chosen) / np.abs(chosen)]), axis=0)
     continuation = Continuation(kets[-1].copy(), bras[-1].copy(), perm[-1].copy(), phases[-1].copy())

@@ -12,7 +12,8 @@ point.  `theta_spectral` and `spectrum_closed_form` are independent oracles
 for the metric and for the spectra of the families that have one.
 `closed_form_track` writes out the whole track of `triangular2` with a real
 c(t), and of `pt2` with a constant s and a ramped gamma(t): frame, dressing
-map, metric, generator and the exact right ket.
+map, metric, generator and the exact right ket.  `crossing_similarity` is an
+N = 4 H(t) with a level crossing and a known frame.
 """
 
 from __future__ import annotations
@@ -188,6 +189,18 @@ def stack_frames(*frames: BiorthogonalFrame) -> BiorthogonalFrame:
         right_kets=np.stack([f.right_kets for f in frames]),
         left_bras=np.stack([f.left_bras for f in frames]),
     )
+
+
+def crossing_similarity(times: np.ndarray, moving: bool) -> tuple[np.ndarray, np.ndarray]:
+    """H(t) = S(t) diag(t, 1 - t, 2, 3) S(t)^-1 and S(t) at ``times``: E_0 = t crosses E_1 = 1 - t at t = 0.5.
+    S(t) = exp(tA) S0 for a real antisymmetric A, or S0 when not ``moving``.  Branch n's projector
+    |n><<n| is S's column n times row n of S^-1."""
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((4, 4))
+    s0 = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+    s = scipy.linalg.expm(times[:, None, None] * (b - b.T) / 2.0) @ s0 if moving else np.array([s0] * len(times))
+    levels = np.stack([times, 1.0 - times, np.full_like(times, 2.0), np.full_like(times, 3.0)], axis=-1)
+    return (s * levels[:, None, :]) @ np.linalg.inv(s), s
 
 
 def theta_spectral(frame: BiorthogonalFrame, mu) -> np.ndarray:

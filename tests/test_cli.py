@@ -706,6 +706,13 @@ def test_missing_file_exit_two(capsys):
 
 _NESTED = "[" * 3000 + "]" * 3000
 _LONG_LIST = "[" + ",".join(["1"] * 3000) + "]"
+_WORD = "x" * 5000
+
+
+def _overriding(text):
+    return "run", scenario_path("tri_sin_drive"), ["--override", text]
+
+
 _MALFORMED = {  # case: command, the file's bytes or a path under the test's directory, further argv
     "not UTF-8": ("run", b"\xff", []),
     "JSON nested 900 levels": ("run", b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}", []),
@@ -728,6 +735,17 @@ _MALFORMED = {  # case: command, the file's bytes or a path under the test's dir
     "a param of 3000 list entries": ("run", scenario_path("tri_sin_drive"),
                                      ["--override", f"model.params.e1={_LONG_LIST}"]),
     "a family of 5000 letters": ("run", scenario_path("tri_sin_drive"), ["--override", "model.family=" + "a" * 5000]),
+    "an unknown output of 5000 letters": _overriding(f"outputs=[{_WORD}]"),
+    "an observable named by 5000 letters":
+        _overriding(f"model.a_observables=[{{name: {_WORD}, matrix_source: bogus}}]"),
+    "a picture of 5000 letters": _overriding(f"pictures=[right, {_WORD}]"),
+    "a check of 5000 letters": _overriding(f"checks=[{_WORD}]"),
+    "a key of 5000 letters": _overriding(f"{_WORD}=1"),
+    "a time key of 5000 letters": _overriding(f"time.{_WORD}=1"),
+    "a mu index of 5000 letters": _overriding(f"mu.{_WORD}=1"),
+    "a schedule key of 5000 letters": _overriding(f"model.h_schedule.{_WORD}=1"),
+    "an initial_state key of 5000 letters": _overriding(f"initial_state.{_WORD}=1"),
+    "a schedule key with a newline": _overriding("model.h_schedule.a\nb={kind: bogus}"),
 }
 
 
@@ -744,6 +762,10 @@ def test_malformed_text_exits_two_on_one_line(case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith("\n") and len(captured.err) < 500  # a path or a value is quoted, a long one cut
+
+
+def test_an_error_message_keeps_to_one_line():
+    assert str(ScenarioError("a\nb")) == "a\\nb"
 
 
 def _counting_solves(monkeypatch):

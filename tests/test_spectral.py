@@ -10,8 +10,8 @@ from qhdyn.spectral import (
     BiorthogonalFrame,
     _frame_error,
     _frame_residuals,
+    _full_match,
     _lapack,
-    branch_permutations,
     eig_biorthogonal,
     matmul,
     track_continuity,
@@ -406,9 +406,7 @@ def test_branch_permutations_equal_stepwise_composition(crossing):
     times = np.linspace(0.0, 1.0, 301)
     raw = eig_biorthogonal(_swept_energies(times, crossing), t=times)
     best = np.argmax(np.abs(raw.left_bras[:-1] @ raw.right_kets[1:]), axis=-1)
-    perm = branch_permutations(best)
     expected = reference_permutations(best)
-    np.testing.assert_array_equal(perm, expected)
     changes = np.count_nonzero(np.any(expected[1:] != expected[:-1], axis=-1))
     assert changes == (8 if crossing else 0)
     # the tracked frame is the raw frame relabelled by exactly this perm
@@ -426,7 +424,7 @@ def test_a_block_that_keeps_its_order_tracks_on_from_a_crossing_bit_for_bit(monk
     kets, bras, energies = _lapack(hams, times)
     whole = track_continuity(BiorthogonalFrame(times, energies, kets, bras))
     composed, carried = [], None
-    monkeypatch.setattr(qhdyn.spectral, "branch_permutations", lambda *a: composed.append(a) or branch_permutations(*a))
+    monkeypatch.setattr(qhdyn.spectral, "_full_match", lambda *a: composed.append(a) or _full_match(*a))
     for part in (slice(0, 16), slice(16, 28), slice(28, 41)):
         frame = track_continuity(BiorthogonalFrame(times[part], energies[part], kets[part], bras[part]), carried)
         for field in ("energies", "right_kets", "left_bras"):
@@ -459,8 +457,18 @@ def test_branch_permutations_of_random_matches():
     best = np.tile(np.arange(n), (500, 1))
     for k in rng.choice(500, size=40, replace=False):
         best[k] = rng.permutation(n)
-    np.testing.assert_array_equal(branch_permutations(best), reference_permutations(best))
-    np.testing.assert_array_equal(branch_permutations(best[:0]), [np.arange(n)])
+    # a frame of permutation matrices whose raw index best[k, i] at point k + 1 is the one overlapping raw
+    # index i at point k, with distinct energies to read the labels by
+    kets = [np.eye(n)]
+    for row in best:
+        kets.append(kets[-1][:, np.argsort(row)])
+    kets = np.array(kets)
+    energies = rng.standard_normal((501, n))
+    tracked = track_continuity(BiorthogonalFrame(np.arange(501.0), energies, kets, np.swapaxes(kets, -1, -2)))
+    np.testing.assert_array_equal(tracked.energies, np.take_along_axis(energies, reference_permutations(best), axis=-1))
+    # no match past the last point: a one-point block tracked on from it, itself, keeps its labels
+    last = BiorthogonalFrame(np.array([500.0]), energies[-1:], kets[-1:], np.swapaxes(kets[-1:], -1, -2))
+    np.testing.assert_array_equal(track_continuity(last, tracked.continuation).energies, tracked.energies[-1:])
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
